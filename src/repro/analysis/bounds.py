@@ -47,9 +47,11 @@ against all four heuristics on exactly that default configuration, and
 the exact backend (:mod:`repro.exact`) machine-certifies it against
 proven optima: ``repro gap`` fails if the bound ever exceeds one.
 
-The bound is computed from the same ``prepare → rename → build_ddg``
-pipeline the scheduler runs, so synthesized guard/branch ops are
-counted identically on both sides of the comparison;
+The bound is computed from the scheduler's own first two stages
+(:func:`repro.schedule.scheduler.prepare` and
+:func:`~repro.schedule.scheduler.dependences`), so synthesized
+guard/branch ops are counted identically on both sides of the
+comparison;
 :func:`bounds_from_ddg` exposes the math to callers (the exact backend)
 that already hold a built DDG.
 """
@@ -196,20 +198,11 @@ def region_lower_bounds(
     DAG dependences) and are rejected.
     """
     from repro.ir.analysis_cache import liveness_of
-    from repro.regions.hyperblock import Hyperblock
-    from repro.schedule.ddg import build_ddg
-    from repro.schedule.prep import prepare_region
-    from repro.schedule.renaming import rename_region
+    from repro.schedule.scheduler import dependences, prepare
 
-    if isinstance(region, Hyperblock):
-        raise ValueError(
-            "lower bounds are defined for tree-pipeline regions only; "
-            "hyperblocks schedule through a different pipeline"
-        )
     if liveness is None:
         liveness = liveness_of(region.root.cfg)
 
-    problem = prepare_region(region, machine, liveness)
-    copies = rename_region(problem, liveness)
-    ddg = build_ddg(problem, machine, liveness=liveness, copies=copies)
+    problem, copies = prepare(region, machine, liveness)
+    ddg = dependences(problem, machine, liveness, copies)
     return bounds_from_ddg(problem, ddg, machine)

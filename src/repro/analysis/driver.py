@@ -80,12 +80,10 @@ def analyze_program(
                 for region in partition:
                     bounds = region_lower_bounds(region, mach, liveness)
                     achieved: Dict[str, int] = {}
-                    key_cache: Dict = {}
                     for heuristic in heuristics:
                         schedule = schedule_region(
                             region, mach,
-                            ScheduleOptions(heuristic=heuristic),
-                            liveness, key_cache=key_cache,
+                            ScheduleOptions(heuristic=heuristic), liveness,
                         )
                         achieved[heuristic] = schedule.length
                     best = min(achieved.values())

@@ -10,8 +10,9 @@ provides :func:`evaluate_grid`, which exploits that structure:
 * **serial path** (``jobs=1``, the default): cells are grouped by
   (benchmark, scheme); the clone and formation run once per group, the
   version-keyed analysis cache (:mod:`repro.ir.analysis_cache`) serves
-  liveness/dominators/register bounds to every region, and priority keys
-  are computed once per (region, machine) and shared across heuristics;
+  liveness/dominators/register bounds to every region, and the region
+  memo (:mod:`repro.schedule.memo`, on by default) shares prep, DDGs and
+  priority keys across the group's machines and heuristics;
 
 * **parallel path** (``jobs>1``, or ``jobs=0`` for the CPU count): work
   fans out over a ``multiprocessing`` pool at *cell* granularity, and
@@ -186,7 +187,6 @@ def _schedule_function_partition(
     cell: GridCell,
     machine: MachineModel,
     timer: StageTimer,
-    key_caches: Optional[Dict[Tuple[int, str], Dict]] = None,
     memo=None,
 ) -> _FunctionPartial:
     """Schedule one function's formed partition for one cell.
@@ -197,20 +197,11 @@ def _schedule_function_partition(
     """
     options = cell.options()
     schedules = []
+    schedule_one = memo.schedule if memo is not None else schedule_region
     for region in partition:
         liveness = liveness_of(region.root.cfg)
-        if memo is not None:
-            schedules.append(
-                memo.schedule(region, machine, options, liveness,
-                              timer=timer)
-            )
-            continue
-        key_cache = None
-        if key_caches is not None and not cell.schedule_copies:
-            key_cache = key_caches.setdefault((id(region), cell.machine), {})
         schedules.append(
-            schedule_region(region, machine, options, liveness,
-                            timer=timer, key_cache=key_cache)
+            schedule_one(region, machine, options, liveness, timer=timer)
         )
     with timer.stage("estimate"):
         time = sum(s.weighted_time for s in schedules)
@@ -274,15 +265,12 @@ def _resolve_memo(region_memo):
     """Turn ``evaluate_grid``'s ``region_memo`` argument into a memo.
 
     ``False`` → None (memo off); ``None``/``True`` → the process-global
-    :func:`repro.schedule.memo.global_memo` (``None`` additionally
-    honours ``REPRO_REGION_MEMO=0``); anything else is used as-is.
+    :func:`repro.schedule.memo.global_memo`; anything else is used
+    as-is.
     """
     if region_memo is False:
         return None
     if region_memo is None or region_memo is True:
-        if region_memo is None and \
-                os.environ.get("REPRO_REGION_MEMO") == "0":
-            return None
         from repro.schedule.memo import global_memo
 
         return global_memo()
@@ -383,10 +371,6 @@ def _evaluate_grid_serial(
                             partition = scheme.form(function.cfg)
                         formed.append((partition, original.cfg.total_ops,
                                        function.cfg.total_ops))
-                # Priority keys are shared across the group's heuristics,
-                # keyed per (region, machine) — identically-prepared
-                # problems have aligned op indices.
-                key_caches: Dict[Tuple[int, str], Dict] = {}
                 if memo is not None:
                     # Tier-1 sharing is id-keyed; scope it to this
                     # group's freshly formed regions.
@@ -400,8 +384,7 @@ def _evaluate_grid_serial(
                         partials = [
                             _schedule_function_partition(
                                 partition, original_ops, final_ops, cell,
-                                machine, timer, key_caches=key_caches,
-                                memo=memo,
+                                machine, timer, memo=memo,
                             )
                             for partition, original_ops, final_ops in formed
                         ]
@@ -495,14 +478,13 @@ def _run_task(task: _Task):
                 partition = scheme.form(worked.cfg)
             formed.append((partition, function.cfg.total_ops,
                            worked.cfg.total_ops))
-        key_caches: Dict[Tuple[int, str], Dict] = {}
         out = []
         for index, cell in indexed_cells:
             machine = machine_by_name(cell.machine)
             partials = [
                 _schedule_function_partition(
                     partition, original_ops, final_ops, cell, machine,
-                    timer, key_caches=key_caches, memo=memo,
+                    timer, memo=memo,
                 )
                 for partition, original_ops, final_ops in formed
             ]
@@ -658,11 +640,11 @@ def evaluate_grid(
             spans do not cross the process boundary).
         region_memo: The region-level result cache
             (:class:`repro.schedule.memo.RegionMemo`).  ``None`` (the
-            default) uses the process-global memo unless
-            ``REPRO_REGION_MEMO=0`` is set; ``False`` disables
-            memoization (the pre-memo shared-key path); an instance is
-            used as given.  Memoized results are bit-identical to the
-            direct pipeline, including deterministic metrics.
+            default) uses the process-global memo; ``False`` disables
+            memoization (every region runs the plain scheduler, the
+            oracle's reference route); an instance is used as given.
+            Memoized results are bit-identical to the direct pipeline,
+            including deterministic metrics.
         region_store: Optional persistent backing for the region memo —
             an :class:`~repro.serve.store.ArtifactStore`, a directory,
             or ``(directory, max_mb)`` — attached for the duration of

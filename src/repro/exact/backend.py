@@ -1,14 +1,15 @@
 """The exact scheduling backend: heuristic incumbent + branch-and-bound.
 
-``exact_schedule_problem`` is the single entry every caller shares — the
-direct pipeline (:func:`repro.schedule.scheduler.schedule_region` with
-``backend="exact"``), the region memo's tier-1 shared path, and the
-``repro gap`` driver.  The contract:
+``exact_schedule_problem`` is the single entry every caller shares: the
+scheduler's last stage (:func:`repro.schedule.scheduler.schedule_prepared`
+with ``backend="exact"``, on every route that reaches it) and the
+``repro gap`` driver (through :func:`solve_region`).  The contract:
 
 1. every heuristic in :data:`repro.schedule.priorities.HEURISTICS` is
    list-scheduled on the prepared problem (placement state is reset
-   between runs, exactly like the memo's tier-1 reuse), and the best
-   height becomes the branch-and-bound incumbent;
+   between runs with
+   :meth:`~repro.schedule.prep.ScheduleProblem.reset_placement`), and
+   the best height becomes the branch-and-bound incumbent;
 2. if the DDG lower bound (:func:`repro.analysis.bounds.bounds_from_ddg`
    — the same admissible bound ``repro analyze`` reports) already meets
    the incumbent, the incumbent is optimal and the search is skipped;
@@ -52,7 +53,7 @@ from repro.schedule.priorities import (
     priority_order,
 )
 from repro.schedule.schedule import RegionSchedule
-from repro.schedule.scheduler import ScheduleOptions
+from repro.schedule.scheduler import ScheduleOptions, dependences, prepare
 from repro.exact.bnb import branch_and_bound
 
 __all__ = ["ExactInfo", "exact_schedule_problem", "solve_region",
@@ -106,15 +107,6 @@ class ExactInfo:
                 f"lb={self.lower_bound} nodes={self.nodes}>")
 
 
-def _reset_placement(problem: ScheduleProblem) -> None:
-    """Undo list-schedule placement state (the memo's tier-1 reset)."""
-    for sop in problem.sched_ops:
-        sop.cycle = None
-        sop.slot = None
-        sop.merged_into = None
-        sop.op.speculative = False
-
-
 def _schedule_from_cycles(problem: ScheduleProblem, cycle_of: List[int],
                           copies) -> RegionSchedule:
     """Materialize a cycle assignment as a RegionSchedule.
@@ -145,7 +137,7 @@ def exact_schedule_problem(
     """Solve one prepared problem exactly; returns (schedule, info).
 
     ``keys`` is the ``all_priority_keys`` dict when the caller already
-    has one (memo tier 1, engine key caches); None computes it here.
+    has one (memo tier 1); None computes it here.
     The problem must be placement-clean on entry; on return it holds
     the returned schedule's placement (like any pipeline run).
     """
@@ -155,18 +147,20 @@ def exact_schedule_problem(
     if keys is None:
         keys = all_priority_keys(problem, ddg)
 
+    def heuristic_schedule(heuristic: str) -> RegionSchedule:
+        order = priority_order(problem, ddg, heuristic,
+                               keys=keys.get(heuristic))
+        return list_schedule(problem, ddg, order, machine, copies=copies,
+                             max_cycles=options.max_cycles)
+
     heights: Dict[str, int] = {}
     best_heuristic = HEURISTICS[0]
     for heuristic in HEURISTICS:
-        order = priority_order(problem, ddg, heuristic,
-                               keys=keys.get(heuristic))
-        schedule = list_schedule(problem, ddg, order, machine,
-                                 copies=copies,
-                                 max_cycles=options.max_cycles)
+        schedule = heuristic_schedule(heuristic)
         heights[heuristic] = schedule.length
         if schedule.length < heights[best_heuristic]:
             best_heuristic = heuristic
-        _reset_placement(problem)
+        problem.reset_placement()
     incumbent_length = heights[best_heuristic]
 
     bounds = bounds_from_ddg(problem, ddg, machine)
@@ -201,11 +195,7 @@ def exact_schedule_problem(
         # No improvement (or none found in budget): the final schedule
         # is the best heuristic's, re-run so bundles and slots are
         # bit-identical to the heuristic backend's output.
-        order = priority_order(problem, ddg, best_heuristic,
-                               keys=keys.get(best_heuristic))
-        schedule = list_schedule(problem, ddg, order, machine,
-                                 copies=copies,
-                                 max_cycles=options.max_cycles)
+        schedule = heuristic_schedule(best_heuristic)
 
     status = PROVEN if result.proven else BUDGET_EXCEEDED
     info = ExactInfo(
@@ -240,7 +230,7 @@ def solve_region(
     liveness: Optional[LivenessInfo] = None,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> Tuple[RegionSchedule, ExactInfo, ScheduleProblem, DDG]:
-    """Run the full fresh pipeline and solve one region exactly.
+    """Run the scheduler's stages fresh and solve one region exactly.
 
     The convenience entry the gap driver and tests use: prepares,
     renames, builds the DDG (default options — no dominator
@@ -249,22 +239,11 @@ def solve_region(
     ``sched.*`` lint rules without re-running the pipeline.
     """
     from repro.ir.analysis_cache import liveness_of
-    from repro.regions.hyperblock import Hyperblock
-    from repro.schedule.ddg import build_ddg
-    from repro.schedule.prep import prepare_region
-    from repro.schedule.renaming import rename_region
 
-    if isinstance(region, Hyperblock):
-        raise ValueError(
-            "the exact backend covers tree-pipeline regions only; "
-            "hyperblocks schedule through a different pipeline"
-        )
     if liveness is None:
         liveness = liveness_of(region.root.cfg)
-    problem = prepare_region(region, machine, liveness)
-    copies = rename_region(problem, liveness)
-    ddg = build_ddg(problem, machine, liveness=liveness, copies=copies)
-    ddg.finalize()
+    problem, copies = prepare(region, machine, liveness)
+    ddg = dependences(problem, machine, liveness, copies)
     options = ScheduleOptions(backend="exact", exact_budget=budget)
     schedule, info = exact_schedule_problem(problem, ddg, None, machine,
                                             options, copies)

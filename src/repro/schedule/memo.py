@@ -1,10 +1,17 @@
-"""Region-level memoization of the scheduling pipeline.
+"""Region-level memoization in front of the scheduling pipeline.
 
 The evaluation grid schedules the same regions over and over: the four
 heuristic columns of one cell row share bit-identical prep/renaming
 output and (per machine) bit-identical DDGs, and different cells — even
 different runs — often schedule regions with identical *content*.  This
-module exploits both, in two tiers:
+module exploits both, in two tiers.  Neither tier has a pipeline of its
+own: every miss runs the scheduler's stages
+(:func:`~repro.schedule.scheduler.prepare`,
+:func:`~repro.schedule.scheduler.dependences`,
+:func:`~repro.schedule.scheduler.schedule_prepared`), and the memo only
+decides which stage outputs it can reuse.  Options are validated by
+:func:`~repro.schedule.scheduler.check_options` before any lookup, so a
+bad option raises here exactly as on the direct route.
 
 **Tier 1 — in-process structural sharing** (``id(region)``-keyed,
 scoped to one (benchmark, scheme) group by :meth:`RegionMemo.begin_group`):
@@ -13,8 +20,8 @@ scoped to one (benchmark, scheme) group by :meth:`RegionMemo.begin_group`):
   (:mod:`repro.schedule.prep` reads nothing else from the model), so one
   prepared :class:`~repro.schedule.prep.ScheduleProblem` serves every
   machine of a row that agrees on it — both paper machines do.  Between
-  uses the only mutated state is per-op placement (``cycle``/``slot``/
-  ``merged_into``/``op.speculative``), which is reset;
+  uses the only mutated state is per-op placement, which
+  :meth:`~repro.schedule.prep.ScheduleProblem.reset_placement` undoes;
 * the DDG and the four heuristics' priority keys read the machine only
   through its latency table
   (:func:`~repro.schedule.fingerprint.latency_fingerprint`), so they are
@@ -47,12 +54,14 @@ under :func:`repro.serve.store.region_key`.
   serial, and parallel runs of one grid report identical
   ``deterministic_snapshot()``s.
 
-**Bypasses** (served by the direct pipeline, never cached): hyperblocks
+**Bypasses** (served by :func:`~repro.schedule.scheduler.schedule_region`,
+never cached): hyperblocks
 (a different pipeline), ``options.certify`` or an active lint collector
 (caller wants diagnostics, not numbers), and non-default ``max_cycles``.
 Dominator parallelism bypasses tier 1 only — its merge step rewrites
-consumer operands destructively, so each miss runs a fresh pipeline —
-but memoizes fine at tier 2 (``dp`` is in the key).
+consumer operands destructively, so each miss runs
+``schedule_region`` fresh — but memoizes fine at tier 2 (``dp`` is in
+the key).
 
 Tier-2 keys assume the region's blocks/ops/weights do not change between
 fingerprinting and scheduling — true for the engine, which forms fresh
@@ -81,14 +90,13 @@ from repro.schedule.fingerprint import (
     machine_fingerprint,
     region_fingerprint,
 )
-from repro.schedule.list_scheduler import list_schedule
-from repro.schedule.prep import prepare_region
-from repro.schedule.priorities import all_priority_keys, priority_order
-from repro.schedule.renaming import rename_region
+from repro.schedule.priorities import all_priority_keys
 from repro.schedule.scheduler import (
     ScheduleOptions,
-    _insert_copy_ops,
-    _record_schedule_metrics,
+    check_options,
+    dependences,
+    prepare,
+    schedule_prepared,
     schedule_region,
 )
 from repro.util.timing import NULL_TIMER, StageTimer
@@ -134,14 +142,14 @@ class _Level2Entry:
 
     def __init__(self, exit_cycles: Tuple[int, ...], length: int,
                  copy_count: int, merged_count: int, speculated_count: int,
-                 snapshot: Dict[str, object], size: int):
+                 snapshot: Dict[str, object]):
         self.exit_cycles = exit_cycles
         self.length = length
         self.copy_count = copy_count
         self.merged_count = merged_count
         self.speculated_count = speculated_count
         self.snapshot = snapshot
-        self.size = size
+        self.size = len(json.dumps(self.payload(), sort_keys=True))
 
     def payload(self) -> Dict[str, object]:
         return {
@@ -156,40 +164,14 @@ class _Level2Entry:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "_Level2Entry":
-        entry = cls(
+        return cls(
             exit_cycles=tuple(int(c) for c in payload["exit_cycles"]),
             length=int(payload["length"]),
             copy_count=int(payload["copy_count"]),
             merged_count=int(payload["merged_count"]),
             speculated_count=int(payload["speculated_count"]),
             snapshot=dict(payload["snapshot"]),
-            size=0,
         )
-        entry.size = len(json.dumps(entry.payload(), sort_keys=True))
-        return entry
-
-
-class _ProblemEntry:
-    """Tier-1 shared prep+renaming output for one region."""
-
-    __slots__ = ("problem", "copies", "snapshot", "used")
-
-    def __init__(self, problem, copies, snapshot):
-        self.problem = problem
-        self.copies = copies
-        self.snapshot = snapshot
-        self.used = False
-
-
-class _DdgEntry:
-    """Tier-1 shared DDG + priority keys for one (region, machine)."""
-
-    __slots__ = ("ddg", "keys", "snapshot")
-
-    def __init__(self, ddg, keys, snapshot):
-        self.ddg = ddg
-        self.keys = keys
-        self.snapshot = snapshot
 
 
 class RegionMemo:
@@ -207,13 +189,14 @@ class RegionMemo:
         #: Tier 2: (region fp, machine fp, heuristic, dp, sc) -> entry,
         #: LRU-ordered (oldest first).
         self._entries: "OrderedDict[Tuple, _Level2Entry]" = OrderedDict()
-        #: Tier 1, cleared per group.
-        self._problems: Dict[Tuple, _ProblemEntry] = {}
-        self._ddgs: Dict[Tuple, _DdgEntry] = {}
-        #: id(machine) -> (machine, fingerprint); the strong reference
-        #: pins the id, so reuse cannot alias a collected model.
-        self._machine_fps: Dict[int, Tuple[MachineModel, str]] = {}
-        self._latency_fps: Dict[int, Tuple[MachineModel, str]] = {}
+        #: Tier 1, cleared per group: key -> (stage output, counter
+        #: snapshot of the build).
+        self._problems: Dict[Tuple, Tuple[object, Dict]] = {}
+        self._ddgs: Dict[Tuple, Tuple[object, Dict]] = {}
+        #: (fingerprint function, id(machine)) -> (machine, fingerprint);
+        #: the strong reference pins the id, so reuse cannot alias a
+        #: collected model.
+        self._fps: Dict[Tuple, Tuple[MachineModel, str]] = {}
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
@@ -245,21 +228,12 @@ class RegionMemo:
 
     # ------------------------------------------------------------------
 
-    def _machine_fp(self, machine: MachineModel) -> str:
-        cached = self._machine_fps.get(id(machine))
-        if cached is not None:
-            return cached[1]
-        fingerprint = machine_fingerprint(machine)
-        self._machine_fps[id(machine)] = (machine, fingerprint)
-        return fingerprint
-
-    def _latency_fp(self, machine: MachineModel) -> str:
-        cached = self._latency_fps.get(id(machine))
-        if cached is not None:
-            return cached[1]
-        fingerprint = latency_fingerprint(machine)
-        self._latency_fps[id(machine)] = (machine, fingerprint)
-        return fingerprint
+    def _fingerprint(self, function, machine: MachineModel) -> str:
+        key = (function, id(machine))
+        cached = self._fps.get(key)
+        if cached is None:
+            cached = self._fps[key] = (machine, function(machine))
+        return cached[1]
 
     def _remember(self, key: Tuple, entry: _Level2Entry) -> None:
         entries = self._entries
@@ -300,6 +274,7 @@ class RegionMemo:
         on a miss (or bypass) and a :class:`RegionSummary` on a hit;
         both expose the accumulation attributes the engine reads.
         """
+        check_options(region, options)
         if self._bypass(region, options):
             self.bypasses += 1
             return schedule_region(region, machine, options, liveness,
@@ -308,7 +283,7 @@ class RegionMemo:
         fingerprint = region_fingerprint(region, liveness)
         key = (
             fingerprint,
-            self._machine_fp(machine),
+            self._fingerprint(machine_fingerprint, machine),
             options.heuristic,
             options.dominator_parallelism,
             options.schedule_copies,
@@ -367,8 +342,8 @@ class RegionMemo:
                                            liveness, timer=timer,
                                            tracer=tracer)
             else:
-                schedule = self._shared_pipeline(region, machine, options,
-                                                 liveness, timer, tracer)
+                schedule = self._tier1(region, machine, options, liveness,
+                                       timer, tracer)
         snapshot = inner.deterministic_snapshot()
         if outer is not NULL_METRICS:
             outer.merge_snapshot(snapshot)
@@ -380,9 +355,7 @@ class RegionMemo:
             merged_count=len(schedule.merged),
             speculated_count=schedule.speculated_count,
             snapshot=snapshot,
-            size=0,
         )
-        entry.size = len(json.dumps(entry.payload(), sort_keys=True))
         self._remember(key, entry)
         if self.store is not None:
             self.store.put_payload(self._store_key(key), entry.payload(),
@@ -400,91 +373,48 @@ class RegionMemo:
 
     # ------------------------------------------------------------------
 
-    def _shared_pipeline(self, region, machine, options, liveness, timer,
-                         tracer):
-        """The reference stage sequence with tier-1 sharing in front."""
+    @staticmethod
+    def _shared(table: Dict, key: Tuple, build):
+        """Tier-1 lookup: ``build()`` runs once per key, under a private
+        registry whose counter snapshot is replayed on every use."""
+        entry = table.get(key)
+        if entry is None:
+            registry = MetricsRegistry()
+            with metrics_scope(registry):
+                value = build()
+            entry = table[key] = (value, registry.deterministic_snapshot())
         active = current_metrics()
-        sc = options.schedule_copies
-
-        problem_key = (id(region), machine.use_btr, sc)
-        problem_entry = self._problems.get(problem_key)
-        if problem_entry is None:
-            build = MetricsRegistry()
-            with metrics_scope(build):
-                with timer.stage("prep"), tracer.span("prep"):
-                    problem = prepare_region(region, machine, liveness)
-                with timer.stage("renaming"), tracer.span("renaming"):
-                    copies = rename_region(problem, liveness)
-                    if sc:
-                        _insert_copy_ops(problem, copies)
-            problem_entry = _ProblemEntry(problem, copies,
-                                          build.deterministic_snapshot())
-            self._problems[problem_key] = problem_entry
-        else:
-            if problem_entry.used:
-                # Undo the placement state of the previous schedule; with
-                # dp excluded from tier 1 these are the only mutations
-                # list scheduling makes, so the reset problem is
-                # bit-identical to a freshly prepared one.
-                for sop in problem_entry.problem.sched_ops:
-                    sop.cycle = None
-                    sop.slot = None
-                    sop.merged_into = None
-                    sop.op.speculative = False
         if active is not NULL_METRICS:
-            active.merge_snapshot(problem_entry.snapshot)
-        problem = problem_entry.problem
-        copies = problem_entry.copies
+            active.merge_snapshot(entry[1])
+        return entry[0]
+
+    def _tier1(self, region, machine, options, liveness, timer, tracer):
+        """The scheduler's stages with tier-1 sharing in front of the
+        first two."""
+        sc = options.schedule_copies
+        problem, copies = self._shared(
+            self._problems, (id(region), machine.use_btr, sc),
+            lambda: prepare(region, machine, liveness, sc, timer, tracer))
+        # The problem may hold the placement of an earlier schedule.
+        problem.reset_placement()
+
+        def build_ddg_and_keys():
+            ddg = dependences(problem, machine, liveness, copies, timer,
+                              tracer)
+            with timer.stage("ddg"):
+                return ddg, all_priority_keys(problem, ddg)
 
         # Keyed by latency fingerprint, not full machine fingerprint:
         # DDG edges and priority keys read the machine only through
         # latencies, so 4U and 8U share one DDG per region.
-        ddg_key = (id(region), self._latency_fp(machine), sc)
-        ddg_entry = self._ddgs.get(ddg_key)
-        if ddg_entry is None:
-            build = MetricsRegistry()
-            with metrics_scope(build):
-                with timer.stage("ddg"), tracer.span("ddg"):
-                    from repro.schedule.ddg import build_ddg
-
-                    ddg = build_ddg(problem, machine, liveness=liveness,
-                                    copies=copies)
-                    keys = all_priority_keys(problem, ddg)
-            ddg_entry = _DdgEntry(ddg, keys, build.deterministic_snapshot())
-            self._ddgs[ddg_key] = ddg_entry
-        if active is not NULL_METRICS:
-            active.merge_snapshot(ddg_entry.snapshot)
-
-        if options.backend == "exact":
-            # The exact backend shares tier 1 wholesale: it resets
-            # placement between its internal heuristic runs with
-            # exactly the entry reset above, so the problem comes back
-            # in the same reusable state as after a list schedule.
-            from repro.exact.backend import exact_schedule_problem
-
-            with timer.stage("exact"), tracer.span("exact"):
-                schedule, _info = exact_schedule_problem(
-                    problem, ddg_entry.ddg, ddg_entry.keys, machine,
-                    options, copies,
-                )
-                _record_schedule_metrics(schedule)
-            problem_entry.used = True
-            return schedule
-        with timer.stage("ddg"):
-            order = priority_order(problem, ddg_entry.ddg, options.heuristic,
-                                   keys=ddg_entry.keys.get(options.heuristic))
-        with timer.stage("list_schedule"), tracer.span("list_schedule"):
-            schedule = _record_schedule_metrics(list_schedule(
-                problem,
-                ddg_entry.ddg,
-                order,
-                machine,
-                dominator_parallelism=False,
-                copies=copies,
-                max_cycles=options.max_cycles,
-            ))
-        problem_entry.used = True
-        return schedule
+        ddg, keys = self._shared(
+            self._ddgs,
+            (id(region), self._fingerprint(latency_fingerprint, machine),
+             sc),
+            build_ddg_and_keys)
+        return schedule_prepared(problem, ddg, copies, machine, options,
+                                 liveness, keys=keys, timer=timer,
+                                 tracer=tracer)
 
 
 # ----------------------------------------------------------------------

@@ -86,6 +86,17 @@ class ScheduleProblem:
     def guard_of(self, block: BasicBlock) -> Optional[Register]:
         return self.guards[block.bid]
 
+    def reset_placement(self) -> None:
+        """Undo a schedule's placement so the problem can be scheduled
+        again.  Without dominator parallelism (whose merge step rewrites
+        consumer operands) these are the only fields list scheduling
+        mutates, so a reset problem is bit-identical to a fresh one."""
+        for sop in self.sched_ops:
+            sop.cycle = None
+            sop.slot = None
+            sop.merged_into = None
+            sop.op.speculative = False
+
 
 def _reserve_all_registers(problem: ScheduleProblem) -> None:
     cfg = problem.region.root.cfg

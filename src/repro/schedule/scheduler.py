@@ -1,5 +1,5 @@
-"""The region scheduler entry point: Figure 3's three steps plus the
-supporting passes, glued together.
+"""The region scheduler: Figure 3's three steps plus the supporting
+passes, as one stage sequence.
 
     scheduleTreegion (treegion) {
         Form DDG for treegion
@@ -7,9 +7,19 @@ supporting passes, glued together.
         listSchedule (DDG)
     }
 
-``schedule_region`` works for any tree-shaped region, so the same code
-schedules basic blocks, SLRs, superblocks, and treegions — only the region
-former differs between the paper's experiments.
+:func:`schedule_region` runs the stages in order: :func:`prepare` (guard
+synthesis and renaming), :func:`dependences` (the DDG) and
+:func:`schedule_prepared` (priority sort and list scheduling, or the
+exact backend).  It works for any tree-shaped region, so the same code
+schedules basic blocks, SLRs, superblocks, and treegions — only the
+region former differs between the paper's experiments.
+
+This module is the only one that knows the stage order.  The region
+memo (:mod:`repro.schedule.memo`) puts its caches in front of the same
+three stages, and the exact solver and the bound analysis call
+:func:`prepare` and :func:`dependences` to get the problem the scheduler
+would see.  :func:`check_options` is the one place options are
+validated; every route calls it before doing any work.
 """
 
 from __future__ import annotations
@@ -23,19 +33,19 @@ from repro.lint.collect import current_collector
 from repro.machine.model import MachineModel
 from repro.obs.metrics import NULL_METRICS, current_metrics
 from repro.obs.tracer import NULL_TRACER
+from repro.regions.hyperblock import Hyperblock
 from repro.regions.region import Region, RegionPartition
-from repro.schedule.ddg import build_ddg
+from repro.schedule.ddg import DDG, build_ddg
 from repro.schedule.list_scheduler import list_schedule
-from repro.schedule.prep import prepare_region
-from repro.schedule.priorities import (
-    GLOBAL_WEIGHT,
-    Heuristic,
-    all_priority_keys,
-    priority_order,
-)
-from repro.schedule.renaming import rename_region
+from repro.schedule.prep import ScheduleProblem, prepare_region
+from repro.schedule.priorities import GLOBAL_WEIGHT, Heuristic, priority_order
+from repro.schedule.renaming import ExitCopy, rename_region
 from repro.schedule.schedule import RegionSchedule
 from repro.util.timing import NULL_TIMER, StageTimer
+
+
+#: The values :attr:`ScheduleOptions.backend` accepts.
+BACKENDS = ("heuristic", "exact")
 
 
 @dataclass(frozen=True)
@@ -91,16 +101,116 @@ def _record_schedule_metrics(schedule: RegionSchedule) -> RegionSchedule:
     return schedule
 
 
+def check_options(region: Region, options: ScheduleOptions) -> None:
+    """Reject option combinations no pipeline route can honour.
+
+    Every route runs this before any work: :func:`schedule_region` and
+    the region memo (:meth:`repro.schedule.memo.RegionMemo.schedule`),
+    hits included.
+    """
+    if options.backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {options.backend!r}; "
+            "expected 'heuristic' or 'exact'"
+        )
+    if options.backend != "exact":
+        return
+    if options.dominator_parallelism or options.schedule_copies:
+        raise ValueError(
+            "backend='exact' requires dominator_parallelism=False and "
+            "schedule_copies=False (merging and materialized copies "
+            "fall outside the search's legality model)"
+        )
+    if isinstance(region, Hyperblock):
+        raise ValueError(
+            "the exact backend covers tree-pipeline regions only; "
+            "hyperblocks schedule through a different pipeline"
+        )
+
+
+def prepare(region: Region, machine: MachineModel, liveness: LivenessInfo,
+            schedule_copies: bool = False, timer: StageTimer = NULL_TIMER,
+            tracer=NULL_TRACER) -> Tuple[ScheduleProblem, List[ExitCopy]]:
+    """Stage 1: guard/predication prep, then renaming (plus the repair
+    copies as real ops when ``schedule_copies``).  Returns the problem
+    and its exit repair copies.  Tree-shaped regions only."""
+    if isinstance(region, Hyperblock):
+        raise ValueError(
+            "the tree pipeline covers tree-shaped regions only; "
+            "hyperblocks schedule through a different pipeline"
+        )
+    with timer.stage("prep"), tracer.span("prep"):
+        problem = prepare_region(region, machine, liveness)
+    with timer.stage("renaming"), tracer.span("renaming"):
+        copies = rename_region(problem, liveness)
+        if schedule_copies:
+            _insert_copy_ops(problem, copies)
+    return problem, copies
+
+
+def dependences(problem: ScheduleProblem, machine: MachineModel,
+                liveness: LivenessInfo, copies: List[ExitCopy],
+                timer: StageTimer = NULL_TIMER, tracer=NULL_TRACER) -> DDG:
+    """Stage 2: the region's DDG (Figure 3, "Form DDG")."""
+    with timer.stage("ddg"), tracer.span("ddg"):
+        return build_ddg(problem, machine, liveness=liveness, copies=copies)
+
+
+def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
+                      copies: List[ExitCopy], machine: MachineModel,
+                      options: ScheduleOptions, liveness: LivenessInfo,
+                      keys: Optional[Dict[Heuristic, List[Tuple]]] = None,
+                      timer: StageTimer = NULL_TIMER,
+                      tracer=NULL_TRACER) -> RegionSchedule:
+    """Stage 3: sort by priority and list-schedule (or solve exactly).
+
+    ``problem`` must be placement-clean
+    (:meth:`~repro.schedule.prep.ScheduleProblem.reset_placement`);
+    on return it holds the schedule's placement.  ``keys`` is an
+    :func:`~repro.schedule.priorities.all_priority_keys` dict for this
+    problem when the caller already has one; None computes what is
+    needed here.
+    """
+    if options.backend == "exact":
+        from repro.exact.backend import exact_schedule_problem
+
+        with timer.stage("exact"), tracer.span("exact"):
+            schedule, _info = exact_schedule_problem(
+                problem, ddg, keys, machine, options, copies,
+            )
+    else:
+        with timer.stage("ddg"):
+            order = priority_order(
+                problem, ddg, options.heuristic,
+                keys=keys.get(options.heuristic) if keys else None,
+            )
+        with timer.stage("list_schedule"), tracer.span("list_schedule"):
+            schedule = list_schedule(
+                problem,
+                ddg,
+                order,
+                machine,
+                dominator_parallelism=options.dominator_parallelism,
+                copies=copies,
+                max_cycles=options.max_cycles,
+            )
+    _record_schedule_metrics(schedule)
+    if options.certify or current_collector() is not None:
+        with timer.stage("certify"), tracer.span("certify"):
+            _certify(problem, ddg, schedule, machine, liveness, options)
+    return schedule
+
+
 def schedule_region(
     region: Region,
     machine: MachineModel,
     options: Optional[ScheduleOptions] = None,
     liveness: Optional[LivenessInfo] = None,
     timer: StageTimer = NULL_TIMER,
-    key_cache: Optional[Dict[Heuristic, List[Tuple]]] = None,
     tracer=NULL_TRACER,
 ) -> RegionSchedule:
-    """Schedule one region for the given machine.
+    """Schedule one region for the given machine: the three stages in
+    order.
 
     ``liveness`` may be supplied to avoid recomputing it per region when
     scheduling a whole partition.  The input IR is never modified.
@@ -109,39 +219,14 @@ def schedule_region(
     and ``tracer`` records the same stages as nested spans; per-decision
     counters land in the active :func:`repro.obs.metrics.current_metrics`
     registry.
-    ``key_cache`` shares priority keys across heuristic sweeps of the same
-    region: on the first call it is filled with every heuristic's keys (the
-    expensive ingredients — heights, exit counts — are computed once), and
-    later calls with a different heuristic reuse them.  Valid because
-    preparation is deterministic, so SchedOp indices line up run to run;
-    only useful when ``schedule_copies`` is fixed across the sweep (it adds
-    ops, changing the index space).
     """
     options = options or ScheduleOptions()
-    if options.backend not in ("heuristic", "exact"):
-        raise ValueError(
-            f"unknown backend {options.backend!r}; "
-            "expected 'heuristic' or 'exact'"
-        )
-    if options.backend == "exact" and (options.dominator_parallelism
-                                       or options.schedule_copies):
-        raise ValueError(
-            "backend='exact' requires dominator_parallelism=False and "
-            "schedule_copies=False (merging and materialized copies "
-            "fall outside the search's legality model)"
-        )
+    check_options(region, options)
     if liveness is None:
         liveness = liveness_of(region.root.cfg)
     # Hyperblocks go through the if-conversion pipeline: full predication,
     # DAG dependences, no renaming, no speculation.
-    from repro.regions.hyperblock import Hyperblock
-
     if isinstance(region, Hyperblock):
-        if options.backend == "exact":
-            raise ValueError(
-                "the exact backend covers tree-pipeline regions only; "
-                "hyperblocks schedule through a different pipeline"
-            )
         from repro.schedule.hyperblock import schedule_hyperblock
 
         with timer.stage("list_schedule"), \
@@ -155,48 +240,11 @@ def schedule_region(
                      blocks=len(region.blocks),
                      machine=machine.name,
                      heuristic=options.heuristic):
-        with timer.stage("prep"), tracer.span("prep"):
-            problem = prepare_region(region, machine, liveness)
-        with timer.stage("renaming"), tracer.span("renaming"):
-            copies = rename_region(problem, liveness)
-            if options.schedule_copies:
-                _insert_copy_ops(problem, copies)
-        with timer.stage("ddg"), tracer.span("ddg"):
-            ddg = build_ddg(problem, machine, liveness=liveness,
-                            copies=copies)
-            if key_cache is not None and not options.schedule_copies:
-                if not key_cache:
-                    key_cache.update(all_priority_keys(problem, ddg))
-                keys = key_cache.get(options.heuristic)
-            else:
-                keys = None
-        if options.backend == "exact":
-            from repro.exact.backend import exact_schedule_problem
-
-            with timer.stage("exact"), tracer.span("exact"):
-                schedule, _info = exact_schedule_problem(
-                    problem, ddg, key_cache or None, machine, options,
-                    copies,
-                )
-                _record_schedule_metrics(schedule)
-        else:
-            with timer.stage("ddg"):
-                order = priority_order(problem, ddg, options.heuristic,
-                                       keys=keys)
-            with timer.stage("list_schedule"), tracer.span("list_schedule"):
-                schedule = _record_schedule_metrics(list_schedule(
-                    problem,
-                    ddg,
-                    order,
-                    machine,
-                    dominator_parallelism=options.dominator_parallelism,
-                    copies=copies,
-                    max_cycles=options.max_cycles,
-                ))
-        if options.certify or current_collector() is not None:
-            with timer.stage("certify"), tracer.span("certify"):
-                _certify(problem, ddg, schedule, machine, liveness, options)
-        return schedule
+        problem, copies = prepare(region, machine, liveness,
+                                  options.schedule_copies, timer, tracer)
+        ddg = dependences(problem, machine, liveness, copies, timer, tracer)
+        return schedule_prepared(problem, ddg, copies, machine, options,
+                                 liveness, timer=timer, tracer=tracer)
 
 
 def _certify(problem, ddg, schedule, machine, liveness, options) -> None:
@@ -257,12 +305,5 @@ def schedule_partition(
     tracer=NULL_TRACER,
 ) -> List[RegionSchedule]:
     """Schedule every region of a partition (liveness cached per CFG)."""
-    options = options or ScheduleOptions()
-    schedules: List[RegionSchedule] = []
-    for region in partition:
-        liveness = liveness_of(region.root.cfg)
-        schedules.append(
-            schedule_region(region, machine, options, liveness, timer=timer,
-                            tracer=tracer)
-        )
-    return schedules
+    return [schedule_region(region, machine, options, timer=timer,
+                            tracer=tracer) for region in partition]

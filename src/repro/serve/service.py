@@ -352,13 +352,11 @@ class CompileService:
         # None as the slice end means "all functions" without knowing
         # the count parent-side.  Workers keep a region memo, backed by
         # a store sub-directory when the service is store-backed.
-        memo_spec = None
-        if os.environ.get("REPRO_REGION_MEMO") != "0":
-            if self.store is not None:
-                memo_spec = (os.path.join(self.store.directory, "regions"),
-                             self.store.max_bytes / (1024 * 1024))
-            else:
-                memo_spec = (None, 0.0)
+        if self.store is not None:
+            memo_spec = (os.path.join(self.store.directory, "regions"),
+                         self.store.max_bytes / (1024 * 1024))
+        else:
+            memo_spec = (None, 0.0)
         task = (bench, scheme, indexed, 0, None, text, memo_spec)
         trace_specs = []
         if self.trace_dir is not None:

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from repro.evaluation.engine import GridCell
+from repro.schedule.scheduler import BACKENDS
 from repro.serve.jobs import ServeError
 
 #: Version of the framed protocol.  Bump on any incompatible change to
@@ -299,6 +300,10 @@ def cell_from_wire(raw: Dict[str, object]) -> GridCell:
     scheme = raw.get("scheme")
     if not isinstance(scheme, str):
         raise ProtocolError("cell.scheme must be a string")
+    backend = raw.get("backend", "heuristic")
+    if backend not in BACKENDS:
+        raise ProtocolError(
+            f"cell.backend must be one of {BACKENDS}, not {backend!r}")
     return GridCell(
         benchmark=raw.get("benchmark", "<wire>"),
         scheme=scheme,
@@ -306,7 +311,7 @@ def cell_from_wire(raw: Dict[str, object]) -> GridCell:
         heuristic=raw.get("heuristic", "global_weight"),
         dominator_parallelism=bool(raw.get("dominator_parallelism", False)),
         schedule_copies=bool(raw.get("schedule_copies", False)),
-        backend=str(raw.get("backend", "heuristic")),
+        backend=backend,
     )
 
 

@@ -20,7 +20,7 @@ touches the clock, so uninstrumented runs pay only an attribute call.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Optional
+from typing import Dict
 
 
 class _StageHandle:
@@ -120,8 +120,3 @@ class NullTimer:
 
 #: Shared no-op timer: ``timer = timer or NULL_TIMER``.
 NULL_TIMER = NullTimer()
-
-
-def ensure_timer(timer: Optional[StageTimer]):
-    """Normalize an optional timer argument to something with the API."""
-    return timer if timer is not None else NULL_TIMER

@@ -239,23 +239,38 @@ class TestBudgetExceeded:
 # Pipeline integration
 
 
+def _assert_rejected_on_every_route(options, match):
+    """A bad option raises on the direct route, through the region memo
+    and through a memoized grid evaluation alike."""
+    from repro.evaluation.engine import GridCell, evaluate_grid
+    from repro.schedule.memo import RegionMemo
+
+    region, machine, liveness = next(_regions(
+        build_paper_example(), "treegion", "4U"))
+    with pytest.raises(ValueError, match=match):
+        schedule_region(region, machine, options, liveness)
+    with pytest.raises(ValueError, match=match):
+        RegionMemo().schedule(region, machine, options, liveness)
+    cell = GridCell("compress", "treegion", "4U", options.heuristic,
+                    dominator_parallelism=options.dominator_parallelism,
+                    schedule_copies=options.schedule_copies,
+                    backend=options.backend)
+    with pytest.raises(ValueError, match=match):
+        evaluate_grid([cell], region_memo=RegionMemo())
+
+
 class TestExactBackendOptions:
     def test_unknown_backend_rejected(self):
-        region, machine, liveness = next(_regions(
-            build_paper_example(), "treegion", "4U"))
-        with pytest.raises(ValueError, match="unknown backend"):
-            schedule_region(region, machine,
-                            ScheduleOptions(backend="optimal"), liveness)
+        for backend in ("optimal", "bogus"):
+            _assert_rejected_on_every_route(
+                ScheduleOptions(backend=backend), "unknown backend")
 
     def test_exact_rejects_dp_and_copies(self):
-        region, machine, liveness = next(_regions(
-            build_paper_example(), "treegion", "4U"))
         for options in (
             ScheduleOptions(backend="exact", dominator_parallelism=True),
             ScheduleOptions(backend="exact", schedule_copies=True),
         ):
-            with pytest.raises(ValueError, match="backend='exact'"):
-                schedule_region(region, machine, options, liveness)
+            _assert_rejected_on_every_route(options, "backend='exact'")
 
     def test_exact_rejects_hyperblocks(self):
         from repro.regions.hyperblock import form_hyperblocks

@@ -148,6 +148,8 @@ class TestMessageCodecs:
             CompileRequest(cell=cell, program_text="program entry=...",
                            timeout=5.0),
             CompileRequest(cell=cell),
+            CompileRequest(cell=GridCell("compress", "treegion", "4U",
+                                         "global_weight", backend="exact")),
             CompileRequest(cell=cell, trace_id="a" * 32,
                            parent_span_id="b" * 16),
             PingRequest(),
@@ -205,6 +207,10 @@ class TestMessageCodecs:
             {"op": "compile"},
             {"op": "compile", "cell": "not a dict"},
             {"op": "compile", "cell": {"scheme": 7}},
+            {"op": "compile",
+             "cell": {"scheme": "treegion", "backend": "bogus"}},
+            {"op": "compile",
+             "cell": {"scheme": "treegion", "backend": ["exact"]}},
         ):
             with pytest.raises(ProtocolError) as failure:
                 request_from_wire(raw)
@@ -265,6 +271,18 @@ class TestHandshake:
             # The connection survives in-frame mistakes.
             send_frame(sock, request_to_wire(PingRequest()))
             assert recv_frame(sock)["ok"] is True
+
+    def test_unknown_backend_is_bad_request(self, live_endpoint):
+        with _dial(live_endpoint) as sock:
+            send_frame(sock, request_to_wire(Hello()))
+            assert recv_frame(sock)["ok"] is True
+            raw = request_to_wire(CompileRequest(cell=GridCell(
+                "compress", "treegion", "4U", "global_weight")))
+            raw["cell"]["backend"] = "bogus"
+            send_frame(sock, raw)
+            reply = recv_frame(sock)
+            assert reply["ok"] is False
+            assert reply["code"] == ErrorCode.BAD_REQUEST
 
     def test_in_frame_garbage_answers_then_oversize_closes(
             self, live_endpoint):
