@@ -3,17 +3,18 @@
 Runs the paper's evaluation grid through the engine in two
 configurations —
 
-* **uninstrumented**: ``NULL_TIMER`` / ``NULL_METRICS`` / ``NULL_TRACER``
-  (the default for every caller that does not opt in), and
-* **instrumented**: a real :class:`StageTimer`, :class:`MetricsRegistry`,
-  and :class:`Tracer` collecting the full span tree;
+* **uninstrumented**: ``NULL_METRICS`` / ``NULL_TRACER`` (the default
+  for every caller that does not opt in), and
+* **instrumented**: a real :class:`MetricsRegistry` and :class:`Tracer`
+  collecting the full span tree, down to the scheduler's stages;
 
 — verifies both produce identical numbers, bounds the instrumentation
 overhead, and writes ``BENCH_obs.json`` at the repo root (wall times,
-overhead ratio, per-stage timings, headline pipeline counters, histogram
-summaries) so future PRs can diff the perf trajectory.  The Chrome
-trace from the instrumented run is saved to
-``benchmarks/results/obs_trace.json`` as a viewable artifact.
+overhead ratio, per-stage timings derived from the spans' self times,
+headline pipeline counters, histogram summaries) so later changes can
+diff the perf trajectory.  The Chrome trace from the instrumented run is
+saved to ``benchmarks/results/obs_trace.json`` as a viewable artifact
+(not committed: CI uploads it).
 
 Measurement discipline: the grid runs with ``region_memo=False`` — this
 benchmark measures the *direct pipeline's* instrumentation overhead, and
@@ -43,7 +44,6 @@ import time
 
 from repro.evaluation.engine import default_grid, evaluate_grid
 from repro.obs import MetricsRegistry, Tracer
-from repro.util.timing import StageTimer
 
 from benchmarks.conftest import RESULTS_DIR, emit_table
 
@@ -103,12 +103,11 @@ def test_obs_snapshot():
         return None, evaluate_grid(grid, jobs=1, region_memo=False)
 
     def instrumented_run():
-        timer = StageTimer()
         metrics = MetricsRegistry()
         tracer = Tracer()
-        rows = evaluate_grid(grid, jobs=1, timer=timer, metrics=metrics,
-                             tracer=tracer, region_memo=False)
-        return (timer, metrics, tracer), rows
+        rows = evaluate_grid(grid, jobs=1, metrics=metrics, tracer=tracer,
+                             region_memo=False)
+        return (metrics, tracer), rows
 
     best_plain = best_instr = None
     for _ in range(BEST_OF):
@@ -119,7 +118,7 @@ def test_obs_snapshot():
         if best_instr is None or run[0] < best_instr[0]:
             best_instr = run
     t_plain, _, plain = best_plain
-    t_instr, (timer, metrics, tracer), instrumented = best_instr
+    t_instr, (metrics, tracer), instrumented = best_instr
 
     # Observability must never change the answer.
     for a, b in zip(plain, instrumented):
@@ -140,6 +139,7 @@ def test_obs_snapshot():
     RESULTS_DIR.mkdir(exist_ok=True)
     tracer.write_chrome(str(TRACE_ARTIFACT))
 
+    stages = tracer.self_times()
     snapshot = {
         "grid_cells": len(grid),
         "best_of": BEST_OF,
@@ -148,10 +148,12 @@ def test_obs_snapshot():
         "overhead_ratio": round(overhead, 3),
         "span_count": len(spans),
         "stage_seconds": {
-            name: round(seconds, 3)
-            for name, seconds in sorted(timer.totals.items())
+            name: round(stage["seconds"], 3)
+            for name, stage in stages.items()
         },
-        "stage_counts": dict(sorted(timer.counts.items())),
+        "stage_counts": {
+            name: stage["count"] for name, stage in stages.items()
+        },
         "counters": {
             name: metrics.counters[name]
             for name in HEADLINE_COUNTERS if name in metrics.counters

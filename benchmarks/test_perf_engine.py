@@ -9,7 +9,9 @@ treegion-td(2.0)} × {4U, 8U} × 4 heuristics) three ways —
 * engine parallel (``jobs=4``): the multiprocessing path;
 
 — verifies all three produce bit-identical numbers, and writes the wall
-times plus per-stage breakdown to ``BENCH_eval.json`` at the repo root.
+times plus the serial run's per-stage breakdown (span self times, see
+:meth:`repro.obs.tracer.Tracer.self_times`) to ``BENCH_eval.json`` at the
+repo root.
 
 The ``seed_serial_seconds`` reference was measured on this container at
 the seed commit (before the engine, caches, and hot-path work) by
@@ -26,7 +28,7 @@ import pathlib
 import time
 
 from repro.evaluation.engine import default_grid, evaluate_cell, evaluate_grid
-from repro.util.timing import StageTimer
+from repro.obs import Tracer
 
 from benchmarks.conftest import emit_table
 
@@ -47,9 +49,9 @@ def test_perf_engine_snapshot():
     percell = [evaluate_cell(cell) for cell in grid]
     t_percell = time.perf_counter() - t0
 
-    timer = StageTimer()
+    tracer = Tracer()
     t0 = time.perf_counter()
-    serial = evaluate_grid(grid, jobs=1, timer=timer)
+    serial = evaluate_grid(grid, jobs=1, tracer=tracer)
     t_serial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -71,6 +73,7 @@ def test_perf_engine_snapshot():
     assert t_serial < SEED_SERIAL_SECONDS / 1.5
     assert t_parallel < SEED_SERIAL_SECONDS / 1.5
 
+    stages = tracer.self_times()
     snapshot = {
         "grid_cells": len(grid),
         "seed_serial_seconds": SEED_SERIAL_SECONDS,
@@ -81,10 +84,12 @@ def test_perf_engine_snapshot():
         "speedup_serial_vs_seed": round(SEED_SERIAL_SECONDS / t_serial, 2),
         "speedup_jobs4_vs_seed": round(SEED_SERIAL_SECONDS / t_parallel, 2),
         "stage_seconds": {
-            name: round(seconds, 3)
-            for name, seconds in sorted(timer.totals.items())
+            name: round(stage["seconds"], 3)
+            for name, stage in stages.items()
         },
-        "stage_counts": dict(sorted(timer.counts.items())),
+        "stage_counts": {
+            name: stage["count"] for name, stage in stages.items()
+        },
     }
     BENCH_FILE.write_text(json.dumps(snapshot, indent=2) + "\n")
 

@@ -129,25 +129,28 @@ def _region_memo_arg(args):
     return None if getattr(args, "region_memo", True) else False
 
 
-def _obs_for(args):
-    """(metrics, tracer) per the command's --metrics/--trace flags."""
+def _obs_for(args, timed: bool = False):
+    """(metrics, tracer) per the command's --metrics/--trace flags; a
+    ``timed`` command gets a real tracer, whose spans are its stage
+    table, even without --trace."""
     from repro.obs import (
         NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer,
     )
 
     metrics = MetricsRegistry() if getattr(args, "metrics", None) \
         else NULL_METRICS
-    tracer = Tracer() if getattr(args, "trace", None) else NULL_TRACER
+    tracer = Tracer() if timed or getattr(args, "trace", None) \
+        else NULL_TRACER
     return metrics, tracer
 
 
-def _write_obs(args, metrics, tracer, timer=None) -> None:
+def _write_obs(args, metrics, tracer) -> None:
     """Write the files the --metrics/--trace flags asked for."""
     from repro.obs import NullMetrics, write_observability_json
 
     metrics_path = getattr(args, "metrics", None)
     if metrics_path and not isinstance(metrics, NullMetrics):
-        write_observability_json(metrics_path, metrics, timer)
+        write_observability_json(metrics_path, metrics, tracer)
         print(f"metrics written to {metrics_path}", file=sys.stderr)
     trace_path = getattr(args, "trace", None)
     if trace_path and hasattr(tracer, "write_chrome"):
@@ -228,7 +231,6 @@ def cmd_schedule(args) -> int:
 def cmd_bench(args) -> int:
     from repro.schedule.priorities import DEP_HEIGHT
     from repro.api import GridCell, SchemeSpec
-    from repro.util.timing import StageTimer
     from repro.workloads.specint import BENCHMARK_NAMES
 
     names = args.benchmarks.split(",") if args.benchmarks else BENCHMARK_NAMES
@@ -246,17 +248,17 @@ def cmd_bench(args) -> int:
         for name in names
         for scheme in schemes
     ]
-    metrics, tracer = _obs_for(args)
-    timer = StageTimer()
+    metrics, tracer = _obs_for(
+        args, timed=bool(args.timings or args.timings_json or args.metrics))
     if args.cache_dir:
         results = api.cached_evaluate(
             grid, cache_dir=args.cache_dir,
             cache_max_mb=args.cache_max_mb, jobs=args.jobs,
-            timer=timer, metrics=metrics, tracer=tracer,
+            metrics=metrics, tracer=tracer,
             region_memo=_region_memo_arg(args),
         )
     else:
-        results = api.evaluate_grid(grid, jobs=args.jobs, timer=timer,
+        results = api.evaluate_grid(grid, jobs=args.jobs,
                                     metrics=metrics, tracer=tracer,
                                     region_memo=_region_memo_arg(args))
     baselines = {r.cell.benchmark: r.time for r in results[:len(names)]}
@@ -268,29 +270,27 @@ def cmd_bench(args) -> int:
         print(f"{name:10s} " + " ".join(cells))
     if args.timings:
         print()
-        print(timer.format())
+        print(tracer.format_summary(top=None))
     if args.timings_json:
         from repro.obs import write_observability_json
 
-        write_observability_json(args.timings_json, metrics, timer)
+        write_observability_json(args.timings_json, metrics, tracer)
         print(f"timings written to {args.timings_json}", file=sys.stderr)
-    _write_obs(args, metrics, tracer, timer)
+    _write_obs(args, metrics, tracer)
     return 0
 
 
 def cmd_report(args) -> int:
     from repro.evaluation.report import generate_report
-    from repro.util.timing import StageTimer
 
     names = args.benchmarks.split(",") if args.benchmarks else None
-    metrics, tracer = _obs_for(args)
-    timer = StageTimer()
-    sys.stdout.write(generate_report(names, jobs=args.jobs, timer=timer,
+    metrics, tracer = _obs_for(args, timed=True)
+    sys.stdout.write(generate_report(names, jobs=args.jobs,
                                      metrics=metrics, tracer=tracer,
                                      cache_dir=args.cache_dir,
                                      cache_max_mb=args.cache_max_mb,
                                      region_memo=_region_memo_arg(args)))
-    _write_obs(args, metrics, tracer, timer)
+    _write_obs(args, metrics, tracer)
     return 0
 
 
@@ -345,7 +345,6 @@ def cmd_trace(args) -> int:
     """Run the full pipeline under the tracer; export Chrome trace JSON."""
     from repro.ir.analysis_cache import record_cache_metrics
     from repro.obs import MetricsRegistry, Tracer, write_observability_json
-    from repro.util.timing import StageTimer
 
     program = _load_program(args.file, optimize=args.optimize)
     if args.args is not None:
@@ -355,10 +354,8 @@ def cmd_trace(args) -> int:
                               dominator_parallelism=True)
     tracer = Tracer()
     metrics = MetricsRegistry()
-    timer = StageTimer()
     result = evaluate_program(program, _scheme(args.scheme), machine,
-                              options, timer=timer, metrics=metrics,
-                              tracer=tracer)
+                              options, metrics=metrics, tracer=tracer)
     record_cache_metrics(metrics)
     tracer.write_chrome(args.out)
     print(f"trace written to {args.out} "
@@ -367,7 +364,7 @@ def cmd_trace(args) -> int:
         tracer.write_jsonl(args.jsonl)
         print(f"spans written to {args.jsonl}", file=sys.stderr)
     if args.metrics_out:
-        write_observability_json(args.metrics_out, metrics, timer)
+        write_observability_json(args.metrics_out, metrics, tracer)
         print(f"metrics written to {args.metrics_out}", file=sys.stderr)
     print(f"estimated time: {result.time:g} weighted cycles "
           f"({args.scheme}, {machine})")
@@ -962,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (1 = serial, 0 = one per CPU)")
     p.add_argument("--timings", action="store_true",
-                   help="print per-stage wall time after the table")
+                   help="print per-stage self time after the table")
     p.add_argument("--timings-json", default=None, metavar="FILE",
                    dest="timings_json",
                    help="write per-stage timings (and counters, with "

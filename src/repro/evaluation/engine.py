@@ -48,10 +48,9 @@ from repro.ir.function import Program
 from repro.machine.model import MachineModel
 from repro.machine.presets import PAPER_MACHINES, SCALAR_1U
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, metrics_scope
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.schedule.priorities import HEURISTICS
 from repro.schedule.scheduler import ScheduleOptions, schedule_region
-from repro.util.timing import NULL_TIMER, StageTimer
 from repro.evaluation.schemes import Scheme, SchemeSpec
 
 #: Machines addressable by name from a grid cell.
@@ -186,7 +185,7 @@ def _schedule_function_partition(
     final_ops: int,
     cell: GridCell,
     machine: MachineModel,
-    timer: StageTimer,
+    tracer=NULL_TRACER,
     memo=None,
 ) -> _FunctionPartial:
     """Schedule one function's formed partition for one cell.
@@ -201,9 +200,9 @@ def _schedule_function_partition(
     for region in partition:
         liveness = liveness_of(region.root.cfg)
         schedules.append(
-            schedule_one(region, machine, options, liveness, timer=timer)
+            schedule_one(region, machine, options, liveness, tracer=tracer)
         )
-    with timer.stage("estimate"):
+    with tracer.span("estimate"):
         time = sum(s.weighted_time for s in schedules)
     return _FunctionPartial(
         time=time,
@@ -295,7 +294,6 @@ def _worker_region_store(directory: str, max_mb: float):
 def evaluate_cell(
     cell: GridCell,
     program: Optional[Program] = None,
-    timer: StageTimer = NULL_TIMER,
     metrics=NULL_METRICS,
     tracer=NULL_TRACER,
 ) -> CellResult:
@@ -314,19 +312,18 @@ def evaluate_cell(
                         scheme=cell.scheme, machine=cell.machine,
                         heuristic=cell.heuristic):
         metrics.inc("engine.cells")
-        with timer.stage("clone"):
+        with tracer.span("clone"):
             worked = clone_program(program) if scheme.mutates else program
         partials: List[_FunctionPartial] = []
         for original, function in zip(program.functions(),
                                       worked.functions()):
-            with timer.stage("formation"), \
-                    tracer.span("formation", function=function.name):
+            with tracer.span("formation", function=function.name):
                 partition = scheme.form(function.cfg)
             partials.append(
                 _schedule_function_partition(
                     partition, original.cfg.total_ops,
                     function.cfg.total_ops,
-                    cell, machine_by_name(cell.machine), timer,
+                    cell, machine_by_name(cell.machine), tracer,
                 )
             )
         return _merge_partials(cell, partials)
@@ -339,7 +336,6 @@ def evaluate_cell(
 def _evaluate_grid_serial(
     cells: Sequence[GridCell],
     programs: Optional[Dict[str, Program]],
-    timer: StageTimer,
     texts: Optional[Dict[str, str]] = None,
     metrics=NULL_METRICS,
     tracer=NULL_TRACER,
@@ -360,17 +356,16 @@ def _evaluate_grid_serial(
                 # heuristic-independent, and scheduling never mutates the
                 # IR, so every cell of the group schedules the same
                 # partitions.
-                with timer.stage("clone"):
+                with tracer.span("clone"):
                     worked = clone_program(program) if scheme.mutates \
                         else program
                 formed = []  # (partition, orig_ops, final_ops) per func
-                with tracer.span("formation"):
-                    for original, function in zip(program.functions(),
-                                                  worked.functions()):
-                        with timer.stage("formation"):
-                            partition = scheme.form(function.cfg)
-                        formed.append((partition, original.cfg.total_ops,
-                                       function.cfg.total_ops))
+                for original, function in zip(program.functions(),
+                                              worked.functions()):
+                    with tracer.span("formation", function=function.name):
+                        partition = scheme.form(function.cfg)
+                    formed.append((partition, original.cfg.total_ops,
+                                   function.cfg.total_ops))
                 if memo is not None:
                     # Tier-1 sharing is id-keyed; scope it to this
                     # group's freshly formed regions.
@@ -384,7 +379,7 @@ def _evaluate_grid_serial(
                         partials = [
                             _schedule_function_partition(
                                 partition, original_ops, final_ops, cell,
-                                machine, timer, memo=memo,
+                                machine, tracer, memo=memo,
                             )
                             for partition, original_ops, final_ops in formed
                         ]
@@ -431,12 +426,13 @@ def _resolve_program(bench: str,
 #: cell of the group.  The fifth element is an optional textual IR dump:
 #: programs that are not built-in benchmarks cross the process boundary
 #: as text (the printer/parser round-trip is structure-identical).  The
-#: last element is the region-memo directive: None = memo off, else
+#: sixth element is the region-memo directive: None = memo off, else
 #: ``(store_directory_or_None, store_max_mb)`` — the worker uses its own
 #: process-global memo and opens its own store handle (object writes are
-#: atomic, so concurrent workers race safely).
+#: atomic, so concurrent workers race safely).  The last element says
+#: whether the worker records spans for the parent's tracer.
 _Task = Tuple[str, str, Tuple[Tuple[int, GridCell], ...], int, int,
-              Optional[str], Optional[Tuple[Optional[str], float]]]
+              Optional[str], Optional[Tuple[Optional[str], float]], bool]
 
 
 def _run_task(task: _Task):
@@ -445,9 +441,11 @@ def _run_task(task: _Task):
     The program is rebuilt from the benchmark name (or re-parsed from the
     shipped IR text) inside the worker; each worker process caches per
     benchmark, so rebuilding is paid once per benchmark per worker, not
-    per task.
+    per task.  A traced task returns its tracer's spans for the parent to
+    graft under its ``pool`` span.
     """
-    bench, scheme_spec, indexed_cells, lo, hi, text, memo_spec = task
+    bench, scheme_spec, indexed_cells, lo, hi, text, memo_spec, traced = \
+        task
     if text is not None:
         program = _program_from_text(bench, text)
     else:
@@ -455,7 +453,7 @@ def _run_task(task: _Task):
 
         program = build_benchmark(bench)
     scheme = build_scheme(scheme_spec)
-    timer = StageTimer()
+    tracer = Tracer() if traced else NULL_TRACER
     metrics = MetricsRegistry()
     memo = None
     before = None
@@ -468,26 +466,30 @@ def _run_task(task: _Task):
             memo.attach_store(_worker_region_store(directory, max_mb))
         memo.begin_group()
         before = memo.stats()
-    with metrics_scope(metrics):
+    with metrics_scope(metrics), \
+            tracer.span("task", benchmark=bench, scheme=scheme_spec,
+                        functions=f"{lo}:{hi}"):
         formed = []  # (partition, original_ops, final_ops) per function
         for function in list(program.functions())[lo:hi]:
-            with timer.stage("clone"):
+            with tracer.span("clone"):
                 worked = clone_function(function) if scheme.mutates \
                     else function
-            with timer.stage("formation"):
+            with tracer.span("formation", function=function.name):
                 partition = scheme.form(worked.cfg)
             formed.append((partition, function.cfg.total_ops,
                            worked.cfg.total_ops))
         out = []
         for index, cell in indexed_cells:
             machine = machine_by_name(cell.machine)
-            partials = [
-                _schedule_function_partition(
-                    partition, original_ops, final_ops, cell, machine,
-                    timer, memo=memo,
-                )
-                for partition, original_ops, final_ops in formed
-            ]
+            with tracer.span("cell", machine=cell.machine,
+                             heuristic=cell.heuristic):
+                partials = [
+                    _schedule_function_partition(
+                        partition, original_ops, final_ops, cell, machine,
+                        tracer, memo=memo,
+                    )
+                    for partition, original_ops, final_ops in formed
+                ]
             out.append((index, partials))
     memo_stats = None
     if memo is not None:
@@ -505,14 +507,14 @@ def _run_task(task: _Task):
         # depends on work distribution, unlike the event counters).
         metrics.gauge("memo.entries", after["entries"], mode="max")
         metrics.gauge("memo.bytes", after["bytes"], mode="max")
-    return (out, lo, (timer.totals, timer.counts), metrics.snapshot(),
+    return (out, lo, tracer.spans if traced else None, metrics.snapshot(),
             memo_stats)
 
 
 def _split_cells(cells: Sequence[GridCell], jobs: int,
                  texts: Optional[Dict[str, str]] = None,
                  memo_spec: Optional[Tuple[Optional[str], float]] = None,
-                 ) -> List[_Task]:
+                 traced: bool = False) -> List[_Task]:
     """Cut the grid into group×slice tasks.
 
     Groups with few functions stay whole; larger programs split into up
@@ -536,13 +538,13 @@ def _split_cells(cells: Sequence[GridCell], jobs: int,
             function_counts[bench] = count
         if count <= SPLIT_THRESHOLD:
             tasks.append((bench, scheme_spec, tuple(indexed), 0, count,
-                          text, memo_spec))
+                          text, memo_spec, traced))
             continue
         chunk = max(SPLIT_THRESHOLD, -(-count // jobs))
         for lo in range(0, count, chunk):
             tasks.append(
                 (bench, scheme_spec, tuple(indexed), lo,
-                 min(lo + chunk, count), text, memo_spec)
+                 min(lo + chunk, count), text, memo_spec, traced)
             )
     return tasks
 
@@ -550,7 +552,6 @@ def _split_cells(cells: Sequence[GridCell], jobs: int,
 def _evaluate_grid_parallel(
     cells: Sequence[GridCell],
     jobs: int,
-    timer: StageTimer,
     texts: Optional[Dict[str, str]] = None,
     metrics=NULL_METRICS,
     tracer=NULL_TRACER,
@@ -564,18 +565,19 @@ def _evaluate_grid_parallel(
                          memo.store.max_bytes / (1024 * 1024))
         else:
             memo_spec = (None, 0.0)
-    tasks = _split_cells(cells, jobs, texts, memo_spec)
+    tasks = _split_cells(cells, jobs, texts, memo_spec,
+                         isinstance(tracer, Tracer))
     # Per-cell partial lists keyed by slice start, merged in function
     # order below so the float accumulation matches the serial path.
     by_cell: Dict[int, Dict[int, List[_FunctionPartial]]] = {}
     with tracer.span("pool", jobs=jobs, tasks=len(tasks)):
         with multiprocessing.Pool(processes=jobs) as pool:
-            for out, lo, (totals, counts), snapshot, memo_stats in \
+            for out, lo, spans, snapshot, memo_stats in \
                     pool.imap_unordered(_run_task, tasks):
                 for index, partials in out:
                     by_cell.setdefault(index, {})[lo] = partials
-                for name, seconds in totals.items():
-                    timer.add(name, seconds, counts.get(name, 0))
+                if spans is not None:
+                    tracer.graft(spans)
                 metrics.merge_snapshot(snapshot)
                 if memo_stats is not None and region_stats is not None:
                     region_stats["hits"] += memo_stats["hits"]
@@ -606,7 +608,6 @@ def evaluate_grid(
     cells: Iterable[GridCell],
     programs: Optional[Dict[str, Program]] = None,
     jobs: int = 1,
-    timer: StageTimer = NULL_TIMER,
     program_texts: Optional[Dict[str, str]] = None,
     metrics=NULL_METRICS,
     tracer=NULL_TRACER,
@@ -623,8 +624,6 @@ def evaluate_grid(
             programs by name and cannot receive arbitrary programs).
         jobs: 1 = serial with shared-work caching (default); N > 1 = a
             pool of N worker processes; 0 = one worker per CPU.
-        timer: Accumulates per-stage wall time across the whole grid
-            (worker timers are merged in).
         program_texts: Optional benchmark-name → textual IR dump map
             (:func:`repro.ir.printer.format_program`).  Unlike
             ``programs``, text *does* cross the process boundary, so
@@ -635,9 +634,15 @@ def evaluate_grid(
             pipeline counters.  Worker registries merge in commutatively,
             so serial and parallel runs of the same grid report identical
             counters/histograms (``deterministic_snapshot``).
-        tracer: A :class:`repro.obs.tracer.Tracer` recording group/cell
-            spans (serial) or pool/task events (parallel; worker-side
-            spans do not cross the process boundary).
+        tracer: A :class:`repro.obs.tracer.Tracer` recording the run as
+            spans: group → formation/cell → the scheduler's stages
+            (serial), or a ``pool`` span with every worker's task spans
+            grafted under it (parallel).  Its
+            :meth:`~repro.obs.tracer.Tracer.self_times` are the per-stage
+            wall times; on the parallel path they sum across workers.
+            Any other object with ``span(name, **args)`` and
+            ``event(name, **args)`` works too; workers then record
+            nothing.
         region_memo: The region-level result cache
             (:class:`repro.schedule.memo.RegionMemo`).  ``None`` (the
             default) uses the process-global memo; ``False`` disables
@@ -665,7 +670,7 @@ def evaluate_grid(
     try:
         with tracer.span("evaluate_grid", cells=len(cells), jobs=jobs):
             if jobs <= 1 or not cells:
-                return _evaluate_grid_serial(cells, programs, timer,
+                return _evaluate_grid_serial(cells, programs,
                                              program_texts, metrics, tracer,
                                              memo=memo)
 
@@ -677,7 +682,7 @@ def evaluate_grid(
                 pooled_indices = [i for i, c in enumerate(cells)
                                   if c.benchmark not in custom]
                 for position, result in enumerate(
-                    _evaluate_grid_parallel(pooled, jobs, timer,
+                    _evaluate_grid_parallel(pooled, jobs,
                                             program_texts, metrics, tracer,
                                             memo=memo, region_stats=stats)
                 ):
@@ -686,7 +691,7 @@ def evaluate_grid(
                 local_indices = [i for i, c in enumerate(cells)
                                  if c.benchmark in custom]
                 for position, result in enumerate(
-                    _evaluate_grid_serial(local, programs, timer,
+                    _evaluate_grid_serial(local, programs,
                                           program_texts, metrics, tracer,
                                           memo=memo)
                 ):

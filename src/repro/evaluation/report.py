@@ -16,12 +16,11 @@ from repro.core import form_treegions
 from repro.interp import profile_program
 from repro.machine import VLIW_4U, universal_machine
 from repro.obs.metrics import NULL_METRICS, NullMetrics
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.regions import form_slrs, partition_stats
 from repro.schedule import ScheduleOptions
 from repro.schedule.priorities import DEP_HEIGHT, HEURISTICS
 from repro.util.stats import geometric_mean as _geomean
-from repro.util.timing import NULL_TIMER
 from repro.evaluation.engine import GridCell, evaluate_grid
 from repro.evaluation.schemes import bb_scheme, treegion_scheme
 from repro.evaluation.variation import variation_study
@@ -47,12 +46,11 @@ class ReportBuilder:
     """
 
     def __init__(self, benchmarks: Optional[List[str]] = None,
-                 jobs: int = 1, timer=NULL_TIMER, metrics=NULL_METRICS,
+                 jobs: int = 1, metrics=NULL_METRICS,
                  tracer=NULL_TRACER, cache_dir: Optional[str] = None,
                  cache_max_mb: float = 256.0, region_memo=None):
         self.benchmarks = benchmarks or list(BENCHMARK_NAMES)
         self.jobs = jobs
-        self.timer = timer
         self.metrics = metrics
         self.tracer = tracer
         self.cache_dir = cache_dir
@@ -73,10 +71,10 @@ class ReportBuilder:
             return cached_evaluate(
                 grid, cache_dir=self.cache_dir,
                 cache_max_mb=self.cache_max_mb, jobs=self.jobs,
-                timer=self.timer, metrics=self.metrics,
-                tracer=self.tracer, region_memo=self.region_memo,
+                metrics=self.metrics, tracer=self.tracer,
+                region_memo=self.region_memo,
             )
-        return evaluate_grid(grid, jobs=self.jobs, timer=self.timer,
+        return evaluate_grid(grid, jobs=self.jobs,
                              metrics=self.metrics, tracer=self.tracer,
                              region_memo=self.region_memo)
 
@@ -343,19 +341,19 @@ class ReportBuilder:
             from repro.ir.analysis_cache import record_cache_metrics
 
             record_cache_metrics(self.metrics)
-        have_timer = self.timer is not NULL_TIMER and self.timer.counts
+        have_spans = isinstance(self.tracer, Tracer) and self.tracer.spans
         have_metrics = (not isinstance(self.metrics, NullMetrics)
                         and (self.metrics.counters or self.metrics.gauges))
-        if not have_timer and not have_metrics:
+        if not have_spans and not have_metrics:
             return
         self.lines.append("## Observability")
         self.lines.append("")
-        if have_timer:
-            self.lines.append("Per-stage wall time (all studies, worker "
-                              "timers merged in):")
+        if have_spans:
+            self.lines.append("Per-stage self time (all studies, worker "
+                              "spans grafted in):")
             self.lines.append("")
             self.lines.append("```")
-            self.lines.append(self.timer.format())
+            self.lines.append(self.tracer.format_summary(top=None))
             self.lines.append("```")
             self.lines.append("")
         if have_metrics:
@@ -373,22 +371,23 @@ class ReportBuilder:
 
 
 def generate_report(benchmarks: Optional[List[str]] = None,
-                    jobs: int = 1, timer=NULL_TIMER, metrics=NULL_METRICS,
+                    jobs: int = 1, metrics=NULL_METRICS,
                     tracer=NULL_TRACER, cache_dir: Optional[str] = None,
                     cache_max_mb: float = 256.0, region_memo=None) -> str:
     """Run every study and return the markdown report.
 
     ``jobs`` parallelizes the grid-shaped studies (see
     :func:`repro.evaluation.engine.evaluate_grid`).  Passing a
-    ``timer``/``metrics`` pair appends an Observability section with
-    per-stage timings and pipeline counters for the grid studies
+    :class:`~repro.obs.tracer.Tracer` or a metrics registry appends an
+    Observability section with per-stage self times (from the tracer's
+    spans) and pipeline counters for the grid studies
     (region-memo hit/miss/byte gauges included).  ``cache_dir`` routes
     the grid studies through the persistent artifact store
     (:mod:`repro.serve.store`), so repeated reports reuse each other's
     schedule results.  ``region_memo=False`` disables the region-level
     result cache (see :func:`repro.evaluation.engine.evaluate_grid`).
     """
-    builder = ReportBuilder(benchmarks, jobs=jobs, timer=timer,
+    builder = ReportBuilder(benchmarks, jobs=jobs,
                             metrics=metrics, tracer=tracer,
                             cache_dir=cache_dir,
                             cache_max_mb=cache_max_mb,

@@ -25,7 +25,6 @@ from repro.regions.stats import RegionStats, partition_stats
 from repro.schedule.priorities import DEP_HEIGHT
 from repro.schedule.schedule import RegionSchedule
 from repro.schedule.scheduler import ScheduleOptions, schedule_partition
-from repro.util.timing import NULL_TIMER, StageTimer
 from repro.evaluation.schemes import Scheme, bb_scheme
 
 
@@ -74,25 +73,23 @@ def evaluate_program(
     scheme: Scheme,
     machine: MachineModel,
     options: Optional[ScheduleOptions] = None,
-    timer: StageTimer = NULL_TIMER,
     metrics=NULL_METRICS,
     tracer=NULL_TRACER,
 ) -> EvaluationResult:
     """Run one full formation + scheduling + estimation pipeline.
 
     The input program is never modified: schemes that tail-duplicate run
-    on a deep clone (returned in the result for inspection).  ``timer``
-    accumulates per-stage wall time (formation + the scheduler's stages);
-    ``metrics`` collects pipeline counters and ``tracer`` records the run
-    as nested spans (program → function → formation/schedule_region →
-    prep/renaming/ddg/list_schedule).
+    on a deep clone (returned in the result for inspection).  ``metrics``
+    collects pipeline counters and ``tracer`` records the run as nested
+    spans (program → clone/function → formation/schedule_region/estimate
+    → prep/renaming/ddg/priorities/list_schedule).
     """
     options = options or ScheduleOptions()
     with metrics_scope(metrics), \
             tracer.span("evaluate_program", scheme=scheme.name,
                         machine=machine.name,
                         heuristic=options.heuristic):
-        with timer.stage("clone"):
+        with tracer.span("clone"):
             worked = clone_program(program) if scheme.mutates else program
         original_ops = sum(fn.cfg.total_ops for fn in program.functions())
 
@@ -106,13 +103,13 @@ def evaluate_program(
         )
         for function in worked.functions():
             with tracer.span("function", function=function.name):
-                with timer.stage("formation"), tracer.span("formation"):
+                with tracer.span("formation"):
                     partition = scheme.form(function.cfg)
                 schedules = schedule_partition(partition, machine, options,
-                                               timer=timer, tracer=tracer)
+                                               tracer=tracer)
                 result.partitions.append(partition)
                 result.schedules.extend(schedules)
-                with timer.stage("estimate"):
+                with tracer.span("estimate"):
                     result.time += sum(s.weighted_time for s in schedules)
 
         final_ops = sum(fn.cfg.total_ops for fn in worked.functions())

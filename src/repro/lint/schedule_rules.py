@@ -189,15 +189,18 @@ def _check_pressure(ctx: ScheduleContext, emit) -> None:
                          "exit dependences)")
 def _check_latency(ctx: ScheduleContext, emit) -> None:
     ops = ctx.problem.sched_ops
-    for src_index, edges in enumerate(ctx.ddg.succs):
-        src = ops[src_index]
+    ddg = ctx.ddg
+    ddg.finalize()
+    for src_index, src in enumerate(ops):
         if src.merged_into is not None:
             continue  # eliminated: anti/output edges on it are moot
         src_cycle = src.cycle
         if src_cycle is None:
             continue  # sched.placement reports unplaced ops
-        for dst_index, latency in edges:
-            dst = ops[dst_index]
+        for edge in range(ddg.succ_ptr[src_index],
+                          ddg.succ_ptr[src_index + 1]):
+            latency = ddg.succ_lat[edge]
+            dst = ops[ddg.succ_dst[edge]]
             if dst.merged_into is not None or dst.cycle is None:
                 continue
             if src_cycle + latency > dst.cycle:
@@ -476,8 +479,10 @@ def _check_merges(ctx: ScheduleContext, emit) -> None:
         stale = {old for old, new in replacements.items() if old != new}
         if not stale:
             continue
-        for succ, _latency in ctx.ddg.succs[sop.index]:
-            consumer = ctx.problem.sched_ops[succ]
+        ctx.ddg.finalize()
+        succ_ptr = ctx.ddg.succ_ptr
+        for edge in range(succ_ptr[sop.index], succ_ptr[sop.index + 1]):
+            consumer = ctx.problem.sched_ops[ctx.ddg.succ_dst[edge]]
             if consumer.merged_into is not None:
                 continue
             for reg in stale:

@@ -2,8 +2,13 @@
 
 A :class:`Tracer` records *spans* — named, attributed intervals nested by
 a span stack — so one run of the pipeline can be replayed as a tree
-("evaluate_program" → "function f" → "formation" / "schedule_region" →
-"prep"/"renaming"/"ddg"/"list_schedule").  Two export formats:
+("evaluate_grid" → "group" → "formation" / "cell" → "schedule_region" →
+"prep"/"renaming"/"ddg"/"priorities"/"list_schedule").  It is the only
+stage instrumentation: :meth:`Tracer.self_times` derives the per-stage
+table (self seconds and count per span name) that ``--timings``, the
+observability JSON and ``repro report`` print.  Pool workers record into
+their own tracer and the parent adopts their spans with
+:meth:`Tracer.graft`.  Two export formats:
 
 * **JSONL** (:meth:`Tracer.write_jsonl`): one JSON object per finished
   span with its id, parent id, depth, relative start/end, and attributes
@@ -12,14 +17,15 @@ a span stack — so one run of the pipeline can be replayed as a tree
   :meth:`Tracer.write_chrome`): the ``{"traceEvents": [...]}`` format
   that loads directly in ``chrome://tracing`` and Perfetto.
 
-Uninstrumented code paths use :data:`NULL_TRACER`, a shared no-op
-mirroring :data:`repro.util.timing.NULL_TIMER`: ``span()`` returns a
-reusable singleton context manager and never reads the clock, so passing
-no tracer costs an attribute call per instrumentation point.
+Uninstrumented code paths use :data:`NULL_TRACER`, a shared no-op:
+``span()`` returns a reusable singleton context manager and never reads
+the clock, so passing no tracer costs an attribute call per
+instrumentation point.
 
-Timestamps come from ``time.perf_counter`` (injectable for tests);
-exports normalize to the first span's start, so absolute clock epochs
-never leak into the files.
+Timestamps come from ``time.perf_counter`` (injectable for tests), the
+system-wide monotonic clock, so spans recorded in worker processes sit
+on the parent's timeline; exports normalize to the first span's start,
+so absolute clock epochs never leak into the files.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 import json
 import os
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 
 class Span:
@@ -193,19 +199,55 @@ class Tracer:
                 }, sort_keys=True))
                 handle.write("\n")
 
-    def format_summary(self, top: int = 8) -> str:
-        """Human summary: span count plus the slowest span names."""
+    def graft(self, spans: Sequence[Span]) -> None:
+        """Adopt every span of another tracer (``other.spans``, e.g. a
+        pool worker's) under the innermost open span.  Timestamps are
+        kept as recorded; ids and depths shift onto this tracer."""
+        parent = self._stack[-1] if self._stack else None
+        root = parent.sid if parent is not None else None
+        depth = parent.depth + 1 if parent is not None else 0
+        base = len(self.spans)
+        for span in spans:
+            span.parent = root if span.parent is None else span.parent + base
+            span.sid += base
+            span.depth += depth
+        self.spans.extend(spans)
+
+    def self_times(self) -> Dict[str, Dict[str, float]]:
+        """Per span name: ``{"seconds": self time, "count": spans}``,
+        sorted by name.  A span's self time is its duration minus its
+        direct children's, floored at 0 (grafted worker spans run
+        concurrently, so they can outlast their parent).  Without
+        concurrent children the self times add up to the root spans'
+        wall time."""
         finished = self.finished_spans()
-        totals: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
+        inner: Dict[int, float] = {}
         for span in finished:
-            totals[span.name] = totals.get(span.name, 0.0) + span.duration
-            counts[span.name] = counts.get(span.name, 0) + 1
-        lines = [f"{len(finished)} spans, {len(self.events)} events"]
-        for name in sorted(totals, key=totals.get, reverse=True)[:top]:
-            lines.append(
-                f"{name:>20s}  {totals[name]:8.4f}s  x{counts[name]}"
-            )
+            if span.parent is not None:
+                inner[span.parent] = inner.get(span.parent, 0.0) \
+                    + span.duration
+        stages: Dict[str, Dict[str, float]] = {}
+        for span in finished:
+            stage = stages.get(span.name)
+            if stage is None:
+                stage = stages[span.name] = {"seconds": 0.0, "count": 0}
+            stage["seconds"] += max(
+                0.0, span.duration - inner.get(span.sid, 0.0))
+            stage["count"] += 1
+        return {name: stages[name] for name in sorted(stages)}
+
+    def format_summary(self, top: Optional[int] = 8) -> str:
+        """Span and event counts, then the ``top`` span names by self
+        time (all of them for ``top=None``)."""
+        stages = self.self_times()
+        lines = [f"{len(self.finished_spans())} spans, "
+                 f"{len(self.events)} events"]
+        ranked = sorted(stages, key=lambda name: stages[name]["seconds"],
+                        reverse=True)[:top]
+        width = max((len(name) for name in ranked), default=0)
+        for name in ranked:
+            lines.append(f"{name:>{width}s}  {stages[name]['seconds']:8.4f}s"
+                         f"  x{stages[name]['count']}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:

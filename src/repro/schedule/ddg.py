@@ -38,11 +38,8 @@ converts the flat stream into CSR form — ``pred_ptr``/``pred_src``/
 ``pred_ptr[i]:pred_ptr[i+1]``, and likewise ``succ_ptr``/``succ_dst``/
 ``succ_lat`` and the control-edge arrays — which is what
 :func:`~repro.schedule.list_scheduler.list_schedule` and
-:meth:`DDG.compute_heights` iterate.  The legacy per-node adjacency lists
-(``preds``/``succs``/``control_succs``/``control_preds``) survive as lazy
-views for lint, tests, and diagnostics; they materialize on first access
-and are invalidated by further ``add_edge`` calls, so the scheduling hot
-path never allocates a single per-edge tuple.
+:meth:`DDG.compute_heights` iterate, as do the schedule-legality lint
+rules; the scheduling hot path never allocates a single per-edge tuple.
 """
 
 from __future__ import annotations
@@ -113,11 +110,6 @@ class DDG:
         self.csucc_ptr: List[int] = []
         self.csucc_dst: List[int] = []
         self.in_degree: List[int] = []
-        # Lazy legacy adjacency views.
-        self._preds_view: Optional[List[List[Tuple[int, int]]]] = None
-        self._succs_view: Optional[List[List[Tuple[int, int]]]] = None
-        self._csuccs_view: Optional[List[List[int]]] = None
-        self._cpreds_view: Optional[List[List[int]]] = None
         #: producers[i][reg] = index of the SchedOp whose def of ``reg``
         #: op ``i`` reads (register flow only); used by dominator
         #: parallelism to prove two duplicates read identical values.
@@ -171,8 +163,8 @@ class DDG:
 
         Per-node edge order in CSR equals global insertion order
         restricted to the node — bit-identical to what the old per-node
-        append lists held, so view consumers and the scheduler see edges
-        in the same order as before the flat rewrite.
+        append lists held, so the scheduler sees edges in the same order
+        as before the flat rewrite.
         """
         n = len(self.problem.sched_ops)
         if not self._dirty and n == self._n:
@@ -244,57 +236,7 @@ class DDG:
             csucc_fill[src] = slot + 1
         self.cpred_ptr, self.cpred_src = cpred_ptr, cpred_src
         self.csucc_ptr, self.csucc_dst = csucc_ptr, csucc_dst
-
-        self._preds_view = None
-        self._succs_view = None
-        self._csuccs_view = None
-        self._cpreds_view = None
         self._dirty = False
-
-    # ------------------------------------------------------------------
-    # Legacy adjacency views (lint, tests, diagnostics)
-
-    @property
-    def preds(self) -> List[List[Tuple[int, int]]]:
-        self.finalize()
-        if self._preds_view is None:
-            view: List[List[Tuple[int, int]]] = [[] for _ in range(self._n)]
-            for src, dst, lat in zip(self._edge_src, self._edge_dst,
-                                     self._edge_lat):
-                view[dst].append((src, lat))
-            self._preds_view = view
-        return self._preds_view
-
-    @property
-    def succs(self) -> List[List[Tuple[int, int]]]:
-        self.finalize()
-        if self._succs_view is None:
-            view: List[List[Tuple[int, int]]] = [[] for _ in range(self._n)]
-            for src, dst, lat in zip(self._edge_src, self._edge_dst,
-                                     self._edge_lat):
-                view[src].append((dst, lat))
-            self._succs_view = view
-        return self._succs_view
-
-    @property
-    def control_succs(self) -> List[List[int]]:
-        self.finalize()
-        if self._csuccs_view is None:
-            view: List[List[int]] = [[] for _ in range(self._n)]
-            for src, dst in zip(self._cedge_src, self._cedge_dst):
-                view[src].append(dst)
-            self._csuccs_view = view
-        return self._csuccs_view
-
-    @property
-    def control_preds(self) -> List[List[int]]:
-        self.finalize()
-        if self._cpreds_view is None:
-            view: List[List[int]] = [[] for _ in range(self._n)]
-            for src, dst in zip(self._cedge_src, self._cedge_dst):
-                view[dst].append(src)
-            self._cpreds_view = view
-        return self._cpreds_view
 
     # ------------------------------------------------------------------
 

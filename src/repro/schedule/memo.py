@@ -99,7 +99,6 @@ from repro.schedule.scheduler import (
     schedule_prepared,
     schedule_region,
 )
-from repro.util.timing import NULL_TIMER, StageTimer
 
 #: Tier-2 entry bound; one entry is a few hundred bytes, so the default
 #: caps the in-memory memo around a few tens of MiB worst case.
@@ -265,7 +264,6 @@ class RegionMemo:
         machine: MachineModel,
         options: ScheduleOptions,
         liveness: LivenessInfo,
-        timer: StageTimer = NULL_TIMER,
         tracer=NULL_TRACER,
     ):
         """Schedule ``region`` through the memo.
@@ -278,7 +276,7 @@ class RegionMemo:
         if self._bypass(region, options):
             self.bypasses += 1
             return schedule_region(region, machine, options, liveness,
-                                   timer=timer, tracer=tracer)
+                                   tracer=tracer)
 
         fingerprint = region_fingerprint(region, liveness)
         key = (
@@ -339,11 +337,10 @@ class RegionMemo:
                 # so the prepared problem is single-use: run the full
                 # reference pipeline fresh (tier 2 still caches it).
                 schedule = schedule_region(region, machine, options,
-                                           liveness, timer=timer,
-                                           tracer=tracer)
+                                           liveness, tracer=tracer)
             else:
                 schedule = self._tier1(region, machine, options, liveness,
-                                       timer, tracer)
+                                       tracer)
         snapshot = inner.deterministic_snapshot()
         if outer is not NULL_METRICS:
             outer.merge_snapshot(snapshot)
@@ -388,20 +385,19 @@ class RegionMemo:
             active.merge_snapshot(entry[1])
         return entry[0]
 
-    def _tier1(self, region, machine, options, liveness, timer, tracer):
+    def _tier1(self, region, machine, options, liveness, tracer):
         """The scheduler's stages with tier-1 sharing in front of the
         first two."""
         sc = options.schedule_copies
         problem, copies = self._shared(
             self._problems, (id(region), machine.use_btr, sc),
-            lambda: prepare(region, machine, liveness, sc, timer, tracer))
+            lambda: prepare(region, machine, liveness, sc, tracer))
         # The problem may hold the placement of an earlier schedule.
         problem.reset_placement()
 
         def build_ddg_and_keys():
-            ddg = dependences(problem, machine, liveness, copies, timer,
-                              tracer)
-            with timer.stage("ddg"):
+            ddg = dependences(problem, machine, liveness, copies, tracer)
+            with tracer.span("priorities"):
                 return ddg, all_priority_keys(problem, ddg)
 
         # Keyed by latency fingerprint, not full machine fingerprint:
@@ -413,8 +409,7 @@ class RegionMemo:
              sc),
             build_ddg_and_keys)
         return schedule_prepared(problem, ddg, copies, machine, options,
-                                 liveness, keys=keys, timer=timer,
-                                 tracer=tracer)
+                                 liveness, keys=keys, tracer=tracer)
 
 
 # ----------------------------------------------------------------------

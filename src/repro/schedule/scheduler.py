@@ -41,7 +41,6 @@ from repro.schedule.prep import ScheduleProblem, prepare_region
 from repro.schedule.priorities import GLOBAL_WEIGHT, Heuristic, priority_order
 from repro.schedule.renaming import ExitCopy, rename_region
 from repro.schedule.schedule import RegionSchedule
-from repro.util.timing import NULL_TIMER, StageTimer
 
 
 #: The values :attr:`ScheduleOptions.backend` accepts.
@@ -129,7 +128,7 @@ def check_options(region: Region, options: ScheduleOptions) -> None:
 
 
 def prepare(region: Region, machine: MachineModel, liveness: LivenessInfo,
-            schedule_copies: bool = False, timer: StageTimer = NULL_TIMER,
+            schedule_copies: bool = False,
             tracer=NULL_TRACER) -> Tuple[ScheduleProblem, List[ExitCopy]]:
     """Stage 1: guard/predication prep, then renaming (plus the repair
     copies as real ops when ``schedule_copies``).  Returns the problem
@@ -139,9 +138,9 @@ def prepare(region: Region, machine: MachineModel, liveness: LivenessInfo,
             "the tree pipeline covers tree-shaped regions only; "
             "hyperblocks schedule through a different pipeline"
         )
-    with timer.stage("prep"), tracer.span("prep"):
+    with tracer.span("prep"):
         problem = prepare_region(region, machine, liveness)
-    with timer.stage("renaming"), tracer.span("renaming"):
+    with tracer.span("renaming"):
         copies = rename_region(problem, liveness)
         if schedule_copies:
             _insert_copy_ops(problem, copies)
@@ -150,9 +149,9 @@ def prepare(region: Region, machine: MachineModel, liveness: LivenessInfo,
 
 def dependences(problem: ScheduleProblem, machine: MachineModel,
                 liveness: LivenessInfo, copies: List[ExitCopy],
-                timer: StageTimer = NULL_TIMER, tracer=NULL_TRACER) -> DDG:
+                tracer=NULL_TRACER) -> DDG:
     """Stage 2: the region's DDG (Figure 3, "Form DDG")."""
-    with timer.stage("ddg"), tracer.span("ddg"):
+    with tracer.span("ddg"):
         return build_ddg(problem, machine, liveness=liveness, copies=copies)
 
 
@@ -160,7 +159,6 @@ def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
                       copies: List[ExitCopy], machine: MachineModel,
                       options: ScheduleOptions, liveness: LivenessInfo,
                       keys: Optional[Dict[Heuristic, List[Tuple]]] = None,
-                      timer: StageTimer = NULL_TIMER,
                       tracer=NULL_TRACER) -> RegionSchedule:
     """Stage 3: sort by priority and list-schedule (or solve exactly).
 
@@ -174,17 +172,17 @@ def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
     if options.backend == "exact":
         from repro.exact.backend import exact_schedule_problem
 
-        with timer.stage("exact"), tracer.span("exact"):
+        with tracer.span("exact"):
             schedule, _info = exact_schedule_problem(
                 problem, ddg, keys, machine, options, copies,
             )
     else:
-        with timer.stage("ddg"):
+        with tracer.span("priorities"):
             order = priority_order(
                 problem, ddg, options.heuristic,
                 keys=keys.get(options.heuristic) if keys else None,
             )
-        with timer.stage("list_schedule"), tracer.span("list_schedule"):
+        with tracer.span("list_schedule"):
             schedule = list_schedule(
                 problem,
                 ddg,
@@ -196,7 +194,7 @@ def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
             )
     _record_schedule_metrics(schedule)
     if options.certify or current_collector() is not None:
-        with timer.stage("certify"), tracer.span("certify"):
+        with tracer.span("certify"):
             _certify(problem, ddg, schedule, machine, liveness, options)
     return schedule
 
@@ -206,7 +204,6 @@ def schedule_region(
     machine: MachineModel,
     options: Optional[ScheduleOptions] = None,
     liveness: Optional[LivenessInfo] = None,
-    timer: StageTimer = NULL_TIMER,
     tracer=NULL_TRACER,
 ) -> RegionSchedule:
     """Schedule one region for the given machine: the three stages in
@@ -215,10 +212,10 @@ def schedule_region(
     ``liveness`` may be supplied to avoid recomputing it per region when
     scheduling a whole partition.  The input IR is never modified.
 
-    ``timer`` records per-stage wall time (prep/renaming/ddg/list_schedule)
-    and ``tracer`` records the same stages as nested spans; per-decision
-    counters land in the active :func:`repro.obs.metrics.current_metrics`
-    registry.
+    ``tracer`` records the stages as nested spans (prep, renaming, ddg,
+    priorities, list_schedule; its :meth:`~repro.obs.tracer.Tracer.self_times`
+    are the per-stage wall times); per-decision counters land in the
+    active :func:`repro.obs.metrics.current_metrics` registry.
     """
     options = options or ScheduleOptions()
     check_options(region, options)
@@ -229,9 +226,8 @@ def schedule_region(
     if isinstance(region, Hyperblock):
         from repro.schedule.hyperblock import schedule_hyperblock
 
-        with timer.stage("list_schedule"), \
-                tracer.span("list_schedule", region=region.root.bid,
-                            kind="hyperblock"):
+        with tracer.span("list_schedule", region=region.root.bid,
+                         kind="hyperblock"):
             return _record_schedule_metrics(schedule_hyperblock(
                 region, machine, heuristic=options.heuristic,
                 liveness=liveness, max_cycles=options.max_cycles,
@@ -241,10 +237,10 @@ def schedule_region(
                      machine=machine.name,
                      heuristic=options.heuristic):
         problem, copies = prepare(region, machine, liveness,
-                                  options.schedule_copies, timer, tracer)
-        ddg = dependences(problem, machine, liveness, copies, timer, tracer)
+                                  options.schedule_copies, tracer)
+        ddg = dependences(problem, machine, liveness, copies, tracer)
         return schedule_prepared(problem, ddg, copies, machine, options,
-                                 liveness, timer=timer, tracer=tracer)
+                                 liveness, tracer=tracer)
 
 
 def _certify(problem, ddg, schedule, machine, liveness, options) -> None:
@@ -301,9 +297,8 @@ def schedule_partition(
     partition: RegionPartition,
     machine: MachineModel,
     options: Optional[ScheduleOptions] = None,
-    timer: StageTimer = NULL_TIMER,
     tracer=NULL_TRACER,
 ) -> List[RegionSchedule]:
     """Schedule every region of a partition (liveness cached per CFG)."""
-    return [schedule_region(region, machine, options, timer=timer,
-                            tracer=tracer) for region in partition]
+    return [schedule_region(region, machine, options, tracer=tracer)
+            for region in partition]

@@ -357,7 +357,7 @@ class CompileService:
                          self.store.max_bytes / (1024 * 1024))
         else:
             memo_spec = (None, 0.0)
-        task = (bench, scheme, indexed, 0, None, text, memo_spec)
+        task = (bench, scheme, indexed, 0, None, text, memo_spec, False)
         trace_specs = []
         if self.trace_dir is not None:
             trace_specs = [

@@ -151,6 +151,15 @@ class TestFacade:
         assert serial == parallel
         assert serial == api.evaluate_grid(cells, programs={"tiny": program})
 
+    def test_cached_evaluate_without_store_honours_region_memo(self):
+        from repro.schedule.memo import global_memo
+
+        cell = GridCell("compress", "treegion", "4U", "global_weight")
+        before = global_memo().stats()
+        (row,) = api.cached_evaluate([cell], region_memo=False)
+        assert global_memo().stats() == before
+        assert row == api.evaluate_cell(cell)
+
     def test_validate_small_campaign(self):
         summary = api.validate(
             2, grid="schemes=bb;machines=4U", engine_every=0,

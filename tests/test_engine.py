@@ -20,7 +20,7 @@ from repro.evaluation.engine import (
 )
 from repro.schedule.priorities import HEURISTICS
 from repro.schedule.scheduler import ScheduleOptions
-from repro.util.timing import StageTimer
+from repro.obs import Tracer
 from repro.workloads.specint import build_benchmark
 
 # A small but representative slice of the paper's grid: one mutating and
@@ -131,20 +131,31 @@ class TestGridHelpers:
         results = evaluate_grid(cells, jobs=0)
         assert len(results) == 2
 
-    def test_timer_collects_stages(self):
+    def test_stage_spans_equal_on_serial_and_parallel_paths(self):
         # Direct pipeline: with the region memo on, a warm process may
         # legitimately skip every stage, so pin it off here.
-        timer = StageTimer()
-        evaluate_grid(GRID[:4], jobs=1, timer=timer, region_memo=False)
-        for stage in ("formation", "prep", "renaming", "ddg",
-                      "list_schedule", "estimate"):
-            assert stage in timer.totals, stage
-
-    def test_worker_timers_merged(self):
-        timer = StageTimer()
-        evaluate_grid(GRID[:4], jobs=2, timer=timer, region_memo=False)
-        assert "ddg" in timer.totals
-        assert timer.total > 0
+        cells = [GridCell("compress", scheme, machine, "global_weight")
+                 for scheme in ("bb", "treegion")
+                 for machine in ("4U", "8U")]
+        stages = ("prep", "renaming", "ddg", "priorities", "list_schedule")
+        counts = {}
+        for jobs in (1, 2):
+            tracer = Tracer()
+            evaluate_grid(cells, jobs=jobs, tracer=tracer,
+                          region_memo=False)
+            times = tracer.self_times()
+            counts[jobs] = {stage: times[stage]["count"] for stage in stages}
+            roots = [span for span in tracer.spans if span.parent is None]
+            assert [span.name for span in roots] == ["evaluate_grid"]
+            if jobs == 1:
+                # Serial spans nest, so self times add up to the wall.
+                total = sum(stage["seconds"] for stage in times.values())
+                assert abs(total - roots[0].duration) < 1e-9
+            else:
+                (pool,) = [s for s in tracer.spans if s.name == "pool"]
+                tasks = [s for s in tracer.spans if s.name == "task"]
+                assert tasks and all(s.parent == pool.sid for s in tasks)
+        assert counts[1] == counts[2] == {stage: 100 for stage in stages}
 
     def test_cell_result_as_dict(self):
         result = evaluate_grid(GRID[:1], jobs=1)[0]

@@ -35,7 +35,6 @@ from repro.obs import (
 from repro.obs.metrics import observability_snapshot
 from repro.schedule import ScheduleOptions
 from repro.schedule.scheduler import schedule_partition
-from repro.util.timing import StageTimer
 from repro.workloads import build_benchmark
 
 from tests.helpers import diamond_function, program_with
@@ -129,6 +128,53 @@ class TestTracer:
                 NULL_TRACER.event("e")
         # Same singleton handle every time — no allocation per call.
         assert NULL_TRACER.span("other") is handle
+
+    def test_self_times_nested_and_sibling_spans(self):
+        # FakeClock: every read advances one second.
+        tracer = Tracer(clock=FakeClock())
+        with tracer.span("root"):              # 100 .. 107
+            with tracer.span("stage"):         # 101 .. 102
+                pass
+            with tracer.span("stage"):         # 103 .. 106
+                with tracer.span("inner"):     # 104 .. 105
+                    pass
+        assert tracer.self_times() == {
+            "inner": {"seconds": 1.0, "count": 1},
+            "root": {"seconds": 3.0, "count": 1},
+            "stage": {"seconds": 3.0, "count": 2},
+        }
+        total = sum(s["seconds"] for s in tracer.self_times().values())
+        assert total == tracer.spans[0].duration
+
+    def test_graft_adopts_worker_spans_under_the_open_span(self):
+        workers = []
+        for _ in range(2):
+            worker = Tracer(clock=FakeClock(101.0))
+            with worker.span("task"):          # 101 .. 104
+                with worker.span("ddg"):       # 102 .. 103
+                    pass
+            workers.append(worker)
+        parent = Tracer(clock=FakeClock())
+        with parent.span("grid"):              # 100 .. 102
+            with parent.span("pool"):          # 101: both tasks overlap it
+                for worker in workers:
+                    parent.graft(worker.spans)
+        names = [(s.name, s.depth) for s in parent.spans]
+        assert names == [("grid", 0), ("pool", 1), ("task", 2), ("ddg", 3),
+                         ("task", 2), ("ddg", 3)]
+        for sid, span in enumerate(parent.spans):
+            assert span.sid == sid
+        pool = parent.spans[1]
+        assert [s.parent for s in parent.spans] == [None, 0, 1, 2, 1, 4]
+        assert pool.duration == 1.0
+        # The concurrent tasks outlast the pool span: its self time is
+        # floored at 0, and worker stage times sum across workers.
+        assert parent.self_times() == {
+            "ddg": {"seconds": 2.0, "count": 2},
+            "grid": {"seconds": 2.0, "count": 1},
+            "pool": {"seconds": 0.0, "count": 1},
+            "task": {"seconds": 4.0, "count": 2},
+        }
 
     def test_format_summary_mentions_spans(self):
         tracer = Tracer(clock=FakeClock())
@@ -313,12 +359,15 @@ class TestMetricsRegistry:
     def test_observability_snapshot_folds_timer(self):
         metrics = MetricsRegistry()
         metrics.inc("c")
-        timer = StageTimer()
-        timer.add("formation", 0.5, 2)
-        snap = observability_snapshot(metrics, timer)
+        tracer = Tracer(clock=FakeClock())
+        for _ in range(2):
+            with tracer.span("formation"):
+                pass
+        snap = observability_snapshot(metrics, tracer)
         assert snap["counters"] == {"c": 1}
-        assert snap["stages"]["formation"]["seconds"] == pytest.approx(0.5)
-        assert snap["total_seconds"] == pytest.approx(0.5)
+        assert snap["stages"] == {"formation": {"seconds": 2.0, "count": 2}}
+        assert snap["total_seconds"] == pytest.approx(2.0)
+        assert "stages" not in observability_snapshot(metrics, NULL_TRACER)
 
 
 class TestGaugeModes:

@@ -14,6 +14,18 @@ from tests.test_regions_formation import build_figure1_like
 from repro.workloads.paper_example import build_paper_example
 
 
+def _succs(ddg, i):
+    """(successor, latency) pairs of op ``i`` from the DDG's CSR arrays."""
+    return [(ddg.succ_dst[e], ddg.succ_lat[e])
+            for e in range(ddg.succ_ptr[i], ddg.succ_ptr[i + 1])]
+
+
+def _preds(ddg, i):
+    """(predecessor, latency) pairs of op ``i`` from the CSR arrays."""
+    return [(ddg.pred_src[e], ddg.pred_lat[e])
+            for e in range(ddg.pred_ptr[i], ddg.pred_ptr[i + 1])]
+
+
 def _prepared(fn):
     partition = form_treegions(fn.cfg)
     region = partition.region_of(fn.cfg.entry)
@@ -85,8 +97,8 @@ class TestDDG:
 
     def test_acyclic_and_index_forward(self):
         problem, ddg = self._ddg(build_figure1_like())
-        for i, succs in enumerate(ddg.succs):
-            for j, _lat in succs:
+        for i in range(len(problem.sched_ops)):
+            for j, _lat in _succs(ddg, i):
                 assert j > i, "DDG edges must follow creation order"
 
     def test_flow_edges_carry_producer_latency(self):
@@ -95,7 +107,7 @@ class TestDDG:
         loads = [s for s in problem.sched_ops if s.op.opcode is Opcode.LD]
         assert loads
         for load in loads:
-            for j, lat in ddg.succs[load.index]:
+            for j, lat in _succs(ddg, load.index):
                 consumer = problem.sched_ops[j]
                 if consumer.op.opcode is Opcode.CMPP:
                     assert lat == 2
@@ -104,7 +116,7 @@ class TestDDG:
         problem, ddg = self._ddg(build_figure1_like())
         for exit in problem.exits:
             sop = problem.exit_op_for(exit)
-            preds = {p for p, _ in ddg.preds[sop.index]}
+            preds = {p for p, _ in _preds(ddg, sop.index)}
             srcs = sop.op.source_registers()
             pred_producers = [
                 p for p in preds
@@ -116,9 +128,9 @@ class TestDDG:
         """No DDG edge crosses between unrelated blocks (after renaming)."""
         problem, ddg = self._ddg(build_figure1_like())
         region = problem.region
-        for i, succs in enumerate(ddg.succs):
+        for i in range(len(problem.sched_ops)):
             a = problem.sched_ops[i].home
-            for j, _ in succs:
+            for j, _ in _succs(ddg, i):
                 b = problem.sched_ops[j].home
                 assert region.dominates(a, b) or region.dominates(b, a)
 
@@ -139,19 +151,22 @@ class TestDDG:
         st1 = mem[1]
         ld2 = mem[2]
         # Playdoh rule: store -> dependent load at latency 0.
-        assert (ld2.index, 0) in [(j, lat) for j, lat in ddg.succs[st1.index]
+        assert (ld2.index, 0) in [(j, lat)
+                                  for j, lat in _succs(ddg, st1.index)
                                   if j == ld2.index] or \
-               (st1.index, 0) in [(p, lat) for p, lat in ddg.preds[ld2.index]
+               (st1.index, 0) in [(p, lat)
+                                  for p, lat in _preds(ddg, ld2.index)
                                   if p == st1.index]
         # load -> store memory ordering costs a full cycle (the store also
         # has a flow edge from the load, whose value it writes).
-        lats = [lat for p, lat in ddg.preds[mem[3].index] if p == ld2.index]
+        lats = [lat for p, lat in _preds(ddg, mem[3].index)
+                if p == ld2.index]
         assert 1 in lats
 
     def test_heights_monotone_along_edges(self):
         problem, ddg = self._ddg(build_figure1_like())
-        for i, succs in enumerate(ddg.succs):
-            for j, lat in succs:
+        for i in range(len(problem.sched_ops)):
+            for j, lat in _succs(ddg, i):
                 assert ddg.heights[i] >= lat + ddg.heights[j]
 
     def test_control_heights_make_guards_tall(self):

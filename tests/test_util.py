@@ -1,14 +1,8 @@
-"""Tests for repro.util: id allocation, ordered sets, stats, timing."""
+"""Tests for repro.util: id allocation, ordered sets, stats."""
 
 import pytest
 
-from repro.util import (
-    IdAllocator,
-    NULL_TIMER,
-    OrderedSet,
-    StageTimer,
-    geometric_mean,
-)
+from repro.util import IdAllocator, OrderedSet, geometric_mean
 
 
 class TestIdAllocator:
@@ -100,37 +94,3 @@ class TestGeometricMean:
     def test_accepts_any_iterable(self):
         assert geometric_mean(x for x in (1.0, 4.0)) == pytest.approx(2.0)
 
-
-class TestStageTimer:
-    def test_stage_accumulates(self):
-        timer = StageTimer()
-        with timer.stage("work"):
-            pass
-        with timer.stage("work"):
-            pass
-        assert timer.counts["work"] == 2
-        assert timer.totals["work"] >= 0.0
-
-    def test_merge_and_total(self):
-        a = StageTimer()
-        a.add("x", 1.0)
-        b = StageTimer()
-        b.add("x", 2.0)
-        b.add("y", 3.0)
-        a.merge(b)
-        assert a.totals["x"] == pytest.approx(3.0)
-        assert a.total == pytest.approx(6.0)
-        assert a.counts["x"] == 2
-
-    def test_as_dict_and_format(self):
-        timer = StageTimer()
-        timer.add("ddg", 0.25, count=10)
-        snapshot = timer.as_dict()
-        assert snapshot["ddg"]["seconds"] == pytest.approx(0.25)
-        assert "ddg" in timer.format()
-
-    def test_null_timer_is_inert(self):
-        with NULL_TIMER.stage("anything"):
-            pass
-        NULL_TIMER.add("anything", 1.0)
-        NULL_TIMER.merge(StageTimer())
