@@ -55,6 +55,27 @@ def reference():
     return refs
 
 
+STAGES = ("prep", "renaming", "ddg", "priorities", "list_schedule")
+
+
+def _traced_grid(jobs):
+    """Trace a small direct-pipeline grid; return the tracer and self times.
+
+    With the region memo on, a warm process may legitimately skip every
+    stage, so it is pinned off here.
+    """
+    cells = [GridCell("compress", scheme, machine, "global_weight")
+             for scheme in ("bb", "treegion")
+             for machine in ("4U", "8U")]
+    tracer = Tracer()
+    evaluate_grid(cells, jobs=jobs, tracer=tracer, region_memo=False)
+    return tracer, tracer.self_times()
+
+
+def _stage_counts(times):
+    return {stage: times[stage]["count"] for stage in STAGES}
+
+
 class TestEquivalence:
     def test_evaluate_cell_matches_runner(self, reference):
         for cell, ref in zip(GRID, reference):
@@ -131,31 +152,29 @@ class TestGridHelpers:
         results = evaluate_grid(cells, jobs=0)
         assert len(results) == 2
 
-    def test_stage_spans_equal_on_serial_and_parallel_paths(self):
-        # Direct pipeline: with the region memo on, a warm process may
-        # legitimately skip every stage, so pin it off here.
-        cells = [GridCell("compress", scheme, machine, "global_weight")
-                 for scheme in ("bb", "treegion")
-                 for machine in ("4U", "8U")]
-        stages = ("prep", "renaming", "ddg", "priorities", "list_schedule")
-        counts = {}
-        for jobs in (1, 2):
-            tracer = Tracer()
-            evaluate_grid(cells, jobs=jobs, tracer=tracer,
-                          region_memo=False)
-            times = tracer.self_times()
-            counts[jobs] = {stage: times[stage]["count"] for stage in stages}
-            roots = [span for span in tracer.spans if span.parent is None]
-            assert [span.name for span in roots] == ["evaluate_grid"]
-            if jobs == 1:
-                # Serial spans nest, so self times add up to the wall.
-                total = sum(stage["seconds"] for stage in times.values())
-                assert abs(total - roots[0].duration) < 1e-9
-            else:
-                (pool,) = [s for s in tracer.spans if s.name == "pool"]
-                tasks = [s for s in tracer.spans if s.name == "task"]
-                assert tasks and all(s.parent == pool.sid for s in tasks)
-        assert counts[1] == counts[2] == {stage: 100 for stage in stages}
+    def test_timer_collects_stages(self):
+        tracer, times = _traced_grid(jobs=1)
+        for stage in ("formation", "prep", "renaming", "ddg",
+                      "list_schedule", "estimate"):
+            assert stage in times, stage
+        assert _stage_counts(times) == {stage: 100 for stage in STAGES}
+        roots = [span for span in tracer.spans if span.parent is None]
+        assert [span.name for span in roots] == ["evaluate_grid"]
+        # Serial spans nest, so self times add up to the wall.
+        total = sum(stage["seconds"] for stage in times.values())
+        assert abs(total - roots[0].duration) < 1e-9
+
+    def test_worker_timers_merged(self):
+        tracer, times = _traced_grid(jobs=2)
+        roots = [span for span in tracer.spans if span.parent is None]
+        assert [span.name for span in roots] == ["evaluate_grid"]
+        (pool,) = [s for s in tracer.spans if s.name == "pool"]
+        tasks = [s for s in tracer.spans if s.name == "task"]
+        assert tasks and all(s.parent == pool.sid for s in tasks)
+        # Grafted worker spans count every stage the serial path runs.
+        assert _stage_counts(times) == _stage_counts(_traced_grid(jobs=1)[1])
+        assert _stage_counts(times) == {stage: 100 for stage in STAGES}
+        assert times["ddg"]["seconds"] > 0
 
     def test_cell_result_as_dict(self):
         result = evaluate_grid(GRID[:1], jobs=1)[0]
