@@ -1,16 +1,17 @@
-"""Artifact-store / compile-service regression benchmark.
+"""Artifact-store / one-shard fleet regression benchmark.
 
 Runs the paper's 192-cell evaluation grid three ways —
 
 * **direct**: :func:`repro.evaluation.engine.evaluate_grid` (the
   reference path);
-* **service cold**: through :class:`repro.serve.CompileService` with an
-  empty :class:`repro.serve.ArtifactStore` (every cell dispatched to
-  the worker pool, then stored);
-* **service warm**: a fresh service over the now-populated store
-  (every cell answered from disk, the pool never consulted);
+* **service cold**: through a one-shard fleet
+  (:func:`repro.api.open_fleet`, two worker processes) over an empty
+  artifact store (every cell dispatched to the worker pool, then
+  stored);
+* **service warm**: a fresh fleet over the now-populated store (every
+  cell answered from disk, the pool never consulted);
 
-— asserts all three result lists are **byte-identical** (the service's
+— asserts all three result lists are **byte-identical** (the serving
 determinism contract) and that the warm pass is at least 5x faster than
 the cold one, then writes ``BENCH_serve.json`` at the repo root so
 future PRs can diff the caching trajectory.
@@ -30,9 +31,9 @@ import os
 import pathlib
 import time
 
+from repro.api import open_fleet
 from repro.evaluation.engine import default_grid, evaluate_grid
 from repro.obs import MetricsRegistry
-from repro.serve import ArtifactStore, CompileService
 
 from benchmarks.conftest import emit_table
 
@@ -75,25 +76,25 @@ def test_serve_snapshot(tmp_path):
 
     cold_metrics = MetricsRegistry()
     t0 = time.perf_counter()
-    with CompileService(store=ArtifactStore(store_dir), jobs=2,
-                        metrics=cold_metrics) as service:
-        cold = service.evaluate(grid)
+    with open_fleet(shards=1, jobs=2, cache_dir=store_dir,
+                    metrics=cold_metrics) as fleet:
+        cold = fleet.evaluate(grid)
     t_cold = time.perf_counter() - t0
 
     warm_metrics = MetricsRegistry()
-    warm_store = ArtifactStore(store_dir)
     t0 = time.perf_counter()
-    with CompileService(store=warm_store, jobs=2,
-                        metrics=warm_metrics) as service:
-        warm = service.evaluate(grid)
+    with open_fleet(shards=1, jobs=2, cache_dir=store_dir,
+                    metrics=warm_metrics) as fleet:
+        warm = fleet.evaluate(grid)
     t_warm = time.perf_counter() - t0
+    warm_store = fleet.stats()["shards"][0]["service"]["store"]
 
     # The determinism contract: all three routes, one answer.
     assert _payload_bytes(cold) == _payload_bytes(direct)
     assert _payload_bytes(warm) == _payload_bytes(direct)
 
     # The warm pass never touched the pool.
-    assert warm_store.hits == len(grid)
+    assert warm_store["hits"] == len(grid)
     warm_counters = warm_metrics.snapshot()["counters"]
     assert warm_counters["serve.jobs.cache_hits"] == len(grid)
     assert "serve.dispatches" not in warm_counters
@@ -112,9 +113,9 @@ def test_serve_snapshot(tmp_path):
         "warm_speedup": round(speedup, 1),
         "identical_to_direct": True,
         "store": {
-            "entries": len(warm_store),
-            "bytes": warm_store.total_bytes(),
-            "warm_hits": warm_store.hits,
+            "entries": warm_store["entries"],
+            "bytes": warm_store["bytes"],
+            "warm_hits": warm_store["hits"],
         },
         "cold_counters": {
             name: value
@@ -132,6 +133,6 @@ def test_serve_snapshot(tmp_path):
         f"{'service cold':32s} {t_cold:>11.2f}s",
         f"{'service warm':32s} {t_warm:>11.2f}s",
         f"{'warm speedup':32s} {speedup:>11.1f}x",
-        f"{'store entries':32s} {len(warm_store):>12d}",
-        f"{'store bytes':32s} {warm_store.total_bytes():>12d}",
+        f"{'store entries':32s} {warm_store['entries']:>12d}",
+        f"{'store bytes':32s} {warm_store['bytes']:>12d}",
     ])

@@ -153,7 +153,7 @@ def cached_evaluate(
     """
     import os
     from repro.ir.printer import format_program
-    from repro.serve.service import resolve_program_text
+    from repro.serve.router import resolve_program_text
     from repro.serve.store import ArtifactStore, cell_key
     from repro.serve.jobs import JobRequest
 
@@ -218,8 +218,7 @@ def connect(endpoint, **kwargs):
 
     The endpoint string is the only transport switch —
     ``unix:///path/to.sock`` for a local socket, ``tcp://host:port``
-    for a fleet across the network, or a bare filesystem path (treated
-    as a unix socket)::
+    for a fleet across the network::
 
         with repro.api.connect("tcp://127.0.0.1:7421") as client:
             results = client.evaluate(cells, program)
@@ -253,9 +252,11 @@ def open_fleet(
     """Open a :class:`~repro.serve.fleet.CompileFleet` in-process.
 
     The fleet shards work by content key across ``shards`` independent
-    service+store pairs (each under ``cache_dir/shard-NN``), dedups
-    in-flight requests, serves warm hits from an in-memory hot tier,
-    and supervises/restarts failed shards.  Use as a context manager;
+    worker-pool+store pairs (each store under ``cache_dir/shard-NN``),
+    dedups in-flight requests, serves warm hits from an in-memory hot
+    tier, retries infrastructure failures up to ``retries`` times per
+    request, and supervises/restarts failed shards.  Use as a context
+    manager;
     serve it over a socket with ``repro serve --endpoint ...`` or
     :class:`~repro.serve.frontend.FrontendServer`.
     """
@@ -266,47 +267,6 @@ def open_fleet(
         jobs=jobs, batch_size=batch_size, max_pending=max_pending,
         job_timeout=job_timeout, retries=retries, metrics=metrics,
         tracer=tracer, **kwargs,
-    )
-
-
-def open_service(
-    *,
-    cache_dir: Optional[str] = None,
-    cache_max_mb: float = 256,
-    jobs: int = 2,
-    batch_size: int = 16,
-    max_pending: int = 256,
-    job_timeout: Optional[float] = None,
-    retries: int = 2,
-    metrics=NULL_METRICS,
-    tracer=NULL_TRACER,
-):
-    """Open a single :class:`~repro.serve.service.CompileService`.
-
-    .. deprecated::
-        ``open_service`` predates the fleet and remains as a shim for
-        single-shard, in-process use (it reads/writes the *unsharded*
-        store layout at ``cache_dir``).  New code should use
-        :func:`open_fleet` in-process or :func:`connect` against a
-        served endpoint.
-    """
-    import warnings
-
-    from repro.serve.service import CompileService
-    from repro.serve.store import ArtifactStore
-
-    warnings.warn(
-        "repro.api.open_service is deprecated; use repro.api.open_fleet "
-        "(in-process) or repro.api.connect (against a served endpoint)",
-        DeprecationWarning, stacklevel=2,
-    )
-    store = None
-    if cache_dir is not None:
-        store = ArtifactStore(cache_dir, max_mb=cache_max_mb)
-    return CompileService(
-        store=store, jobs=jobs, batch_size=batch_size,
-        max_pending=max_pending, job_timeout=job_timeout,
-        retries=retries, metrics=metrics, tracer=tracer,
     )
 
 
@@ -485,7 +445,6 @@ __all__ = [
     "cached_evaluate",
     "connect",
     "open_fleet",
-    "open_service",
     "evaluate_cell",
     "simulate",
     "lint_program",

@@ -670,15 +670,8 @@ def cmd_warm(args) -> int:
 
 
 def _endpoint_from_args(args) -> str:
-    """--endpoint, or the deprecated --socket PATH (→ ``unix://PATH``)."""
-    socket_path = getattr(args, "socket", None)
+    """The required --endpoint."""
     endpoint = getattr(args, "endpoint", None)
-    if endpoint and socket_path:
-        raise CLIError("pass --endpoint or --socket, not both")
-    if socket_path:
-        print("repro: note: --socket PATH is deprecated; use "
-              f"--endpoint unix://{socket_path}", file=sys.stderr)
-        return f"unix://{socket_path}"
     if not endpoint:
         raise CLIError("pass --endpoint unix:///path or tcp://host:port")
     return endpoint
@@ -1129,12 +1122,10 @@ def build_parser() -> argparse.ArgumentParser:
     def endpoint_flags(p):
         p.add_argument("--endpoint", default=None, metavar="URL",
                        help="unix:///path/to.sock or tcp://host:port")
-        p.add_argument("--socket", default=None, metavar="PATH",
-                       help="deprecated alias for --endpoint unix://PATH")
 
     def fleet_flags(p):
         p.add_argument("--shards", type=int, default=2,
-                       help="service+store shards in the fleet "
+                       help="worker-pool+store shards in the fleet "
                             "(default: 2)")
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes per shard")
@@ -1148,8 +1139,8 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="job_timeout", metavar="SECONDS",
                        help="per-dispatch timeout before a retry")
         p.add_argument("--retries", type=int, default=2,
-                       help="extra attempts for crashed/timed-out "
-                            "dispatches")
+                       help="extra dispatches per request after a worker "
+                            "crash, timeout or shard death")
 
     def dist_obs_flags(p):
         p.add_argument("--trace-dir", default=None, metavar="DIR",

@@ -1,4 +1,4 @@
-"""Persistent artifact store, batched compile service, and the fleet.
+"""Persistent artifact store, worker pools, and the compile fleet.
 
 The layers, bottom up (see DESIGN.md §10–§12):
 
@@ -6,17 +6,18 @@ The layers, bottom up (see DESIGN.md §10–§12):
   grid-cell schedule results, keyed by SHA-256 of (canonical IR text,
   scheme spec, machine fingerprint, heuristic, schema version), with
   atomic writes, LRU size-bounded eviction, and corruption tolerance;
-* :mod:`repro.serve.service` (+ :mod:`repro.serve.jobs`) — a
-  :class:`CompileService` that deduplicates in-flight requests, checks
-  the store first, coalesces misses into batches for the PR-1
-  multiprocessing worker, retries crashed/timed-out dispatches with
-  backoff, applies backpressure through a bounded queue, and shuts
-  down gracefully.  Results are bit-identical to
-  :func:`repro.api.evaluate_grid`;
-* :mod:`repro.serve.router` + :mod:`repro.serve.fleet` — a
-  :class:`CompileFleet` of N service+store shards, each exclusively
-  owning a content-key slice, with an in-memory hot tier, in-flight
-  dedup, warm-replica reads, and supervised shard restart;
+* :mod:`repro.serve.service` (+ :mod:`repro.serve.jobs`) — one shard's
+  :class:`~repro.serve.service.WorkerPool`: a bounded intake queue
+  (backpressure), a dispatcher that batches jobs by (program, scheme)
+  for the engine's own multiprocessing worker, and an executor that is
+  recycled when a worker crashes or times out.  Each dispatch is tried
+  once; the pool decides nothing else;
+* :mod:`repro.serve.router` + :mod:`repro.serve.fleet` — content keys
+  and the :class:`CompileFleet`, the one owner of serving policy: N
+  pool+store shards, each exclusively owning a content-key slice, with
+  an in-memory hot tier, in-flight dedup, store reads and
+  warm-replica reads, one retry budget, and supervised shard restart.
+  Results are bit-identical to :func:`repro.api.evaluate_grid`;
 * :mod:`repro.serve.wire` — framed, versioned JSON protocol with typed
   messages and structured error codes over ``unix://`` / ``tcp://``
   endpoints;
@@ -40,7 +41,6 @@ from repro.serve.jobs import (
     ServiceSaturatedError,
     ShardDownError,
 )
-from repro.serve.service import CompileService, resolve_program_text
 from repro.serve.store import (
     ArtifactStore,
     cell_key,
@@ -49,7 +49,7 @@ from repro.serve.store import (
     result_to_payload,
     store_schema,
 )
-from repro.serve.router import KeyRouter, request_key
+from repro.serve.router import KeyRouter, request_key, resolve_program_text
 from repro.serve.fleet import CompileFleet
 from repro.serve.wire import Endpoint, ErrorCode, parse_endpoint
 from repro.serve.client import Client, ClientError, connect
@@ -63,7 +63,6 @@ __all__ = [
     "Client",
     "ClientError",
     "CompileFleet",
-    "CompileService",
     "Endpoint",
     "ErrorCode",
     "EventLog",

@@ -4,11 +4,13 @@
 string (``unix:///path`` or ``tcp://host:port``) is the only thing
 that distinguishes a local socket from a TCP fleet.  One client owns
 one connection, performs the versioned handshake on connect, and
-retries transient failures safely: every compile is keyed by content
-(the server dedups in-flight work and serves settled work from its
-caches), so resending a request after a dropped connection or a
-``SATURATED``/``SHARD_DOWN``/``TIMEOUT`` reply can never run the same
-job twice.
+resends a request only when it was neither completed nor failed: after
+a dropped connection, or a ``SATURATED`` (not accepted) or ``TIMEOUT``
+(still in flight) reply.  Every compile is keyed by content, so the
+server dedups a resend onto the in-flight job or answers it from its
+caches; it never runs the same job twice.  Failure policy is the
+fleet's: a ``SHARD_DOWN`` reply means the fleet already spent its retry
+budget, and the client passes it on.
 
 The client is deliberately synchronous — one request outstanding per
 connection.  Fleet-scale concurrency comes from many clients (see
@@ -62,11 +64,12 @@ class ClientError(ServeError):
         self.code = code
 
 
-#: Error codes worth an idempotent resend (content keying makes the
-#: retry safe: an already-accepted request dedups server-side).
+#: Error codes worth a resend: the request was neither completed nor
+#: failed (``SATURATED``: not accepted; ``TIMEOUT``: still in flight),
+#: and content keying makes the resend join it.  ``SHARD_DOWN`` is
+#: final: the fleet has already spent its retry budget.
 RETRYABLE_CODES = frozenset({
     ErrorCode.SATURATED,
-    ErrorCode.SHARD_DOWN,
     ErrorCode.TIMEOUT,
 })
 
@@ -304,8 +307,7 @@ class Client:
 def connect(endpoint, **kwargs) -> Client:
     """Dial a compile front-end and return a connected :class:`Client`.
 
-    Accepts ``unix:///path/to.sock``, ``tcp://host:port``, a bare
-    filesystem path (treated as a unix socket), or an
+    Accepts ``unix:///path/to.sock``, ``tcp://host:port``, or an
     :class:`~repro.serve.wire.Endpoint`.
     """
     return Client(endpoint, **kwargs).connect()

@@ -1,38 +1,42 @@
-"""The compile fleet: N sharded services behind one submit surface.
+"""The compile fleet: the one place serving policy lives.
 
-:class:`CompileFleet` scales PR 5's single :class:`CompileService` to a
-fleet of worker shards, each exclusively owning one
-:class:`~repro.serve.store.ArtifactStore` shard (``<cache>/shard-00``,
-``shard-01``, ...) and its own process pool.  Requests route by content
+:class:`CompileFleet` owns N worker shards.  Each shard is a
+:class:`~repro.serve.service.WorkerPool` plus the
+:class:`~repro.serve.store.ArtifactStore` shard it exclusively owns
+(``<cache>/shard-00``, ``shard-01``, ...).  Requests route by content
 key (:mod:`repro.serve.router`), which makes the whole design correct
 by construction: the key determines the answer, so the owner shard is a
 pure function of the request and identical requests always meet at the
 same shard.
 
-On top of routing the fleet adds the layers a production front end
-needs:
+The pools only run jobs.  Everything that decides *whether* and *how
+often* a job runs is here, once:
 
 * **hot tier** — a bounded in-memory LRU of finished results; the
   steady-state warm hit costs one dict lookup, no disk, no shard;
-* **idempotent dedup** — an in-flight map keyed by content key.  A
-  client that retries a request the fleet already accepted (dropped
-  connection, duplicate submission) collapses onto the existing
-  handle; nothing is ever computed or dispatched twice
-  (``fleet.deduped``);
-* **warm-replica reads** — when the owner shard's store misses, the
-  other shards' stores are probed read-only and a hit is adopted into
-  the owner (``fleet.replica_reads``).  This is what makes resizing
-  the fleet cheap: a key whose owner changed is re-read, not
-  recomputed;
-* **supervision** — a supervisor thread health-checks every shard and
-  restarts dead ones (a fresh :class:`CompileService` over the same
-  store — PR 5's executor-recycling machinery handles the pool level,
-  this handles the service level).  A shard dying mid-batch fails only
-  its in-flight keys; those are retried on the restarted shard
-  (``fleet.shard_retries``), every other shard's queue untouched.
-  Only *infrastructure* failures are retried
-  (:class:`JobFailedError` ``retryable``/:class:`ServiceClosedError`);
-  a deterministically failing job fails fast, exactly once;
+* **idempotent dedup** — one in-flight map keyed by content key.  A
+  client that resends a request the fleet already accepted (dropped
+  connection, request deadline) collapses onto the existing handle;
+  nothing is ever computed or dispatched twice (``fleet.deduped``);
+* **store tier** — a hot miss reads the owner shard's store
+  (``serve.jobs.cache_hits``).  When the owner misses, the other
+  shards' stores are probed read-only and a hit is adopted into the
+  owner (``fleet.replica_reads``), which makes resizing the fleet
+  cheap: a key whose owner changed is re-read, not recomputed.  A
+  computed result is written to the owner's store;
+* **one retry budget** — each request gets ``retries`` extra
+  dispatches, spaced by exponential backoff from ``retry_backoff``,
+  spent on infrastructure failures: a worker crash or dispatch timeout
+  (:class:`JobFailedError` with ``retryable``), the shard dying under
+  queued work, or a submit that lost a race with the shard going down.
+  Every retry counts in ``fleet.shard_retries``.  A job that raises
+  fails fast, exactly once; a request whose budget is spent fails with
+  :class:`ShardDownError` (``SHARD_DOWN`` on the wire);
+* **supervision** — a supervisor thread runs the retries,
+  health-checks every shard and restarts dead ones (a fresh pool over
+  the same store).  A shard dying mid-batch fails only its queued
+  keys; those are retried on the restarted shard, every other shard's
+  queue untouched;
 * **per-shard backpressure** — a saturated shard raises
   :class:`ServiceSaturatedError` from ``submit`` without touching the
   other shards, so one hot key range cannot wedge the fleet.
@@ -52,7 +56,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from dataclasses import replace as _dc_replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.evaluation.engine import CellResult, GridCell
 from repro.ir.function import Program
@@ -69,99 +73,60 @@ from repro.serve.jobs import (
     ShardDownError,
 )
 from repro.serve.router import KeyRouter, request_key
-from repro.serve.service import CompileService
+from repro.serve.service import WorkerPool
 from repro.serve.store import ArtifactStore
 
 _STOP = object()
 
 
-class _LockedMetrics:
-    """A registry adapter serializing updates from many shard threads.
-
-    The plain :class:`~repro.obs.metrics.MetricsRegistry` is mutated
-    lock-free on the (single-threaded) pipeline hot path; a fleet has N
-    dispatcher threads, the supervisor, and the front-end loop all
-    counting into one registry, so read-modify-write updates need a
-    lock to stay exact.
-    """
-
-    __slots__ = ("_inner", "_lock")
-
-    def __init__(self, inner):
-        self._inner = inner
-        self._lock = threading.Lock()
-
-    def inc(self, name: str, value: int = 1) -> None:
-        with self._lock:
-            self._inner.inc(name, value)
-
-    def gauge(self, name: str, value: float, mode=None) -> None:
-        with self._lock:
-            self._inner.gauge(name, value, mode=mode)
-
-    def observe(self, name: str, value) -> None:
-        with self._lock:
-            self._inner.observe(name, value)
-
-    def merge(self, other) -> None:
-        with self._lock:
-            self._inner.merge(other)
-
-    def merge_snapshot(self, data) -> None:
-        with self._lock:
-            self._inner.merge_snapshot(data)
-
-
-class _TeeMetrics:
-    """Fan every update out to the fleet's own registry *and* the
-    caller's.
+class _FleetMetrics:
+    """The fleet's own registry and the caller's, behind one lock.
 
     The fleet must be able to answer ``STATS`` with a metrics snapshot
     whether or not the embedding application passed a registry of its
     own, so it always keeps one; a user registry (the CLI's
-    ``--metrics`` file, the benchmarks') sees the same stream.
+    ``--metrics`` file, the benchmarks') sees the same stream.  A plain
+    :class:`~repro.obs.metrics.MetricsRegistry` is mutated lock-free on
+    the (single-threaded) pipeline hot path; a fleet has N dispatcher
+    threads, the supervisor, and the front-end loop all counting, so
+    read-modify-write updates take the lock to stay exact.
     """
 
-    __slots__ = ("_sinks",)
+    __slots__ = ("_sinks", "_lock")
 
     def __init__(self, *sinks):
         self._sinks = [
             sink for sink in sinks
             if sink is not None and sink is not NULL_METRICS
         ]
+        self._lock = threading.Lock()
 
     def inc(self, name: str, value: int = 1) -> None:
-        for sink in self._sinks:
-            sink.inc(name, value)
+        with self._lock:
+            for sink in self._sinks:
+                sink.inc(name, value)
 
     def gauge(self, name: str, value: float, mode=None) -> None:
-        for sink in self._sinks:
-            try:
+        with self._lock:
+            for sink in self._sinks:
                 sink.gauge(name, value, mode=mode)
-            except TypeError:  # pre-mode registry duck types
-                sink.gauge(name, value)
-
-    def observe(self, name: str, value) -> None:
-        for sink in self._sinks:
-            sink.observe(name, value)
-
-    def merge(self, other) -> None:
-        for sink in self._sinks:
-            sink.merge(other)
 
     def merge_snapshot(self, data) -> None:
-        for sink in self._sinks:
-            sink.merge_snapshot(data)
+        with self._lock:
+            for sink in self._sinks:
+                sink.merge_snapshot(data)
 
 
 @dataclass
 class FleetHandle(JobHandle):
-    """A fleet-level job handle with routing provenance."""
+    """A fleet-level job handle with routing provenance.
+
+    ``attempts`` counts the dispatches spent on the request: 0 for a
+    cache hit, ``retries + 1`` at most.
+    """
 
     #: Index of the shard that (last) ran the job; -1 for hot hits.
     shard: int = -1
-    #: Fleet-level retry rounds spent (shard deaths survived).
-    fleet_attempts: int = 0
     #: Where the result came from: ``hot`` | ``store`` | ``computed``.
     source: str = "computed"
     #: The open ``shard.compile`` span of the current dispatch attempt
@@ -170,37 +135,49 @@ class FleetHandle(JobHandle):
 
 
 class _Shard:
-    """One worker shard: a service plus the store it exclusively owns."""
+    """One worker shard: a worker pool plus the store it exclusively
+    owns."""
 
-    __slots__ = ("index", "store", "service", "up", "generation")
+    __slots__ = ("index", "store", "pool", "up", "generation")
 
-    def __init__(self, index: int, store: Optional[ArtifactStore],
-                 service: CompileService):
+    def __init__(self, index: int, store: Optional[ArtifactStore]):
         self.index = index
         self.store = store
-        self.service = service
+        self.pool: Optional[WorkerPool] = None
         self.up = True
         self.generation = 0
 
+    def stats(self) -> Dict[str, object]:
+        out = self.pool.stats()
+        if self.store is not None:
+            out["store"] = self.store.stats()
+        return out
+
 
 class CompileFleet:
-    """Content-key-sharded fleet of :class:`CompileService` workers.
+    """Content-key-sharded fleet of worker pools.
 
     Args:
-        shards: Worker shard count (each shard = one service + one
-            store shard + one process pool).
+        shards: Worker shard count (each shard = one worker pool + one
+            store shard).
         cache_dir: Root of the sharded persistent store; None disables
             the disk tier (hot tier and dedup still apply).
         cache_max_mb: Total store bound, split evenly across shards.
         jobs: Worker processes *per shard*.
-        batch_size / max_pending / job_timeout / retries: Per-shard
-            :class:`CompileService` knobs (see its docstring).
-        shard_retries: Fleet-level retry budget per request across
-            shard failures (restart + resubmit rounds).
+        batch_size / max_pending / job_timeout: Per-shard
+            :class:`~repro.serve.service.WorkerPool` knobs (see its
+            docstring).
+        retries: Extra dispatches per request after an infrastructure
+            failure (worker crash, dispatch timeout, shard death, a
+            submit that raced a shard going down).  The fleet's one
+            retry budget.
         hot_cache: Entry bound of the in-memory result tier (0 = off).
         health_interval: Seconds between supervisor health sweeps.
-        service_kwargs: Extra :class:`CompileService` keyword arguments
-            (tests inject crashing workers and no-op sleeps here).
+        retry_backoff: Delay before the first retry; it doubles for
+            each further retry of the same request.
+        sleep: Override of the backoff sleep (tests pass a no-op).
+        worker: Override of the pool worker function (tests inject
+            crashing and gated workers here; must be picklable).
         trace_dir: Distributed-trace export directory
             (:mod:`repro.obs.distributed`); enables ``shard.compile``
             spans here and ``worker.run_task`` spans in the pools for
@@ -220,14 +197,13 @@ class CompileFleet:
         max_pending: int = 256,
         job_timeout: Optional[float] = None,
         retries: int = 2,
-        shard_retries: int = 2,
         hot_cache: int = 4096,
         health_interval: float = 0.5,
         retry_backoff: float = 0.02,
         metrics=NULL_METRICS,
         tracer=NULL_TRACER,
         sleep: Callable[[float], None] = time.sleep,
-        service_kwargs: Optional[Dict[str, object]] = None,
+        worker: Optional[Callable] = None,
         trace_dir: Optional[str] = None,
         events=NULL_EVENTS,
     ) -> None:
@@ -236,8 +212,7 @@ class CompileFleet:
         #: can snapshot counters/gauges even when the embedder passed no
         #: registry.  User metrics see the same stream through the tee.
         self.own_metrics = MetricsRegistry()
-        self.metrics = _LockedMetrics(_TeeMetrics(self.own_metrics,
-                                                  metrics))
+        self.metrics = _FleetMetrics(self.own_metrics, metrics)
         self.tracer = tracer
         self.trace_dir = trace_dir
         self.dtracer = DistributedTracer(trace_dir, "fleet") \
@@ -247,13 +222,12 @@ class CompileFleet:
         self.batch_size = batch_size
         self.max_pending = max_pending
         self.job_timeout = job_timeout
-        self.retries = retries
-        self.shard_retries = max(0, shard_retries)
+        self.retries = max(0, retries)
         self.hot_cache = max(0, hot_cache)
         self.health_interval = health_interval
         self.retry_backoff = retry_backoff
         self._sleep = sleep
-        self._service_kwargs = dict(service_kwargs or {})
+        self._worker = worker
         self._hot: "OrderedDict[str, CellResult]" = OrderedDict()
         self._hot_bytes = 0
         self._hot_lock = threading.Lock()
@@ -261,7 +235,7 @@ class CompileFleet:
         self._lock = threading.Lock()
         self._restart_lock = threading.Lock()
         self._closed = False       # no new submissions
-        self._stopping = False     # no more fleet-level retries
+        self._stopping = False     # no more retries
         self._shards: List[_Shard] = []
         for index in range(shards):
             store = None
@@ -270,11 +244,11 @@ class CompileFleet:
                     os.path.join(cache_dir, f"shard-{index:02d}"),
                     max_mb=cache_max_mb / shards,
                 )
-            shard = _Shard(index, store, service=None)  # type: ignore
-            shard.service = self._make_service(shard)
+            shard = _Shard(index, store)
+            shard.pool = self._make_pool(shard)
             self._shards.append(shard)
             self.events.emit("shard.start", shard=index, generation=0)
-        self._events: "queue.Queue[object]" = queue.Queue()
+        self._retry_queue: "queue.Queue[object]" = queue.Queue()
         self._supervisor = threading.Thread(
             target=self._supervise, name="repro-fleet-supervisor",
             daemon=True,
@@ -284,25 +258,30 @@ class CompileFleet:
 
     # -- shard lifecycle -------------------------------------------------
 
-    def _make_service(self, shard: _Shard) -> CompileService:
-        return CompileService(
-            store=shard.store, jobs=self.jobs,
-            batch_size=self.batch_size, max_pending=self.max_pending,
-            job_timeout=self.job_timeout, retries=self.retries,
-            metrics=self.metrics, tracer=self.tracer,
-            trace_dir=self.trace_dir, shard=shard.index,
-            **self._service_kwargs,
+    def _make_pool(self, shard: _Shard) -> WorkerPool:
+        # Workers keep a region memo, backed by a sub-directory of the
+        # shard's store when the fleet has a disk tier.
+        memo_spec: Tuple[Optional[str], float] = (None, 0.0)
+        if shard.store is not None:
+            memo_spec = (os.path.join(shard.store.directory, "regions"),
+                         shard.store.max_bytes / (1024 * 1024))
+        return WorkerPool(
+            jobs=self.jobs, batch_size=self.batch_size,
+            max_pending=self.max_pending, job_timeout=self.job_timeout,
+            memo_spec=memo_spec, metrics=self.metrics, tracer=self.tracer,
+            worker=self._worker, trace_dir=self.trace_dir,
+            shard=shard.index,
         )
 
     def _restart_shard(self, shard: _Shard) -> None:
         with self._restart_lock:
-            if shard.up and shard.service.alive:
+            if shard.up and shard.pool.alive:
                 return
             try:
-                shard.service.close(drain=False, timeout=5.0)
+                shard.pool.close(drain=False, timeout=5.0)
             except Exception:
                 pass
-            shard.service = self._make_service(shard)
+            shard.pool = self._make_pool(shard)
             shard.generation += 1
             shard.up = True
         self.metrics.inc("fleet.shard_restarts")
@@ -313,27 +292,26 @@ class CompileFleet:
         """Abruptly take one shard down (fault injection / ops drills).
 
         Its queued jobs fail with :class:`ServiceClosedError` and are
-        retried by the supervisor on the restarted shard; jobs already
-        dispatched to the pool still complete.  Other shards never
-        notice.
+        retried on the restarted shard; jobs already dispatched to the
+        pool still complete.  Other shards never notice.
         """
         shard = self._shards[index]
         shard.up = False
         self.metrics.inc("fleet.shard_kills")
         self.events.emit("shard.kill", shard=index,
                          generation=shard.generation)
-        shard.service.close(drain=False, timeout=timeout)
+        shard.pool.close(drain=False, timeout=timeout)
 
     def health(self) -> Dict[str, object]:
         """Liveness of every shard (the ``ping`` op's payload)."""
         shards = {}
         healthy = True
         for shard in self._shards:
-            alive = shard.up and shard.service.alive
+            alive = shard.up and shard.pool.alive
             healthy = healthy and alive
             shards[str(shard.index)] = {
                 "up": shard.up,
-                "alive": shard.service.alive,
+                "alive": shard.pool.alive,
                 "generation": shard.generation,
             }
         return {"healthy": healthy and not self._closed, "shards": shards}
@@ -374,13 +352,36 @@ class CompileFleet:
             self.metrics.inc("fleet.hot_evictions", evicted)
             self.events.emit("hot.evict", evicted=evicted)
 
+    # -- the store tier --------------------------------------------------
+
+    def _store_get(self, owner: _Shard, key: str) -> Optional[CellResult]:
+        """``key`` from the owner's store, else adopted into it from any
+        warm replica (a resize moves keys; they are re-read, not
+        recomputed)."""
+        store = owner.store
+        if store is None:
+            return None
+        result = store.get(key)
+        if result is not None:
+            return result
+        for other in self._shards:
+            replica = other.store
+            if other is owner or replica is None or key not in replica:
+                continue
+            result = replica.get(key)
+            if result is not None:
+                store.put(key, result)
+                self.metrics.inc("fleet.replica_reads")
+                return result
+        return None
+
     # -- submission ------------------------------------------------------
 
     def submit(self, request: JobRequest) -> FleetHandle:
-        """Route one request to its owner shard; returns its handle.
+        """Answer one request from a cache tier or its owner shard.
 
         Identical in-flight requests share one handle (idempotency by
-        content key); hot-tier hits resolve immediately.  Raises
+        content key); hot and store hits resolve immediately.  Raises
         :class:`ServiceSaturatedError` when the owner shard's intake is
         full (the request was NOT accepted — safe to retry) and
         :class:`ServiceClosedError` after shutdown began.
@@ -409,14 +410,30 @@ class CompileFleet:
                 return existing
             handle = FleetHandle(key=key, request=request)
             self._inflight[key] = handle
+        self.metrics.inc("serve.jobs.submitted")
+        owner = self._shards[self.router.shard_for(key)]
         try:
-            self._dispatch(handle)
+            cached = self._store_get(owner, key)
+            if cached is None:
+                self._dispatch(handle)
+                return handle
         except Exception as error:
             with self._lock:
                 self._inflight.pop(key, None)
             if isinstance(error, ServiceSaturatedError):
                 self.events.emit("request.saturated", key=key[:12])
             raise
+        self.metrics.inc("serve.jobs.cache_hits")
+        if request.trace_id:
+            self.dtracer.start_span(
+                "fleet.store", trace_id=request.trace_id,
+                parent_span_id=request.parent_span_id,
+                key=key[:12], shard=owner.index,
+            ).finish(source="store")
+        handle.cached = True
+        handle.source = "store"
+        handle.shard = owner.index
+        self._finish(handle, cached)
         return handle
 
     def evaluate(
@@ -437,103 +454,112 @@ class CompileFleet:
         ]
         return [handle.result(timeout) for handle in handles]
 
-    # -- routing ---------------------------------------------------------
-
-    def _replica_read(self, owner: _Shard, key: str) -> None:
-        """Adopt ``key`` into the owner's store from any warm replica."""
-        store = owner.service.store
-        if store is None or key in store:
-            return
-        for other in self._shards:
-            replica = other.service.store
-            if other is owner or replica is None or key not in replica:
-                continue
-            result = replica.get(key)
-            if result is not None:
-                store.put(key, result)
-                self.metrics.inc("fleet.replica_reads")
-                return
+    # -- dispatch and retry ----------------------------------------------
 
     def _dispatch(self, handle: FleetHandle) -> None:
-        """Submit ``handle`` to its owner shard (restarting it first if
-        it is down); chains completion back through the fleet."""
+        """Spend one attempt: hand ``handle`` to its owner shard's pool
+        (restarting the shard first if it is down).
+
+        Raises :class:`ServiceSaturatedError` when the pool's intake is
+        full; every other failure goes through :meth:`_retry_or_fail`.
+        """
         shard = self._shards[self.router.shard_for(handle.key)]
+        attempt = handle.attempts
+        handle.attempts += 1
+        handle.shard = shard.index
         span = None
         if handle.request.trace_id:
-            # One span per dispatch attempt; a supervisor retry after a
-            # shard death opens a fresh one carrying the restart mark.
+            # One span per dispatch attempt; a retry opens a fresh one
+            # carrying the restart mark.
             span = self.dtracer.start_span(
                 "shard.compile", trace_id=handle.request.trace_id,
                 parent_span_id=handle.request.parent_span_id,
                 shard=shard.index, generation=shard.generation,
-                fleet_attempt=handle.fleet_attempts,
+                fleet_attempt=attempt,
             )
-            if handle.fleet_attempts > 0:
+            if attempt > 0:
                 span.annotate("supervisor.restart")
-            handle.dspan = span
-        for _ in range(2):
-            if not shard.up or not shard.service.alive:
-                self._restart_shard(shard)
-                if span is not None:
-                    span.annotate("supervisor.restart")
-                    span.set(generation=shard.generation)
-            self._replica_read(shard, handle.key)
-            request = handle.request
-            if span is not None and span.span_id is not None:
-                # Reparent the inner request under this dispatch span so
-                # the pool worker's span nests beneath it.
-                request = _dc_replace(request,
-                                      parent_span_id=span.span_id)
-            try:
-                inner = shard.service.submit(request)
-            except ServiceClosedError:
-                # Lost a race with the shard going down; restart once.
-                shard.up = False
-                continue
-            handle.shard = shard.index
-            inner.add_done_callback(
-                lambda done, h=handle: self._on_inner_done(h, done)
-            )
-            return
-        if span is not None:
-            span.finish(outcome="shard_down")
+        handle.dspan = span
+        if not shard.up or not shard.pool.alive:
+            self._restart_shard(shard)
+            if span is not None:
+                span.annotate("supervisor.restart")
+                span.set(generation=shard.generation)
+        request = handle.request
+        if span is not None and span.span_id is not None:
+            # Reparent the pool's job under this dispatch span so the
+            # worker's span nests beneath it.
+            request = _dc_replace(request, parent_span_id=span.span_id)
+        job = JobHandle(key=handle.key, request=request)
+        try:
+            shard.pool.submit(job)
+        except ServiceSaturatedError:
             handle.dspan = None
-        raise ShardDownError(
-            f"shard {shard.index} would not accept work after a restart"
+            if span is not None:
+                span.finish(outcome="saturated")
+            raise
+        except ServiceClosedError as error:
+            # Lost a race with the shard going down.
+            shard.up = False
+            self._retry_or_fail(handle, error)
+            return
+        job.add_done_callback(
+            lambda done, h=handle: self._on_job_done(h, done)
         )
 
-    def _on_inner_done(self, handle: FleetHandle,
-                       inner: JobHandle) -> None:
-        error = inner.error
-        span, handle.dspan = handle.dspan, None
-        if error is None:
-            handle.cached = inner.cached
-            handle.attempts = inner.attempts
-            handle.source = "store" if inner.cached else "computed"
-            if span is not None:
-                span.finish(outcome="ok", source=handle.source,
-                            attempts=handle.attempts)
-            self._finish(handle, inner.result(0))
+    def _on_job_done(self, handle: FleetHandle, job: JobHandle) -> None:
+        if job.error is not None:
+            self._retry_or_fail(handle, job.error)
             return
-        retryable = isinstance(error, ServiceClosedError) or (
-            isinstance(error, JobFailedError) and error.retryable
-        )
+        result = job.result(0)
+        span, handle.dspan = handle.dspan, None
+        if span is not None:
+            span.finish(outcome="ok", source="computed",
+                        attempts=handle.attempts)
+        store = self._shards[handle.shard].store
+        if store is not None:
+            store.put(handle.key, result)
+        self._finish(handle, result)
+
+    def _retry_or_fail(self, handle: FleetHandle,
+                       error: BaseException) -> None:
+        """Schedule another attempt while the budget lasts; else fail.
+
+        Infrastructure failures are retried: a retryable
+        :class:`JobFailedError` (worker crash or timeout), a
+        :class:`ServiceClosedError` (the shard went down under the job)
+        and a :class:`ServiceSaturatedError` met on a retry.  A job that
+        raised fails at once.
+        """
+        span, handle.dspan = handle.dspan, None
+        name = type(error).__name__
+        retryable = isinstance(
+            error, (ServiceClosedError, ServiceSaturatedError)
+        ) or (isinstance(error, JobFailedError) and error.retryable)
         if retryable and not self._stopping \
-                and handle.fleet_attempts < self.shard_retries:
-            handle.fleet_attempts += 1
+                and handle.attempts <= self.retries:
             self.metrics.inc("fleet.shard_retries")
             self.events.emit("request.retry", key=handle.key[:12],
-                             shard=handle.shard,
-                             attempt=handle.fleet_attempts,
-                             error=type(error).__name__)
+                             shard=handle.shard, attempt=handle.attempts,
+                             error=name)
             if span is not None:
                 span.annotate("retry.scheduled")
-                span.finish(outcome="retry",
-                            error=type(error).__name__)
-            self._events.put(("retry", handle))
+                span.finish(outcome="retry", error=name)
+            delay = self.retry_backoff * 2 ** (handle.attempts - 1)
+            self._retry_queue.put((handle, time.monotonic() + delay))
             return
         if span is not None:
-            span.finish(outcome="failed", error=type(error).__name__)
+            span.finish(outcome="failed", error=name)
+        if isinstance(error, JobFailedError):
+            error = JobFailedError(
+                f"job failed after {handle.attempts} attempt(s): {error}",
+                retryable=error.retryable,
+            )
+        elif retryable and not self._stopping:
+            error = ShardDownError(
+                f"shard {handle.shard} failed {handle.attempts} "
+                f"attempt(s): {name}: {error}"
+            )
         self._fail(handle, error)
 
     def _finish(self, handle: FleetHandle, result: CellResult) -> None:
@@ -557,39 +583,32 @@ class CompileFleet:
     def _supervise(self) -> None:
         while True:
             try:
-                event = self._events.get(timeout=self.health_interval)
+                event = self._retry_queue.get(timeout=self.health_interval)
             except queue.Empty:
                 self._health_sweep()
                 continue
             if event is _STOP:
                 break
-            _, handle = event
-            self._sleep(self.retry_backoff)
+            handle, due = event
+            self._sleep(max(0.0, due - time.monotonic()))
             try:
                 self._dispatch(handle)
             except ServiceSaturatedError as error:
-                if not self._stopping \
-                        and handle.fleet_attempts < self.shard_retries:
-                    handle.fleet_attempts += 1
-                    self.metrics.inc("fleet.shard_retries")
-                    self._events.put(("retry", handle))
-                else:
-                    self._fail(handle, error)
-            except Exception as error:  # ShardDownError and surprises
+                self._retry_or_fail(handle, error)
+            except Exception as error:
                 self._fail(handle, error)
         # Fail whatever retries were still queued behind the sentinel.
         while True:
             try:
-                event = self._events.get_nowait()
+                event = self._retry_queue.get_nowait()
             except queue.Empty:
                 break
-            if event is _STOP:
-                continue
-            self._fail(event[1], ServiceClosedError("fleet shut down"))
+            if event is not _STOP:
+                self._fail(event[0], ServiceClosedError("fleet shut down"))
 
     def _health_sweep(self) -> None:
         for shard in self._shards:
-            if shard.up and not shard.service.alive:
+            if shard.up and not shard.pool.alive:
                 shard.up = False
                 self.metrics.inc("fleet.shard_deaths")
                 self.events.emit("shard.death", shard=shard.index,
@@ -618,9 +637,9 @@ class CompileFleet:
               timeout: Optional[float] = None) -> None:
         """Stop the fleet.
 
-        ``drain=True`` finishes accepted work first (shard retries stay
-        live until the drain completes); ``drain=False`` fails queued
-        and retrying jobs with :class:`ServiceClosedError`.
+        ``drain=True`` finishes accepted work first (retries stay live
+        until the drain completes); ``drain=False`` fails queued and
+        retrying jobs with :class:`ServiceClosedError`.
         """
         if self._closed and not self._supervisor.is_alive():
             return
@@ -628,10 +647,12 @@ class CompileFleet:
         if drain:
             self.flush(timeout)
         self._stopping = True
-        self._events.put(_STOP)
+        self._retry_queue.put(_STOP)
         self._supervisor.join(timeout)
         for shard in self._shards:
-            shard.service.close(drain=drain, timeout=timeout)
+            shard.pool.close(drain=drain, timeout=timeout)
+            if shard.store is not None:
+                shard.store.sync()
         self.events.emit("fleet.close", drained=drain)
         self.dtracer.close()
 
@@ -659,7 +680,7 @@ class CompileFleet:
                     "index": shard.index,
                     "up": shard.up,
                     "generation": shard.generation,
-                    "service": shard.service.stats(),
+                    "service": shard.stats(),
                 }
                 for shard in self._shards
             ],
@@ -685,12 +706,7 @@ class CompileFleet:
         with self._hot_lock:
             hot_entries = len(self._hot)
             hot_bytes = self._hot_bytes
-        queued = 0
-        for shard in self._shards:
-            try:
-                queued += int(shard.service.stats().get("queued", 0))
-            except Exception:
-                pass
+        queued = sum(shard.pool.stats()["queued"] for shard in self._shards)
         self.metrics.gauge("fleet.inflight", inflight, mode="last")
         self.metrics.gauge("fleet.queued", queued, mode="last")
         self.metrics.gauge("fleet.hot.entries", hot_entries,

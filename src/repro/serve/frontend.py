@@ -9,13 +9,14 @@ fleet's ``submit`` is a queue put, and completion comes back through
 asyncio future with ``call_soon_threadsafe``, so ten thousand pending
 compiles cost ten thousand futures, not ten thousand threads.
 
-Failure edges map to structured error codes: a saturated shard answers
-``SATURATED`` (the client backs off and retries — the request was not
-accepted, so the retry is safe), a dead shard past its restart budget
-answers ``SHARD_DOWN``, a deterministically failing job ``JOB_FAILED``,
-a malformed message ``BAD_REQUEST``, and a request that outlives its
-own deadline ``TIMEOUT`` (the job keeps running; a retry dedups onto it
-by content key).  Framing-level corruption closes the connection;
+Failure edges map to structured error codes.  The front-end adds no
+policy of its own; retries happen in the fleet, once.  A saturated
+shard answers ``SATURATED`` (the request was not accepted, so a client
+resend is safe), a request that outlives its own deadline ``TIMEOUT``
+(the job keeps running; a resend dedups onto it by content key), a
+request whose retry budget the fleet spent ``SHARD_DOWN``, a
+deterministically failing job ``JOB_FAILED``, and a malformed message
+``BAD_REQUEST``.  Framing-level corruption closes the connection;
 in-frame garbage only costs an error reply.
 
 :class:`FrontendServer` wraps the async front-end in a background
@@ -206,7 +207,11 @@ class FleetFrontend:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
+            except (ConnectionResetError, BrokenPipeError, OSError,
+                    asyncio.CancelledError):
+                # Cancelled when the loop is torn down right after the
+                # peer hung up; a handler task that ends cancelled makes
+                # asyncio log an unhandled CancelledError.
                 pass
 
     async def _handshake(self, reader, writer) -> bool:

@@ -1,4 +1,4 @@
-"""Job-layer types for the batched compilation service.
+"""Job-layer types for the compile fleet and its worker pools.
 
 A :class:`JobRequest` names one unit of work — one program under one
 grid cell — in plain, hashable data, so identical requests submitted
@@ -10,19 +10,19 @@ callbacks (:meth:`JobHandle.add_done_callback`) let event-driven
 callers — the asyncio front-end, the fleet's retry chain — react
 without parking a thread per pending job.
 
-The error taxonomy mirrors the service's failure edges:
+The error taxonomy mirrors the serving failure edges:
 
 * :class:`ServiceSaturatedError` — the bounded intake queue is full
-  (backpressure; retry later or raise ``max_pending``);
+  (backpressure; resend later or raise ``max_pending``);
 * :class:`ServiceClosedError` — submitted after shutdown began, or the
   job was cancelled by a non-draining shutdown;
-* :class:`JobFailedError` — the job exhausted its retry budget.  Its
-  ``retryable`` flag separates infrastructure failures (worker crash or
-  timeout every attempt — another shard or a restarted pool may well
-  succeed) from deterministic job failures (replaying the job fails
-  identically, so nothing above this layer should retry it);
-* :class:`ShardDownError` — the fleet routed to a shard that is down
-  and could not be restarted within the retry budget.
+* :class:`JobFailedError` — a dispatch failed.  Its ``retryable`` flag
+  separates infrastructure failures (worker crash or timeout — a
+  restarted pool may well succeed, and the fleet retries while its
+  budget lasts) from deterministic job failures (replaying the job
+  fails identically, so nothing retries it);
+* :class:`ShardDownError` — the fleet spent a request's retry budget
+  on shard deaths or lost submit races.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ class ServiceClosedError(ServeError):
 
 
 class JobFailedError(ServeError):
-    """A job failed every dispatch attempt.
+    """A job's dispatch failed.
 
-    ``retryable=True`` means the failures were infrastructural (crash or
-    timeout each time) — a fresh pool or another shard may succeed.
-    ``retryable=False`` means the job itself raised deterministically.
+    ``retryable=True`` means the failure was infrastructural (crash or
+    timeout) — a fresh pool may succeed.  ``retryable=False`` means the
+    job itself raised deterministically.
     """
 
     def __init__(self, message: str, retryable: bool = False):
@@ -60,7 +60,7 @@ class JobFailedError(ServeError):
 
 
 class ShardDownError(ServeError):
-    """The owning shard is down and restarts were exhausted."""
+    """The fleet spent the request's retry budget on a failing shard."""
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,11 @@ class JobRequest:
 
     ``program_text`` is the canonical textual IR
     (:func:`repro.ir.printer.format_program`); None means "the built-in
-    benchmark named by ``cell.benchmark``" and the service resolves the
+    benchmark named by ``cell.benchmark``" and the fleet resolves the
     text itself for keying.
 
     ``trace_id``/``parent_span_id`` carry the distributed trace context
-    (:mod:`repro.obs.distributed`) down through the fleet and service.
+    (:mod:`repro.obs.distributed`) down through the fleet and its pools.
     They are observability-only: content keying
     (:func:`repro.serve.router.request_key`) ignores them, so two
     requests for the same work still dedup onto one computation even

@@ -18,9 +18,32 @@ key, not a recompute.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.serve.jobs import JobRequest
-from repro.serve.service import resolve_program_text
 from repro.serve.store import cell_key
+
+#: Per-process cache of built-in benchmark texts (format_program of the
+#: built workload), so keying a benchmark cell builds it at most once.
+_builtin_texts: Dict[str, str] = {}
+
+
+def _builtin_text(name: str) -> str:
+    text = _builtin_texts.get(name)
+    if text is None:
+        from repro.ir.printer import format_program
+        from repro.workloads.specint import build_benchmark
+
+        text = format_program(build_benchmark(name))
+        _builtin_texts[name] = text
+    return text
+
+
+def resolve_program_text(request: JobRequest) -> str:
+    """The canonical IR text a request is keyed by."""
+    if request.program_text is not None:
+        return request.program_text
+    return _builtin_text(request.cell.benchmark)
 
 
 def request_key(request: JobRequest) -> str:

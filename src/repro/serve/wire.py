@@ -1,14 +1,13 @@
 """Versioned, length-prefixed JSON wire protocol for the compile fleet.
 
 This module is the transport contract between
-:class:`~repro.serve.client.ServiceClient` (or any foreign client) and
+:class:`~repro.serve.client.Client` (or any foreign client) and
 the asyncio front-end (:mod:`repro.serve.frontend`).  It has three
 layers, all stdlib-only:
 
 * **Endpoints** — one textual scheme names both transports:
   ``unix:///path/to.sock`` and ``tcp://host:port`` parse to an
-  :class:`Endpoint`; a bare filesystem path is accepted as legacy
-  shorthand for ``unix://`` (the PR-5 ``--socket`` flag).
+  :class:`Endpoint`.
 
 * **Framing** — every message is one JSON object inside a
   length-prefixed frame: a 4-byte big-endian length followed by that
@@ -149,10 +148,10 @@ class Endpoint:
 
 
 def parse_endpoint(value: Union[str, Endpoint]) -> Endpoint:
-    """Parse ``unix:///path`` / ``tcp://host:port`` (or a bare path).
+    """Parse ``unix:///path`` / ``tcp://host:port``.
 
-    A bare filesystem path is legacy shorthand for a Unix socket — the
-    deprecated ``--socket PATH`` flags funnel through it.
+    Anything else, a bare filesystem path included, raises
+    :class:`ValueError`.
     """
     if isinstance(value, Endpoint):
         return value
@@ -180,7 +179,9 @@ def parse_endpoint(value: Union[str, Endpoint]) -> Endpoint:
             f"unknown endpoint scheme {text.split('://', 1)[0]!r} "
             f"(use unix:// or tcp://)"
         )
-    return Endpoint(scheme="unix", path=text)
+    raise ValueError(
+        f"endpoint must be unix:///path or tcp://host:port: {value!r}"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -89,17 +89,18 @@ class TestBadInputSweep:
         assert main(["client", "--endpoint", missing, "--ping"]) == 2
         assert "cannot reach service" in _stderr_error_line(capsys)
 
-    def test_client_deprecated_socket_notes_then_errors(self, tmp_path,
-                                                        capsys):
-        # --socket still works as a shim, but adds a deprecation note
-        # line ahead of the one-line error contract.
+    def test_client_socket_flag_is_rejected(self, tmp_path, capsys):
         missing = str(tmp_path / "nobody-home.sock")
-        assert main(["client", "--socket", missing, "--ping"]) == 2
-        err = capsys.readouterr().err
-        lines = [line for line in err.splitlines() if line]
-        assert len(lines) == 2, err
-        assert "deprecated" in lines[0] and "--endpoint" in lines[0]
-        assert "cannot reach service" in lines[1]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["client", "--socket", missing, "--ping"])
+        assert exit_info.value.code == 2
+        assert "--socket" in capsys.readouterr().err
+
+    def test_client_bare_path_endpoint_is_rejected(self, tmp_path,
+                                                   capsys):
+        missing = str(tmp_path / "nobody-home.sock")
+        assert main(["client", "--endpoint", missing, "--ping"]) == 2
+        assert "unix:///path" in _stderr_error_line(capsys)
 
     def test_client_needs_file_or_op(self, tmp_path, capsys):
         missing = f"unix://{tmp_path / 'nobody-home.sock'}"

@@ -29,7 +29,6 @@ from repro.serve.frontend import FrontendServer
 from repro.serve.soak import run_soak
 
 from tests.test_fleet import (
-    _NO_SLEEP,
     _fast_fleet,
     _gated_worker,
     _grid,
@@ -251,10 +250,7 @@ class TestChaosTrace:
         assert set(owners) == {0, 1}
         fleet = _fast_fleet(
             tmp_path, trace_dir=str(trace_dir), batch_size=1,
-            service_kwargs={
-                "worker": functools.partial(_gated_worker, gate),
-                "sleep": _NO_SLEEP,
-            },
+            worker=functools.partial(_gated_worker, gate),
         )
         traces = {}
         try:

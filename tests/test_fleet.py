@@ -11,6 +11,7 @@ notice — and resizing the fleet costs replica reads, not recomputes.
 from __future__ import annotations
 
 import functools
+import logging
 import os
 import threading
 import time
@@ -28,10 +29,11 @@ from repro.serve import (
     request_key,
     result_to_payload,
 )
-from repro.serve.client import Client
+from repro.serve.client import Client, ClientError
 from repro.serve.frontend import FrontendServer
 from repro.serve.service import _service_worker
 from repro.serve.soak import percentile, run_soak
+from repro.serve.wire import ErrorCode
 
 _NO_SLEEP = lambda seconds: None  # noqa: E731 - retry backoff stub
 
@@ -57,6 +59,13 @@ def _gated_worker(gate_path, task):
     while not os.path.exists(gate_path):
         time.sleep(0.01)
     return _service_worker(task)
+
+
+def _logged_crash_worker(log_path, task):
+    """Record the run, then die hard, every time (crosses the fork)."""
+    with open(log_path, "a") as handle:
+        handle.write("ran\n")
+    os._exit(1)
 
 
 def _fast_fleet(tmp_path, metrics=None, **kwargs):
@@ -123,10 +132,7 @@ class TestHotTierAndIdempotency:
         cell = GridCell("compress", "treegion", "4U", "global_weight")
         fleet = _fast_fleet(
             tmp_path, metrics=registry,
-            service_kwargs={
-                "worker": functools.partial(_gated_worker, gate),
-                "sleep": _NO_SLEEP,
-            },
+            worker=functools.partial(_gated_worker, gate),
         )
         try:
             first = fleet.submit(JobRequest(cell=cell))
@@ -152,10 +158,7 @@ class TestHotTierAndIdempotency:
         assert len(same_owner) >= 3
         fleet = _fast_fleet(
             tmp_path, metrics=registry, max_pending=1, batch_size=1,
-            service_kwargs={
-                "worker": functools.partial(_gated_worker, gate),
-                "sleep": _NO_SLEEP,
-            },
+            worker=functools.partial(_gated_worker, gate),
         )
         try:
             # One job gets dispatched, one fills the intake queue; the
@@ -188,10 +191,7 @@ class TestShardFailure:
         direct = evaluate_grid(cells)
         fleet = _fast_fleet(
             tmp_path, metrics=registry, batch_size=1,
-            service_kwargs={
-                "worker": functools.partial(_gated_worker, gate),
-                "sleep": _NO_SLEEP,
-            },
+            worker=functools.partial(_gated_worker, gate),
         )
         try:
             handles = [fleet.submit(JobRequest(cell=cell))
@@ -222,8 +222,7 @@ class TestShardFailure:
         registry = MetricsRegistry()
         fleet = _fast_fleet(
             tmp_path, metrics=registry, retries=0,
-            service_kwargs={"worker": _always_failing_worker,
-                            "sleep": _NO_SLEEP},
+            worker=_always_failing_worker,
         )
         try:
             handle = fleet.submit(JobRequest(
@@ -264,10 +263,7 @@ class TestServedRetryIdempotency:
         cell = GridCell("compress", "treegion", "4U", "global_weight")
         fleet = _fast_fleet(
             tmp_path, metrics=registry,
-            service_kwargs={
-                "worker": functools.partial(_gated_worker, gate),
-                "sleep": _NO_SLEEP,
-            },
+            worker=functools.partial(_gated_worker, gate),
         )
         server = FrontendServer(fleet, "tcp://127.0.0.1:0",
                                 metrics=registry)
@@ -302,6 +298,53 @@ class TestServedRetryIdempotency:
             reply.result["key"], evaluate_grid([cell])[0])
         assert registry.counters["serve.jobs.submitted"] == 1
         assert registry.counters["fleet.deduped"] >= 1
+
+
+class TestOneRetryBudget:
+    def test_crashing_worker_runs_retries_plus_one_times_over_tcp(
+            self, tmp_path):
+        """Fleet, front-end and client spend one budget between them:
+        the fleet retries, the client does not resend ``SHARD_DOWN``."""
+        registry = MetricsRegistry()
+        log = str(tmp_path / "runs.log")
+        fleet = _fast_fleet(
+            tmp_path, metrics=registry, shards=1,
+            worker=functools.partial(_logged_crash_worker, log),
+        )
+        server = FrontendServer(fleet, "tcp://127.0.0.1:0")
+        endpoint = server.start()
+        try:
+            with Client(endpoint) as client:
+                with pytest.raises(ClientError) as failure:
+                    client.submit(GridCell("compress", "treegion", "4U",
+                                           "global_weight"))
+        finally:
+            server.stop()
+            fleet.close(drain=False)
+        assert failure.value.code == ErrorCode.SHARD_DOWN
+        with open(log) as handle:
+            runs = handle.read().splitlines()
+        assert len(runs) == fleet.retries + 1 == 3
+        assert registry.counters["fleet.shard_retries"] == fleet.retries
+
+
+class TestFrontendShutdown:
+    def test_stop_after_client_hangs_up_logs_no_asyncio_error(
+            self, tmp_path, caplog):
+        fleet = _fast_fleet(tmp_path, shards=1)
+        try:
+            for _ in range(10):
+                server = FrontendServer(fleet, "tcp://127.0.0.1:0")
+                client = Client(server.start()).connect()
+                client.ping()
+                client.close()
+                server.stop()
+        finally:
+            fleet.close()
+        errors = [record for record in caplog.records
+                  if record.name == "asyncio"
+                  and record.levelno >= logging.ERROR]
+        assert not errors, errors[0].getMessage()
 
 
 class TestSoakHarness:

@@ -1,10 +1,13 @@
-"""The batched compilation service: identity, dedup, faults, wire.
+"""Serving one shard: identity, dedup, faults, shutdown, wire.
 
-The service's one non-negotiable is bit-identity: routing a grid cell
-through batching, the worker pool, retries, and the artifact store must
-produce the same :class:`CellResult` as the reference serial path.  The
-fault-injection tests then kill workers, poison cache entries, and fill
-the intake queue to show every recovery path preserves that identity.
+A one-shard :class:`CompileFleet` is the smallest serving stack: the
+fleet's policy (dedup, store tier, one retry budget) over one
+:class:`~repro.serve.service.WorkerPool`.  Its one non-negotiable is
+bit-identity: routing a grid cell through batching, the worker pool,
+retries, and the artifact store must produce the same
+:class:`CellResult` as the reference serial path.  The fault-injection
+tests then kill workers, poison cache entries, and fill the intake
+queue to show every recovery path preserves that identity.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from repro.ir.printer import format_program
 from repro.obs import MetricsRegistry
 from repro.serve import (
     ArtifactStore,
-    CompileService,
     JobFailedError,
     JobRequest,
     ServiceClosedError,
@@ -46,6 +48,29 @@ from repro.serve.wire import ErrorCode, send_frame
 from repro.workloads.specint import build_benchmark
 
 _NO_SLEEP = lambda seconds: None  # noqa: E731 - retry backoff stub
+
+
+def _fleet(cache_dir=None, **kwargs):
+    """A one-shard fleet; retries spend no wall time on backoff."""
+    kwargs.setdefault("jobs", 1)
+    kwargs.setdefault("sleep", _NO_SLEEP)
+    return CompileFleet(shards=1, cache_dir=cache_dir, **kwargs)
+
+
+def _shard_store(cache_dir) -> str:
+    """The store directory of a one-shard fleet's only shard."""
+    return os.path.join(str(cache_dir), "shard-00")
+
+
+def _store_stats(fleet):
+    return fleet.stats()["shards"][0]["service"]["store"]
+
+
+def _wait_for_dispatch(metrics, count=1):
+    deadline = time.monotonic() + 5.0
+    while metrics.counters.get("serve.dispatches", 0) < count \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 def _grid(heuristics=("global_weight", "dep_height"),
@@ -78,6 +103,10 @@ def _hang_once_worker(flag_path, task):
     return _service_worker(task)
 
 
+def _always_crashing_worker(task):
+    os._exit(1)
+
+
 def _always_failing_worker(task):
     raise ValueError("deterministically unschedulable")
 
@@ -93,40 +122,39 @@ class TestIdentity:
     def test_service_matches_serial_and_per_cell(self):
         cells = _grid()
         direct = evaluate_grid(cells)
-        with CompileService(jobs=2) as service:
-            served = service.evaluate(cells)
+        with _fleet(jobs=2) as fleet:
+            served = fleet.evaluate(cells)
         assert served == direct
         assert served[0] == evaluate_cell(cells[0])
 
     def test_cold_and_warm_store_match_direct(self, tmp_path):
         cells = _grid()
         direct = evaluate_grid(cells)
-        store = ArtifactStore(str(tmp_path))
-        with CompileService(store=store, jobs=2) as service:
-            cold = service.evaluate(cells)
-        # A fresh service on the same directory answers from disk.
-        warm_store = ArtifactStore(str(tmp_path))
-        with CompileService(store=warm_store, jobs=2) as service:
-            handles = [service.submit(JobRequest(cell=cell))
+        with _fleet(str(tmp_path), jobs=2) as fleet:
+            cold = fleet.evaluate(cells)
+        # A fresh fleet on the same directory answers from disk.
+        with _fleet(str(tmp_path), jobs=2) as fleet:
+            handles = [fleet.submit(JobRequest(cell=cell))
                        for cell in cells]
             warm = [handle.result(60.0) for handle in handles]
             assert all(handle.cached for handle in handles)
+            warm_hits = _store_stats(fleet)["hits"]
         assert cold == direct
         assert warm == direct
-        assert warm_store.hits == len(cells)
+        assert warm_hits == len(cells)
 
     def test_explicit_program_text_round_trips(self):
         text = format_program(build_benchmark("compress"))
         cell = GridCell("compress", "treegion", "4U", "global_weight")
         reference = evaluate_cell(cell, program=parse_program(text))
-        with CompileService(jobs=1) as service:
-            [served] = service.evaluate([cell], program_text=text)
+        with _fleet() as fleet:
+            [served] = fleet.evaluate([cell], program_text=text)
         assert served == reference
 
     def test_results_come_back_in_input_order(self):
         cells = _grid()
-        with CompileService(jobs=2, batch_size=2) as service:
-            served = service.evaluate(cells)
+        with _fleet(jobs=2, batch_size=2) as fleet:
+            served = fleet.evaluate(cells)
         assert [result.cell for result in served] == cells
 
 
@@ -135,30 +163,30 @@ class TestDedupAndBatching:
         gate = str(tmp_path / "gate")
         metrics = MetricsRegistry()
         cell = _grid()[0]
-        service = CompileService(
-            jobs=1, metrics=metrics,
-            worker=functools.partial(_gated_worker, gate),
-        )
+        fleet = _fleet(metrics=metrics,
+                       worker=functools.partial(_gated_worker, gate))
         try:
-            first = service.submit(JobRequest(cell=cell))
-            second = service.submit(JobRequest(cell=cell))
+            first = fleet.submit(JobRequest(cell=cell))
+            second = fleet.submit(JobRequest(cell=cell))
             assert second is first
             with open(gate, "w") as handle:
                 handle.write("go\n")
             assert first.result(60.0) == evaluate_cell(cell)
         finally:
-            service.close()
-        assert metrics.snapshot()["counters"]["serve.jobs.deduped"] == 1
+            fleet.close()
+        counters = metrics.snapshot()["counters"]
+        assert counters["fleet.deduped"] == 1
+        assert counters["serve.dispatches"] == 1
 
     def test_cache_hit_skips_the_pool(self, tmp_path):
         cell = _grid()[0]
-        store = ArtifactStore(str(tmp_path / "store"))
         key = cell_key(resolve_program_text(JobRequest(cell=cell)), cell)
-        store.put(key, evaluate_cell(cell))
+        with ArtifactStore(_shard_store(tmp_path)) as store:
+            store.put(key, evaluate_cell(cell))
         # A worker that would fail proves the pool is never consulted.
-        with CompileService(store=store,
-                            worker=_always_failing_worker) as service:
-            handle = service.submit(JobRequest(cell=cell))
+        with _fleet(str(tmp_path),
+                    worker=_always_failing_worker) as fleet:
+            handle = fleet.submit(JobRequest(cell=cell))
             assert handle.cached
             assert handle.attempts == 0
             assert handle.result(10.0) == evaluate_cell(cell)
@@ -169,29 +197,28 @@ class TestFaults:
         flag = str(tmp_path / "crashed-once")
         metrics = MetricsRegistry()
         cell = _grid()[0]
-        with CompileService(
-            jobs=1, retries=2, metrics=metrics, sleep=_NO_SLEEP,
+        with _fleet(
+            retries=2, metrics=metrics,
             worker=functools.partial(_crash_once_worker, flag),
-        ) as service:
-            handle = service.submit(JobRequest(cell=cell))
+        ) as fleet:
+            handle = fleet.submit(JobRequest(cell=cell))
             result = handle.result(60.0)
         assert result == evaluate_cell(cell)
         assert handle.attempts == 2
         counters = metrics.snapshot()["counters"]
         assert counters["serve.worker_crashes"] == 1
-        assert counters["serve.jobs.retries"] == 1
-        assert counters["serve.jobs.completed"] == 1
+        assert counters["fleet.shard_retries"] == 1
+        assert counters["fleet.completed"] == 1
 
     def test_hung_worker_times_out_and_retries(self, tmp_path):
         flag = str(tmp_path / "hung-once")
         metrics = MetricsRegistry()
         cell = _grid()[0]
-        with CompileService(
-            jobs=1, retries=2, job_timeout=0.3, metrics=metrics,
-            sleep=_NO_SLEEP,
+        with _fleet(
+            retries=2, job_timeout=0.3, metrics=metrics,
             worker=functools.partial(_hang_once_worker, flag),
-        ) as service:
-            handle = service.submit(JobRequest(cell=cell))
+        ) as fleet:
+            handle = fleet.submit(JobRequest(cell=cell))
             result = handle.result(60.0)
         assert result == evaluate_cell(cell)
         assert metrics.snapshot()["counters"]["serve.timeouts"] == 1
@@ -199,74 +226,70 @@ class TestFaults:
     def test_deterministic_failure_fails_fast(self):
         metrics = MetricsRegistry()
         cell = _grid()[0]
-        with CompileService(jobs=1, retries=5, metrics=metrics,
-                            sleep=_NO_SLEEP,
-                            worker=_always_failing_worker) as service:
-            handle = service.submit(JobRequest(cell=cell))
+        with _fleet(retries=5, metrics=metrics,
+                    worker=_always_failing_worker) as fleet:
+            handle = fleet.submit(JobRequest(cell=cell))
             with pytest.raises(JobFailedError, match="unschedulable"):
                 handle.result(60.0)
         # No retry budget spent: replaying a deterministic job is futile.
         assert handle.attempts == 1
         counters = metrics.snapshot()["counters"]
-        assert counters["serve.jobs.failed"] == 1
-        assert "serve.jobs.retries" not in counters
+        assert counters["fleet.failed"] == 1
+        assert "fleet.shard_retries" not in counters
 
-    def test_retry_budget_exhaustion_fails_the_job(self, tmp_path):
-        always_crash = str(tmp_path / "never-created") + "/missing"
+    def test_retry_budget_exhaustion_fails_the_job(self):
+        metrics = MetricsRegistry()
         cell = _grid()[0]
-        with CompileService(
-            jobs=1, retries=1, sleep=_NO_SLEEP,
-            worker=functools.partial(_crash_once_worker, always_crash),
-        ) as service:
-            handle = service.submit(JobRequest(cell=cell))
+        with _fleet(retries=1, metrics=metrics,
+                    worker=_always_crashing_worker) as fleet:
+            handle = fleet.submit(JobRequest(cell=cell))
             with pytest.raises(JobFailedError, match="2 attempt"):
                 handle.result(60.0)
+        assert metrics.snapshot()["counters"]["serve.worker_crashes"] == 2
 
     def test_poisoned_cache_entry_recomputes_correctly(self, tmp_path):
         cell = _grid()[0]
-        store = ArtifactStore(str(tmp_path / "store"))
         key = cell_key(resolve_program_text(JobRequest(cell=cell)), cell)
-        poison = store._object_path(key)
+        poison = ArtifactStore(_shard_store(tmp_path))._object_path(key)
         os.makedirs(os.path.dirname(poison), exist_ok=True)
         with open(poison, "w") as handle:
             handle.write('{"schema": "evil", "time": -1}')
-        with CompileService(store=store, jobs=1) as service:
-            handle = service.submit(JobRequest(cell=cell))
+        with _fleet(str(tmp_path)) as fleet:
+            handle = fleet.submit(JobRequest(cell=cell))
             result = handle.result(60.0)
+            corrupt = _store_stats(fleet)["corrupt"]
         assert not handle.cached
         assert result == evaluate_cell(cell)
-        assert store.corrupt == 1
+        assert corrupt == 1
         # The recompute healed the entry on disk.
-        assert ArtifactStore(str(tmp_path / "store")).get(key) == result
+        assert ArtifactStore(_shard_store(tmp_path)).get(key) == result
 
     def test_full_queue_applies_backpressure_then_drains(self, tmp_path):
         gate = str(tmp_path / "gate")
         cells = _grid(heuristics=("global_weight", "dep_height",
                                   "exit_count"))[:3]
         metrics = MetricsRegistry()
-        service = CompileService(
-            jobs=1, batch_size=1, max_pending=1, metrics=metrics,
+        fleet = _fleet(
+            batch_size=1, max_pending=1, metrics=metrics,
             worker=functools.partial(_gated_worker, gate),
         )
         try:
-            first = service.submit(JobRequest(cell=cells[0]))
+            first = fleet.submit(JobRequest(cell=cells[0]))
             # Wait for the dispatcher to pull the first job so exactly
             # one queue slot is in play.
-            deadline = time.monotonic() + 5.0
-            while service._queue.qsize() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            second = service.submit(JobRequest(cell=cells[1]))
+            _wait_for_dispatch(metrics)
+            second = fleet.submit(JobRequest(cell=cells[1]))
             with pytest.raises(ServiceSaturatedError):
-                service.submit(JobRequest(cell=cells[2]))
+                fleet.submit(JobRequest(cell=cells[2]))
             with open(gate, "w") as handle:
                 handle.write("go\n")
             assert first.result(60.0) == evaluate_cell(cells[0])
             assert second.result(60.0) == evaluate_cell(cells[1])
             # Pressure released: the rejected job now goes through.
-            third = service.submit(JobRequest(cell=cells[2]))
+            third = fleet.submit(JobRequest(cell=cells[2]))
             assert third.result(60.0) == evaluate_cell(cells[2])
         finally:
-            service.close()
+            fleet.close()
         assert metrics.snapshot()["counters"]["serve.jobs.rejected"] == 1
 
 
@@ -274,19 +297,18 @@ class TestShutdown:
     def test_non_draining_close_cancels_queued_jobs(self, tmp_path):
         gate = str(tmp_path / "gate")
         cells = _grid()
-        service = CompileService(
-            jobs=1, batch_size=1, max_pending=4,
+        metrics = MetricsRegistry()
+        fleet = _fleet(
+            batch_size=1, max_pending=4, metrics=metrics,
             worker=functools.partial(_gated_worker, gate),
         )
-        dispatched = service.submit(JobRequest(cell=cells[0]))
-        deadline = time.monotonic() + 5.0
-        while service._queue.qsize() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        queued = service.submit(JobRequest(cell=cells[1]))
+        dispatched = fleet.submit(JobRequest(cell=cells[0]))
+        _wait_for_dispatch(metrics)
+        queued = fleet.submit(JobRequest(cell=cells[1]))
         opener = threading.Timer(0.2, lambda: open(gate, "w").close())
         opener.start()
         try:
-            service.close(drain=False, timeout=30.0)
+            fleet.close(drain=False, timeout=30.0)
         finally:
             opener.join()
         # The in-flight job still completed; the queued one was failed.
@@ -294,19 +316,19 @@ class TestShutdown:
         with pytest.raises(ServiceClosedError):
             queued.result(60.0)
         with pytest.raises(ServiceClosedError):
-            service.submit(JobRequest(cell=cells[2]))
+            fleet.submit(JobRequest(cell=cells[2]))
 
     def test_draining_close_finishes_accepted_work(self):
         cells = _grid()
-        service = CompileService(jobs=1, batch_size=2)
-        handles = [service.submit(JobRequest(cell=cell)) for cell in cells]
-        service.close(drain=True, timeout=120.0)
+        fleet = _fleet(batch_size=2)
+        handles = [fleet.submit(JobRequest(cell=cell)) for cell in cells]
+        fleet.close(drain=True, timeout=120.0)
         direct = evaluate_grid(cells)
         assert [handle.result(0.0) for handle in handles] == direct
 
 
 class TestWire:
-    """The served path over a unix socket (the old ``--socket`` shape)."""
+    """The served path over a ``unix://`` endpoint."""
 
     def _start_server(self, tmp_path):
         path = str(tmp_path / "serve.sock")

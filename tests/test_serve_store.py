@@ -22,7 +22,7 @@ from repro.serve import (
     result_to_payload,
     store_schema,
 )
-from repro.serve.service import _builtin_text
+from repro.serve.router import _builtin_text
 
 
 def _result(benchmark: str = "b", time: float = 1.5,

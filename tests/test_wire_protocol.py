@@ -60,9 +60,10 @@ class TestEndpoints:
         assert tcp == Endpoint(scheme="tcp", host="127.0.0.1", port=7421)
         assert parse_endpoint(str(tcp)) == tcp
 
-    def test_bare_path_is_legacy_unix(self):
-        assert parse_endpoint("/tmp/old.sock") == Endpoint(
-            scheme="unix", path="/tmp/old.sock")
+    def test_bare_path_is_rejected(self):
+        for bare in ("/tmp/old.sock", "old.sock"):
+            with pytest.raises(ValueError, match="unix:///path"):
+                parse_endpoint(bare)
 
     def test_endpoint_objects_pass_through(self):
         endpoint = Endpoint(scheme="tcp", host="h", port=1)
