@@ -11,8 +11,9 @@ provides :func:`evaluate_grid`, which exploits that structure:
   (benchmark, scheme); the clone and formation run once per group, the
   version-keyed analysis cache (:mod:`repro.ir.analysis_cache`) serves
   liveness/dominators/register bounds to every region, and the region
-  memo (:mod:`repro.schedule.memo`, on by default) shares prep, DDGs and
-  priority keys across the group's machines and heuristics;
+  memo (:mod:`repro.schedule.memo`, on by default) shares prep, DDGs,
+  priority orders and finished list schedules across the group's
+  machines and heuristics;
 
 * **parallel path** (``jobs>1``, or ``jobs=0`` for the CPU count): work
   fans out over a ``multiprocessing`` pool at *cell* granularity, and
@@ -23,6 +24,10 @@ provides :func:`evaluate_grid`, which exploits that structure:
   heavy, so neither crosses the process boundary — and the parent merges
   partial results **in function order**, reproducing the serial float
   accumulation exactly.
+
+Both paths, and :func:`evaluate_cell`, evaluate a group through one
+function (``_evaluate_group``): clone and form each function once, then
+schedule the formed partitions for every cell of the group.
 
 Both paths are guaranteed bit-identical to per-cell serial evaluation
 (:func:`evaluate_cell`): same ``time``, same ``code_expansion``, same
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ir.analysis_cache import liveness_of
-from repro.ir.clone import clone_function, clone_program
+from repro.ir.clone import clone_function
 from repro.ir.function import Program
 from repro.machine.model import MachineModel
 from repro.machine.presets import PAPER_MACHINES, SCALAR_1U
@@ -242,6 +247,62 @@ def _merge_partials(cell: GridCell,
     )
 
 
+def _groups(cells: Sequence[GridCell]
+            ) -> Dict[Tuple[str, str], List[Tuple[int, GridCell]]]:
+    """The grid's cells, indexed, grouped by (benchmark, scheme)."""
+    groups: Dict[Tuple[str, str], List[Tuple[int, GridCell]]] = {}
+    for index, cell in enumerate(cells):
+        groups.setdefault((cell.benchmark, cell.scheme), []).append(
+            (index, cell))
+    return groups
+
+
+def _evaluate_group(
+    program: Program,
+    scheme: Scheme,
+    indexed_cells: Sequence[Tuple[int, GridCell]],
+    lo: int = 0,
+    hi: Optional[int] = None,
+    tracer=NULL_TRACER,
+    memo=None,
+) -> List[Tuple[int, List[_FunctionPartial]]]:
+    """Evaluate every cell of one (benchmark, scheme) group over the
+    functions ``[lo, hi)`` of ``program``.
+
+    Each function is cloned and formed once: formation is machine- and
+    heuristic-independent, and scheduling never mutates the IR, so
+    every cell schedules the same partitions.  Returns ``(index,
+    partials)`` per cell, the partials in function order.
+    """
+    formed = []  # (partition, original_ops, final_ops) per function
+    for function in list(program.functions())[lo:hi]:
+        with tracer.span("clone"):
+            worked = clone_function(function) if scheme.mutates \
+                else function
+        with tracer.span("formation", function=function.name):
+            partition = scheme.form(worked.cfg)
+        formed.append((partition, function.cfg.total_ops,
+                       worked.cfg.total_ops))
+    if memo is not None:
+        # Tier-1 sharing is id-keyed; scope it to this group's freshly
+        # formed regions.
+        memo.begin_group()
+    out = []
+    for index, cell in indexed_cells:
+        machine = machine_by_name(cell.machine)
+        with tracer.span("cell", machine=cell.machine,
+                         heuristic=cell.heuristic):
+            partials = [
+                _schedule_function_partition(
+                    partition, original_ops, final_ops, cell, machine,
+                    tracer, memo=memo,
+                )
+                for partition, original_ops, final_ops in formed
+            ]
+        out.append((index, partials))
+    return out
+
+
 # ----------------------------------------------------------------------
 # Region memo plumbing
 
@@ -303,29 +364,15 @@ def evaluate_cell(
     cell's parameters, reduced to a picklable :class:`CellResult`.
     """
     if program is None:
-        from repro.workloads.specint import build_benchmark
-
-        program = build_benchmark(cell.benchmark)
+        program = _resolve_program(cell.benchmark, None)
     scheme = build_scheme(cell.scheme)
     with metrics_scope(metrics), \
             tracer.span("evaluate_cell", benchmark=cell.benchmark,
                         scheme=cell.scheme, machine=cell.machine,
                         heuristic=cell.heuristic):
         metrics.inc("engine.cells")
-        with tracer.span("clone"):
-            worked = clone_program(program) if scheme.mutates else program
-        partials: List[_FunctionPartial] = []
-        for original, function in zip(program.functions(),
-                                      worked.functions()):
-            with tracer.span("formation", function=function.name):
-                partition = scheme.form(function.cfg)
-            partials.append(
-                _schedule_function_partition(
-                    partition, original.cfg.total_ops,
-                    function.cfg.total_ops,
-                    cell, machine_by_name(cell.machine), tracer,
-                )
-            )
+        [(_, partials)] = _evaluate_group(program, scheme, [(0, cell)],
+                                          tracer=tracer)
         return _merge_partials(cell, partials)
 
 
@@ -342,48 +389,16 @@ def _evaluate_grid_serial(
     memo=None,
 ) -> List[CellResult]:
     results: List[Optional[CellResult]] = [None] * len(cells)
-    groups: Dict[Tuple[str, str], List[int]] = {}
-    for index, cell in enumerate(cells):
-        groups.setdefault((cell.benchmark, cell.scheme), []).append(index)
-
     with metrics_scope(metrics):
-        for (bench, scheme_spec), indices in groups.items():
+        for (bench, scheme_spec), indexed in _groups(cells).items():
             with tracer.span("group", benchmark=bench, scheme=scheme_spec,
-                             cells=len(indices)):
+                             cells=len(indexed)):
                 program = _resolve_program(bench, programs, texts)
                 scheme = build_scheme(scheme_spec)
-                # Clone and form once: formation is machine- and
-                # heuristic-independent, and scheduling never mutates the
-                # IR, so every cell of the group schedules the same
-                # partitions.
-                with tracer.span("clone"):
-                    worked = clone_program(program) if scheme.mutates \
-                        else program
-                formed = []  # (partition, orig_ops, final_ops) per func
-                for original, function in zip(program.functions(),
-                                              worked.functions()):
-                    with tracer.span("formation", function=function.name):
-                        partition = scheme.form(function.cfg)
-                    formed.append((partition, original.cfg.total_ops,
-                                   function.cfg.total_ops))
-                if memo is not None:
-                    # Tier-1 sharing is id-keyed; scope it to this
-                    # group's freshly formed regions.
-                    memo.begin_group()
-                for index in indices:
-                    cell = cells[index]
-                    machine = machine_by_name(cell.machine)
-                    metrics.inc("engine.cells")
-                    with tracer.span("cell", machine=cell.machine,
-                                     heuristic=cell.heuristic):
-                        partials = [
-                            _schedule_function_partition(
-                                partition, original_ops, final_ops, cell,
-                                machine, tracer, memo=memo,
-                            )
-                            for partition, original_ops, final_ops in formed
-                        ]
-                        results[index] = _merge_partials(cell, partials)
+                metrics.inc("engine.cells", len(indexed))
+                for index, partials in _evaluate_group(
+                        program, scheme, indexed, tracer=tracer, memo=memo):
+                    results[index] = _merge_partials(cells[index], partials)
     return results  # type: ignore[return-value]
 
 
@@ -441,17 +456,14 @@ def _run_task(task: _Task):
     The program is rebuilt from the benchmark name (or re-parsed from the
     shipped IR text) inside the worker; each worker process caches per
     benchmark, so rebuilding is paid once per benchmark per worker, not
-    per task.  A traced task returns its tracer's spans for the parent to
-    graft under its ``pool`` span.
+    per task.  A traced task returns its process id and its tracer's
+    spans, for the parent to graft under its ``pool`` span on the
+    worker's own track.
     """
     bench, scheme_spec, indexed_cells, lo, hi, text, memo_spec, traced = \
         task
-    if text is not None:
-        program = _program_from_text(bench, text)
-    else:
-        from repro.workloads.specint import build_benchmark
-
-        program = build_benchmark(bench)
+    program = _resolve_program(
+        bench, None, {bench: text} if text is not None else None)
     scheme = build_scheme(scheme_spec)
     tracer = Tracer() if traced else NULL_TRACER
     metrics = MetricsRegistry()
@@ -464,33 +476,12 @@ def _run_task(task: _Task):
         directory, max_mb = memo_spec
         if directory is not None:
             memo.attach_store(_worker_region_store(directory, max_mb))
-        memo.begin_group()
         before = memo.stats()
     with metrics_scope(metrics), \
             tracer.span("task", benchmark=bench, scheme=scheme_spec,
                         functions=f"{lo}:{hi}"):
-        formed = []  # (partition, original_ops, final_ops) per function
-        for function in list(program.functions())[lo:hi]:
-            with tracer.span("clone"):
-                worked = clone_function(function) if scheme.mutates \
-                    else function
-            with tracer.span("formation", function=function.name):
-                partition = scheme.form(worked.cfg)
-            formed.append((partition, function.cfg.total_ops,
-                           worked.cfg.total_ops))
-        out = []
-        for index, cell in indexed_cells:
-            machine = machine_by_name(cell.machine)
-            with tracer.span("cell", machine=cell.machine,
-                             heuristic=cell.heuristic):
-                partials = [
-                    _schedule_function_partition(
-                        partition, original_ops, final_ops, cell, machine,
-                        tracer, memo=memo,
-                    )
-                    for partition, original_ops, final_ops in formed
-                ]
-            out.append((index, partials))
+        out = _evaluate_group(program, scheme, indexed_cells, lo, hi,
+                              tracer, memo)
     memo_stats = None
     if memo is not None:
         if memo.store is not None:
@@ -507,8 +498,8 @@ def _run_task(task: _Task):
         # depends on work distribution, unlike the event counters).
         metrics.gauge("memo.entries", after["entries"], mode="max")
         metrics.gauge("memo.bytes", after["bytes"], mode="max")
-    return (out, lo, tracer.spans if traced else None, metrics.snapshot(),
-            memo_stats)
+    spans = (os.getpid(), tracer.spans) if traced else None
+    return out, lo, spans, metrics.snapshot(), memo_stats
 
 
 def _split_cells(cells: Sequence[GridCell], jobs: int,
@@ -521,14 +512,9 @@ def _split_cells(cells: Sequence[GridCell], jobs: int,
     to ``jobs`` contiguous slices so one heavy benchmark cannot starve
     the pool.
     """
-    groups: Dict[Tuple[str, str], List[Tuple[int, GridCell]]] = {}
-    for index, cell in enumerate(cells):
-        groups.setdefault((cell.benchmark, cell.scheme), []).append(
-            (index, cell)
-        )
     tasks: List[_Task] = []
     function_counts: Dict[str, int] = {}
-    for (bench, scheme_spec), indexed in groups.items():
+    for (bench, scheme_spec), indexed in _groups(cells).items():
         text = texts.get(bench) if texts is not None else None
         count = function_counts.get(bench)
         if count is None:
@@ -577,7 +563,8 @@ def _evaluate_grid_parallel(
                 for index, partials in out:
                     by_cell.setdefault(index, {})[lo] = partials
                 if spans is not None:
-                    tracer.graft(spans)
+                    worker, worker_spans = spans
+                    tracer.graft(worker_spans, track=worker)
                 metrics.merge_snapshot(snapshot)
                 if memo_stats is not None and region_stats is not None:
                     region_stats["hits"] += memo_stats["hits"]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Set, Tuple
 
 from repro.ir.cfg import CFG, BasicBlock
-from repro.ir.registers import Register
+from repro.ir.registers import Register, register_key
 
 
 class LivenessInfo:
@@ -42,7 +42,8 @@ class LivenessInfo:
         """``sorted(live_in(block))`` as a cached tuple."""
         cached = self._sorted_in.get(block.bid)
         if cached is None:
-            cached = tuple(sorted(self._live_in.get(block.bid, ())))
+            cached = tuple(sorted(self._live_in.get(block.bid, ()),
+                                  key=register_key))
             self._sorted_in[block.bid] = cached
         return cached
 

@@ -46,6 +46,13 @@ class Register:
         return f"Register({self})"
 
 
+def register_key(register: Register):
+    """Sort key ordering registers as ``Register``'s own comparison
+    does (class, then index), without a generated ``__lt__`` call per
+    comparison; hot paths sort live sets with it."""
+    return (register.rclass.value, register.index)
+
+
 class RegisterFactory:
     """Allocates fresh virtual registers for one function.
 

@@ -39,7 +39,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 class Span:
     """One finished (or still-open) traced interval."""
 
-    __slots__ = ("sid", "parent", "name", "depth", "start", "end", "args")
+    __slots__ = ("sid", "parent", "name", "depth", "start", "end", "args",
+                 "track")
 
     def __init__(self, sid: int, parent: Optional[int], name: str,
                  depth: int, start: float, args: Dict[str, object]):
@@ -50,6 +51,9 @@ class Span:
         self.start = start
         self.end: Optional[float] = None
         self.args = args
+        #: The worker that recorded a grafted span (its Chrome-trace
+        #: track); None for the tracer's own thread.
+        self.track: Optional[int] = None
 
     @property
     def duration(self) -> float:
@@ -143,7 +147,9 @@ class Tracer:
     def to_chrome(self, process_name: str = "repro") -> Dict[str, object]:
         """The Chrome trace-event JSON object (``chrome://tracing`` /
         Perfetto).  Spans become complete (``"ph": "X"``) events with
-        microsecond timestamps relative to the first span."""
+        microsecond timestamps relative to the first span.  The tracer's
+        own spans sit on track (``tid``) 0; spans grafted from a worker
+        sit on that worker's track, named ``worker <track>``."""
         epoch = self._epoch()
         pid = os.getpid()
         events: List[Dict[str, object]] = [{
@@ -153,6 +159,16 @@ class Tracer:
             "tid": 0,
             "args": {"name": process_name},
         }]
+        tracks = sorted({span.track for span in self.spans
+                         if span.track is not None})
+        for track in tracks:
+            events.append({
+                "name": "thread_name",
+                "ph": "M",
+                "pid": pid,
+                "tid": track,
+                "args": {"name": f"worker {track}"},
+            })
         for span in self.finished_spans():
             events.append({
                 "name": span.name,
@@ -161,7 +177,7 @@ class Tracer:
                 "ts": (span.start - epoch) * 1e6,
                 "dur": span.duration * 1e6,
                 "pid": pid,
-                "tid": 0,
+                "tid": 0 if span.track is None else span.track,
                 "args": dict(span.args),
             })
         for ts, _parent, name, args in self.events:
@@ -199,10 +215,14 @@ class Tracer:
                 }, sort_keys=True))
                 handle.write("\n")
 
-    def graft(self, spans: Sequence[Span]) -> None:
+    def graft(self, spans: Sequence[Span],
+              track: Optional[int] = None) -> None:
         """Adopt every span of another tracer (``other.spans``, e.g. a
         pool worker's) under the innermost open span.  Timestamps are
-        kept as recorded; ids and depths shift onto this tracer."""
+        kept as recorded; ids and depths shift onto this tracer.
+        ``track`` names the worker that recorded them (the engine passes
+        its process id): :meth:`to_chrome` draws each worker on its own
+        row, so concurrent workers' spans do not overlap on one."""
         parent = self._stack[-1] if self._stack else None
         root = parent.sid if parent is not None else None
         depth = parent.depth + 1 if parent is not None else 0
@@ -211,6 +231,7 @@ class Tracer:
             span.parent = root if span.parent is None else span.parent + base
             span.sid += base
             span.depth += depth
+            span.track = track
         self.spans.extend(spans)
 
     def self_times(self) -> Dict[str, Dict[str, float]]:

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ir.cfg import BasicBlock
 from repro.ir.liveness import LivenessInfo
-from repro.ir.registers import Register
+from repro.ir.registers import Register, register_key
 from repro.ir.types import Opcode
 from repro.machine.model import MachineModel
 from repro.obs.metrics import NULL_METRICS, current_metrics
@@ -367,7 +367,7 @@ def _live_at_exit(
         if original in live:
             live.discard(original)
             live.add(renamed)
-    return tuple(sorted(live))
+    return tuple(sorted(live, key=register_key))
 
 
 def build_ddg(

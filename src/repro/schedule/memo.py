@@ -25,7 +25,21 @@ scoped to one (benchmark, scheme) group by :meth:`RegionMemo.begin_group`):
 * the DDG and the four heuristics' priority keys read the machine only
   through its latency table
   (:func:`~repro.schedule.fingerprint.latency_fingerprint`), so they are
-  built once per (region, latency model) — 4U and 8U share one build.
+  built once per (region, latency model) — 4U and 8U share one build;
+* likewise each heuristic's priority order, kept as a tuple of op
+  indices per (region, latency model, heuristic): 4U and 8U share one
+  sort;
+* the list scheduler reads only the problem, the DDG, the machine and
+  the order, so a finished schedule is kept per (region, machine,
+  order).  Heuristics often sort a small region the same way; the
+  second such probe reuses the first schedule instead of rerunning it;
+* the region's content fingerprint is read once per region, not once
+  per (machine, heuristic) cell.
+
+A probe that reuses a schedule still counts as a **miss** (``hits`` and
+``store_hits`` are untouched), replays the schedule's counter snapshot,
+stores its tier-2 entry and store object under its own key, and
+returns a :class:`RegionSummary` rather than the full schedule.
 
 **Tier 2 — content-addressed result memo** (global, optionally
 disk-backed): the full pipeline result is a pure function of
@@ -61,7 +75,9 @@ never cached): hyperblocks
 Dominator parallelism bypasses tier 1 only — its merge step rewrites
 consumer operands destructively, so each miss runs
 ``schedule_region`` fresh — but memoizes fine at tier 2 (``dp`` is in
-the key).
+the key).  The exact backend shares the prepared problem and DDG but
+never the order and schedule tables: it searches from the priority
+keys, and its results key separately.
 
 Tier-2 keys assume the region's blocks/ops/weights do not change between
 fingerprinting and scheduling — true for the engine, which forms fresh
@@ -72,7 +88,7 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.ir.liveness import LivenessInfo
 from repro.lint.collect import current_collector
@@ -90,7 +106,7 @@ from repro.schedule.fingerprint import (
     machine_fingerprint,
     region_fingerprint,
 )
-from repro.schedule.priorities import all_priority_keys
+from repro.schedule.priorities import all_priority_keys, priority_order
 from repro.schedule.scheduler import (
     ScheduleOptions,
     check_options,
@@ -162,6 +178,18 @@ class _Level2Entry:
         }
 
     @classmethod
+    def of(cls, schedule, registry: MetricsRegistry) -> "_Level2Entry":
+        """The entry for a fresh schedule and the registry it ran under."""
+        return cls(
+            exit_cycles=tuple(record.cycle for record in schedule.exits),
+            length=schedule.length,
+            copy_count=len(schedule.copies),
+            merged_count=len(schedule.merged),
+            speculated_count=schedule.speculated_count,
+            snapshot=registry.deterministic_snapshot(),
+        )
+
+    @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "_Level2Entry":
         return cls(
             exit_cycles=tuple(int(c) for c in payload["exit_cycles"]),
@@ -188,10 +216,18 @@ class RegionMemo:
         #: Tier 2: (region fp, machine fp, heuristic, dp, sc) -> entry,
         #: LRU-ordered (oldest first).
         self._entries: "OrderedDict[Tuple, _Level2Entry]" = OrderedDict()
-        #: Tier 1, cleared per group: key -> (stage output, counter
-        #: snapshot of the build).
+        #: Tier 1, cleared per group.  Stage outputs: key -> (output,
+        #: counter snapshot of the build).
         self._problems: Dict[Tuple, Tuple[object, Dict]] = {}
         self._ddgs: Dict[Tuple, Tuple[object, Dict]] = {}
+        #: id(region) -> (region, content fingerprint); the region
+        #: reference pins the id for the group.
+        self._fingerprints: Dict[int, Tuple[Region, str]] = {}
+        #: (id(region), latency fp, sc, heuristic) -> priority order as
+        #: a tuple of op indices.
+        self._orders: Dict[Tuple, Tuple[int, ...]] = {}
+        #: (id(region), machine fp, sc, order) -> finished schedule.
+        self._schedules: Dict[Tuple, _Level2Entry] = {}
         #: (fingerprint function, id(machine)) -> (machine, fingerprint);
         #: the strong reference pins the id, so reuse cannot alias a
         #: collected model.
@@ -208,8 +244,9 @@ class RegionMemo:
     def begin_group(self) -> None:
         """Reset tier-1 sharing (call when a new formation begins —
         ``id(region)`` keys must not outlive their region objects)."""
-        self._problems.clear()
-        self._ddgs.clear()
+        for table in (self._problems, self._ddgs, self._fingerprints,
+                      self._orders, self._schedules):
+            table.clear()
 
     def attach_store(self, store) -> None:
         """Back tier 2 with an artifact store (``None`` detaches)."""
@@ -269,8 +306,10 @@ class RegionMemo:
         """Schedule ``region`` through the memo.
 
         Returns a full :class:`~repro.schedule.schedule.RegionSchedule`
-        on a miss (or bypass) and a :class:`RegionSummary` on a hit;
-        both expose the accumulation attributes the engine reads.
+        when the pipeline ran (a miss or a bypass) and a
+        :class:`RegionSummary` otherwise: on a hit, and on a miss whose
+        schedule the group already holds.  Both expose the accumulation
+        attributes the engine reads.
         """
         check_options(region, options)
         if self._bypass(region, options):
@@ -278,9 +317,8 @@ class RegionMemo:
             return schedule_region(region, machine, options, liveness,
                                    tracer=tracer)
 
-        fingerprint = region_fingerprint(region, liveness)
         key = (
-            fingerprint,
+            self._region_fingerprint(region, liveness),
             self._fingerprint(machine_fingerprint, machine),
             options.heuristic,
             options.dominator_parallelism,
@@ -311,53 +349,34 @@ class RegionMemo:
 
         if entry is not None:
             self.hits += 1
-            if outer is not NULL_METRICS:
-                outer.merge_snapshot(entry.snapshot)
-            # Weighted time is recomputed from the *live* exit weights in
-            # exit order — the fingerprint's %g quantization never leaks
-            # into the estimate, and the float accumulation matches
-            # RegionSchedule.weighted_time exactly.
-            weighted_time = sum(
-                exit.weight * cycle
-                for exit, cycle in zip(region.exits(), entry.exit_cycles)
-            )
-            return RegionSummary(
-                weighted_time=weighted_time,
-                length=entry.length,
-                copy_count=entry.copy_count,
-                merged_count=entry.merged_count,
-                speculated_count=entry.speculated_count,
-            )
-
-        self.misses += 1
-        inner = MetricsRegistry()
-        with metrics_scope(inner):
-            if options.dominator_parallelism:
-                # The dp merge step rewrites consumer operands in place,
-                # so the prepared problem is single-use: run the full
-                # reference pipeline fresh (tier 2 still caches it).
-                schedule = schedule_region(region, machine, options,
-                                           liveness, tracer=tracer)
-            else:
-                schedule = self._tier1(region, machine, options, liveness,
-                                       tracer)
-        snapshot = inner.deterministic_snapshot()
+            schedule = None
+        else:
+            self.misses += 1
+            entry, schedule = self._miss(region, machine, key[1], options,
+                                         liveness, tracer)
+            self._remember(key, entry)
+            if self.store is not None:
+                self.store.put_payload(self._store_key(key), entry.payload(),
+                                       defer_index=True)
         if outer is not NULL_METRICS:
-            outer.merge_snapshot(snapshot)
-
-        entry = _Level2Entry(
-            exit_cycles=tuple(record.cycle for record in schedule.exits),
-            length=schedule.length,
-            copy_count=len(schedule.copies),
-            merged_count=len(schedule.merged),
-            speculated_count=schedule.speculated_count,
-            snapshot=snapshot,
+            outer.merge_snapshot(entry.snapshot)
+        if schedule is not None:
+            return schedule
+        # Weighted time is recomputed from the *live* exit weights in
+        # exit order — the fingerprint's %g quantization never leaks
+        # into the estimate, and the float accumulation matches
+        # RegionSchedule.weighted_time exactly.
+        weighted_time = sum(
+            exit.weight * cycle
+            for exit, cycle in zip(region.exits(), entry.exit_cycles)
         )
-        self._remember(key, entry)
-        if self.store is not None:
-            self.store.put_payload(self._store_key(key), entry.payload(),
-                                   defer_index=True)
-        return schedule
+        return RegionSummary(
+            weighted_time=weighted_time,
+            length=entry.length,
+            copy_count=entry.copy_count,
+            merged_count=entry.merged_count,
+            speculated_count=entry.speculated_count,
+        )
 
     @staticmethod
     def _store_key(key: Tuple) -> str:
@@ -370,26 +389,33 @@ class RegionMemo:
 
     # ------------------------------------------------------------------
 
+    def _region_fingerprint(self, region: Region,
+                            liveness: LivenessInfo) -> str:
+        """The region's content fingerprint, computed once per group."""
+        cached = self._fingerprints.get(id(region))
+        if cached is None:
+            cached = self._fingerprints[id(region)] = (
+                region, region_fingerprint(region, liveness))
+        return cached[1]
+
     @staticmethod
-    def _shared(table: Dict, key: Tuple, build):
+    def _shared(table: Dict, key: Tuple, build) -> Tuple[object, Dict]:
         """Tier-1 lookup: ``build()`` runs once per key, under a private
-        registry whose counter snapshot is replayed on every use."""
+        registry; returns its value and that registry's counter
+        snapshot, which every use replays."""
         entry = table.get(key)
         if entry is None:
             registry = MetricsRegistry()
             with metrics_scope(registry):
                 value = build()
             entry = table[key] = (value, registry.deterministic_snapshot())
-        active = current_metrics()
-        if active is not NULL_METRICS:
-            active.merge_snapshot(entry[1])
-        return entry[0]
+        return entry
 
-    def _tier1(self, region, machine, options, liveness, tracer):
-        """The scheduler's stages with tier-1 sharing in front of the
-        first two."""
-        sc = options.schedule_copies
-        problem, copies = self._shared(
+    def _prepared(self, region, machine, liveness, sc, ddg_key, tracer):
+        """Stages 1 and 2 through the tier-1 tables: the problem, its
+        copies, the DDG, every heuristic's priority keys, and the two
+        builds' counter snapshots."""
+        (problem, copies), prep_counts = self._shared(
             self._problems, (id(region), machine.use_btr, sc),
             lambda: prepare(region, machine, liveness, sc, tracer))
         # The problem may hold the placement of an earlier schedule.
@@ -400,16 +426,72 @@ class RegionMemo:
             with tracer.span("priorities"):
                 return ddg, all_priority_keys(problem, ddg)
 
+        (ddg, keys), ddg_counts = self._shared(self._ddgs, ddg_key,
+                                               build_ddg_and_keys)
+        return problem, copies, ddg, keys, (prep_counts, ddg_counts)
+
+    def _miss(self, region, machine, machine_key, options, liveness,
+              tracer):
+        """Run the scheduler's stages for one tier-2 miss, with tier-1
+        sharing in front of them.
+
+        Returns ``(entry, schedule)``.  ``schedule`` is None when the
+        group already scheduled this region for this machine in the
+        same priority order: the list scheduler reads nothing else, so
+        ``entry`` is that schedule's, and its counter snapshot is
+        exactly what a rerun would record.
+        """
+        if options.dominator_parallelism:
+            # The dp merge step rewrites consumer operands in place, so
+            # the prepared problem is single-use: run the full reference
+            # pipeline fresh (tier 2 still caches it).
+            inner = MetricsRegistry()
+            with metrics_scope(inner):
+                schedule = schedule_region(region, machine, options,
+                                           liveness, tracer=tracer)
+            return _Level2Entry.of(schedule, inner), schedule
+
+        sc = options.schedule_copies
         # Keyed by latency fingerprint, not full machine fingerprint:
-        # DDG edges and priority keys read the machine only through
-        # latencies, so 4U and 8U share one DDG per region.
-        ddg, keys = self._shared(
-            self._ddgs,
-            (id(region), self._fingerprint(latency_fingerprint, machine),
-             sc),
-            build_ddg_and_keys)
-        return schedule_prepared(problem, ddg, copies, machine, options,
-                                 liveness, keys=keys, tracer=tracer)
+        # DDG edges, priority keys and hence priority orders read the
+        # machine only through latencies, so 4U and 8U share them.
+        ddg_key = (id(region), self._fingerprint(latency_fingerprint,
+                                                 machine), sc)
+        order = None
+        # The exact backend searches from the keys, not one order, and
+        # keys its results separately: it never uses the order and
+        # schedule tables.
+        if options.backend == "heuristic":
+            order_key = ddg_key + (options.heuristic,)
+            order = self._orders.get(order_key)
+            if order is None:
+                problem, _, ddg, keys, _ = self._prepared(
+                    region, machine, liveness, sc, ddg_key, tracer)
+                with tracer.span("priorities"):
+                    order = self._orders[order_key] = tuple(
+                        sop.index for sop in priority_order(
+                            problem, ddg, options.heuristic,
+                            keys=keys[options.heuristic]))
+            schedule_key = (id(region), machine_key, sc, order)
+            entry = self._schedules.get(schedule_key)
+            if entry is not None:
+                return entry, None
+
+        problem, copies, ddg, keys, counts = self._prepared(
+            region, machine, liveness, sc, ddg_key, tracer)
+        inner = MetricsRegistry()
+        for snapshot in counts:
+            inner.merge_snapshot(snapshot)
+        ops = problem.sched_ops
+        with metrics_scope(inner):
+            schedule = schedule_prepared(
+                problem, ddg, copies, machine, options, liveness, keys=keys,
+                order=None if order is None else [ops[i] for i in order],
+                tracer=tracer)
+        entry = _Level2Entry.of(schedule, inner)
+        if order is not None:
+            self._schedules[schedule_key] = entry
+        return entry, schedule
 
 
 # ----------------------------------------------------------------------

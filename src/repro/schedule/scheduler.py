@@ -40,7 +40,7 @@ from repro.schedule.list_scheduler import list_schedule
 from repro.schedule.prep import ScheduleProblem, prepare_region
 from repro.schedule.priorities import GLOBAL_WEIGHT, Heuristic, priority_order
 from repro.schedule.renaming import ExitCopy, rename_region
-from repro.schedule.schedule import RegionSchedule
+from repro.schedule.schedule import RegionSchedule, SchedOp
 
 
 #: The values :attr:`ScheduleOptions.backend` accepts.
@@ -159,6 +159,7 @@ def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
                       copies: List[ExitCopy], machine: MachineModel,
                       options: ScheduleOptions, liveness: LivenessInfo,
                       keys: Optional[Dict[Heuristic, List[Tuple]]] = None,
+                      order: Optional[List[SchedOp]] = None,
                       tracer=NULL_TRACER) -> RegionSchedule:
     """Stage 3: sort by priority and list-schedule (or solve exactly).
 
@@ -167,7 +168,10 @@ def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
     on return it holds the schedule's placement.  ``keys`` is an
     :func:`~repro.schedule.priorities.all_priority_keys` dict for this
     problem when the caller already has one; None computes what is
-    needed here.
+    needed here.  ``order`` is this problem's
+    :func:`~repro.schedule.priorities.priority_order` for
+    ``options.heuristic`` when the caller already sorted it; the list
+    scheduler then skips the sort (the exact backend ignores it).
     """
     if options.backend == "exact":
         from repro.exact.backend import exact_schedule_problem
@@ -177,11 +181,12 @@ def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
                 problem, ddg, keys, machine, options, copies,
             )
     else:
-        with tracer.span("priorities"):
-            order = priority_order(
-                problem, ddg, options.heuristic,
-                keys=keys.get(options.heuristic) if keys else None,
-            )
+        if order is None:
+            with tracer.span("priorities"):
+                order = priority_order(
+                    problem, ddg, options.heuristic,
+                    keys=keys.get(options.heuristic) if keys else None,
+                )
         with tracer.span("list_schedule"):
             schedule = list_schedule(
                 problem,
@@ -273,7 +278,6 @@ def _insert_copy_ops(problem, copies) -> None:
     """
     from repro.ir.operation import Operation
     from repro.ir.types import Opcode
-    from repro.schedule.schedule import SchedOp
 
     for exit, original, renamed in copies:
         exit_sop = problem.exit_op_for(exit)

@@ -7,6 +7,8 @@ for every cell, on both the shared-work serial path and the
 multiprocessing path.
 """
 
+import os
+
 import pytest
 
 from repro.evaluation import evaluate_program
@@ -171,6 +173,8 @@ class TestGridHelpers:
         (pool,) = [s for s in tracer.spans if s.name == "pool"]
         tasks = [s for s in tracer.spans if s.name == "task"]
         assert tasks and all(s.parent == pool.sid for s in tasks)
+        # Each task sits on the Chrome-trace track of the worker that ran it.
+        assert all(s.track not in (None, os.getpid()) for s in tasks)
         # Grafted worker spans count every stage the serial path runs.
         assert _stage_counts(times) == _stage_counts(_traced_grid(jobs=1)[1])
         assert _stage_counts(times) == {stage: 100 for stage in STAGES}

@@ -176,6 +176,23 @@ class TestTracer:
             "task": {"seconds": 4.0, "count": 2},
         }
 
+    def test_grafted_workers_export_on_their_own_tracks(self):
+        parent = Tracer(clock=FakeClock())
+        with parent.span("pool"):
+            for track in (4101, 4102):
+                worker = Tracer(clock=FakeClock(101.0))
+                with worker.span("task"):      # both at 101 .. 104
+                    with worker.span("ddg"):
+                        pass
+                parent.graft(worker.spans, track=track)
+        events = parent.to_chrome()["traceEvents"]
+        tids = {(e["name"], e["tid"]) for e in events if e["ph"] == "X"}
+        assert tids == {("pool", 0), ("task", 4101), ("ddg", 4101),
+                        ("task", 4102), ("ddg", 4102)}
+        names = {e["tid"]: e["args"]["name"] for e in events
+                 if e["name"] == "thread_name"}
+        assert names == {4101: "worker 4101", 4102: "worker 4102"}
+
     def test_format_summary_mentions_spans(self):
         tracer = Tracer(clock=FakeClock())
         with tracer.span("alpha"):

@@ -12,15 +12,19 @@ import tempfile
 import pytest
 
 from repro.core import form_treegions
-from repro.evaluation.engine import GridCell, evaluate_grid
+from repro.evaluation.engine import GridCell, build_scheme, evaluate_grid
 from repro.ir.analysis_cache import liveness_of
 from repro.machine import VLIW_4U, VLIW_8U
 from repro.obs.metrics import MetricsRegistry, metrics_scope
 from repro.schedule import ScheduleOptions, schedule_region
+from repro.schedule import memo as memo_module
+from repro.schedule import scheduler
 from repro.schedule.memo import RegionMemo, RegionSummary, global_memo
-from repro.schedule.priorities import HEURISTICS
+from repro.schedule.priorities import HEURISTICS, priority_order
+from repro.schedule.scheduler import dependences, prepare
 from repro.serve.store import ArtifactStore
 from repro.workloads.paper_example import build_paper_example
+from repro.workloads.specint import build_benchmark
 
 from tests.helpers import diamond_function
 
@@ -124,9 +128,124 @@ class TestTierOneSharing:
         regions, liveness = _regions(fn)
         memo = RegionMemo()
         memo.schedule(regions[0], VLIW_4U, ScheduleOptions(), liveness)
+        tables = (memo._problems, memo._ddgs, memo._fingerprints,
+                  memo._orders, memo._schedules)
+        assert all(tables)
         memo.begin_group()
-        assert not memo._problems and not memo._ddgs
+        assert not any(tables)
         assert memo.stats()["entries"] > 0  # tier 2 is content-addressed
+
+
+def _distinct_orders(region, machine, liveness):
+    """The set of priority orders the four heuristics give ``region``."""
+    problem, copies = prepare(region, machine, liveness)
+    ddg = dependences(problem, machine, liveness, copies)
+    return {tuple(sop.index for sop in priority_order(problem, ddg, h))
+            for h in HEURISTICS}
+
+
+def _list_schedule_spy(monkeypatch):
+    calls = []
+    original = scheduler.list_schedule
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(scheduler, "list_schedule", spy)
+    return calls
+
+
+class TestScheduleSharing:
+    """One list schedule per distinct (region, machine, order) a group
+    probes; reusing it is invisible in results, counters and stats."""
+
+    PROBES = [(machine, heuristic) for machine in (VLIW_4U, VLIW_8U)
+              for heuristic in HEURISTICS]
+
+    def test_coinciding_orders_list_schedule_once(self, monkeypatch):
+        regions, liveness = _regions(build_paper_example().entry_function)
+        distinct = sum(len(_distinct_orders(region, machine, liveness))
+                       for region in regions
+                       for machine in (VLIW_4U, VLIW_8U))
+        probes = len(regions) * len(self.PROBES)
+        assert distinct < probes  # some heuristics coincide
+
+        def sweep(schedule_one):
+            registry = MetricsRegistry()
+            with metrics_scope(registry):
+                summaries = [
+                    _summary(schedule_one(
+                        region, machine, ScheduleOptions(heuristic=h),
+                        liveness))
+                    for machine, h in self.PROBES for region in regions
+                ]
+            return summaries, registry.deterministic_snapshot()
+
+        direct = sweep(schedule_region)
+        memo = RegionMemo()
+        calls = _list_schedule_spy(monkeypatch)
+        assert sweep(memo.schedule) == direct
+        assert len(calls) == distinct
+        # A reused schedule is still a miss: every probe of the sweep
+        # is a distinct tier-2 key.
+        assert memo.stats()["misses"] == probes
+        assert memo.stats()["hits"] == memo.stats()["store_hits"] == 0
+        assert memo.stats()["entries"] == probes
+
+    def test_grid_matches_memo_off(self):
+        cells = [GridCell("li", scheme, machine, heuristic)
+                 for scheme in ("bb", "treegion-td:2.0")
+                 for machine in ("4U", "8U")
+                 for heuristic in HEURISTICS]
+
+        def run(region_memo):
+            metrics = MetricsRegistry()
+            results = evaluate_grid(cells, jobs=1, metrics=metrics,
+                                    region_memo=region_memo)
+            return ([(r.time, r.code_expansion, r.schedule_lengths,
+                      r.total_copies, r.total_merged, r.total_speculated)
+                     for r in results], metrics.deterministic_snapshot())
+
+        assert run(RegionMemo()) == run(False)
+
+    def test_fingerprint_once_per_region_per_group(self, monkeypatch):
+        cells = [GridCell("compress", scheme, machine, heuristic)
+                 for scheme in ("bb", "treegion")
+                 for machine in ("4U", "8U")
+                 for heuristic in HEURISTICS]
+        calls = []
+        original = memo_module.region_fingerprint
+        monkeypatch.setattr(
+            memo_module, "region_fingerprint",
+            lambda *args: calls.append(args) or original(*args))
+        evaluate_grid(cells, jobs=1, region_memo=RegionMemo())
+        cfgs = [fn.cfg for fn in build_benchmark("compress").functions()]
+        formed = sum(len(build_scheme(spec).form(cfg))
+                     for spec in ("bb", "treegion") for cfg in cfgs)
+        assert len(calls) == formed
+
+    @pytest.mark.parametrize("options", [
+        ScheduleOptions(heuristic="dep_height", dominator_parallelism=True),
+        ScheduleOptions(heuristic="dep_height", backend="exact"),
+    ], ids=["dominator_parallelism", "exact"])
+    def test_dp_and_exact_never_reuse(self, options, monkeypatch):
+        regions, liveness = _regions(build_paper_example().entry_function)
+        memo = RegionMemo()
+        for region in regions:
+            memo.schedule(region, VLIW_4U,
+                          ScheduleOptions(heuristic="dep_height"), liveness)
+        shared = dict(memo._schedules)
+        runs = []
+        for name in ("schedule_region", "schedule_prepared"):
+            original = getattr(memo_module, name)
+            monkeypatch.setattr(
+                memo_module, name,
+                lambda *a, _f=original, **k: runs.append(a) or _f(*a, **k))
+        for region in regions:
+            schedule = memo.schedule(region, VLIW_4U, options, liveness)
+            assert not isinstance(schedule, RegionSummary)
+        assert len(runs) == len(regions)
+        assert memo._schedules == shared
 
 
 class TestStorePersistence:
