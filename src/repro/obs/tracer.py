@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -91,7 +92,10 @@ class _SpanHandle:
 
 
 class Tracer:
-    """Collects nested spans and instant events for one run."""
+    """Collects nested spans and instant events for one run.
+
+    Spans nest per thread; it is safe to record from several threads.
+    """
 
     def __init__(self, clock: Callable[[], float] = perf_counter):
         self._clock = clock
@@ -99,7 +103,21 @@ class Tracer:
         self.spans: List[Span] = []
         #: Instant events: (timestamp, parent span id or None, name, args).
         self.events: List[tuple] = []
-        self._stack: List[Span] = []
+        # Spans nest per thread: the fleet's shard dispatchers record
+        # ``serve.batch`` spans at the same time, and one shared stack
+        # would nest one shard's batch under another's.  The lock keeps
+        # span ids dense and in open order across threads.
+        self._local = threading.local()
+        self._lock = threading.Lock()
+
+    @property
+    def _stack(self) -> List[Span]:
+        """The calling thread's open spans, innermost last."""
+        try:
+            return self._local.stack
+        except AttributeError:
+            stack = self._local.stack = []
+            return stack
 
     # ------------------------------------------------------------------
 
@@ -109,30 +127,34 @@ class Tracer:
 
     def event(self, name: str, **args) -> None:
         """Record an instant (zero-duration) event at the current depth."""
-        parent = self._stack[-1].sid if self._stack else None
+        stack = self._stack
+        parent = stack[-1].sid if stack else None
         self.events.append((self._clock(), parent, name, args))
 
     def _open(self, name: str, args: Dict[str, object]) -> Span:
-        parent = self._stack[-1] if self._stack else None
-        span = Span(
-            sid=len(self.spans),
-            parent=parent.sid if parent is not None else None,
-            name=name,
-            depth=len(self._stack),
-            start=self._clock(),
-            args=args,
-        )
-        self.spans.append(span)
-        self._stack.append(span)
+        stack = self._stack
+        parent = stack[-1] if stack else None
+        with self._lock:
+            span = Span(
+                sid=len(self.spans),
+                parent=parent.sid if parent is not None else None,
+                name=name,
+                depth=len(stack),
+                start=self._clock(),
+                args=args,
+            )
+            self.spans.append(span)
+        stack.append(span)
         return span
 
     def _close(self, span: Span) -> None:
         span.end = self._clock()
         # Exceptions can leave deeper spans open; unwind to this span.
-        while self._stack and self._stack[-1] is not span:
-            self._stack.pop()
-        if self._stack:
-            self._stack.pop()
+        stack = self._stack
+        while stack and stack[-1] is not span:
+            stack.pop()
+        if stack:
+            stack.pop()
 
     # ------------------------------------------------------------------
 
@@ -223,16 +245,19 @@ class Tracer:
         ``track`` names the worker that recorded them (the engine passes
         its process id): :meth:`to_chrome` draws each worker on its own
         row, so concurrent workers' spans do not overlap on one."""
-        parent = self._stack[-1] if self._stack else None
+        stack = self._stack
+        parent = stack[-1] if stack else None
         root = parent.sid if parent is not None else None
         depth = parent.depth + 1 if parent is not None else 0
-        base = len(self.spans)
-        for span in spans:
-            span.parent = root if span.parent is None else span.parent + base
-            span.sid += base
-            span.depth += depth
-            span.track = track
-        self.spans.extend(spans)
+        with self._lock:
+            base = len(self.spans)
+            for span in spans:
+                span.parent = root if span.parent is None \
+                    else span.parent + base
+                span.sid += base
+                span.depth += depth
+                span.track = track
+            self.spans.extend(spans)
 
     def self_times(self) -> Dict[str, Dict[str, float]]:
         """Per span name: ``{"seconds": self time, "count": spans}``,

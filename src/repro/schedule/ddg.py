@@ -44,7 +44,7 @@ rules; the scheduling hot path never allocates a single per-edge tuple.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from repro.ir.cfg import BasicBlock
 from repro.ir.liveness import LivenessInfo
@@ -110,6 +110,10 @@ class DDG:
         self.csucc_ptr: List[int] = []
         self.csucc_dst: List[int] = []
         self.in_degree: List[int] = []
+        #: Per-op resource classes for the list scheduler's slot caps
+        #: (memory ops, branches), indexed like ``sched_ops``.
+        self.is_memory: List[bool] = []
+        self.is_branch: List[bool] = []
         #: producers[i][reg] = index of the SchedOp whose def of ``reg``
         #: op ``i`` reads (register flow only); used by dominator
         #: parallelism to prove two duplicates read identical values.
@@ -159,20 +163,26 @@ class DDG:
     # CSR finalization
 
     def finalize(self) -> None:
-        """Build the CSR arrays from the flat edge stream (idempotent).
+        """Build the CSR arrays from the flat edge stream, and the per-op
+        resource flags (idempotent).
 
         Per-node edge order in CSR equals global insertion order
         restricted to the node — bit-identical to what the old per-node
         append lists held, so the scheduler sees edges in the same order
-        as before the flat rewrite.
+        as before the flat rewrite.  The flags are built here, once per
+        graph, because every list schedule over the graph (each machine
+        and priority order of a group) reads them.
         """
-        n = len(self.problem.sched_ops)
+        sched_ops = self.problem.sched_ops
+        n = len(sched_ops)
         if not self._dirty and n == self._n:
             return
         if len(self.heights) < n:
             # Ops were appended after construction (copy insertion).
             self.heights.extend([0] * (n - len(self.heights)))
         self._n = n
+        self.is_memory = [sop.op.is_memory for sop in sched_ops]
+        self.is_branch = [sop.op.is_branch for sop in sched_ops]
 
         src_list, dst_list, lat_list = \
             self._edge_src, self._edge_dst, self._edge_lat
@@ -350,24 +360,40 @@ def _live_at_exit(
     exit: RegionExit,
     liveness: Optional[LivenessInfo],
     copies: Optional[List[ExitCopy]],
+    registers: Optional[AbstractSet[Register]] = None,
 ) -> Tuple[Register, ...]:
     """Registers (post-renaming names) whose values the exit must carry,
-    in sorted order (the DDG's deterministic edge-insertion order)."""
+    in sorted order (the DDG's deterministic edge-insertion order).
+
+    ``registers`` restricts the answer to those registers (the DDG
+    builders pass the registers the problem's ops define: only those
+    have producers in the region), in the same relative order as the
+    unrestricted tuple; the repair substitution applies first.  None
+    returns the whole live set, as the schedule certifier asks.
+    """
     if exit.edge is None or liveness is None:
         return ()
     repairs = [(original, renamed) for copy_exit, original, renamed
                in copies or [] if copy_exit is exit]
-    if not repairs:
-        # No renaming at this exit: reuse the liveness info's cached
-        # sorted tuple (shared across regions and schemes via the
-        # analysis cache) instead of re-sorting the same set.
-        return liveness.live_into_edge_sorted(exit.edge)
+    if not repairs and registers is not None:
+        return liveness.live_into_edge_within(exit.edge, registers)
     live = set(liveness.live_into_edge(exit.edge))
     for original, renamed in repairs:
         if original in live:
             live.discard(original)
             live.add(renamed)
+    if registers is not None:
+        live &= registers
     return tuple(sorted(live, key=register_key))
+
+
+def defined_registers(problem: ScheduleProblem) -> Set[Register]:
+    """Every register some op of the problem defines: the only ones an
+    exit edge can wait on."""
+    defined: Set[Register] = set()
+    for sop in problem.sched_ops:
+        defined.update(sop.op.dests)
+    return defined
 
 
 def build_ddg(
@@ -386,8 +412,10 @@ def build_ddg(
     region = problem.region
     live_cache: Dict[int, Tuple[Register, ...]] = {}
     if liveness is not None:
+        defined = defined_registers(problem)
         for exit in problem.exits:
-            live_cache[id(exit)] = _live_at_exit(exit, liveness, copies)
+            live_cache[id(exit)] = _live_at_exit(exit, liveness, copies,
+                                                 defined)
 
     stack: List[Tuple[BasicBlock, _PathState]] = [(region.root, _PathState())]
     while stack:

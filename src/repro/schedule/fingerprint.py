@@ -49,6 +49,7 @@ from typing import Dict, List, Optional
 
 from repro.ir.liveness import LivenessInfo
 from repro.ir.registers import Register
+from repro.ir.types import RegClass
 from repro.machine.model import MachineModel
 from repro.regions.region import Region
 
@@ -106,12 +107,15 @@ def latency_fingerprint(machine: MachineModel) -> str:
 class _Canonicalizer:
     """First-appearance renumbering maps for one region serialization."""
 
-    __slots__ = ("regs", "labels", "origins", "block_pos", "parts")
+    __slots__ = ("regs", "class_counts", "labels", "origins", "block_pos",
+                 "parts")
 
     def __init__(self, region: Region):
         #: Register -> dense per-class id ("r0", "p1", ...), assigned in
         #: op-stream appearance order.
         self.regs: Dict[Register, str] = {}
+        #: Per register class: how many ids ``regs`` has handed out.
+        self.class_counts: Dict[RegClass, int] = {}
         #: External branch-target bid -> dense id ("x0", ...).
         self.labels: Dict[int, str] = {}
         #: Tail-duplication origin uid -> dense id ("o0", ...).
@@ -127,9 +131,10 @@ class _Canonicalizer:
     def reg(self, register: Register) -> str:
         name = self.regs.get(register)
         if name is None:
-            prefix = register.rclass.value
-            count = sum(1 for r in self.regs if r.rclass is register.rclass)
-            name = f"{prefix}{count}"
+            rclass = register.rclass
+            count = self.class_counts.get(rclass, 0)
+            self.class_counts[rclass] = count + 1
+            name = f"{rclass.value}{count}"
             self.regs[register] = name
         return name
 
@@ -233,9 +238,8 @@ def region_fingerprint(region: Region,
                     live = "?"
                 else:
                     live = ",".join(
-                        canon.reg(register)
-                        for register in liveness.live_into_edge_sorted(edge)
-                        if register in appearing
+                        canon.reg(register) for register
+                        in liveness.live_into_edge_within(edge, appearing)
                     )
                 parts.append(f"L:{live}")
 

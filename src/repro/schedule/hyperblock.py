@@ -23,7 +23,7 @@ placement-order list scheduler.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.ir.cfg import BasicBlock, Edge
 from repro.ir.liveness import LivenessInfo, compute_liveness
@@ -32,7 +32,7 @@ from repro.ir.registers import Register
 from repro.ir.types import Opcode
 from repro.machine.model import MachineModel
 from repro.regions.hyperblock import Hyperblock
-from repro.schedule.ddg import DDG, _live_at_exit
+from repro.schedule.ddg import DDG, _live_at_exit, defined_registers
 from repro.schedule.list_scheduler import list_schedule
 from repro.schedule.prep import ScheduleProblem, _Prep
 from repro.schedule.priorities import Heuristic, priority_order
@@ -147,10 +147,12 @@ def build_hyperblock_ddg(
     ddg = DDG(problem)
     ops = problem.sched_ops
 
-    live_cache: Dict[int, FrozenSet[Register]] = {}
+    live_cache: Dict[int, Tuple[Register, ...]] = {}
     if liveness is not None:
+        defined = defined_registers(problem)
         for exit in problem.exits:
-            live_cache[id(exit)] = _live_at_exit(exit, liveness, None)
+            live_cache[id(exit)] = _live_at_exit(exit, liveness, None,
+                                                 defined)
 
     out_states: Dict[int, _DagState] = {}
     for block in region.topological_order():
@@ -213,7 +215,7 @@ def _add_dag_edges(ddg: DDG, machine: MachineModel, sop, state: _DagState,
                 for producer in defs:
                     ddg.add_edge(producer, i, 0)
         else:
-            for reg in sorted(live_cache[id(sop.exit)]):
+            for reg in live_cache[id(sop.exit)]:  # pre-sorted
                 for producer in state.defs.get(reg, ()):
                     ddg.add_edge(producer, i, 0)
 

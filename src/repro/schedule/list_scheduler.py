@@ -18,12 +18,15 @@ increase either — so the heap nearly always pops ops in exact priority
 order; the heap exists to stay correct when floating-point profile weights
 break monotonicity by an ulp.
 
-The inner loop runs on the DDG's CSR arrays (see
-:meth:`repro.schedule.ddg.DDG.finalize`): predecessor edges of the popped
-op are the slice ``pred_ptr[i]:pred_ptr[i+1]`` of two parallel int lists,
-placement cycles live in a local ``cycle_of`` int array (merged ops record
-their survivor's cycle, so no ``effective_cycle`` chain is ever chased),
-and the per-cycle resource table is three parallel int lists indexed by
+The inner loop runs on arrays the DDG builds once in
+:meth:`repro.schedule.ddg.DDG.finalize` and every list schedule over it
+(each machine and priority order of a group) shares: the CSR edge arrays
+(predecessor edges of the popped op are the slice
+``pred_ptr[i]:pred_ptr[i+1]`` of two parallel int lists) and the per-op
+``is_memory``/``is_branch`` flags that the slot caps test.  Placement
+cycles live in a local ``cycle_of`` int array (merged ops record their
+survivor's cycle, so no ``effective_cycle`` chain is ever chased), and
+the per-cycle resource table is three parallel int lists indexed by
 ``cycle - 1``.  No per-edge or per-op objects are touched until an op is
 actually placed.
 
@@ -36,7 +39,9 @@ merged into an already-placed sibling (same tail-duplication ``origin``)
 whenever both clones still compute the same values — same opcode and
 operands *and* the same DDG producers for every register source (per-path
 renaming makes operand equality meaningful).  The merged op consumes no
-slot; its consumers are rewired to read the survivor's destinations.
+slot; its consumers are rewired to read the survivor's destinations.  The
+merge candidates (placed, unguarded, speculable duplicates, by ``origin``)
+are collected only when dominator parallelism is on.
 """
 
 from __future__ import annotations
@@ -85,8 +90,7 @@ def list_schedule(
     #: merged (0 = not yet placed).  Merge survivors are always already
     #: placed, so a merged op's entry is final the moment it is written.
     cycle_of = [0] * n
-    is_mem = [sop.op.is_memory for sop in sched_ops]
-    is_br = [sop.op.is_branch for sop in sched_ops]
+    is_mem, is_br = ddg.is_memory, ddg.is_branch
 
     issue_width = machine.issue_width
     max_mem = machine.max_memory_per_cycle
@@ -140,8 +144,8 @@ def list_schedule(
                 branches[slot] += 1
             schedule.place(sop, cycle)
             cycle_of[index] = cycle
-            if (sop.source is not None and sop.op.guard is None
-                    and sop.op.can_speculate):
+            if (dominator_parallelism and sop.source is not None
+                    and sop.op.guard is None and sop.op.can_speculate):
                 merge_table.setdefault(sop.source.origin, []).append(sop)
 
         placed += 1

@@ -121,11 +121,12 @@ def priority_order(
     """
     if keys is None:
         keys = priority_keys(problem, ddg, heuristic)
-    return sorted(
-        problem.sched_ops,
-        key=lambda sop: tuple(-component for component in keys[sop.index])
-        + (sop.index,),
-    )
+    # Op indices by descending key.  The sort is stable under
+    # ``reverse``, so ties keep ascending index: the same order as an
+    # ascending sort on ``(-key..., index)``, without a tuple per op.
+    sched_ops = problem.sched_ops
+    return [sched_ops[i] for i in sorted(range(len(keys)),
+                                         key=keys.__getitem__, reverse=True)]
 
 
 def priority_ranks(

@@ -109,6 +109,8 @@ def rename_region(problem: ScheduleProblem, liveness: LivenessInfo) -> List[Exit
     exits_by_block: Dict[int, List[RegionExit]] = {}
     for exit in problem.exits:
         exits_by_block.setdefault(exit.source.bid, []).append(exit)
+    # Only a register the region defines can carry a rename into an exit.
+    defined = set(analysis.def_blocks)
 
     # DFS with a scoped rename map (original name -> current name).
     stack: List[Tuple[BasicBlock, Dict[Register, Register]]] = [
@@ -148,7 +150,7 @@ def rename_region(problem: ScheduleProblem, liveness: LivenessInfo) -> List[Exit
         for exit in exits_by_block.get(block.bid, []):
             if exit.edge is None:
                 continue  # RET srcs were rewritten in place
-            for reg in liveness.live_into_edge_sorted(exit.edge):
+            for reg in liveness.live_into_edge_within(exit.edge, defined):
                 current = renames.get(reg)
                 if current is not None and current != reg:
                     copies.append((exit, reg, current))

@@ -135,7 +135,6 @@ class WorkerPool:
         self._worker = worker if worker is not None else _service_worker
         self._queue: "queue.Queue[JobHandle]" = queue.Queue(
             maxsize=max_pending)
-        self._obs_lock = threading.Lock()
         self._running = 0
         self._closed = False
         self._drain = True
@@ -214,21 +213,17 @@ class WorkerPool:
                 [],
             ).append(handle)
         self._running = len(batch)
-        with self._obs_lock:
-            span = self.tracer.span("serve.batch", jobs=len(batch),
-                                    groups=len(groups))
-            span.__enter__()
         try:
-            for (bench, scheme, text), handles in groups.items():
-                if self._stop.is_set() and not self._drain:
-                    for handle in handles:
-                        self._cancel(handle)
-                else:
-                    self._dispatch_group(bench, scheme, text, handles)
+            with self.tracer.span("serve.batch", jobs=len(batch),
+                                  groups=len(groups)):
+                for (bench, scheme, text), handles in groups.items():
+                    if self._stop.is_set() and not self._drain:
+                        for handle in handles:
+                            self._cancel(handle)
+                    else:
+                        self._dispatch_group(bench, scheme, text, handles)
         finally:
             self._running = 0
-            with self._obs_lock:
-                span.__exit__(None, None, None)
 
     def _dispatch_group(self, bench: str, scheme: str,
                         text: Optional[str],

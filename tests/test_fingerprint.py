@@ -6,6 +6,7 @@ numbering, block ids, op uids) and sensitive to everything it can
 (opcodes, immediates, weights, exit structure, live-out sets).
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from repro.schedule.fingerprint import (
     region_fingerprint,
 )
 from repro.workloads.paper_example import build_paper_example
+from repro.workloads.specint import build_benchmark
 
 
 def _diamond(offset=0, imm=2, use_sub=False, then_weight=None,
@@ -131,6 +133,52 @@ class TestCanonicalization:
         region = partition.region_of(fn.cfg.entry)
         without = region_fingerprint(region, None)
         assert with_liveness != without
+
+
+class TestGoldenDigests:
+    """Fingerprints pinned to their hex digests.
+
+    The digests key every on-disk region store, so a change to the
+    canonical form, however harmless to scheduling, orphans every stored
+    artifact.  Such a change must bump ``FINGERPRINT_FORMAT`` and update
+    these digests in the same commit; anything else that moves them is a
+    bug.
+    """
+
+    PAPER_EXAMPLE = (
+        "9de3991d670eb19c04d11006fed8c85fecbc27905807081f866ab7609c1fa759",
+        "1aec25df52943d9a6bda2d80e5ecdb17890c597e7a5899a3c27bfa812e7e546c",
+        "20ef887a9f4eff6ed7416d3cbbfd32339a30bff5145c391ce6f18f60c9b3efee",
+    )
+    DIAMOND = (
+        "88be5a9388b68048c492aedd92662532973fb1af9f66517b6e0e1131f21b0616")
+    DIAMOND_NO_LIVENESS = (
+        "4a53dfa75f5221466cddd982dd4fb36f7e9dd0040bc8ca0095ed46eaba7e5850")
+    #: SHA-256 over the concatenated digests of compress's treegions.
+    COMPRESS_TREEGIONS = (
+        "668ea36cff3079eac1a62beb155b3d8b6bbf00866bb6f935decb21aac3e555cf")
+
+    def test_paper_example_treegions(self):
+        fn = build_paper_example().entry_function
+        liveness = liveness_of(fn.cfg)
+        assert tuple(region_fingerprint(r, liveness)
+                     for r in form_treegions(fn.cfg)) == self.PAPER_EXAMPLE
+
+    def test_diamond_with_liveness(self):
+        assert _root_fingerprint(_diamond()) == self.DIAMOND
+
+    def test_diamond_without_liveness(self):
+        fn = _diamond()
+        region = form_treegions(fn.cfg).region_of(fn.cfg.entry)
+        assert region_fingerprint(region, None) == self.DIAMOND_NO_LIVENESS
+
+    def test_compress_treegions(self):
+        digest = hashlib.sha256()
+        for fn in build_benchmark("compress").functions():
+            liveness = liveness_of(fn.cfg)
+            for region in form_treegions(fn.cfg):
+                digest.update(region_fingerprint(region, liveness).encode())
+        assert digest.hexdigest() == self.COMPRESS_TREEGIONS
 
 
 class TestCrossProcessStability:

@@ -27,8 +27,10 @@ from repro.evaluation.engine import (
     evaluate_grid,
 )
 from repro.ir.parser import parse_program
+from repro.schedule.priorities import HEURISTICS
 from repro.ir.printer import format_program
 from repro.obs import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.serve import (
     ArtifactStore,
     JobFailedError,
@@ -325,6 +327,40 @@ class TestShutdown:
         fleet.close(drain=True, timeout=120.0)
         direct = evaluate_grid(cells)
         assert [handle.result(0.0) for handle in handles] == direct
+
+
+class TestTracing:
+    def test_concurrent_shard_batches_do_not_nest(self, tmp_path):
+        """Two shards' dispatchers record ``serve.batch`` on one tracer
+        at the same time; each span nests on its own thread's stack."""
+        gate = str(tmp_path / "gate")
+        cells = _grid(heuristics=HEURISTICS)
+        metrics = MetricsRegistry()
+        tracer = Tracer()
+        fleet = CompileFleet(
+            shards=2, jobs=1, batch_size=1, metrics=metrics, tracer=tracer,
+            sleep=_NO_SLEEP, worker=functools.partial(_gated_worker, gate),
+        )
+        try:
+            handles = [fleet.submit(JobRequest(cell=cell)) for cell in cells]
+            assert {fleet.router.shard_for(h.key) for h in handles} == {0, 1}
+            # Both dispatchers are now blocked inside a batch.
+            _wait_for_dispatch(metrics, count=2)
+            assert metrics.counters.get("serve.dispatches") == 2
+            with open(gate, "w") as handle:
+                handle.write("go\n")
+            for cell, handle in zip(cells, handles):
+                assert handle.result(60.0) == evaluate_cell(cell)
+        finally:
+            fleet.close()
+        batches = [span for span in tracer.spans
+                   if span.name == "serve.batch"]
+        assert len(batches) == len(cells)
+        batch_ids = {span.sid for span in batches}
+        for span in batches:
+            assert span.end is not None
+            assert span.parent not in batch_ids
+            assert span.depth == 0
 
 
 class TestWire:
