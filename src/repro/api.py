@@ -410,7 +410,10 @@ def validate(
 
     ``seeds`` is a count (seeds ``start .. start+seeds-1``) or an
     explicit sequence.  ``grid`` is a list of cells or a spec string
-    like ``"schemes=bb,treegion;machines=4U"``.  Returns a
+    like ``"schemes=bb,treegion;machines=4U"``.  ``engine_every``
+    samples the oracle's route table: every seed divisible by it runs
+    every route row and the soundness certifications (default every
+    10th; ``0`` runs none).  Returns a
     :class:`~repro.validate.runner.ValidationSummary`.
     """
     from repro.validate.runner import (

@@ -1,16 +1,18 @@
 """Differential validation: generate → cross-check → shrink.
 
-The library has four independent executions of the same program — the
-sequential interpreter, the VLIW simulator, the static schedule
-estimate, and the evaluation engine's serial/parallel paths — and the
-paper's claims rest on them agreeing.  This package stress-tests that
-agreement with seeded random programs:
+The paper's claims rest on independent executions of the same program
+agreeing — the sequential interpreter, the VLIW simulator and the
+static schedule estimate — and the repo promises the same results on
+every evaluation route (per-cell, serial, parallel, artifact store,
+region memo).  This package stress-tests both with seeded random
+programs:
 
 * :mod:`repro.validate.generator` — deterministic random well-formed IR
   and mini-C programs (branches, loops, calls, predication, memory,
   pathological CFG shapes), terminating by construction;
 * :mod:`repro.validate.oracle` — the differential checks per grid cell
-  (scheme × machine × heuristic);
+  (scheme × machine × heuristic), and the route table (``ROUTES``) every
+  sampled program runs through;
 * :mod:`repro.validate.shrink` — delta-debugging minimizer producing
   structured JSON failure reports;
 * :mod:`repro.validate.runner` — seed fan-out campaigns behind
@@ -29,9 +31,10 @@ from repro.validate.oracle import (
     DEFAULT_SCHEMES,
     Mismatch,
     OracleReport,
+    ROUTES,
+    Route,
     check_generated,
-    check_region_memo_identity,
-    check_store_identity,
+    check_routes,
     default_grid,
 )
 from repro.validate.shrink import FailureReport, Shrinker, minimize_failure
@@ -49,9 +52,10 @@ __all__ = [
     "Cell",
     "Mismatch",
     "OracleReport",
+    "ROUTES",
+    "Route",
     "check_generated",
-    "check_region_memo_identity",
-    "check_store_identity",
+    "check_routes",
     "default_grid",
     "DEFAULT_SCHEMES",
     "DEFAULT_MACHINES",

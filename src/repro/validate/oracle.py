@@ -18,9 +18,10 @@ For one generated program the oracle cross-checks, per grid cell
   resources, DDG latencies, speculation safety, renaming correctness,
   treegion shape, merge legality.  Failures carry the rule ids that
   fired, so a fuzz failure names the broken invariant directly;
-* **engine** — the PR-1 evaluation engine's serial shared-work path,
-  its parallel path, and per-cell :func:`evaluate_cell` must produce
-  bit-identical :class:`CellResult` rows for the program.
+* **routes** (sampled, :func:`check_routes`) — every evaluation route
+  in :data:`ROUTES` must reproduce the direct pipeline's rows bit for
+  bit and meet its own conditions, and the schedule-height bounds must
+  hold against achieved heights and proven optima.
 
 Any disagreement becomes a :class:`Mismatch` carrying the failing cell,
 the inputs, expected/actual values, and a first-divergence detail (the
@@ -33,10 +34,13 @@ reported as mismatches too, never raised — the minimizer
 from __future__ import annotations
 
 import itertools
+import os
+import tempfile
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import api
 from repro.ir.clone import clone_program
 from repro.ir.function import Function, Program
 from repro.ir.printer import format_program
@@ -45,9 +49,19 @@ from repro.interp.interpreter import ExecutionObserver, Interpreter
 from repro.lint.collect import lint_scope
 from repro.lint.diagnostics import LintReport
 from repro.interp.profiler import profile_program
-from repro.evaluation.engine import GridCell, evaluate_cell, evaluate_grid
+from repro.evaluation.engine import (
+    CellResult,
+    GridCell,
+    evaluate_cell,
+    evaluate_grid,
+    machine_by_name,
+)
 from repro.evaluation.schemes import SchemeSpec
 from repro.machine.model import MachineModel
+from repro.obs.metrics import MetricsRegistry, current_metrics
+from repro.schedule.memo import RegionMemo
+from repro.schedule.priorities import HEURISTICS
+from repro.serve.store import ArtifactStore
 from repro.vliw.simulator import (
     RegionSchedule,
     VLIWSimulator,
@@ -87,9 +101,23 @@ def default_grid(
     machines: Sequence[str] = DEFAULT_MACHINES,
     heuristics: Sequence[str] = DEFAULT_HEURISTICS,
 ) -> List[Cell]:
-    """The cross product of the given axes, validated eagerly."""
+    """The cross product of the given axes, validated eagerly.
+
+    Raises :class:`ValueError` on an empty axis, a bad scheme spec, an
+    unknown machine or an unknown heuristic.
+    """
+    for axis, values in (("schemes", schemes), ("machines", machines),
+                         ("heuristics", heuristics)):
+        if not values:
+            raise ValueError(f"grid axis {axis!r} is empty")
     for scheme in schemes:
-        SchemeSpec.parse(scheme)  # raise early on a bad spec
+        SchemeSpec.parse(scheme)
+    for machine in machines:
+        machine_by_name(machine)
+    for heuristic in heuristics:
+        if heuristic not in HEURISTICS:
+            raise ValueError(f"unknown heuristic {heuristic!r}; use one "
+                             f"of {', '.join(HEURISTICS)}")
     return [
         Cell(scheme, machine, heuristic)
         for scheme, machine, heuristic in itertools.product(
@@ -102,9 +130,11 @@ def default_grid(
 class Mismatch:
     """One disagreement between two backends on one program."""
 
-    #: Which oracle check failed: ``result``, ``memory``, ``cycles``,
-    #: ``verify``, ``lint``, ``engine``, ``store``, ``region-memo``,
-    #: ``analysis``, ``interp-crash``, or ``sim-crash``.
+    #: Which oracle check failed.  Per-cell checks (which carry
+    #: ``inputs``): ``result``, ``memory``, ``cycles``, ``verify``,
+    #: ``lint``, ``interp-crash``, ``sim-crash``.  Route checks: a
+    #: :data:`ROUTES` row name, ``direct`` (the reference crashed),
+    #: ``analysis`` or ``exact``.
     check: str
     expected: str
     actual: str
@@ -352,249 +382,146 @@ def _interpret(program: Program, inputs: Sequence[object]):
 
 
 # ----------------------------------------------------------------------
-# Engine identity
+# The route table
 
 
-def check_engine_identity(
-    program: Program,
-    name: str,
-    grid: Sequence[Cell],
-    jobs: int = 2,
-) -> List[Mismatch]:
-    """Serial grid, parallel grid, and per-cell evaluation must agree.
+#: The reference every route is compared with: the direct pipeline,
+#: ``evaluate_grid(jobs=1, region_memo=False)``.
+REFERENCE = "direct"
 
-    The program crosses the process boundary as printed IR text
-    (``program_texts``), so the parallel workers genuinely rebuild it —
-    this doubles as a printer/parser round-trip check.
+#: ``(expected, actual, detail)`` of a route condition that failed.
+Failure = Tuple[str, str, str]
+
+
+class RouteContext:
+    """One program's grid, and the state its routes share in one check.
+
+    Rows run in table order against one context, so a warm row finds
+    the store or the memo its cold row filled.  The program crosses
+    every process and store boundary as printed IR, so the routes double
+    as a printer/parser round trip.
     """
-    cells = [
-        GridCell(benchmark=name, scheme=cell.scheme, machine=cell.machine,
-                 heuristic=cell.heuristic)
-        for cell in grid
-    ]
-    texts = {name: format_program(program)}
-    mismatches: List[Mismatch] = []
-    try:
-        serial = evaluate_grid(cells, jobs=1, program_texts=texts)
-        reference = [
-            evaluate_cell(cell, program=program) for cell in cells
-        ]
-        parallel = (
-            evaluate_grid(cells, jobs=jobs, program_texts=texts)
-            if jobs > 1 else serial
-        )
-    except Exception as error:
-        return [Mismatch(
-            check="engine",
-            expected="engine evaluates the grid",
-            actual=type(error).__name__,
-            detail=_crash_detail(error),
-        )]
-    for cell, row_serial, row_ref, row_par in zip(
-        grid, serial, reference, parallel
-    ):
-        if row_serial != row_ref:
-            mismatches.append(Mismatch(
-                check="engine", cell=cell,
-                expected=f"evaluate_cell time {row_ref.time!r}",
-                actual=f"serial grid time {row_serial.time!r}",
-                detail="serial shared-work path diverged from per-cell",
-            ))
-        if row_par != row_serial:
-            mismatches.append(Mismatch(
-                check="engine", cell=cell,
-                expected=f"serial time {row_serial.time!r}",
-                actual=f"parallel time {row_par.time!r}",
-                detail=f"parallel path (jobs={jobs}) not bit-identical",
-            ))
-    return mismatches
+
+    def __init__(self, program: Program, name: str, grid: Sequence[Cell],
+                 jobs: int, scratch: str) -> None:
+        self.program = program
+        self.cells = [GridCell(name, cell.scheme, cell.machine,
+                               cell.heuristic) for cell in grid]
+        self.texts = {name: format_program(program)}
+        self.jobs = jobs
+        self.store = ArtifactStore(os.path.join(scratch, "store"))
+        self.regions = os.path.join(scratch, "regions")
+        self.memo = RegionMemo()
+        #: The reference's pipeline counters, set before any row runs.
+        self.counters: Dict[str, object] = {}
+
+    def evaluate(self, metrics: MetricsRegistry, jobs: int = 1,
+                 **kwargs) -> List[CellResult]:
+        return evaluate_grid(self.cells, jobs=jobs, program_texts=self.texts,
+                             metrics=metrics, **kwargs)
+
+
+@dataclass(frozen=True)
+class Route:
+    """One row of :data:`ROUTES`: another way to evaluate the grid.
+
+    Its results must equal the reference's bit for bit, and each of its
+    ``requires`` conditions must return ``None`` rather than a
+    :data:`Failure`.
+    """
+
+    #: The row's name; its mismatches carry it as their ``check``.
+    name: str
+    #: ``run(context, metrics)`` evaluates every cell along the route.
+    run: Callable[[RouteContext, MetricsRegistry], List[CellResult]]
+    requires: Tuple[
+        Callable[[RouteContext, MetricsRegistry], Optional[Failure]], ...
+    ] = ()
+    #: The earlier row whose store or memo this row reuses.
+    after: Optional[str] = None
+    #: Needs a worker pool, so runs only when ``jobs >= 2``.
+    pool: bool = False
+
+
+def _pipeline_counters(metrics: MetricsRegistry) -> Dict[str, object]:
+    """Deterministic counters minus the store's own I/O (``serve.store.*``),
+    which differs by route by design."""
+    snapshot = metrics.deterministic_snapshot()
+    snapshot["counters"] = {
+        key: value for key, value in snapshot["counters"].items()
+        if not key.startswith("serve.store.")
+    }
+    return snapshot
+
+
+def _same_counters(context, metrics) -> Optional[Failure]:
+    if _pipeline_counters(metrics) != context.counters:
+        return ("deterministic counters match the direct pipeline",
+                "counters differ", "metric replay on memo hits is lossy")
+    return None
+
+
+def _no_misses(context, metrics) -> Optional[Failure]:
+    misses = metrics.gauges.get("cache.region.misses", 0)
+    if misses:
+        return ("every region served without scheduling",
+                f"{misses} miss(es)",
+                "region fingerprints or store keys unstable across passes")
+    return None
+
+
+def _all_hits(context, metrics) -> Optional[Failure]:
+    hits = metrics.counters.get("serve.store.hits", 0)
+    if hits < len(context.cells):
+        return (f"all {len(context.cells)} cells served from disk",
+                f"{hits} hit(s)",
+                "cache keys unstable across identical evaluations")
+    return None
+
+
+def _per_cell(context, metrics) -> List[CellResult]:
+    return [evaluate_cell(cell, program=context.program, metrics=metrics)
+            for cell in context.cells]
+
+
+def _through_store(context, metrics) -> List[CellResult]:
+    return api.cached_evaluate(context.cells, store=context.store,
+                               program_texts=context.texts, metrics=metrics)
+
+
+#: Every route a user can take to a grid result.  ``serial`` and
+#: ``parallel`` use the process-global region memo.  The store rows
+#: certify cell keys and the JSON round trip of results.  The memo rows
+#: certify region fingerprints and hit-path replay; ``memo-revived`` is a
+#: fresh memo over the region store ``memo-cold`` filled.
+ROUTES: Tuple[Route, ...] = (
+    Route("per-cell", _per_cell),
+    Route("serial", lambda ctx, metrics: ctx.evaluate(metrics)),
+    Route("parallel", lambda ctx, metrics: ctx.evaluate(metrics, ctx.jobs),
+          pool=True),
+    Route("store-cold", _through_store),
+    Route("store-warm", _through_store, requires=(_all_hits,),
+          after="store-cold"),
+    Route("memo-cold", lambda ctx, metrics: ctx.evaluate(
+        metrics, region_memo=ctx.memo, region_store=ctx.regions),
+        requires=(_same_counters,)),
+    Route("memo-warm", lambda ctx, metrics: ctx.evaluate(
+        metrics, region_memo=ctx.memo),
+        requires=(_no_misses, _same_counters), after="memo-cold"),
+    Route("memo-revived", lambda ctx, metrics: ctx.evaluate(
+        metrics, region_memo=RegionMemo(), region_store=ctx.regions),
+        requires=(_no_misses, _same_counters), after="memo-cold"),
+)
 
 
 # ----------------------------------------------------------------------
-# Store identity
+# Soundness certifications
 
 
-def check_store_identity(
-    program: Program,
-    name: str,
-    grid: Sequence[Cell],
-) -> List[Mismatch]:
-    """Direct, cold-store, and warm-store evaluation must agree.
-
-    Routes the grid through :func:`repro.api.cached_evaluate` against a
-    throwaway on-disk artifact store twice — the first pass populates
-    it (every cell a miss), the second serves entirely from disk — and
-    compares both against per-cell direct evaluation.  This certifies
-    the store's key derivation and the JSON round trip of results: a
-    lossy float path or a key collision shows up as a ``store``
-    mismatch.
-    """
-    import tempfile
-
-    from repro.api import cached_evaluate
-    from repro.serve.store import ArtifactStore
-
-    cells = [
-        GridCell(benchmark=name, scheme=cell.scheme, machine=cell.machine,
-                 heuristic=cell.heuristic)
-        for cell in grid
-    ]
-    texts = {name: format_program(program)}
-    mismatches: List[Mismatch] = []
-    try:
-        reference = [
-            evaluate_cell(cell, program=program) for cell in cells
-        ]
-        with tempfile.TemporaryDirectory(prefix="repro-store-") as tmp:
-            store = ArtifactStore(tmp)
-            cold = cached_evaluate(cells, store=store,
-                                   program_texts=texts)
-            warm = cached_evaluate(cells, store=store,
-                                   program_texts=texts)
-            served = store.hits
-    except Exception as error:
-        return [Mismatch(
-            check="store",
-            expected="store round trip evaluates the grid",
-            actual=type(error).__name__,
-            detail=_crash_detail(error),
-        )]
-    if served < len(cells):
-        mismatches.append(Mismatch(
-            check="store",
-            expected=f"warm pass serves all {len(cells)} cells from disk",
-            actual=f"{served} hit(s)",
-            detail="cache keys unstable across identical evaluations",
-        ))
-    for cell, row_ref, row_cold, row_warm in zip(
-        grid, reference, cold, warm
-    ):
-        if row_cold != row_ref:
-            mismatches.append(Mismatch(
-                check="store", cell=cell,
-                expected=f"evaluate_cell time {row_ref.time!r}",
-                actual=f"cold-store time {row_cold.time!r}",
-                detail="store-routed evaluation diverged from direct",
-            ))
-        if row_warm != row_ref:
-            mismatches.append(Mismatch(
-                check="store", cell=cell,
-                expected=f"evaluate_cell time {row_ref.time!r}",
-                actual=f"warm-store time {row_warm.time!r}",
-                detail="JSON round trip through the store not lossless",
-            ))
-    return mismatches
-
-
-# ----------------------------------------------------------------------
-# Region-memo identity
-
-
-def check_region_memo_identity(
-    program: Program,
-    name: str,
-    grid: Sequence[Cell],
-) -> List[Mismatch]:
-    """Memoized region scheduling must be bit-identical to the direct path.
-
-    Four routes over the same grid must agree exactly — results *and*
-    deterministic pipeline counters:
-
-    1. the direct pipeline (``region_memo=False``, the reference);
-    2. a cold :class:`~repro.schedule.memo.RegionMemo` (tier-1 sharing,
-       every tier-2 probe a miss);
-    3. the same memo warm (every region served from tier 2, exercising
-       the hit path's weighted-time recomputation and counter replay);
-    4. a *fresh* memo revived from the on-disk region store the cold
-       pass populated (the cross-process route: fingerprints, the JSON
-       payload round trip, and :func:`repro.serve.store.region_key`
-       must all be stable).
-    """
-    import tempfile
-
-    from repro.obs.metrics import MetricsRegistry
-    from repro.schedule.memo import RegionMemo
-
-    cells = [
-        GridCell(benchmark=name, scheme=cell.scheme, machine=cell.machine,
-                 heuristic=cell.heuristic)
-        for cell in grid
-    ]
-    texts = {name: format_program(program)}
-    mismatches: List[Mismatch] = []
-    try:
-        counters = {}
-        passes = {}
-
-        def run(label, **kwargs):
-            registry = MetricsRegistry()
-            rows = evaluate_grid(cells, jobs=1, program_texts=texts,
-                                 metrics=registry, **kwargs)
-            snapshot = registry.deterministic_snapshot()
-            # The artifact store counts its own I/O (serve.store.*);
-            # those are cache-layer observability, inherently
-            # route-dependent.  The identity contract covers the
-            # *pipeline* counters.
-            snapshot["counters"] = {
-                key: value for key, value in snapshot["counters"].items()
-                if not key.startswith("serve.store.")
-            }
-            counters[label] = snapshot
-            passes[label] = rows
-
-        run("direct", region_memo=False)
-        memo = RegionMemo()
-        run("cold", region_memo=memo)
-        cold_misses = memo.stats()["misses"]
-        run("warm", region_memo=memo)
-        warm_misses = memo.stats()["misses"] - cold_misses
-        with tempfile.TemporaryDirectory(prefix="repro-region-") as tmp:
-            seeding = RegionMemo()
-            evaluate_grid(cells, jobs=1, program_texts=texts,
-                          region_memo=seeding, region_store=tmp)
-            revived = RegionMemo()
-            run("disk", region_memo=revived, region_store=tmp)
-            revived_stats = revived.stats()
-    except Exception as error:
-        return [Mismatch(
-            check="region-memo",
-            expected="memoized evaluation runs the grid",
-            actual=type(error).__name__,
-            detail=_crash_detail(error),
-        )]
-    if warm_misses > 0:
-        mismatches.append(Mismatch(
-            check="region-memo",
-            expected="warm pass serves every region from tier 2",
-            actual=f"{warm_misses} miss(es)",
-            detail="region fingerprints unstable across identical passes",
-        ))
-    if revived_stats["misses"] > 0:
-        mismatches.append(Mismatch(
-            check="region-memo",
-            expected="revived memo serves every region from disk",
-            actual=f"{revived_stats['misses']} miss(es)",
-            detail="region fingerprints or store keys unstable across "
-                   "memo instances",
-        ))
-    for label in ("cold", "warm", "disk"):
-        for cell, row_ref, row in zip(grid, passes["direct"], passes[label]):
-            if row != row_ref:
-                mismatches.append(Mismatch(
-                    check="region-memo", cell=cell,
-                    expected=f"direct time {row_ref.time!r}",
-                    actual=f"{label}-memo time {row.time!r}",
-                    detail=f"{label} memoized pass diverged from the "
-                           "direct pipeline",
-                ))
-        if counters[label] != counters["direct"]:
-            mismatches.append(Mismatch(
-                check="region-memo",
-                expected="deterministic counters match the direct pipeline",
-                actual=f"{label} pass counters differ",
-                detail="metric replay on memo hits is lossy",
-            ))
-    return mismatches
+def _bounded_schemes(grid: Sequence[Cell]) -> List[str]:
+    """The grid's schemes the height bounds cover (not hyperblock)."""
+    return [spec for spec in {cell.scheme: None for cell in grid}
+            if api.make_scheme(spec).name != "hyperblock"]
 
 
 def check_analysis_soundness(
@@ -609,35 +536,18 @@ def check_analysis_soundness(
     critical-path / resource lower bound must be <= every achieved
     height, and the flow-sensitive IR lint must find no errors (a
     must-uninitialized use in a generated program would mean the
-    generator or the analysis is broken).  A second, stronger pass
-    machine-certifies the bounds against *proven optima* from the exact
-    branch-and-bound backend on small regions
-    (:func:`_check_exact_soundness`).  Totality first: an analysis
-    crash is itself a mismatch, never an exception out of the oracle.
+    generator or the analysis is broken).
     """
     from repro.analysis.driver import analyze_program
-    from repro.api import make_scheme
 
-    schemes = []
-    for spec in {cell.scheme: None for cell in grid}:
-        if make_scheme(spec).name != "hyperblock":
-            schemes.append(spec)
+    schemes = _bounded_schemes(grid)
     if not schemes:
         return []
-    machines = list({cell.machine: None for cell in grid})
-    heuristics = list({cell.heuristic: None for cell in grid})
-    try:
-        result = analyze_program(
-            program, name=name, schemes=schemes, machines=machines,
-            heuristics=heuristics,
-        )
-    except Exception as error:
-        return [Mismatch(
-            check="analysis",
-            expected="dataflow analysis completes",
-            actual=type(error).__name__,
-            detail=_crash_detail(error),
-        )]
+    result = analyze_program(
+        program, name=name, schemes=schemes,
+        machines=list({cell.machine: None for cell in grid}),
+        heuristics=list({cell.heuristic: None for cell in grid}),
+    )
     mismatches: List[Mismatch] = []
     for row in result["regions"]:
         if row["sound"]:
@@ -671,44 +581,39 @@ def check_analysis_soundness(
                    "flow-sensitive rules",
             rules=rules,
         ))
-    mismatches.extend(_check_exact_soundness(program, schemes, machines))
     return mismatches
 
 
-def _check_exact_soundness(
+def check_exact_soundness(
     program: Program,
-    schemes: Sequence[str],
-    machines: Sequence[str],
+    name: str,
+    grid: Sequence[Cell],
 ) -> List[Mismatch]:
     """Machine-certify the bounds against proven optima (exact backend).
 
-    The heuristic comparison above only shows a bound <= some achieved
+    The analysis certification only shows a bound <= some achieved
     height; the branch-and-bound backend proves the actual optimum on
     small regions, which catches bounds that are unsound yet still under
     every heuristic's height.  Kept cheap: big regions are skipped and
     the node budget is small — an unproven region simply contributes no
-    evidence.  Totality first, like the analysis run.
+    evidence.
     """
     from repro.exact.gap import gap_program
 
-    try:
-        result = gap_program(
-            program, schemes=schemes, machines=machines,
-            budget=2_000, max_ops=20, lint=False,
-        )
-    except Exception as error:
-        return [Mismatch(
-            check="analysis",
-            expected="exact backend completes",
-            actual=type(error).__name__,
-            detail=_crash_detail(error),
-        )]
+    schemes = _bounded_schemes(grid)
+    if not schemes:
+        return []
+    result = gap_program(
+        program, schemes=schemes,
+        machines=list({cell.machine: None for cell in grid}),
+        budget=2_000, max_ops=20, lint=False,
+    )
     mismatches: List[Mismatch] = []
     for row in result["regions"]:
         if row["status"] != "proven" or row["sound"]:
             continue
         mismatches.append(Mismatch(
-            check="analysis",
+            check="exact",
             cell=Cell(row["scheme"], row["machine"],
                       min(row["heights"], key=row["heights"].get)),
             expected=f"lower bound {row['lower_bound']} <= proven "
@@ -721,6 +626,105 @@ def _check_exact_soundness(
     return mismatches
 
 
+#: Certifications that run beside the routes, named like rows.
+CERTIFICATIONS = (
+    ("analysis", check_analysis_soundness),
+    ("exact", check_exact_soundness),
+)
+
+
+# ----------------------------------------------------------------------
+# The route entry point
+
+
+def _crash(check: str, error: BaseException) -> Mismatch:
+    return Mismatch(check=check, expected=f"{check} runs to completion",
+                    actual=type(error).__name__, detail=_crash_detail(error))
+
+
+def _run_routes(context: RouteContext, grid: Sequence[Cell],
+                rows: Sequence[Route]) -> List[Mismatch]:
+    # Each pass counts into its own registry, then into the caller's.
+    outer = current_metrics()
+    metrics = MetricsRegistry()
+    try:
+        reference = context.evaluate(metrics, region_memo=False)
+    except Exception as error:
+        return [_crash(REFERENCE, error)]
+    outer.merge(metrics)
+    context.counters = _pipeline_counters(metrics)
+    mismatches: List[Mismatch] = []
+    for route in rows:
+        metrics = MetricsRegistry()
+        try:
+            results = route.run(context, metrics)
+            outer.merge(metrics)
+            if len(results) != len(reference):
+                raise ValueError(f"{len(results)} results for "
+                                 f"{len(reference)} cells")
+        except Exception as error:
+            mismatches.append(_crash(route.name, error))
+            continue
+        for cell, want, got in zip(grid, reference, results):
+            if got != want:
+                mismatches.append(Mismatch(
+                    check=route.name, cell=cell,
+                    expected=f"{REFERENCE} time {want.time!r}",
+                    actual=f"{route.name} time {got.time!r}",
+                    detail=f"the {route.name} route diverged from the "
+                           f"{REFERENCE} pipeline",
+                ))
+        for condition in route.requires:
+            failure = condition(context, metrics)
+            if failure is not None:
+                expected, actual, detail = failure
+                mismatches.append(Mismatch(
+                    check=route.name, expected=expected, actual=actual,
+                    detail=detail,
+                ))
+    return mismatches
+
+
+def check_routes(
+    program: Program,
+    name: str,
+    grid: Sequence[Cell],
+    jobs: int = 1,
+    only: Optional[str] = None,
+) -> List[Mismatch]:
+    """Every :data:`ROUTES` row must reproduce the direct reference.
+
+    The reference is computed once; each row's results must equal it
+    bit for bit, and each row must meet its ``requires``.  ``parallel``
+    runs only when ``jobs >= 2``, with that many workers.  The
+    :data:`CERTIFICATIONS` run last.  A crash in the reference, a row
+    or a certification becomes a mismatch named after it, never an
+    exception.  ``only`` restricts the check to one name — a row (plus
+    the rows it runs ``after``), a certification, or the reference —
+    which is how the shrinker re-checks a candidate.
+    """
+    rows = [route for route in ROUTES if jobs > 1 or not route.pool]
+    certifications = CERTIFICATIONS
+    if only is not None:
+        wanted = {only}
+        for route in reversed(ROUTES):
+            if route.name in wanted and route.after is not None:
+                wanted.add(route.after)
+        rows = [route for route in rows if route.name in wanted]
+        certifications = [c for c in CERTIFICATIONS if c[0] == only]
+    mismatches: List[Mismatch] = []
+    if rows or only == REFERENCE:
+        with tempfile.TemporaryDirectory(prefix="repro-routes-") as scratch:
+            context = RouteContext(program, name, grid, jobs, scratch)
+            mismatches.extend(_run_routes(context, grid, rows))
+    for check, certify in certifications:
+        try:
+            mismatches.extend(certify(program, name, grid))
+        except Exception as error:
+            mismatches.append(_crash(check, error))
+    return mismatches
+
+
 # ----------------------------------------------------------------------
 # Whole-program entry points
 
@@ -730,13 +734,9 @@ def check_ir(
     input_sets: Sequence[Sequence[object]],
     grid: Sequence[Cell],
     report: OracleReport,
-    stop_early: bool = False,
 ) -> OracleReport:
     """Run the per-cell differential checks; append to ``report``."""
-    machines = {cell.machine: None for cell in grid}
-    from repro.evaluation.engine import machine_by_name
-
-    resolved = {name: machine_by_name(name) for name in machines}
+    resolved = {cell.machine: machine_by_name(cell.machine) for cell in grid}
     for inputs in input_sets:
         try:
             reference = _interpret(program, inputs)
@@ -750,12 +750,9 @@ def check_ir(
             continue
         for cell in grid:
             report.cells_checked += 1
-            found = check_cell(
+            report.mismatches.extend(check_cell(
                 program, inputs, cell, resolved[cell.machine], reference
-            )
-            report.mismatches.extend(found)
-            if found and stop_early:
-                return report
+            ))
     return report
 
 
@@ -763,26 +760,14 @@ def check_generated(
     generated: GeneratedProgram,
     grid: Optional[Sequence[Cell]] = None,
     engine_jobs: int = 0,
-    store_check: bool = False,
-    region_memo_check: bool = False,
-    analysis_check: bool = False,
 ) -> OracleReport:
     """The full oracle for one generated program.
 
-    ``engine_jobs=0`` skips the engine-identity check (spawning a worker
-    pool per seed is expensive; the runner samples it every Nth seed),
-    ``engine_jobs=1`` checks serial-vs-per-cell only, ``>1`` adds the
-    parallel path.  ``store_check=True`` additionally routes the grid
-    through a throwaway on-disk artifact store, cold then warm, and
-    requires both passes bit-identical to direct evaluation (sampled by
-    the runner alongside the engine check).  ``region_memo_check=True``
-    runs :func:`check_region_memo_identity` — direct vs cold/warm/disk
-    region-memoized evaluation, results and counters bit-identical
-    (same sampling cadence).  ``analysis_check=True`` runs
-    :func:`check_analysis_soundness` — the dataflow engine's schedule-
-    height lower bounds must hold against every achieved height on the
-    grid, and the flow-sensitive lint must find no errors (same
-    sampling cadence again).
+    ``engine_jobs`` is the one sampling switch (a full route check costs
+    several grid passes, so the runner samples every Nth seed): ``0``
+    runs the per-cell checks only, ``1`` adds :func:`check_routes` with
+    every row except ``parallel``, and ``>= 2`` adds ``parallel`` with
+    that many workers.
     """
     if grid is None:
         grid = default_grid()
@@ -791,19 +776,7 @@ def check_generated(
     )
     check_ir(generated.program, generated.inputs, grid, report)
     if engine_jobs > 0:
-        report.mismatches.extend(check_engine_identity(
+        report.mismatches.extend(check_routes(
             generated.program, generated.name, grid, jobs=engine_jobs,
-        ))
-    if store_check:
-        report.mismatches.extend(check_store_identity(
-            generated.program, generated.name, grid,
-        ))
-    if region_memo_check:
-        report.mismatches.extend(check_region_memo_identity(
-            generated.program, generated.name, grid,
-        ))
-    if analysis_check:
-        report.mismatches.extend(check_analysis_soundness(
-            generated.program, generated.name, grid,
         ))
     return report

@@ -8,10 +8,11 @@ uses to keep programs out of the pickle stream.  A failing seed is
 minimized in the worker (the shrinker only needs the regenerable
 program) and comes back as a structured :class:`FailureReport`.
 
-The engine-identity oracle check spawns its own worker pool, which can't
-nest inside a campaign worker (daemonic processes may not fork), so
-parallel campaigns sample it with ``jobs=1`` (serial-vs-per-cell only)
-while serial campaigns also exercise the parallel engine path.
+Every ``engine_every``-th seed also runs the oracle's route table
+(:func:`~repro.validate.oracle.check_routes`).  Its ``parallel`` row
+spawns a worker pool, which can't nest inside a campaign worker
+(daemonic processes may not fork), so parallel campaigns sample every
+row but that one, while serial campaigns run them all.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ from repro.validate.oracle import (
     DEFAULT_HEURISTICS,
     DEFAULT_MACHINES,
     DEFAULT_SCHEMES,
-    OracleReport,
     check_generated,
     default_grid,
 )
 from repro.validate.shrink import FailureReport, minimize_failure
 
-#: Check engine identity on every Nth seed (pool spawns are expensive).
+#: Run the route table on every Nth seed (each row is a grid pass).
 ENGINE_SAMPLE_EVERY = 10
 
 
@@ -109,18 +109,12 @@ def _run_seed(
     max_trials: int,
 ) -> SeedOutcome:
     generated = generate(seed)
-    # The store- and region-memo-identity checks ride the same sampling
-    # cadence as the engine check: all certify an alternate evaluation
-    # route without a nested pool, so they are safe on parallel
-    # campaigns too.
-    report = check_generated(generated, grid=grid, engine_jobs=engine_jobs,
-                             store_check=engine_jobs > 0,
-                             region_memo_check=engine_jobs > 0,
-                             analysis_check=engine_jobs > 0)
+    report = check_generated(generated, grid=grid, engine_jobs=engine_jobs)
     failure = None
     if report.mismatches and shrink:
         failure = minimize_failure(
             generated, report.mismatches[0], max_trials=max_trials,
+            grid=grid,
         )
     return SeedOutcome(
         seed=seed,
@@ -148,6 +142,10 @@ def run_validation(
     tracer=NULL_TRACER,
 ) -> ValidationSummary:
     """Run the oracle over ``seeds``; minimize and report any failure.
+
+    ``engine_every`` samples the route table: every seed divisible by it
+    runs every :data:`~repro.validate.oracle.ROUTES` row and the
+    soundness certifications (``0`` runs none).
 
     ``metrics`` counts campaign totals (``validate.*``, recorded in the
     parent from the outcomes, so they are mode-independent); a serial

@@ -35,14 +35,15 @@ from repro.ir.printer import format_program
 from repro.ir.types import Opcode
 from repro.ir.verify import verify_program
 from repro.util.errors import IRValidationError
-from repro.evaluation.engine import machine_by_name
 from repro.validate.generator import GeneratedProgram
 from repro.validate.oracle import (
+    ROUTES,
     Cell,
     Mismatch,
-    check_cell,
-    check_engine_identity,
-    _interpret,
+    OracleReport,
+    check_ir,
+    check_routes,
+    default_grid,
 )
 
 
@@ -276,40 +277,35 @@ def _called_functions(program: Program) -> set:
 # Failure-driven entry point
 
 
-def _failure_predicate(mismatch: Mismatch, name: str) -> Predicate:
-    """Does a program still exhibit ``mismatch``'s failure category?"""
+def _reproducer(
+    mismatch: Mismatch, name: str, grid: Sequence[Cell],
+) -> Callable[[Program], Optional[Mismatch]]:
+    """Re-check a program for ``mismatch``'s failure category.
+
+    Per-cell categories re-run the mismatch's cell on its inputs; any
+    other category re-runs only the named route row or certification,
+    on the mismatch's cell when it has one.
+    """
     category = mismatch.check
-    cell = mismatch.cell
-    inputs = list(mismatch.inputs) if mismatch.inputs is not None else None
+    if mismatch.inputs is None:
+        cells = [mismatch.cell] if mismatch.cell is not None else list(grid)
 
-    if category == "engine":
-        grid = [cell] if cell is not None else None
+        def found(program: Program) -> List[Mismatch]:
+            return check_routes(program, name, cells, jobs=1, only=category)
+    else:
+        # ``interp-crash`` carries no cell: interpreting is the check.
+        cells = [mismatch.cell] if mismatch.cell is not None else []
 
-        def engine_predicate(program: Program) -> bool:
-            from repro.validate.oracle import default_grid
+        def found(program: Program) -> List[Mismatch]:
+            report = OracleReport(name=name, seed=0, origin="shrink")
+            return check_ir(program, [mismatch.inputs], cells,
+                            report).mismatches
 
-            cells = grid if grid is not None else default_grid()
-            return any(
-                m.check == "engine"
-                for m in check_engine_identity(program, name, cells, jobs=1)
-            )
+    def reproduce(program: Program) -> Optional[Mismatch]:
+        return next((m for m in found(program) if m.check == category),
+                    None)
 
-        return engine_predicate
-
-    assert cell is not None and inputs is not None
-    machine = machine_by_name(cell.machine)
-
-    def predicate(program: Program) -> bool:
-        try:
-            reference = _interpret(program, inputs)
-        except Exception:
-            return category == "interp-crash"
-        if category == "interp-crash":
-            return False
-        found = check_cell(program, inputs, cell, machine, reference)
-        return any(m.check == category for m in found)
-
-    return predicate
+    return reproduce
 
 
 def minimize_failure(
@@ -317,29 +313,29 @@ def minimize_failure(
     mismatch: Mismatch,
     max_trials: int = 3000,
     max_rounds: int = 8,
+    grid: Optional[Sequence[Cell]] = None,
 ) -> FailureReport:
-    """Shrink a generated program around one oracle mismatch."""
+    """Shrink a generated program around one oracle mismatch.
+
+    ``grid`` is the grid the mismatch was found on (default:
+    :func:`default_grid`); route mismatches without a cell re-check it.
+    A mismatch of a pooled route is reported unminimized: campaign
+    workers cannot start the pool it needs.
+    """
     original = total_ops(generated.program)
-    predicate = _failure_predicate(mismatch, generated.name)
-    shrinker = Shrinker(generated.program, predicate, max_trials=max_trials)
+    reproduce = _reproducer(mismatch, generated.name,
+                            default_grid() if grid is None else grid)
+    if any(route.pool and route.name == mismatch.check for route in ROUTES):
+        max_trials = 0
+    shrinker = Shrinker(generated.program,
+                        lambda program: reproduce(program) is not None,
+                        max_trials=max_trials)
     minimized = shrinker.run(max_rounds=max_rounds)
     # Re-derive the failure detail on the minimized program so the report
     # describes what it actually contains.
-    detail = mismatch.detail
-    if mismatch.check not in ("engine",) and mismatch.inputs is not None \
-            and mismatch.cell is not None:
-        try:
-            reference = _interpret(minimized, list(mismatch.inputs))
-            found = check_cell(
-                minimized, list(mismatch.inputs), mismatch.cell,
-                machine_by_name(mismatch.cell.machine), reference,
-            )
-            for entry in found:
-                if entry.check == mismatch.check:
-                    detail = entry.detail or detail
-                    break
-        except Exception:
-            pass
+    rechecked = reproduce(minimized)
+    detail = (rechecked.detail if rechecked is not None else "") \
+        or mismatch.detail
     return FailureReport(
         seed=generated.seed,
         name=generated.name,

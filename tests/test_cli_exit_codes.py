@@ -69,6 +69,15 @@ class TestBadInputSweep:
         assert main(["validate", "--seeds", "1", "--grid", "bogus"]) == 2
         _stderr_error_line(capsys)
 
+    @pytest.mark.parametrize("grid, word", [
+        ("machines=9Z", "machine"),
+        ("heuristics=nope", "heuristic"),
+        ("schemes=", "empty"),
+    ])
+    def test_validate_bad_grid_value(self, grid, word, capsys):
+        assert main(["validate", "--seeds", "1", "--grid", grid]) == 2
+        assert word in _stderr_error_line(capsys)
+
     def test_warm_bad_grid(self, tmp_path, capsys):
         assert main(["warm", "--cache-dir", str(tmp_path / "store"),
                      "--benchmarks", "compress",

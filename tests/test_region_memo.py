@@ -3,8 +3,9 @@
 The memo's contract is bit-identity with the direct pipeline — results
 *and* deterministic pipeline counters — across cold, warm, and
 disk-revived service.  (The validation oracle re-checks the same
-contract against randomly generated programs;
-``check_region_memo_identity`` in ``repro.validate.oracle``.)
+contract against randomly generated programs: the ``memo-cold``,
+``memo-warm`` and ``memo-revived`` rows of ``ROUTES`` in
+``repro.validate.oracle``.)
 """
 
 import tempfile

@@ -1,5 +1,6 @@
 """The differential validation subsystem: generator, oracle, shrinker."""
 
+import dataclasses
 import json
 
 import pytest
@@ -19,8 +20,11 @@ from repro.ir import (
 )
 from repro.interp import profile_program, run_program
 from repro.validate import (
+    ROUTES,
     Cell,
+    Mismatch,
     check_generated,
+    check_routes,
     default_grid,
     generate,
     minimize_failure,
@@ -28,6 +32,7 @@ from repro.validate import (
     run_validation,
     write_reports,
 )
+from repro.validate import oracle
 from repro.validate.shrink import total_ops
 
 
@@ -77,6 +82,28 @@ class TestOracle:
         report = check_generated(generate(0), grid=grid, engine_jobs=2)
         assert report.ok, [m.to_json() for m in report.mismatches]
 
+    def test_every_route_and_certification_runs(self, monkeypatch):
+        ran = []
+
+        def spy(name, function):
+            def wrapped(*args):
+                ran.append(name)
+                return function(*args)
+            return wrapped
+
+        monkeypatch.setattr(oracle, "ROUTES", tuple(
+            dataclasses.replace(route, run=spy(route.name, route.run))
+            for route in oracle.ROUTES
+        ))
+        monkeypatch.setattr(oracle, "CERTIFICATIONS", tuple(
+            (check, spy(check, certify))
+            for check, certify in oracle.CERTIFICATIONS
+        ))
+        grid = default_grid(schemes=("bb", "treegion"), machines=("4U",))
+        report = check_generated(generate(0), grid=grid, engine_jobs=2)
+        assert report.ok, [m.to_json() for m in report.mismatches]
+        assert ran == [route.name for route in ROUTES] + ["analysis", "exact"]
+
     def test_report_serializes(self):
         report = check_generated(
             generate(1), grid=default_grid(schemes=("bb",),
@@ -85,6 +112,105 @@ class TestOracle:
         payload = json.loads(json.dumps(report.to_json()))
         assert payload["seed"] == 1
         assert payload["ok"] is True
+
+
+def _shift_first(run):
+    """A route run whose first cell comes back one cycle slower."""
+    def perturbed(context, metrics):
+        results = run(context, metrics)
+        first = dataclasses.replace(results[0], time=results[0].time + 1)
+        return [first] + results[1:]
+    return perturbed
+
+
+class TestRoutes:
+    """Every row of the route table is compared, crash-safe and named."""
+
+    GRID = default_grid(schemes=("bb",), machines=("4U",))
+
+    def _check(self, jobs=1, only=None):
+        generated = generate(0)
+        return check_routes(generated.program, generated.name, self.GRID,
+                            jobs=jobs, only=only)
+
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda route: route.name)
+    def test_perturbed_row_is_named(self, route, monkeypatch):
+        monkeypatch.setattr(oracle, "ROUTES", tuple(
+            dataclasses.replace(row, run=_shift_first(row.run))
+            if row.name == route.name else row
+            for row in oracle.ROUTES
+        ))
+        found = self._check(jobs=2 if route.pool else 1)
+        assert {m.check for m in found} == {route.name}
+        assert found[0].cell == self.GRID[0]
+
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda route: route.name)
+    def test_row_alone_is_clean(self, route):
+        # What the shrinker runs: one row, after the rows it reuses.
+        assert self._check(jobs=2 if route.pool else 1,
+                           only=route.name) == []
+
+    def test_pooled_row_mismatch_is_reported_unminimized(self):
+        generated = generate(0)
+        mismatch = Mismatch(check="parallel", cell=self.GRID[0],
+                            expected="direct time 1.0",
+                            actual="parallel time 2.0", detail="injected")
+        failure = minimize_failure(generated, mismatch, grid=self.GRID)
+        assert failure.trials == 0
+        assert failure.minimized_ops == failure.original_ops
+        assert failure.detail == "injected"
+
+    def test_crashing_row_is_named(self, monkeypatch):
+        def crash(context, metrics):
+            raise RuntimeError("route fell over")
+
+        monkeypatch.setattr(oracle, "ROUTES", tuple(
+            dataclasses.replace(row, run=crash)
+            if row.name == "memo-cold" else row
+            for row in oracle.ROUTES
+        ))
+        found = self._check(only="memo-cold")
+        assert [m.check for m in found] == ["memo-cold"]
+        assert found[0].actual == "RuntimeError"
+        assert "route fell over" in found[0].detail
+
+    def test_crashing_certification_is_named(self, monkeypatch):
+        import repro.exact.gap as gap_module
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("solver fell over")
+
+        monkeypatch.setattr(gap_module, "gap_program", crash)
+        found = self._check()
+        assert [m.check for m in found] == ["exact"]
+        assert found[0].actual == "RuntimeError"
+
+    def test_warm_store_must_serve_every_cell(self, monkeypatch):
+        import itertools
+        import repro.serve.store as store_module
+
+        # Keys that never repeat: the warm pass misses every cell yet
+        # still computes the right results.
+        fresh = itertools.count()
+        real_key = store_module.cell_key
+        monkeypatch.setattr(
+            store_module, "cell_key",
+            lambda text, cell: f"{real_key(text, cell)}{next(fresh)}",
+        )
+        found = self._check()
+        assert [m.check for m in found] == ["store-warm"]
+        assert found[0].actual == "0 hit(s)"
+
+    def test_warm_memo_must_not_miss(self, monkeypatch):
+        from repro.schedule.memo import RegionMemo
+
+        # Tier 2 forgets every entry: results and replayed counters stay
+        # right, but the warm pass has to reschedule every region.
+        monkeypatch.setattr(RegionMemo, "_remember",
+                            lambda self, key, entry: None)
+        found = self._check()
+        assert [m.check for m in found] == ["memo-warm"]
+        assert "miss" in found[0].actual
 
 
 class TestGridSpec:
@@ -110,6 +236,19 @@ class TestGridSpec:
     def test_bad_scheme_rejected_eagerly(self):
         with pytest.raises(ValueError):
             parse_grid_spec("schemes=megablock")
+
+    def test_unknown_machine_rejected(self):
+        with pytest.raises(ValueError, match="machine"):
+            parse_grid_spec("machines=9Z")
+
+    def test_unknown_heuristic_rejected(self):
+        with pytest.raises(ValueError, match="heuristic"):
+            parse_grid_spec("heuristics=nope")
+
+    @pytest.mark.parametrize("axis", ["schemes", "machines", "heuristics"])
+    def test_empty_axis_rejected(self, axis):
+        with pytest.raises(ValueError, match="empty"):
+            parse_grid_spec(f"{axis}=")
 
 
 class TestInjectedFault:
@@ -201,6 +340,30 @@ class TestRunner:
         assert len(paths) == 1
         payload = json.loads((tmp_path / "failure-seed1.json").read_text())
         assert payload["seed"] == 1
+
+
+    def test_route_fault_is_shrunk_and_reported(self, tmp_path,
+                                                monkeypatch):
+        # Regression: a route mismatch used to crash the shrinker, so
+        # the campaign died without a report.
+        real = api.cached_evaluate
+
+        def faulty(*args, **kwargs):
+            return [dataclasses.replace(row, time=row.time + 1)
+                    for row in real(*args, **kwargs)]
+
+        monkeypatch.setattr(api, "cached_evaluate", faulty)
+        summary = run_validation(
+            [0], grid=default_grid(schemes=("bb",), machines=("4U",)),
+            engine_every=1, max_trials=50,
+        )
+        assert not summary.ok
+        failure = summary.outcomes[0].failure
+        assert failure.check in ("store-cold", "store-warm")
+        assert failure.minimized_ops < failure.original_ops
+        paths = write_reports(summary, str(tmp_path))
+        payload = json.loads((tmp_path / "failure-seed0.json").read_text())
+        assert paths and payload["check"] == failure.check
 
 
 class TestGuardPreservation:
