@@ -804,6 +804,12 @@ def cmd_soak(args) -> int:
 
     from repro.workloads.specint import BENCHMARK_NAMES
 
+    if args.clients < 1:
+        raise CLIError("--clients must be at least 1")
+    if args.requests is not None and args.requests < 1:
+        raise CLIError("--requests must be at least 1")
+    if args.ramp < 0:
+        raise CLIError("--ramp must not be negative")
     names = (args.benchmarks.split(",") if args.benchmarks
              else list(BENCHMARK_NAMES))
     cells = []

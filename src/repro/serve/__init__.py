@@ -26,7 +26,7 @@ The layers, bottom up (see DESIGN.md §10–§12):
   and the synchronous :class:`Client` behind
   :func:`repro.api.connect`;
 * :mod:`repro.serve.soak` — the many-client load harness behind
-  ``repro soak`` and ``benchmarks/test_load_snapshot.py``;
+  ``repro soak`` and CI's ``serve-smoke`` load gate;
 * :mod:`repro.serve.events` — the size-rotated JSONL lifecycle event
   log, and :mod:`repro.serve.top` — the ``repro top`` ANSI dashboard
   over the ``STATS``/``HEALTH`` wire ops (see DESIGN.md §13).

@@ -120,3 +120,16 @@ class TestBadInputSweep:
         assert main(["client", "--endpoint", "http://host:80",
                      "--ping"]) == 2
         _stderr_error_line(capsys)
+
+    @pytest.mark.parametrize("flag, flag_name", [
+        ("--clients=0", "--clients"),
+        ("--clients=-3", "--clients"),
+        ("--requests=0", "--requests"),
+        ("--requests=-1", "--requests"),
+        ("--ramp=-1", "--ramp"),
+    ])
+    def test_soak_rejects_degenerate_load(self, flag, flag_name, capsys):
+        # Rejected before any endpoint is dialed: a soak that sends no
+        # request, or silently clamps its load, must not exit 0.
+        assert main(["soak", "--benchmarks", "compress", flag]) == 2
+        assert flag_name in _stderr_error_line(capsys)

@@ -60,18 +60,27 @@ def reference():
 STAGES = ("prep", "renaming", "ddg", "priorities", "list_schedule")
 
 
-def _traced_grid(jobs):
-    """Trace a small direct-pipeline grid; return the tracer and self times.
+TRACED_CELLS = [GridCell("compress", scheme, machine, "global_weight")
+                for scheme in ("bb", "treegion")
+                for machine in ("4U", "8U")]
 
-    With the region memo on, a warm process may legitimately skip every
-    stage, so it is pinned off here.
+
+def _traced_grid(jobs):
+    """Trace a small direct-pipeline grid.
+
+    Returns the tracer, its self times and the grid's results.  With the
+    region memo on, a warm process may legitimately skip every stage, so
+    it is pinned off here.
     """
-    cells = [GridCell("compress", scheme, machine, "global_weight")
-             for scheme in ("bb", "treegion")
-             for machine in ("4U", "8U")]
     tracer = Tracer()
-    evaluate_grid(cells, jobs=jobs, tracer=tracer, region_memo=False)
-    return tracer, tracer.self_times()
+    results = evaluate_grid(TRACED_CELLS, jobs=jobs, tracer=tracer,
+                            region_memo=False)
+    return tracer, tracer.self_times(), results
+
+
+def _untraced_signatures(jobs):
+    return [_signature(result) for result in
+            evaluate_grid(TRACED_CELLS, jobs=jobs, region_memo=False)]
 
 
 def _stage_counts(times):
@@ -155,7 +164,9 @@ class TestGridHelpers:
         assert len(results) == 2
 
     def test_timer_collects_stages(self):
-        tracer, times = _traced_grid(jobs=1)
+        tracer, times, results = _traced_grid(jobs=1)
+        # Observability never changes the answer.
+        assert [_signature(r) for r in results] == _untraced_signatures(1)
         for stage in ("formation", "prep", "renaming", "ddg",
                       "list_schedule", "estimate"):
             assert stage in times, stage
@@ -167,7 +178,8 @@ class TestGridHelpers:
         assert abs(total - roots[0].duration) < 1e-9
 
     def test_worker_timers_merged(self):
-        tracer, times = _traced_grid(jobs=2)
+        tracer, times, results = _traced_grid(jobs=2)
+        assert [_signature(r) for r in results] == _untraced_signatures(2)
         roots = [span for span in tracer.spans if span.parent is None]
         assert [span.name for span in roots] == ["evaluate_grid"]
         (pool,) = [s for s in tracer.spans if s.name == "pool"]

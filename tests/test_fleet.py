@@ -388,6 +388,20 @@ class TestSoakHarness:
         histogram = registry.histograms["soak.latency_us"]
         assert histogram.count == 24
         assert histogram.percentile(99) >= histogram.percentile(50)
+        # On live traffic, the exact and histogram percentile views
+        # agree within the power-of-two bucket bound, per split.
+        for split, exact_key in (("all", "latency"),
+                                 ("warm", "warm_latency"),
+                                 ("cold", "cold_latency")):
+            hist = summary["latency_hist_us"][split]
+            exact = summary[exact_key]
+            assert hist["count"] == exact["count"], split
+            if not exact["count"]:
+                continue
+            for q in (50, 95, 99):
+                exact_us = exact[f"p{q}"] * 1e6
+                assert (exact_us - 1 <= hist[f"p{q}"]
+                        <= 2 * exact_us + 1), (split, q, hist, exact)
 
     def test_soak_survives_a_shard_kill(self, tmp_path):
         cells = _grid()
