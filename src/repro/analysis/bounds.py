@@ -198,11 +198,17 @@ def region_lower_bounds(
     DAG dependences) and are rejected.
     """
     from repro.ir.analysis_cache import liveness_of
-    from repro.schedule.scheduler import dependences, prepare
+    from repro.schedule.scheduler import (
+        count_region,
+        dependences,
+        prepare,
+        region_counts,
+    )
 
     if liveness is None:
         liveness = liveness_of(region.root.cfg)
 
     problem, copies = prepare(region, machine, liveness)
     ddg = dependences(problem, machine, liveness, copies)
+    count_region(region_counts(problem, ddg))
     return bounds_from_ddg(problem, ddg, machine)

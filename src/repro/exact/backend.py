@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ir.liveness import LivenessInfo
 from repro.machine.model import MachineModel
-from repro.obs.metrics import NULL_METRICS, current_metrics
 from repro.regions.region import Region
 from repro.schedule.ddg import DDG
 from repro.schedule.list_scheduler import (
@@ -53,7 +52,13 @@ from repro.schedule.priorities import (
     priority_order,
 )
 from repro.schedule.schedule import RegionSchedule
-from repro.schedule.scheduler import ScheduleOptions, dependences, prepare
+from repro.schedule.scheduler import (
+    ScheduleOptions,
+    count_region,
+    dependences,
+    prepare,
+    region_counts,
+)
 from repro.exact.bnb import branch_and_bound
 
 __all__ = ["ExactInfo", "exact_schedule_problem", "solve_region",
@@ -210,17 +215,6 @@ def exact_schedule_problem(
         nodes=result.nodes,
         pruned=result.pruned,
     )
-    metrics = current_metrics()
-    if metrics is not NULL_METRICS:
-        metrics.inc("exact.regions")
-        metrics.inc("exact.nodes", info.nodes)
-        metrics.inc("exact.pruned", info.pruned)
-        if info.proven:
-            metrics.inc("exact.proven")
-        else:
-            metrics.inc("exact.budget_exceeded")
-        if info.improved:
-            metrics.inc("exact.improved")
     return schedule, info
 
 
@@ -247,4 +241,5 @@ def solve_region(
     options = ScheduleOptions(backend="exact", exact_budget=budget)
     schedule, info = exact_schedule_problem(problem, ddg, None, machine,
                                             options, copies)
+    count_region(region_counts(problem, ddg, info=info))
     return schedule, info, problem, ddg

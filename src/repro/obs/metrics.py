@@ -30,11 +30,15 @@ Modes ride in snapshots under ``gauge_modes`` — a key emitted only
 when some gauge is non-default, so mode-free registries serialize
 exactly as before.
 
-Instrumentation points deep in the pipeline (tail duplication, renaming,
-prep, the DDG builder) would need a ``metrics`` parameter threaded
-through a dozen signatures; instead they read the *active* registry via
-:func:`current_metrics`, which callers install with
-:func:`metrics_scope`.  With no scope installed the active registry is
+Instrumentation points deep in the pipeline (tail duplication, region
+formation, the lint runner, the artifact store) would need a ``metrics``
+parameter threaded through a dozen signatures; instead they read the
+*active* registry via :func:`current_metrics`, which callers install
+with :func:`metrics_scope`.  The region scheduling stages (prep,
+renaming, the DDG builder, list and exact scheduling) do not: they
+leave their figures on their outputs, and
+:func:`repro.schedule.scheduler.count_region` counts each region once
+from that record.  With no scope installed the active registry is
 :data:`NULL_METRICS`, a shared no-op, so uninstrumented runs pay one
 list lookup and a no-op method call per event — events are per-region or
 per-duplication, never per scheduled op, so the overhead stays small

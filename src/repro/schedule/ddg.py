@@ -51,7 +51,6 @@ from repro.ir.liveness import LivenessInfo
 from repro.ir.registers import Register, register_key
 from repro.ir.types import Opcode
 from repro.machine.model import MachineModel
-from repro.obs.metrics import NULL_METRICS, current_metrics
 from repro.regions.region import RegionExit
 from repro.schedule.prep import ScheduleProblem
 from repro.schedule.renaming import ExitCopy
@@ -150,6 +149,10 @@ class DDG:
             self._cedge_src.append(src)
             self._cedge_dst.append(dst)
             self._dirty = True
+
+    @property
+    def num_nodes(self) -> int:
+        return self._n
 
     @property
     def num_edges(self) -> int:
@@ -301,10 +304,6 @@ class DDG:
         if resolved != n:
             raise AssertionError("DDG has a cycle; heights undefined")
 
-    def pred_count(self, i: int) -> int:
-        self.finalize()
-        return self.in_degree[i]
-
 
 class _PathState:
     """Per-path dependence state carried down the tree walk.
@@ -434,11 +433,6 @@ def build_ddg(
 
     _add_control_height_edges(ddg)
     ddg.compute_heights(machine)
-    metrics = current_metrics()
-    if metrics is not NULL_METRICS:
-        metrics.inc("ddg.nodes", len(problem.sched_ops))
-        metrics.inc("ddg.edges", ddg.num_edges)
-        metrics.inc("ddg.control_edges", ddg.num_control_edges)
     return ddg
 
 

@@ -26,17 +26,14 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.ir.cfg import BasicBlock, Edge
-from repro.ir.liveness import LivenessInfo, compute_liveness
+from repro.ir.liveness import LivenessInfo
 from repro.ir.operation import Operation
 from repro.ir.registers import Register
 from repro.ir.types import Opcode
 from repro.machine.model import MachineModel
 from repro.regions.hyperblock import Hyperblock
 from repro.schedule.ddg import DDG, _live_at_exit, defined_registers
-from repro.schedule.list_scheduler import list_schedule
 from repro.schedule.prep import ScheduleProblem, _Prep
-from repro.schedule.priorities import Heuristic, priority_order
-from repro.schedule.schedule import RegionSchedule
 
 
 class _HyperblockPrep(_Prep):
@@ -240,23 +237,3 @@ def _add_dag_control_heights(ddg: DDG, region: Hyperblock) -> None:
             ):
                 for target in below:
                     ddg.add_control_edge(sop.index, target)
-
-
-# ----------------------------------------------------------------------
-
-
-def schedule_hyperblock(
-    region: Hyperblock,
-    machine: MachineModel,
-    heuristic: Heuristic = "global_weight",
-    liveness: Optional[LivenessInfo] = None,
-    max_cycles: int = 1_000_000,
-) -> RegionSchedule:
-    """The full hyperblock pipeline: if-convert, DDG, sort, list schedule."""
-    if liveness is None:
-        liveness = compute_liveness(region.root.cfg)
-    problem = prepare_hyperblock(region, machine, liveness)
-    ddg = build_hyperblock_ddg(problem, machine, liveness)
-    order = priority_order(problem, ddg, heuristic)
-    return list_schedule(problem, ddg, order, machine, copies=[],
-                         max_cycles=max_cycles)

@@ -37,7 +37,7 @@ scoped to one (benchmark, scheme) group by :meth:`RegionMemo.begin_group`):
   per (machine, heuristic) cell.
 
 A probe that reuses a schedule still counts as a **miss** (``hits`` and
-``store_hits`` are untouched), replays the schedule's counter snapshot,
+``store_hits`` are untouched), counts the schedule's counter record,
 stores its tier-2 entry and store object under its own key, and
 returns a :class:`RegionSummary` rather than the full schedule.
 
@@ -60,24 +60,26 @@ under :func:`repro.serve.store.region_key`.
   :attr:`~repro.schedule.schedule.RegionSchedule.weighted_time`), never
   stored, because the fingerprint quantizes weights with ``%g`` while
   the estimate uses full-precision floats;
-* deterministic observability counters are preserved by *replay*: every
-  miss runs under a private :class:`~repro.obs.metrics.MetricsRegistry`
-  whose snapshot is stored with the entry (tier-1 entries store their
-  build deltas too, merged into each reusing miss), and every hit merges
-  the stored snapshot into the active registry — so memo-on, memo-off,
-  serial, and parallel runs of one grid report identical
-  ``deterministic_snapshot()``s.
+* every entry keeps the region's
+  :class:`~repro.schedule.scheduler.RegionCounts` record, and every
+  probe, hit or miss, counts it with
+  :func:`~repro.schedule.scheduler.count_region`, as the direct route
+  counts each region — so memo-on, memo-off, serial, and parallel runs
+  of one grid report identical counters and histograms;
+* a store payload whose exit count differs from the live region's, or
+  whose figures are not non-negative ints, is a miss, and the
+  recomputed entry overwrites it.
 
 **Bypasses** (served by :func:`~repro.schedule.scheduler.schedule_region`,
 never cached): hyperblocks
 (a different pipeline), ``options.certify`` or an active lint collector
 (caller wants diagnostics, not numbers), and non-default ``max_cycles``.
 Dominator parallelism bypasses tier 1 only — its merge step rewrites
-consumer operands destructively, so each miss runs
-``schedule_region`` fresh — but memoizes fine at tier 2 (``dp`` is in
-the key).  The exact backend shares the prepared problem and DDG but
-never the order and schedule tables: it searches from the priority
-keys, and its results key separately.
+consumer operands destructively, so each miss runs the scheduler's
+stages fresh — but memoizes fine at tier 2 (``dp`` is in the key).
+The exact backend shares the prepared problem and DDG but never the
+order and schedule tables: it searches from the priority keys, and its
+results key separately.
 
 Tier-2 keys assume the region's blocks/ops/weights do not change between
 fingerprinting and scheduling — true for the engine, which forms fresh
@@ -88,17 +90,11 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ir.liveness import LivenessInfo
 from repro.lint.collect import current_collector
 from repro.machine.model import MachineModel
-from repro.obs.metrics import (
-    NULL_METRICS,
-    MetricsRegistry,
-    current_metrics,
-    metrics_scope,
-)
 from repro.obs.tracer import NULL_TRACER
 from repro.regions.region import Region
 from repro.schedule.fingerprint import (
@@ -108,8 +104,10 @@ from repro.schedule.fingerprint import (
 )
 from repro.schedule.priorities import all_priority_keys, priority_order
 from repro.schedule.scheduler import (
+    RegionCounts,
     ScheduleOptions,
     check_options,
+    count_region,
     dependences,
     prepare,
     schedule_prepared,
@@ -122,83 +120,68 @@ DEFAULT_MAX_ENTRIES = 1 << 16
 
 _DEFAULT_MAX_CYCLES = ScheduleOptions().max_cycles
 
+#: The record fields every entry holds (exact-backend entries: all).
+_FIELDS = tuple(name for name in RegionCounts._fields
+                if not name.startswith("exact_"))
+_EXACT_FIELDS = RegionCounts._fields
 
-class RegionSummary:
-    """What the engine consumes from one region's schedule.
 
-    Attribute-compatible with the slice of
-    :class:`~repro.schedule.schedule.RegionSchedule` the evaluation
-    engine reads (``weighted_time``/``length``/``copy_count``/
-    ``merged_count``/``speculated_count``), so cached and fresh regions
-    flow through the same accumulation code.
-    """
+class RegionSummary(NamedTuple):
+    """What the engine consumes from one region's schedule: the slice of
+    :class:`~repro.schedule.schedule.RegionSchedule` it reads, so cached
+    and fresh regions flow through the same accumulation code."""
 
-    __slots__ = ("weighted_time", "length", "copy_count", "merged_count",
-                 "speculated_count")
-
-    def __init__(self, weighted_time: float, length: int, copy_count: int,
-                 merged_count: int, speculated_count: int):
-        self.weighted_time = weighted_time
-        self.length = length
-        self.copy_count = copy_count
-        self.merged_count = merged_count
-        self.speculated_count = speculated_count
-
-    def __repr__(self) -> str:
-        return (f"<RegionSummary len={self.length} "
-                f"time={self.weighted_time:g}>")
+    weighted_time: float
+    length: int
+    copy_count: int
+    merged_count: int
+    speculated_count: int
 
 
 class _Level2Entry:
-    """A memoized pipeline result plus its metric replay snapshot."""
+    """A memoized pipeline result: the exit cycles and the region's
+    counter record."""
 
-    __slots__ = ("exit_cycles", "length", "copy_count", "merged_count",
-                 "speculated_count", "snapshot", "size")
+    __slots__ = ("exit_cycles", "counts", "size")
 
-    def __init__(self, exit_cycles: Tuple[int, ...], length: int,
-                 copy_count: int, merged_count: int, speculated_count: int,
-                 snapshot: Dict[str, object]):
+    def __init__(self, exit_cycles: Tuple[int, ...], counts: RegionCounts):
         self.exit_cycles = exit_cycles
-        self.length = length
-        self.copy_count = copy_count
-        self.merged_count = merged_count
-        self.speculated_count = speculated_count
-        self.snapshot = snapshot
+        self.counts = counts
         self.size = len(json.dumps(self.payload(), sort_keys=True))
 
     def payload(self) -> Dict[str, object]:
-        return {
+        payload: Dict[str, object] = {
             "kind": "region",
             "exit_cycles": list(self.exit_cycles),
-            "length": self.length,
-            "copy_count": self.copy_count,
-            "merged_count": self.merged_count,
-            "speculated_count": self.speculated_count,
-            "snapshot": self.snapshot,
         }
+        for name, value in zip(RegionCounts._fields, self.counts):
+            if value is not None:
+                payload[name] = value
+        return payload
 
     @classmethod
-    def of(cls, schedule, registry: MetricsRegistry) -> "_Level2Entry":
-        """The entry for a fresh schedule and the registry it ran under."""
-        return cls(
-            exit_cycles=tuple(record.cycle for record in schedule.exits),
-            length=schedule.length,
-            copy_count=len(schedule.copies),
-            merged_count=len(schedule.merged),
-            speculated_count=schedule.speculated_count,
-            snapshot=registry.deterministic_snapshot(),
-        )
+    def of(cls, schedule, counts: RegionCounts) -> "_Level2Entry":
+        """The entry for a fresh schedule and its counter record."""
+        return cls(tuple(record.cycle for record in schedule.exits), counts)
 
     @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "_Level2Entry":
-        return cls(
-            exit_cycles=tuple(int(c) for c in payload["exit_cycles"]),
-            length=int(payload["length"]),
-            copy_count=int(payload["copy_count"]),
-            merged_count=int(payload["merged_count"]),
-            speculated_count=int(payload["speculated_count"]),
-            snapshot=dict(payload["snapshot"]),
-        )
+    def from_payload(cls, payload, exits,
+                     exact: bool) -> Optional["_Level2Entry"]:
+        """The entry a store payload holds, or None when the payload is
+        corrupt: not a region object, one exit cycle per region exit
+        (``exits``) or every record field (the ``exact_*`` ones too when
+        ``exact``) missing, or a figure that is not a non-negative
+        int."""
+        if not isinstance(payload, dict) or payload.get("kind") != "region":
+            return None
+        cycles = payload.get("exit_cycles")
+        if not isinstance(cycles, list) or len(cycles) != len(exits):
+            return None
+        fields = _EXACT_FIELDS if exact else _FIELDS
+        values: List[object] = [payload.get(name) for name in fields]
+        if not all(type(v) is int and v >= 0 for v in cycles + values):
+            return None
+        return cls(tuple(cycles), RegionCounts(*values))
 
 
 class RegionMemo:
@@ -216,10 +199,9 @@ class RegionMemo:
         #: Tier 2: (region fp, machine fp, heuristic, dp, sc) -> entry,
         #: LRU-ordered (oldest first).
         self._entries: "OrderedDict[Tuple, _Level2Entry]" = OrderedDict()
-        #: Tier 1, cleared per group.  Stage outputs: key -> (output,
-        #: counter snapshot of the build).
-        self._problems: Dict[Tuple, Tuple[object, Dict]] = {}
-        self._ddgs: Dict[Tuple, Tuple[object, Dict]] = {}
+        #: Tier 1, cleared per group.  Stage outputs by key.
+        self._problems: Dict[Tuple, object] = {}
+        self._ddgs: Dict[Tuple, object] = {}
         #: id(region) -> (region, content fingerprint); the region
         #: reference pins the id for the group.
         self._fingerprints: Dict[int, Tuple[Region, str]] = {}
@@ -331,21 +313,19 @@ class RegionMemo:
         # stores stay valid.
         if options.backend != "heuristic":
             key = key + (options.backend, options.exact_budget)
-        outer = current_metrics()
 
+        exits = None
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
         elif self.store is not None:
             payload = self.store.get_payload(self._store_key(key))
-            if payload is not None and payload.get("kind") == "region":
-                try:
-                    entry = _Level2Entry.from_payload(payload)
-                except (KeyError, TypeError, ValueError):
-                    entry = None
-                if entry is not None:
-                    self.store_hits += 1
-                    self._remember(key, entry)
+            exits = None if payload is None else region.exits()
+            entry = _Level2Entry.from_payload(
+                payload, exits, exact=options.backend == "exact")
+            if entry is not None:
+                self.store_hits += 1
+                self._remember(key, entry)
 
         if entry is not None:
             self.hits += 1
@@ -358,8 +338,7 @@ class RegionMemo:
             if self.store is not None:
                 self.store.put_payload(self._store_key(key), entry.payload(),
                                        defer_index=True)
-        if outer is not NULL_METRICS:
-            outer.merge_snapshot(entry.snapshot)
+        count_region(entry.counts)
         if schedule is not None:
             return schedule
         # Weighted time is recomputed from the *live* exit weights in
@@ -368,15 +347,12 @@ class RegionMemo:
         # RegionSchedule.weighted_time exactly.
         weighted_time = sum(
             exit.weight * cycle
-            for exit, cycle in zip(region.exits(), entry.exit_cycles)
+            for exit, cycle in zip(exits or region.exits(),
+                                   entry.exit_cycles)
         )
-        return RegionSummary(
-            weighted_time=weighted_time,
-            length=entry.length,
-            copy_count=entry.copy_count,
-            merged_count=entry.merged_count,
-            speculated_count=entry.speculated_count,
-        )
+        counts = entry.counts
+        return RegionSummary(weighted_time, counts.length, counts.copy_count,
+                             counts.merged_count, counts.speculated_count)
 
     @staticmethod
     def _store_key(key: Tuple) -> str:
@@ -399,23 +375,16 @@ class RegionMemo:
         return cached[1]
 
     @staticmethod
-    def _shared(table: Dict, key: Tuple, build) -> Tuple[object, Dict]:
-        """Tier-1 lookup: ``build()`` runs once per key, under a private
-        registry; returns its value and that registry's counter
-        snapshot, which every use replays."""
-        entry = table.get(key)
-        if entry is None:
-            registry = MetricsRegistry()
-            with metrics_scope(registry):
-                value = build()
-            entry = table[key] = (value, registry.deterministic_snapshot())
-        return entry
+    def _shared(table: Dict, key: Tuple, build):
+        """Tier-1 lookup: ``build()`` runs once per key."""
+        if key not in table:
+            table[key] = build()
+        return table[key]
 
     def _prepared(self, region, machine, liveness, sc, ddg_key, tracer):
         """Stages 1 and 2 through the tier-1 tables: the problem, its
-        copies, the DDG, every heuristic's priority keys, and the two
-        builds' counter snapshots."""
-        (problem, copies), prep_counts = self._shared(
+        copies, the DDG and every heuristic's priority keys."""
+        problem, copies = self._shared(
             self._problems, (id(region), machine.use_btr, sc),
             lambda: prepare(region, machine, liveness, sc, tracer))
         # The problem may hold the placement of an earlier schedule.
@@ -426,9 +395,8 @@ class RegionMemo:
             with tracer.span("priorities"):
                 return ddg, all_priority_keys(problem, ddg)
 
-        (ddg, keys), ddg_counts = self._shared(self._ddgs, ddg_key,
-                                               build_ddg_and_keys)
-        return problem, copies, ddg, keys, (prep_counts, ddg_counts)
+        ddg, keys = self._shared(self._ddgs, ddg_key, build_ddg_and_keys)
+        return problem, copies, ddg, keys
 
     def _miss(self, region, machine, machine_key, options, liveness,
               tracer):
@@ -438,18 +406,18 @@ class RegionMemo:
         Returns ``(entry, schedule)``.  ``schedule`` is None when the
         group already scheduled this region for this machine in the
         same priority order: the list scheduler reads nothing else, so
-        ``entry`` is that schedule's, and its counter snapshot is
-        exactly what a rerun would record.
+        ``entry`` is that schedule's, counter record included.
         """
         if options.dominator_parallelism:
             # The dp merge step rewrites consumer operands in place, so
-            # the prepared problem is single-use: run the full reference
-            # pipeline fresh (tier 2 still caches it).
-            inner = MetricsRegistry()
-            with metrics_scope(inner):
-                schedule = schedule_region(region, machine, options,
-                                           liveness, tracer=tracer)
-            return _Level2Entry.of(schedule, inner), schedule
+            # the prepared problem is single-use: run the stages fresh
+            # (tier 2 still caches the result).
+            problem, copies = prepare(region, machine, liveness,
+                                      options.schedule_copies, tracer)
+            ddg = dependences(problem, machine, liveness, copies, tracer)
+            schedule, counts = schedule_prepared(
+                problem, ddg, copies, machine, options, tracer=tracer)
+            return _Level2Entry.of(schedule, counts), schedule
 
         sc = options.schedule_copies
         # Keyed by latency fingerprint, not full machine fingerprint:
@@ -465,7 +433,7 @@ class RegionMemo:
             order_key = ddg_key + (options.heuristic,)
             order = self._orders.get(order_key)
             if order is None:
-                problem, _, ddg, keys, _ = self._prepared(
+                problem, _, ddg, keys = self._prepared(
                     region, machine, liveness, sc, ddg_key, tracer)
                 with tracer.span("priorities"):
                     order = self._orders[order_key] = tuple(
@@ -477,18 +445,14 @@ class RegionMemo:
             if entry is not None:
                 return entry, None
 
-        problem, copies, ddg, keys, counts = self._prepared(
+        problem, copies, ddg, keys = self._prepared(
             region, machine, liveness, sc, ddg_key, tracer)
-        inner = MetricsRegistry()
-        for snapshot in counts:
-            inner.merge_snapshot(snapshot)
         ops = problem.sched_ops
-        with metrics_scope(inner):
-            schedule = schedule_prepared(
-                problem, ddg, copies, machine, options, liveness, keys=keys,
-                order=None if order is None else [ops[i] for i in order],
-                tracer=tracer)
-        entry = _Level2Entry.of(schedule, inner)
+        schedule, counts = schedule_prepared(
+            problem, ddg, copies, machine, options, keys=keys,
+            order=None if order is None else [ops[i] for i in order],
+            tracer=tracer)
+        entry = _Level2Entry.of(schedule, counts)
         if order is not None:
             self._schedules[schedule_key] = entry
         return entry, schedule
@@ -506,9 +470,3 @@ def global_memo() -> RegionMemo:
     if _GLOBAL_MEMO is None:
         _GLOBAL_MEMO = RegionMemo()
     return _GLOBAL_MEMO
-
-
-def reset_global_memo() -> None:
-    """Drop the process-wide memo (tests; reclaim memory)."""
-    global _GLOBAL_MEMO
-    _GLOBAL_MEMO = None

@@ -39,7 +39,6 @@ from repro.ir.operation import Operation
 from repro.ir.registers import Register, RegisterFactory
 from repro.ir.types import CompareCond, EdgeKind, Opcode
 from repro.machine.model import MachineModel
-from repro.obs.metrics import current_metrics
 from repro.regions.region import Region, RegionExit
 from repro.schedule.schedule import SchedOp
 
@@ -65,6 +64,10 @@ class ScheduleProblem:
         #: Cycle (op) at which each block's guard is defined, for
         #: speculation statistics; filled by the scheduler.
         self.guard_def: Dict[Register, SchedOp] = {}
+        #: Guard ANDs prep synthesized and names renaming minted (the
+        #: ``prep.pand_merges``/``rename.registers_minted`` counters).
+        self.pand_merges = 0
+        self.registers_minted = 0
 
     # ------------------------------------------------------------------
 
@@ -238,7 +241,7 @@ class _Prep:
         if guard is None:
             return op_guard
         dest = self.problem.regs.fresh_pred()
-        current_metrics().inc("prep.pand_merges")
+        self.problem.pand_merges += 1
         self._emit_synth(
             Operation(0, Opcode.PAND, dests=[dest], srcs=[op_guard, guard]),
             block, dest,

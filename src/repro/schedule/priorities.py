@@ -127,14 +127,3 @@ def priority_order(
     sched_ops = problem.sched_ops
     return [sched_ops[i] for i in sorted(range(len(keys)),
                                          key=keys.__getitem__, reverse=True)]
-
-
-def priority_ranks(
-    problem: ScheduleProblem, ddg: DDG, heuristic: Heuristic
-) -> List[int]:
-    """rank[i] = position of op i in the sorted list (0 = most urgent)."""
-    order = priority_order(problem, ddg, heuristic)
-    ranks = [0] * len(order)
-    for position, sop in enumerate(order):
-        ranks[sop.index] = position
-    return ranks

@@ -36,7 +36,6 @@ from repro.ir.cfg import BasicBlock
 from repro.ir.liveness import LivenessInfo
 from repro.ir.registers import Register
 from repro.ir.types import Opcode, RegClass
-from repro.obs.metrics import current_metrics
 from repro.regions.region import RegionExit
 from repro.schedule.prep import ScheduleProblem
 
@@ -103,7 +102,6 @@ def rename_region(problem: ScheduleProblem, liveness: LivenessInfo) -> List[Exit
     """
     analysis = _ConflictAnalysis(problem, liveness)
     region = problem.region
-    metrics = current_metrics()
     copies: List[ExitCopy] = []
 
     exits_by_block: Dict[int, List[RegionExit]] = {}
@@ -141,7 +139,7 @@ def rename_region(problem: ScheduleProblem, liveness: LivenessInfo) -> List[Exit
                     continue
                 if analysis.needs_rename(dest, block):
                     fresh = problem.regs.fresh(dest.rclass)
-                    metrics.inc("rename.registers_minted")
+                    problem.registers_minted += 1
                     renames[dest] = fresh
                     op.dests[i] = fresh
                 else:

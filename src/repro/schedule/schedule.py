@@ -143,11 +143,6 @@ class RegionSchedule:
         sop.slot = len(multiop)
         multiop.append(sop)
 
-    def ops_at(self, cycle: int) -> List[SchedOp]:
-        if cycle < 1 or cycle > len(self.cycles):
-            return []
-        return self.cycles[cycle - 1]
-
     def all_ops(self) -> List[SchedOp]:
         return [sop for multiop in self.cycles for sop in multiop]
 

@@ -20,12 +20,17 @@ three stages, and the exact solver and the bound analysis call
 :func:`prepare` and :func:`dependences` to get the problem the scheduler
 would see.  :func:`check_options` is the one place options are
 validated; every route calls it before doing any work.
+
+The stages count nothing: :func:`region_counts` reads a region's
+figures off its stage outputs, and :func:`count_region` is the one
+function that counts them — once per region on the direct route, once
+per probe from the record each memo entry keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ir.analysis_cache import liveness_of
 from repro.ir.liveness import LivenessInfo
@@ -87,17 +92,76 @@ class ScheduleOptions:
     exact_budget: int = 50_000
 
 
-def _record_schedule_metrics(schedule: RegionSchedule) -> RegionSchedule:
-    """Count one finished region schedule into the active registry."""
+class RegionCounts(NamedTuple):
+    """One region's pipeline counters as plain figures read off its stage
+    outputs.  A stage's fields are None where the route did not run it:
+    the DDG's for hyperblocks, the schedule's for the bound analysis and
+    the gap route, the exact search's unless it ran (``exact_proven`` and
+    ``exact_improved`` are 0 or 1)."""
+
+    pand_merges: int = 0
+    registers_minted: int = 0
+    ddg_nodes: Optional[int] = None
+    ddg_edges: Optional[int] = None
+    ddg_control_edges: Optional[int] = None
+    length: Optional[int] = None
+    copy_count: Optional[int] = None
+    merged_count: Optional[int] = None
+    speculated_count: Optional[int] = None
+    exact_nodes: Optional[int] = None
+    exact_pruned: Optional[int] = None
+    exact_proven: Optional[int] = None
+    exact_improved: Optional[int] = None
+
+
+def region_counts(problem: ScheduleProblem, ddg: Optional[DDG] = None,
+                  schedule: Optional[RegionSchedule] = None,
+                  info=None) -> RegionCounts:
+    """The record of a region's prepared problem and, where the route
+    built them, its DDG, its schedule and the exact search's
+    :class:`~repro.exact.backend.ExactInfo`."""
+    absent = (None,) * 4
+    return RegionCounts(
+        problem.pand_merges, problem.registers_minted,
+        *((ddg.num_nodes, ddg.num_edges, ddg.num_control_edges)
+          if ddg is not None else absent[:3]),
+        *((schedule.length, len(schedule.copies), len(schedule.merged),
+           schedule.speculated_count) if schedule is not None else absent),
+        *((info.nodes, info.pruned, int(info.proven), int(info.improved))
+          if info is not None else absent))
+
+
+def count_region(counts: RegionCounts) -> None:
+    """Count one region's record into the active registry: the only
+    place pipeline counters are incremented.  Event counters (PAND
+    merges, minted registers, exact outcomes) are left out at zero;
+    sizes and totals are emitted even when zero."""
     metrics = current_metrics()
-    if metrics is not NULL_METRICS:
+    if metrics is NULL_METRICS:
+        return
+    if counts.pand_merges:
+        metrics.inc("prep.pand_merges", counts.pand_merges)
+    if counts.registers_minted:
+        metrics.inc("rename.registers_minted", counts.registers_minted)
+    if counts.ddg_nodes is not None:
+        metrics.inc("ddg.nodes", counts.ddg_nodes)
+        metrics.inc("ddg.edges", counts.ddg_edges)
+        metrics.inc("ddg.control_edges", counts.ddg_control_edges)
+    if counts.length is not None:
         metrics.inc("schedule.regions")
-        metrics.inc("schedule.cycles", schedule.length)
-        metrics.inc("schedule.speculated", schedule.speculated_count)
-        metrics.inc("schedule.merged", len(schedule.merged))
-        metrics.inc("rename.exit_copies", len(schedule.copies))
-        metrics.observe("schedule.length", schedule.length)
-    return schedule
+        metrics.inc("schedule.cycles", counts.length)
+        metrics.inc("schedule.speculated", counts.speculated_count)
+        metrics.inc("schedule.merged", counts.merged_count)
+        metrics.inc("rename.exit_copies", counts.copy_count)
+        metrics.observe("schedule.length", counts.length)
+    if counts.exact_nodes is not None:
+        metrics.inc("exact.regions")
+        metrics.inc("exact.nodes", counts.exact_nodes)
+        metrics.inc("exact.pruned", counts.exact_pruned)
+        metrics.inc("exact.proven" if counts.exact_proven
+                    else "exact.budget_exceeded")
+        if counts.exact_improved:
+            metrics.inc("exact.improved")
 
 
 def check_options(region: Region, options: ScheduleOptions) -> None:
@@ -157,13 +221,15 @@ def dependences(problem: ScheduleProblem, machine: MachineModel,
 
 def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
                       copies: List[ExitCopy], machine: MachineModel,
-                      options: ScheduleOptions, liveness: LivenessInfo,
+                      options: ScheduleOptions,
                       keys: Optional[Dict[Heuristic, List[Tuple]]] = None,
                       order: Optional[List[SchedOp]] = None,
-                      tracer=NULL_TRACER) -> RegionSchedule:
+                      tracer=NULL_TRACER
+                      ) -> Tuple[RegionSchedule, RegionCounts]:
     """Stage 3: sort by priority and list-schedule (or solve exactly).
 
-    ``problem`` must be placement-clean
+    Returns the schedule and the region's :class:`RegionCounts`, which
+    the caller counts.  ``problem`` must be placement-clean
     (:meth:`~repro.schedule.prep.ScheduleProblem.reset_placement`);
     on return it holds the schedule's placement.  ``keys`` is an
     :func:`~repro.schedule.priorities.all_priority_keys` dict for this
@@ -173,11 +239,12 @@ def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
     ``options.heuristic`` when the caller already sorted it; the list
     scheduler then skips the sort (the exact backend ignores it).
     """
+    info = None
     if options.backend == "exact":
         from repro.exact.backend import exact_schedule_problem
 
         with tracer.span("exact"):
-            schedule, _info = exact_schedule_problem(
+            schedule, info = exact_schedule_problem(
                 problem, ddg, keys, machine, options, copies,
             )
     else:
@@ -197,11 +264,7 @@ def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
                 copies=copies,
                 max_cycles=options.max_cycles,
             )
-    _record_schedule_metrics(schedule)
-    if options.certify or current_collector() is not None:
-        with tracer.span("certify"):
-            _certify(problem, ddg, schedule, machine, liveness, options)
-    return schedule
+    return schedule, region_counts(problem, ddg, schedule, info)
 
 
 def schedule_region(
@@ -219,8 +282,9 @@ def schedule_region(
 
     ``tracer`` records the stages as nested spans (prep, renaming, ddg,
     priorities, list_schedule; its :meth:`~repro.obs.tracer.Tracer.self_times`
-    are the per-stage wall times); per-decision counters land in the
-    active :func:`repro.obs.metrics.current_metrics` registry.
+    are the per-stage wall times); the region's counters
+    (:func:`count_region`) land in the active
+    :func:`repro.obs.metrics.current_metrics` registry.
     """
     options = options or ScheduleOptions()
     check_options(region, options)
@@ -229,14 +293,21 @@ def schedule_region(
     # Hyperblocks go through the if-conversion pipeline: full predication,
     # DAG dependences, no renaming, no speculation.
     if isinstance(region, Hyperblock):
-        from repro.schedule.hyperblock import schedule_hyperblock
+        from repro.schedule.hyperblock import (
+            build_hyperblock_ddg,
+            prepare_hyperblock,
+        )
 
         with tracer.span("list_schedule", region=region.root.bid,
                          kind="hyperblock"):
-            return _record_schedule_metrics(schedule_hyperblock(
-                region, machine, heuristic=options.heuristic,
-                liveness=liveness, max_cycles=options.max_cycles,
-            ))
+            problem = prepare_hyperblock(region, machine, liveness)
+            ddg = build_hyperblock_ddg(problem, machine, liveness)
+            order = priority_order(problem, ddg, options.heuristic)
+            schedule = list_schedule(problem, ddg, order, machine, copies=[],
+                                     max_cycles=options.max_cycles)
+        # The DAG dependences are not counted: only prep and schedule.
+        count_region(region_counts(problem, schedule=schedule))
+        return schedule
     with tracer.span("schedule_region", region=region.root.bid,
                      blocks=len(region.blocks),
                      machine=machine.name,
@@ -244,8 +315,13 @@ def schedule_region(
         problem, copies = prepare(region, machine, liveness,
                                   options.schedule_copies, tracer)
         ddg = dependences(problem, machine, liveness, copies, tracer)
-        return schedule_prepared(problem, ddg, copies, machine, options,
-                                 liveness, tracer=tracer)
+        schedule, counts = schedule_prepared(problem, ddg, copies, machine,
+                                             options, tracer=tracer)
+        count_region(counts)
+        if options.certify or current_collector() is not None:
+            with tracer.span("certify"):
+                _certify(problem, ddg, schedule, machine, liveness, options)
+        return schedule
 
 
 def _certify(problem, ddg, schedule, machine, liveness, options) -> None:

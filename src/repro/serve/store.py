@@ -33,9 +33,9 @@ wins, and a reader never observes a torn file.
 
 **Eviction**: the store is LRU size-bounded (``max_mb``); exceeding the
 bound evicts least-recently-used entries until it fits and counts them
-(``serve.store.evictions``).  A missing or unparsable index is rebuilt
-by scanning the object tree; an unreadable, unparsable, or wrong-key
-object file is deleted and served as a miss
+(``serve.store.evictions``).  A missing, unparsable or malformed index
+is rebuilt by scanning the object tree; an unreadable, unparsable,
+non-object or wrong-key object file is deleted and served as a miss
 (``serve.store.corrupt``) — corruption can cost time, never wrong
 answers.
 
@@ -62,7 +62,7 @@ from repro.schedule.fingerprint import machine_fingerprint  # noqa: F401
 
 #: Revision of the on-disk payload shape.  Bump when the JSON layout of
 #: an entry changes; old entries then key differently and age out.
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 
 #: Default size bound (in MiB) when a caller does not pass one.
 DEFAULT_MAX_MB = 256
@@ -186,6 +186,25 @@ def result_from_payload(payload: Dict[str, object]) -> CellResult:
     )
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _parse_index(raw) -> Optional[Tuple[int, Dict[str, Tuple[int, int]]]]:
+    """The (clock, entries) of a well-formed ``index.json`` document, or
+    None: each key alphanumeric (a file name inside the object tree) and
+    mapped to a [size, clock] pair of non-negative ints."""
+    if not (isinstance(raw, dict) and _is_count(raw.get("clock"))
+            and isinstance(raw.get("entries"), dict)):
+        return None
+    entries = raw["entries"]
+    if not all(key.isascii() and key.isalnum() and isinstance(entry, list)
+               and len(entry) == 2 and all(map(_is_count, entry))
+               for key, entry in entries.items()):
+        return None
+    return raw["clock"], {key: tuple(entry) for key, entry in entries.items()}
+
+
 class ArtifactStore:
     """A content-addressed result cache rooted at ``directory``.
 
@@ -218,13 +237,13 @@ class ArtifactStore:
         try:
             with open(self.index_path) as handle:
                 raw = json.load(handle)
-            self._clock = int(raw["clock"])
-            self._index = {
-                key: (int(entry[0]), int(entry[1]))
-                for key, entry in raw["entries"].items()
-            }
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, RecursionError):
+            raw = None
+        loaded = _parse_index(raw)
+        if loaded is None:
             self._rebuild_index()
+        else:
+            self._clock, self._index = loaded
 
     def _rebuild_index(self) -> None:
         """Re-adopt whatever object files exist (index lost/corrupt)."""
@@ -289,64 +308,47 @@ class ArtifactStore:
 
     # -- the cache interface --------------------------------------------
 
-    def _read_validated(self, key: str) -> Tuple[Dict[str, object], str]:
-        """Load + validate the payload under ``key``; raises on trouble."""
+    def _read(self, key: str, decode):
+        """``decode(payload)`` for the payload under ``key``, or None (a
+        miss).  A payload that is not a JSON object restating ``key`` and
+        the schema, or that ``decode`` rejects, is corrupt."""
         path = self._object_path(key)
-        with open(path) as handle:
-            payload = json.load(handle)
-        if payload.get("key") != key or \
-                payload.get("schema") != store_schema():
-            raise ValueError("payload/key mismatch")
-        return payload, path
-
-    def _count_miss(self, key: str, corrupt: bool) -> None:
-        if corrupt:
-            self._drop(key, "corrupt")
-        else:
+        try:
+            with open(path) as handle:
+                payload = json.load(handle)
+            if not isinstance(payload, dict) or payload.get("key") != key or \
+                    payload.get("schema") != store_schema():
+                raise ValueError("payload/key mismatch")
+            value = decode(payload)
+        except OSError:
             # No file: a plain miss (drop any stale index entry).
             self._index.pop(key, None)
+        except (ValueError, KeyError, TypeError, RecursionError):
+            self._drop(key, "corrupt")
+        else:
+            self._clock += 1
+            size = self._index.get(key, (0, 0))[0] or self._entry_size(path)
+            self._index[key] = (size, self._clock)
+            self.hits += 1
+            current_metrics().inc("serve.store.hits")
+            return value
         self.misses += 1
         current_metrics().inc("serve.store.misses")
-
-    def _count_hit(self, key: str, path: str) -> None:
-        self._clock += 1
-        size = self._index.get(key, (0, 0))[0] or self._entry_size(path)
-        self._index[key] = (size, self._clock)
-        self.hits += 1
-        current_metrics().inc("serve.store.hits")
+        return None
 
     def get(self, key: str) -> Optional[CellResult]:
         """The stored result under ``key``, or None (miss)."""
-        try:
-            payload, path = self._read_validated(key)
-            result = result_from_payload(payload)
-        except OSError:
-            self._count_miss(key, corrupt=False)
-            return None
-        except (ValueError, KeyError, TypeError):
-            self._count_miss(key, corrupt=True)
-            return None
-        self._count_hit(key, path)
-        return result
+        return self._read(key, result_from_payload)
 
     def get_payload(self, key: str) -> Optional[Dict[str, object]]:
         """The raw JSON payload under ``key``, or None (miss).
 
         The schema and restated key are validated like :meth:`get`;
         interpreting the rest of the payload is the caller's business
-        (the region memo stores :class:`RegionSummary`-shaped entries
-        through this, cell results keep using :meth:`get`/:meth:`put`).
+        (the region memo stores its entries through this, cell results
+        keep using :meth:`get`/:meth:`put`).
         """
-        try:
-            payload, path = self._read_validated(key)
-        except OSError:
-            self._count_miss(key, corrupt=False)
-            return None
-        except (ValueError, KeyError, TypeError):
-            self._count_miss(key, corrupt=True)
-            return None
-        self._count_hit(key, path)
-        return payload
+        return self._read(key, lambda payload: payload)
 
     @staticmethod
     def _entry_size(path: str) -> int:

@@ -457,7 +457,7 @@ def _pipeline_counters(metrics: MetricsRegistry) -> Dict[str, object]:
 def _same_counters(context, metrics) -> Optional[Failure]:
     if _pipeline_counters(metrics) != context.counters:
         return ("deterministic counters match the direct pipeline",
-                "counters differ", "metric replay on memo hits is lossy")
+                "counters differ", "a memo entry's counter record is lossy")
     return None
 
 
@@ -492,8 +492,8 @@ def _through_store(context, metrics) -> List[CellResult]:
 #: Every route a user can take to a grid result.  ``serial`` and
 #: ``parallel`` use the process-global region memo.  The store rows
 #: certify cell keys and the JSON round trip of results.  The memo rows
-#: certify region fingerprints and hit-path replay; ``memo-revived`` is a
-#: fresh memo over the region store ``memo-cold`` filled.
+#: certify region fingerprints and hit-path counting; ``memo-revived``
+#: is a fresh memo over the region store ``memo-cold`` filled.
 ROUTES: Tuple[Route, ...] = (
     Route("per-cell", _per_cell),
     Route("serial", lambda ctx, metrics: ctx.evaluate(metrics)),

@@ -338,34 +338,49 @@ class TestExactMemoAndEngine:
 
     def test_memo_replays_exact_bit_identical(self, tmp_path):
         from repro.evaluation.engine import GridCell, evaluate_grid
+        from repro.obs.metrics import MetricsRegistry
         from repro.schedule.memo import RegionMemo
         from repro.serve.store import ArtifactStore
 
         program = build_paper_example()
         cells = [GridCell("p", "treegion", "4U", "global_weight",
-                          backend="exact")]
-        cold = evaluate_grid(cells, programs={"p": program})[0]
+                          backend="exact")] + [
+            GridCell("compress", "treegion", machine, heuristic,
+                     backend="exact")
+            for machine in ("4U", "8U") for heuristic in HEURISTICS
+        ]
 
+        def run(memo):
+            """Results and pipeline counters (the store's own I/O
+            counters differ by route by design)."""
+            metrics = MetricsRegistry()
+            results = evaluate_grid(cells, programs={"p": program},
+                                    metrics=metrics, region_memo=memo)
+            snapshot = metrics.deterministic_snapshot()
+            snapshot["counters"] = {
+                name: value for name, value in snapshot["counters"].items()
+                if not name.startswith("serve.store.")
+            }
+            return results, snapshot
+
+        cold, direct = run(False)
+        assert direct["counters"]["exact.regions"] > 0
         memo = RegionMemo()
-        first = evaluate_grid(cells, programs={"p": program},
-                              region_memo=memo)[0]
-        warm = evaluate_grid(cells, programs={"p": program},
-                             region_memo=memo)[0]
+        first = run(memo)
+        warm = run(memo)
         assert memo.stats()["hits"] > 0
-        for result in (first, warm):
-            assert result.time == cold.time
-            assert result.schedule_lengths == cold.schedule_lengths
 
         # Content-addressed store replay across fresh memo instances.
         store = ArtifactStore(str(tmp_path))
-        evaluate_grid(cells, programs={"p": program},
-                      region_memo=RegionMemo(store=store))
+        run(RegionMemo(store=store))
         fresh = RegionMemo(store=store)
-        replayed = evaluate_grid(cells, programs={"p": program},
-                                 region_memo=fresh)[0]
+        replayed = run(fresh)
         assert fresh.stats()["store_hits"] > 0
-        assert replayed.time == cold.time
-        assert replayed.schedule_lengths == cold.schedule_lengths
+        for results, snapshot in (first, warm, replayed):
+            assert snapshot == direct
+            for result, reference in zip(results, cold):
+                assert result.time == reference.time
+                assert result.schedule_lengths == reference.schedule_lengths
 
     def test_exact_and_heuristic_store_keys_differ(self):
         from repro.serve.store import region_key

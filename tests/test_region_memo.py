@@ -8,6 +8,7 @@ contract against randomly generated programs: the ``memo-cold``,
 ``repro.validate.oracle``.)
 """
 
+import json
 import tempfile
 
 import pytest
@@ -73,29 +74,40 @@ class TestIdentity:
                 region, VLIW_8U, options, liveness)) == ref
         assert memo.stats()["hits"] == len(regions)
 
-    def test_counter_replay_is_lossless(self):
+    @pytest.mark.parametrize("options", [
+        ScheduleOptions(heuristic="dep_height"),
+        ScheduleOptions(heuristic="dep_height", dominator_parallelism=True),
+        ScheduleOptions(heuristic="dep_height", schedule_copies=True),
+        ScheduleOptions(heuristic="dep_height", backend="exact",
+                        exact_budget=200),
+    ], ids=["default", "dominator_parallelism", "schedule_copies", "exact"])
+    def test_counter_replay_is_lossless(self, options, tmp_path):
         fn = build_paper_example().entry_function
         regions, liveness = _regions(fn)
-        options = ScheduleOptions(heuristic="dep_height")
 
-        def counters(run):
+        def counters(memo):
             registry = MetricsRegistry()
             with metrics_scope(registry):
-                run()
-            return registry.deterministic_snapshot()
+                for region in regions:
+                    if memo is None:
+                        schedule_region(region, VLIW_4U, options, liveness)
+                    else:
+                        memo.schedule(region, VLIW_4U, options, liveness)
+            snapshot = registry.deterministic_snapshot()
+            snapshot["counters"] = {
+                name: value for name, value in snapshot["counters"].items()
+                if not name.startswith("serve.store.")
+            }
+            return snapshot
 
-        direct = counters(lambda: [
-            schedule_region(r, VLIW_4U, options, liveness) for r in regions
-        ])
-        memo = RegionMemo()
-        cold = counters(lambda: [
-            memo.schedule(r, VLIW_4U, options, liveness) for r in regions
-        ])
-        warm = counters(lambda: [
-            memo.schedule(r, VLIW_4U, options, liveness) for r in regions
-        ])
-        assert cold == direct
-        assert warm == direct
+        direct = counters(None)
+        memo = RegionMemo(store=ArtifactStore(str(tmp_path)))
+        assert counters(memo) == direct  # cold, filling the store
+        assert counters(memo) == direct  # warm
+        memo.store.sync()
+        revived = RegionMemo(store=ArtifactStore(str(tmp_path)))
+        assert counters(revived) == direct  # every figure from disk
+        assert revived.stats()["store_hits"] == len(regions)
 
 
 class TestTierOneSharing:
@@ -274,6 +286,44 @@ class TestStorePersistence:
         stats = revived.stats()
         assert stats["store_hits"] == len(regions)
         assert stats["misses"] == 0
+
+    def test_wrong_exit_count_is_recomputed(self, tmp_path):
+        """A store object whose exit cycles do not match the region's
+        exits is corrupt: the probe recomputes and overwrites it rather
+        than weighting a truncated list."""
+        fn = build_paper_example().entry_function
+        regions, liveness = _regions(fn)
+        options = ScheduleOptions(heuristic="global_weight")
+        reference = [
+            _summary(schedule_region(r, VLIW_4U, options, liveness))
+            for r in regions
+        ]
+        seeding = RegionMemo(store=ArtifactStore(str(tmp_path)))
+        for region in regions:
+            seeding.schedule(region, VLIW_4U, options, liveness)
+        store = seeding.store
+        store.sync()
+        damaged = {}
+        for key in store.keys():
+            path = store._object_path(key)
+            with open(path) as handle:
+                payload = json.load(handle)
+            if len(payload["exit_cycles"]) > 1:
+                damaged[key] = payload["exit_cycles"]
+                payload["exit_cycles"] = payload["exit_cycles"][:-1]
+                with open(path, "w") as handle:
+                    json.dump(payload, handle)
+        assert damaged
+
+        revived = RegionMemo(store=ArtifactStore(str(tmp_path)))
+        served = [
+            _summary(revived.schedule(region, VLIW_4U, options, liveness))
+            for region in regions
+        ]
+        assert served == reference
+        assert revived.stats()["misses"] == len(damaged)
+        for key, cycles in damaged.items():
+            assert store.get_payload(key)["exit_cycles"] == cycles
 
     def test_lru_bound_respected(self):
         fn = build_paper_example().entry_function

@@ -11,9 +11,24 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import tempfile
 
-from repro.evaluation.engine import CellResult, GridCell, evaluate_cell
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import form_treegions
+from repro.evaluation.engine import (
+    CellResult,
+    GridCell,
+    evaluate_cell,
+    evaluate_grid,
+)
+from repro.ir.analysis_cache import liveness_of
+from repro.machine import VLIW_4U
 from repro.obs import MetricsRegistry, metrics_scope
+from repro.schedule import ScheduleOptions, schedule_region
+from repro.schedule.memo import RegionMemo
 from repro.serve import (
     ArtifactStore,
     cell_key,
@@ -23,6 +38,7 @@ from repro.serve import (
     store_schema,
 )
 from repro.serve.router import _builtin_text
+from repro.workloads.paper_example import build_paper_example
 
 
 def _result(benchmark: str = "b", time: float = 1.5,
@@ -207,6 +223,197 @@ class TestCorruption:
             json.dump(payload, handle)
         assert store.get(KEY_A) is None
         assert store.corrupt == 1
+
+
+class TestMalformedJson:
+    """Valid JSON of the wrong shape is as corrupt as invalid JSON."""
+
+    @pytest.mark.parametrize("text", ["[]", "7", '"text"', "null"])
+    @pytest.mark.parametrize("read", ["get", "get_payload"])
+    def test_non_object_payload_is_corrupt(self, tmp_path, read, text):
+        store = ArtifactStore(str(tmp_path))
+        store.put(KEY_A, _result())
+        with open(store._object_path(KEY_A), "w") as handle:
+            handle.write(text)
+        metrics = MetricsRegistry()
+        with metrics_scope(metrics):
+            assert getattr(store, read)(KEY_A) is None
+        assert (store.corrupt, store.misses) == (1, 1)
+        assert not os.path.exists(store._object_path(KEY_A))
+        assert metrics.counters["serve.store.corrupt"] == 1
+
+    def test_grid_over_non_object_region_objects(self, tmp_path):
+        cells = [GridCell("compress", "treegion", "4U", "global_weight")]
+        direct = evaluate_grid(cells, region_memo=False)
+        evaluate_grid(cells, region_memo=RegionMemo(),
+                      region_store=str(tmp_path))
+        store = ArtifactStore(str(tmp_path))
+        assert len(store) > 0
+        for key in store.keys():
+            with open(store._object_path(key), "w") as handle:
+                handle.write("7")
+        served = evaluate_grid(cells, region_memo=RegionMemo(),
+                               region_store=str(tmp_path))
+        assert served == direct
+
+    @pytest.mark.parametrize("index", [
+        {"clock": 1, "entries": []},
+        {"clock": 1, "entries": {KEY_A: [10]}},
+        {"clock": 1, "entries": {KEY_A: "10"}},
+        {"clock": -1, "entries": {}},
+        {"clock": 1e400, "entries": {}},
+        {"clock": 1, "entries": {"../" + KEY_A: [10, 1]}},
+        [],
+        7,
+    ])
+    def test_malformed_index_is_rebuilt(self, tmp_path, index):
+        store = ArtifactStore(str(tmp_path))
+        store.put(KEY_A, _result())
+        with open(store.index_path, "w") as handle:
+            json.dump(index, handle)
+        rebuilt = ArtifactStore(str(tmp_path))
+        assert rebuilt.keys() == (KEY_A,)
+        assert rebuilt.get(KEY_A) == _result()
+
+
+# ----------------------------------------------------------------------
+# Fuzzing the trust boundary: whatever sits on disk, the store opens,
+# reads return None or a validated value, and a region memo probe
+# through the store answers what the direct pipeline answers.
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=10,
+)
+
+_REGION_CASE = []
+
+
+def _region_case():
+    """The paper example's region with the most exits, its liveness, its
+    direct-route summary, and the region memo's store key and payload
+    for it (built once)."""
+    if not _REGION_CASE:
+        fn = build_paper_example().entry_function
+        liveness = liveness_of(fn.cfg)
+        region = max(form_treegions(fn.cfg), key=lambda r: len(r.exits()))
+        direct = _summary(schedule_region(region, VLIW_4U,
+                                          ScheduleOptions(), liveness))
+        with tempfile.TemporaryDirectory() as directory:
+            store = ArtifactStore(directory)
+            RegionMemo(store=store).schedule(region, VLIW_4U,
+                                             ScheduleOptions(), liveness)
+            (key,) = store.keys()
+            payload = store.get_payload(key)
+        _REGION_CASE.append((region, liveness, direct, key, payload))
+    return _REGION_CASE[0]
+
+
+def _summary(schedule):
+    return (schedule.weighted_time, schedule.length, schedule.copy_count,
+            schedule.merged_count, schedule.speculated_count)
+
+
+def _assert_store_reads_hold(plant) -> None:
+    """``plant(directory)`` writes files into a fresh store directory;
+    each kind of read over what it wrote must keep the contract."""
+    region, liveness, direct, key, _ = _region_case()
+    for read in ("get", "get_payload", "memo"):
+        with tempfile.TemporaryDirectory() as directory:
+            os.makedirs(os.path.join(directory, "objects"))
+            plant(directory)
+            store = ArtifactStore(directory)
+            if read == "get":
+                result = store.get(key)
+                assert result is None or isinstance(result, CellResult)
+            elif read == "get_payload":
+                payload = store.get_payload(key)
+                assert payload is None or (
+                    isinstance(payload, dict) and payload["key"] == key
+                    and payload["schema"] == store_schema())
+            else:
+                memo = RegionMemo(store=store)
+                served = memo.schedule(region, VLIW_4U, ScheduleOptions(),
+                                       liveness)
+                assert _summary(served) == direct
+
+
+def _object_planter(data: bytes):
+    def plant(directory):
+        key = _region_case()[3]
+        path = os.path.join(directory, "objects", key[:2], f"{key}.json")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as handle:
+            handle.write(data)
+    return plant
+
+
+def _stamped(value) -> bytes:
+    """``value`` as an object file's text, key and schema stamped when it
+    is an object."""
+    if isinstance(value, dict):
+        value = dict(value, key=_region_case()[3], schema=store_schema())
+    return json.dumps(value).encode()
+
+
+def _valid_for(field, value, exits: int) -> bool:
+    """Whether the region payload reader must accept ``value`` in
+    ``field``: a well-typed wrong figure is indistinguishable from a
+    real result, so the fuzzer only plants values it must reject."""
+    if field == "kind":
+        return value == "region"
+    if field == "exit_cycles":
+        return (isinstance(value, list) and len(value) == exits
+                and all(type(c) is int and c >= 0 for c in value))
+    return type(value) is int and value >= 0
+
+
+class TestFuzzTrustBoundary:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.binary(max_size=64))
+    def test_object_file_of_arbitrary_bytes(self, data):
+        _assert_store_reads_hold(_object_planter(data))
+
+    @settings(max_examples=40, deadline=None)
+    @given(value=_JSON)
+    def test_object_file_of_arbitrary_json(self, value):
+        _assert_store_reads_hold(_object_planter(_stamped(value)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_region_payload_with_one_field_replaced(self, data):
+        region, _, _, _, payload = _region_case()
+        fields = sorted(set(payload) - {"key", "schema"})
+        field = data.draw(st.sampled_from(fields))
+        value = data.draw(_JSON.filter(
+            lambda v: not _valid_for(field, v, len(region.exits()))))
+        planted = dict(payload)
+        planted[field] = value
+        _assert_store_reads_hold(_object_planter(_stamped(planted)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(index=st.binary(max_size=64) | st.one_of(
+        _JSON,
+        st.fixed_dictionaries({
+            "clock": st.integers(min_value=-1, max_value=3) | _JSON,
+            "entries": _JSON | st.dictionaries(st.text(max_size=70),
+                                               _JSON, max_size=3),
+        }),
+    ).map(lambda v: json.dumps(v).encode()))
+    def test_index_of_arbitrary_content(self, index):
+        with tempfile.TemporaryDirectory() as directory:
+            store = ArtifactStore(directory)
+            store.put(KEY_A, _result())
+            with open(store.index_path, "wb") as handle:
+                handle.write(index)
+            reopened = ArtifactStore(directory)
+            assert reopened.get(KEY_A) == _result()
+            reopened.put(KEY_B, _result())
+            assert reopened.get(KEY_B) == _result()
+            reopened.close()
 
 
 def _hammer_writes(directory: str, time_value: float, rounds: int) -> None:
