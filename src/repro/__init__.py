@@ -40,7 +40,7 @@ Subpackages:
 ``repro.workloads``     synthetic SPECint95 stand-ins + paper CFGs
 ``repro.api``           the stable typed facade (start here)
 ``repro.validate``      seeded differential validation + minimizer
-``repro.obs``           tracing (Chrome trace export) + metrics registry
+``repro.obs``           one span model (totals, JSONL, Chrome) + metrics
 ======================  ==================================================
 """
 

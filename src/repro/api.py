@@ -107,8 +107,8 @@ def evaluate_grid(
     the CPU count) fans out over a worker pool — both bit-identical to
     per-cell evaluation.  A supplied ``metrics`` registry collects the
     pipeline counters (identically on either path, worker registries
-    merged in); a ``tracer`` records the run as spans, worker spans
-    grafted in (its ``self_times()`` are the per-stage wall times).
+    merged in); a ``tracer`` records the run as spans, worker totals
+    merged in (its ``self_times()`` are the per-stage wall times).
     ``region_memo``
     and ``region_store`` control the region-level result cache — see
     :func:`repro.evaluation.engine.evaluate_grid` (memoization is on by

@@ -11,8 +11,8 @@ Commands:
 * ``validate`` — seeded differential validation (interpreter vs VLIW
   simulator vs static estimate vs evaluation engine), with automatic
   failure minimization;
-* ``trace``    — run the full pipeline under the hierarchical tracer and
-  write a Chrome trace-event JSON (open in Perfetto / chrome://tracing);
+* ``trace``    — run the full pipeline under the tracer and write a
+  Chrome trace-event JSON (open in Perfetto / chrome://tracing);
 * ``lint``     — static-analysis diagnostics: IR structure rules, and
   (with ``--schedule``) certification of every region schedule against
   the machine model and dependence graph; exit status 1 when any
@@ -34,15 +34,14 @@ Commands:
   percentiles as JSON;
 * ``top``      — live ANSI-refresh dashboard over a running fleet's
   ``STATS`` plane (queue depths, hot tier, restarts, rolling latency);
-* ``trace-merge`` — stitch per-process distributed-trace JSONL files
+* ``trace-merge`` — stitch per-process span JSONL files
   (from ``--trace-dir``) into one Chrome/Perfetto timeline;
 * ``dot``      — Graphviz rendering of a function's CFG, clustered by
   region and optionally annotated with schedule cycles.
 
-``serve`` and ``soak`` take ``--trace-dir DIR`` (per-process
-distributed-trace span files, merged by ``trace-merge``) and
-``--events-log FILE`` (size-rotated JSONL lifecycle event log); see
-DESIGN.md §13.
+``serve`` and ``soak`` take ``--trace-dir DIR`` (per-process span
+files, merged by ``trace-merge``) and ``--events-log FILE`` (the
+lifecycle instants alone, size-rotated); see DESIGN.md §13.
 
 ``run``, ``report``, and ``validate`` take ``--metrics FILE`` /
 ``--trace FILE`` to dump pipeline counters and spans; ``bench`` takes
@@ -129,32 +128,71 @@ def _region_memo_arg(args):
     return None if getattr(args, "region_memo", True) else False
 
 
+#: Size bound of the --events-log file before it rotates.
+EVENTS_LOG_BYTES = 4 * 1024 * 1024
+
+
+def _temp_trace_dir(args) -> str:
+    """A temporary span directory; :func:`main` removes it once the
+    command ends, also when it fails."""
+    import tempfile
+
+    directory = tempfile.mkdtemp(prefix="repro-trace-")
+    args.trace_tmp = directory
+    return directory
+
+
 def _obs_for(args, timed: bool = False):
-    """(metrics, tracer) per the command's --metrics/--trace flags; a
-    ``timed`` command gets a real tracer, whose spans are its stage
-    table, even without --trace."""
+    """(metrics, tracer) per the command's observability flags.
+
+    ``--trace-dir DIR`` streams every span as JSONL to per-process
+    files under DIR; ``--trace FILE`` does the same (under a temporary
+    directory if no ``--trace-dir`` is given) and :func:`_write_obs`
+    builds the Chrome file from it; ``--events-log FILE`` receives the
+    lifecycle instants, size-rotated.  A ``timed`` command gets a real
+    tracer, whose span totals are its stage table, even without any of
+    these flags.
+    """
+    import os
+
     from repro.obs import (
-        NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer,
+        NULL_METRICS, NULL_TRACER, MetricsRegistry, SpanWriter, Tracer,
+        trace_file,
     )
 
     metrics = MetricsRegistry() if getattr(args, "metrics", None) \
         else NULL_METRICS
-    tracer = Tracer() if timed or getattr(args, "trace", None) \
-        else NULL_TRACER
+    writers = []
+    events_log = getattr(args, "events_log", None)
+    if events_log:
+        writers.append(SpanWriter(events_log, instants_only=True,
+                                  max_bytes=EVENTS_LOG_BYTES))
+    directory = getattr(args, "trace_dir", None)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    elif getattr(args, "trace", None):
+        directory = _temp_trace_dir(args)
+    if directory:
+        writers.append(SpanWriter(trace_file(directory)))
+    tracer = Tracer(writers=writers) if timed or writers else NULL_TRACER
     return metrics, tracer
 
 
 def _write_obs(args, metrics, tracer) -> None:
     """Write the files the --metrics/--trace flags asked for."""
-    from repro.obs import NullMetrics, write_observability_json
+    import os
 
+    from repro.obs import NullMetrics, merge_traces, write_observability_json
+
+    tracer.close()
     metrics_path = getattr(args, "metrics", None)
     if metrics_path and not isinstance(metrics, NullMetrics):
         write_observability_json(metrics_path, metrics, tracer)
         print(f"metrics written to {metrics_path}", file=sys.stderr)
     trace_path = getattr(args, "trace", None)
-    if trace_path and hasattr(tracer, "write_chrome"):
-        tracer.write_chrome(trace_path)
+    if trace_path and tracer.span_path:
+        merge_traces(os.path.dirname(tracer.span_path)) \
+            .write_chrome(trace_path)
         print(f"trace written to {trace_path}", file=sys.stderr)
 
 
@@ -342,9 +380,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    """Run the full pipeline under the tracer; export Chrome trace JSON."""
+    """Run the full pipeline under the tracer; export Chrome trace JSON
+    built from the spans' JSONL (``--jsonl``, else a temporary file)."""
     from repro.ir.analysis_cache import record_cache_metrics
-    from repro.obs import MetricsRegistry, Tracer, write_observability_json
+    from repro.obs import (
+        MetricsRegistry, SpanWriter, Tracer, merge_traces, trace_file,
+        write_observability_json,
+    )
 
     program = _load_program(args.file, optimize=args.optimize)
     if args.args is not None:
@@ -352,16 +394,24 @@ def cmd_trace(args) -> int:
     machine = _machine(args.machine)
     options = ScheduleOptions(heuristic=args.heuristic,
                               dominator_parallelism=True)
-    tracer = Tracer()
+    directory = None
+    if args.jsonl:
+        path = args.jsonl
+        open(path, "w").close()
+    else:
+        directory = _temp_trace_dir(args)
+        path = trace_file(directory)
+    tracer = Tracer(writers=(SpanWriter(path),))
     metrics = MetricsRegistry()
     result = evaluate_program(program, _scheme(args.scheme), machine,
                               options, metrics=metrics, tracer=tracer)
     record_cache_metrics(metrics)
-    tracer.write_chrome(args.out)
+    tracer.close()
+    merge_traces([path] if directory is None else directory) \
+        .write_chrome(args.out)
     print(f"trace written to {args.out} "
           f"(open in Perfetto / chrome://tracing)", file=sys.stderr)
     if args.jsonl:
-        tracer.write_jsonl(args.jsonl)
         print(f"spans written to {args.jsonl}", file=sys.stderr)
     if args.metrics_out:
         write_observability_json(args.metrics_out, metrics, tracer)
@@ -692,31 +742,13 @@ def _parse_endpoint_arg(value: str):
     return endpoint
 
 
-def _fleet_obs(args):
-    """(trace_dir, event log) from --trace-dir/--events-log."""
-    from repro.serve.events import NULL_EVENTS, EventLog
-
-    trace_dir = getattr(args, "trace_dir", None)
-    if trace_dir:
-        import os
-
-        os.makedirs(trace_dir, exist_ok=True)
-    events_path = getattr(args, "events_log", None)
-    events = EventLog(events_path) if events_path else NULL_EVENTS
-    return trace_dir, events
-
-
-def _open_fleet(args, metrics, tracer, trace_dir=None, events=None):
-    from repro.serve.events import NULL_EVENTS
-
+def _open_fleet(args, metrics, tracer):
     return api.open_fleet(
         shards=args.shards, cache_dir=args.cache_dir,
         cache_max_mb=args.cache_max_mb, jobs=args.jobs,
         batch_size=args.batch_size, max_pending=args.max_pending,
         job_timeout=args.job_timeout, retries=args.retries,
         metrics=metrics, tracer=tracer,
-        trace_dir=trace_dir,
-        events=events if events is not None else NULL_EVENTS,
     )
 
 
@@ -726,11 +758,8 @@ def cmd_serve(args) -> int:
 
     endpoint = _parse_endpoint_arg(_endpoint_from_args(args))
     metrics, tracer = _obs_for(args)
-    trace_dir, events = _fleet_obs(args)
-    fleet = _open_fleet(args, metrics, tracer, trace_dir=trace_dir,
-                        events=events)
-    server = FrontendServer(fleet, endpoint, metrics=metrics,
-                            trace_dir=trace_dir, events=events)
+    fleet = _open_fleet(args, metrics, tracer)
+    server = FrontendServer(fleet, endpoint, metrics=metrics)
     try:
         bound = server.start()
     except OSError as error:
@@ -744,7 +773,6 @@ def cmd_serve(args) -> int:
         server.stop()
     finally:
         fleet.close(drain=True)
-        events.close()
         print(f"fleet stats: {fleet.stats()}", file=sys.stderr)
         _write_obs(args, metrics, tracer)
     return 0
@@ -818,17 +846,14 @@ def cmd_soak(args) -> int:
     if not cells:
         raise CLIError("the soak grid is empty; pass --benchmarks/--grid")
     metrics, tracer = _obs_for(args)
-    trace_dir, events = _fleet_obs(args)
 
     server = fleet = None
     if args.serve:
         from repro.serve.frontend import FrontendServer
 
-        fleet = _open_fleet(args, metrics, tracer, trace_dir=trace_dir,
-                            events=events)
+        fleet = _open_fleet(args, metrics, tracer)
         server = FrontendServer(
-            fleet, args.endpoint or "tcp://127.0.0.1:0", metrics=metrics,
-            trace_dir=trace_dir, events=events)
+            fleet, args.endpoint or "tcp://127.0.0.1:0", metrics=metrics)
         endpoint = server.start()
         print(f"soak fleet serving on {endpoint}", file=sys.stderr)
     else:
@@ -837,19 +862,18 @@ def cmd_soak(args) -> int:
         report = run_soak(
             endpoint, cells, clients=args.clients,
             requests=args.requests, ramp_seconds=args.ramp,
-            metrics=metrics, trace_dir=trace_dir,
+            metrics=metrics, tracer=tracer,
         )
     finally:
         if server is not None:
             server.stop()
         if fleet is not None:
             fleet.close(drain=False)
-        events.close()
     summary = report.as_dict()
     print(_json.dumps(summary, indent=2, sort_keys=True))
-    if trace_dir:
-        print(f"distributed-trace spans in {trace_dir} "
-              f"(merge with: repro trace-merge {trace_dir})",
+    if args.trace_dir:
+        print(f"span files in {args.trace_dir} "
+              f"(merge with: repro trace-merge {args.trace_dir})",
               file=sys.stderr)
     _write_obs(args, metrics, tracer)
     return 0 if report.dropped == 0 and not report.errors else 1
@@ -868,12 +892,15 @@ def cmd_top(args) -> int:
 
 def cmd_trace_merge(args) -> int:
     """Stitch per-process span JSONL into one Perfetto timeline."""
-    from repro.obs.distributed import merge_traces
+    from repro.obs import merge_traces
 
     try:
         merged = merge_traces(args.trace_dir)
     except OSError as error:
         raise CLIError(f"cannot read {args.trace_dir}: {error}")
+    if merged.skipped:
+        print(f"skipped {merged.skipped} torn or malformed line(s)",
+              file=sys.stderr)
     if not merged.spans:
         raise CLIError(f"no trace-*.jsonl spans under {args.trace_dir}")
     merged.write_chrome(args.out)
@@ -1011,7 +1038,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Chrome trace-event JSON output (default: "
                         "trace.json)")
     p.add_argument("--jsonl", default=None, metavar="FILE",
-                   help="also write one JSON object per span")
+                   help="keep the span records (one JSON object per "
+                        "span or instant) in FILE")
     p.add_argument("--metrics-out", default=None, metavar="FILE",
                    dest="metrics_out",
                    help="also write pipeline counters + timings as JSON")
@@ -1151,14 +1179,14 @@ def build_parser() -> argparse.ArgumentParser:
     def dist_obs_flags(p):
         p.add_argument("--trace-dir", default=None, metavar="DIR",
                        dest="trace_dir",
-                       help="write per-process distributed-trace span "
-                            "files (trace-*.jsonl) under DIR; merge "
+                       help="write per-process span files "
+                            "(trace-*.jsonl) under DIR; merge "
                             "with 'repro trace-merge DIR'")
         p.add_argument("--events-log", default=None, metavar="FILE",
                        dest="events_log",
-                       help="append fleet lifecycle events (shard "
+                       help="append fleet lifecycle instants (shard "
                             "start/death/restart, evictions, retries) "
-                            "as size-rotated JSONL to FILE")
+                            "as size-rotated span records to FILE")
 
     p = sub.add_parser(
         "serve",
@@ -1267,6 +1295,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CLIError as error:
         print(f"repro: error: {error}", file=sys.stderr)
         return 2
+    finally:
+        if getattr(args, "trace_tmp", None):
+            import shutil
+
+            shutil.rmtree(args.trace_tmp, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ from repro.ir.function import Program
 from repro.machine.model import MachineModel
 from repro.machine.presets import PAPER_MACHINES, SCALAR_1U
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, metrics_scope
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, SpanWriter, Tracer
 from repro.schedule.priorities import HEURISTICS
 from repro.schedule.scheduler import ScheduleOptions, schedule_region
 from repro.evaluation.schemes import Scheme, SchemeSpec
@@ -444,10 +444,14 @@ def _resolve_program(bench: str,
 #: sixth element is the region-memo directive: None = memo off, else
 #: ``(store_directory_or_None, store_max_mb)`` — the worker uses its own
 #: process-global memo and opens its own store handle (object writes are
-#: atomic, so concurrent workers race safely).  The last element says
-#: whether the worker records spans for the parent's tracer.
+#: atomic, so concurrent workers race safely).  The last element is the
+#: trace directive: None = untraced, else ``(span file template or None,
+#: trace id, parent span id)`` — the worker records its task under the
+#: parent's ``pool`` span and streams spans to its own per-pid file when
+#: the parent exports.
 _Task = Tuple[str, str, Tuple[Tuple[int, GridCell], ...], int, int,
-              Optional[str], Optional[Tuple[Optional[str], float]], bool]
+              Optional[str], Optional[Tuple[Optional[str], float]],
+              Optional[Tuple[Optional[str], Optional[str], str]]]
 
 
 def _run_task(task: _Task):
@@ -456,16 +460,20 @@ def _run_task(task: _Task):
     The program is rebuilt from the benchmark name (or re-parsed from the
     shipped IR text) inside the worker; each worker process caches per
     benchmark, so rebuilding is paid once per benchmark per worker, not
-    per task.  A traced task returns its process id and its tracer's
-    spans, for the parent to graft under its ``pool`` span on the
-    worker's own track.
+    per task.  A traced task returns its tracer's per-name totals and
+    the task span's duration, for the parent to fold in under its
+    ``pool`` span.
     """
-    bench, scheme_spec, indexed_cells, lo, hi, text, memo_spec, traced = \
+    bench, scheme_spec, indexed_cells, lo, hi, text, memo_spec, trace = \
         task
     program = _resolve_program(
         bench, None, {bench: text} if text is not None else None)
     scheme = build_scheme(scheme_spec)
-    tracer = Tracer() if traced else NULL_TRACER
+    tracer, parent, trace_id = NULL_TRACER, None, None
+    if trace is not None:
+        path, trace_id, parent = trace
+        tracer = Tracer(service="worker",
+                        writers=(SpanWriter(path),) if path else ())
     metrics = MetricsRegistry()
     memo = None
     before = None
@@ -478,8 +486,9 @@ def _run_task(task: _Task):
             memo.attach_store(_worker_region_store(directory, max_mb))
         before = memo.stats()
     with metrics_scope(metrics), \
-            tracer.span("task", benchmark=bench, scheme=scheme_spec,
-                        functions=f"{lo}:{hi}"):
+            tracer.span("task", parent=parent, trace_id=trace_id,
+                        benchmark=bench, scheme=scheme_spec,
+                        functions=f"{lo}:{hi}") as span:
         out = _evaluate_group(program, scheme, indexed_cells, lo, hi,
                               tracer, memo)
     memo_stats = None
@@ -498,21 +507,25 @@ def _run_task(task: _Task):
         # depends on work distribution, unlike the event counters).
         metrics.gauge("memo.entries", after["entries"], mode="max")
         metrics.gauge("memo.bytes", after["bytes"], mode="max")
-    spans = (os.getpid(), tracer.spans) if traced else None
-    return out, lo, spans, metrics.snapshot(), memo_stats
+    totals = None
+    if trace is not None:
+        tracer.close()
+        totals = (tracer.self_times(), span.duration)
+    return out, lo, totals, metrics.snapshot(), memo_stats
 
 
 def _split_cells(cells: Sequence[GridCell], jobs: int,
                  texts: Optional[Dict[str, str]] = None,
                  memo_spec: Optional[Tuple[Optional[str], float]] = None,
-                 traced: bool = False) -> List[_Task]:
-    """Cut the grid into group×slice tasks.
+                 ) -> List[tuple]:
+    """Cut the grid into group×slice tasks (without the trace
+    directive, which the pool appends).
 
     Groups with few functions stay whole; larger programs split into up
     to ``jobs`` contiguous slices so one heavy benchmark cannot starve
     the pool.
     """
-    tasks: List[_Task] = []
+    tasks: List[tuple] = []
     function_counts: Dict[str, int] = {}
     for (bench, scheme_spec), indexed in _groups(cells).items():
         text = texts.get(bench) if texts is not None else None
@@ -524,13 +537,13 @@ def _split_cells(cells: Sequence[GridCell], jobs: int,
             function_counts[bench] = count
         if count <= SPLIT_THRESHOLD:
             tasks.append((bench, scheme_spec, tuple(indexed), 0, count,
-                          text, memo_spec, traced))
+                          text, memo_spec))
             continue
         chunk = max(SPLIT_THRESHOLD, -(-count // jobs))
         for lo in range(0, count, chunk):
             tasks.append(
                 (bench, scheme_spec, tuple(indexed), lo,
-                 min(lo + chunk, count), text, memo_spec, traced)
+                 min(lo + chunk, count), text, memo_spec)
             )
     return tasks
 
@@ -551,20 +564,23 @@ def _evaluate_grid_parallel(
                          memo.store.max_bytes / (1024 * 1024))
         else:
             memo_spec = (None, 0.0)
-    tasks = _split_cells(cells, jobs, texts, memo_spec,
-                         isinstance(tracer, Tracer))
+    tasks = _split_cells(cells, jobs, texts, memo_spec)
+    traced = isinstance(tracer, Tracer)
     # Per-cell partial lists keyed by slice start, merged in function
     # order below so the float accumulation matches the serial path.
     by_cell: Dict[int, Dict[int, List[_FunctionPartial]]] = {}
-    with tracer.span("pool", jobs=jobs, tasks=len(tasks)):
+    with tracer.span("pool", jobs=jobs, tasks=len(tasks)) as span:
+        trace = (tracer.span_path, span.trace_id, span.span_id) \
+            if traced else None
         with multiprocessing.Pool(processes=jobs) as pool:
-            for out, lo, spans, snapshot, memo_stats in \
-                    pool.imap_unordered(_run_task, tasks):
+            for out, lo, totals, snapshot, memo_stats in \
+                    pool.imap_unordered(_run_task, [
+                        task + (trace,) for task in tasks]):
                 for index, partials in out:
                     by_cell.setdefault(index, {})[lo] = partials
-                if spans is not None:
-                    worker, worker_spans = spans
-                    tracer.graft(worker_spans, track=worker)
+                if totals is not None:
+                    stages, seconds = totals
+                    tracer.merge(stages, parent=span, seconds=seconds)
                 metrics.merge_snapshot(snapshot)
                 if memo_stats is not None and region_stats is not None:
                     region_stats["hits"] += memo_stats["hits"]
@@ -624,9 +640,11 @@ def evaluate_grid(
         tracer: A :class:`repro.obs.tracer.Tracer` recording the run as
             spans: group → formation/cell → the scheduler's stages
             (serial), or a ``pool`` span with every worker's task spans
-            grafted under it (parallel).  Its
+            under it (parallel).  Its
             :meth:`~repro.obs.tracer.Tracer.self_times` are the per-stage
-            wall times; on the parallel path they sum across workers.
+            wall times; on the parallel path workers return their totals
+            and they sum across workers.  A tracer that streams spans to
+            a per-process file has the workers stream theirs beside it.
             Any other object with ``span(name, **args)`` and
             ``event(name, **args)`` works too; workers then record
             nothing.

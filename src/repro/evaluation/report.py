@@ -341,7 +341,8 @@ class ReportBuilder:
             from repro.ir.analysis_cache import record_cache_metrics
 
             record_cache_metrics(self.metrics)
-        have_spans = isinstance(self.tracer, Tracer) and self.tracer.spans
+        have_spans = isinstance(self.tracer, Tracer) \
+            and self.tracer.self_times()
         have_metrics = (not isinstance(self.metrics, NullMetrics)
                         and (self.metrics.counters or self.metrics.gauges))
         if not have_spans and not have_metrics:
@@ -350,7 +351,7 @@ class ReportBuilder:
         self.lines.append("")
         if have_spans:
             self.lines.append("Per-stage self time (all studies, worker "
-                              "spans grafted in):")
+                              "totals merged in):")
             self.lines.append("")
             self.lines.append("```")
             self.lines.append(self.tracer.format_summary(top=None))
@@ -379,8 +380,8 @@ def generate_report(benchmarks: Optional[List[str]] = None,
     ``jobs`` parallelizes the grid-shaped studies (see
     :func:`repro.evaluation.engine.evaluate_grid`).  Passing a
     :class:`~repro.obs.tracer.Tracer` or a metrics registry appends an
-    Observability section with per-stage self times (from the tracer's
-    spans) and pipeline counters for the grid studies
+    Observability section with per-stage self times (the tracer's span
+    totals) and pipeline counters for the grid studies
     (region-memo hit/miss/byte gauges included).  ``cache_dir`` routes
     the grid studies through the persistent artifact store
     (:mod:`repro.serve.store`), so repeated reports reuse each other's

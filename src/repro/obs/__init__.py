@@ -1,24 +1,15 @@
-"""Observability: hierarchical tracing + deterministic metrics.
+"""Observability: one span model + deterministic metrics.
 
-See :mod:`repro.obs.tracer` and :mod:`repro.obs.metrics` for the two
-in-process halves, and :mod:`repro.obs.distributed` for cross-process
-trace-context propagation and the ``merge_traces()`` collector;
-DESIGN.md ("Observability", "Fleet observability") describes how the
-evaluation engine merges worker registries, why serial and parallel
+:mod:`repro.obs.tracer` holds the span model: one :class:`Span` type,
+per-name totals kept as spans close, one JSONL writer, one reader and
+one Chrome exporter, for the in-process pipeline and the fleet alike.
+:mod:`repro.obs.metrics` holds the counters.  DESIGN.md
+("Observability", "Fleet observability") describes how the evaluation
+engine merges worker totals and registries, why serial and parallel
 runs report identical counters, and how a fleet request becomes one
 merged Perfetto timeline.
 """
 
-from repro.obs.distributed import (
-    NULL_DTRACER,
-    DistributedTracer,
-    MergedSpan,
-    MergedTrace,
-    NullDistributedTracer,
-    merge_traces,
-    new_span_id,
-    new_trace_id,
-)
 from repro.obs.metrics import (
     NULL_METRICS,
     Histogram,
@@ -30,7 +21,19 @@ from repro.obs.metrics import (
     observability_snapshot,
     write_observability_json,
 )
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.tracer import (
+    NULL_TRACER,
+    MergedTrace,
+    NullTracer,
+    Span,
+    SpanWriter,
+    Tracer,
+    merge_traces,
+    new_trace_id,
+    read_events,
+    read_spans,
+    trace_file,
+)
 
 __all__ = [
     "Histogram",
@@ -46,12 +49,11 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "DistributedTracer",
-    "NullDistributedTracer",
-    "NULL_DTRACER",
-    "MergedSpan",
+    "SpanWriter",
     "MergedTrace",
     "merge_traces",
     "new_trace_id",
-    "new_span_id",
+    "read_events",
+    "read_spans",
+    "trace_file",
 ]

@@ -5,7 +5,8 @@ layer: the pipeline counts *what happened* (ops speculated, blocks tail-
 duplicated, registers minted by renaming, duplicates merged by dominator
 parallelism, simulator squashes) into named metrics, and the evaluation
 engine merges worker registries back into the parent.  (Wall time is the
-tracer's half: :meth:`repro.obs.tracer.Tracer.self_times`.)
+span model's half: the per-name totals of
+:meth:`repro.obs.tracer.Tracer.self_times`, kept as spans close.)
 
 **Determinism contract.**  Counters and histograms are *deterministic*:
 they only record algorithmic events, merging is commutative integer
@@ -411,9 +412,9 @@ def metrics_scope(registry):
 
 
 def observability_snapshot(metrics=None, tracer=None) -> Dict[str, object]:
-    """One JSON document folding a metrics registry and a tracer's stage
-    table (:meth:`~repro.obs.tracer.Tracer.self_times`) together (the
-    ``--metrics`` and ``--timings-json`` file format)."""
+    """One JSON document folding a metrics registry and a tracer's
+    per-name span totals (:meth:`~repro.obs.tracer.Tracer.self_times`)
+    together (the ``--metrics`` and ``--timings-json`` file format)."""
     snap: Dict[str, object] = {}
     if metrics is not None and not isinstance(metrics, NullMetrics):
         snap.update(metrics.snapshot())

@@ -27,9 +27,9 @@ The layers, bottom up (see DESIGN.md §10–§12):
   :func:`repro.api.connect`;
 * :mod:`repro.serve.soak` — the many-client load harness behind
   ``repro soak`` and CI's ``serve-smoke`` load gate;
-* :mod:`repro.serve.events` — the size-rotated JSONL lifecycle event
-  log, and :mod:`repro.serve.top` — the ``repro top`` ANSI dashboard
-  over the ``STATS``/``HEALTH`` wire ops (see DESIGN.md §13).
+* :mod:`repro.serve.top` — the ``repro top`` ANSI dashboard over the
+  ``STATS``/``HEALTH`` wire ops (see DESIGN.md §13).  Lifecycle events
+  are instants of the one span model (:mod:`repro.obs.tracer`).
 """
 
 from repro.serve.jobs import (
@@ -53,7 +53,6 @@ from repro.serve.router import KeyRouter, request_key, resolve_program_text
 from repro.serve.fleet import CompileFleet
 from repro.serve.wire import Endpoint, ErrorCode, parse_endpoint
 from repro.serve.client import Client, ClientError, connect
-from repro.serve.events import NULL_EVENTS, EventLog, read_events
 from repro.serve.frontend import FleetFrontend, FrontendServer
 from repro.serve.soak import SoakReport, run_soak
 from repro.serve.top import render_top, run_top
@@ -65,8 +64,6 @@ __all__ = [
     "CompileFleet",
     "Endpoint",
     "ErrorCode",
-    "EventLog",
-    "NULL_EVENTS",
     "FleetFrontend",
     "FrontendServer",
     "JobFailedError",
@@ -82,7 +79,6 @@ __all__ = [
     "connect",
     "machine_fingerprint",
     "parse_endpoint",
-    "read_events",
     "render_top",
     "request_key",
     "resolve_program_text",

@@ -25,8 +25,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.evaluation.engine import CellResult, GridCell
 from repro.ir.printer import format_program
-from repro.obs.distributed import NULL_DTRACER
-from repro.serve.jobs import ServeError
+from repro.obs.tracer import NULL_TRACER
+from repro.serve.jobs import ServeError, retry_delay
 from repro.serve.wire import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -94,7 +94,7 @@ class Client:
         max_frame_bytes: int = MAX_FRAME_BYTES,
         client_name: str = "repro-client",
         sleep=time.sleep,
-        tracer=NULL_DTRACER,
+        tracer=NULL_TRACER,
     ) -> None:
         self.endpoint = parse_endpoint(endpoint)
         self.timeout = timeout
@@ -104,12 +104,12 @@ class Client:
         self.max_frame_bytes = max_frame_bytes
         self.client_name = client_name
         self._sleep = sleep
-        #: A :class:`~repro.obs.distributed.DistributedTracer` (service
-        #: ``client``).  Each :meth:`submit` opens the trace's *root*
-        #: span and ships its context on the wire, so the merged trace
-        #: hangs every server-side hop under the client's view of the
-        #: request.  Defaults to the no-op tracer (no wire overhead).
-        self.tracer = tracer if tracer is not None else NULL_DTRACER
+        #: A :class:`~repro.obs.tracer.Tracer` (service ``client``).
+        #: Each :meth:`submit` opens the trace's *root* span and ships
+        #: its context on the wire, so the merged trace hangs every
+        #: server-side hop under the client's view of the request.
+        #: Defaults to the no-op tracer (no wire overhead).
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._sock: Optional[socket.socket] = None
         #: The server's handshake reply (protocol, schema, shard count).
         self.server_info: Optional[HelloReply] = None
@@ -182,7 +182,7 @@ class Client:
         last: Optional[BaseException] = None
         for attempt in range(self.retries + 1):
             if attempt:
-                self._sleep(self.retry_backoff * attempt)
+                self._sleep(retry_delay(self.retry_backoff, attempt))
             try:
                 self.connect()
                 reply = self._roundtrip(request)
@@ -210,7 +210,7 @@ class Client:
         timeout: Optional[float] = None,
     ) -> CompileReply:
         """Compile one cell; returns the full reply (result + metadata)."""
-        with self.tracer.start_span(
+        with self.tracer.start(
             "client.compile", benchmark=cell.benchmark,
             scheme=cell.scheme, machine=cell.machine,
             heuristic=cell.heuristic, client=self.client_name,

@@ -60,10 +60,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.evaluation.engine import CellResult, GridCell
 from repro.ir.function import Program
-from repro.obs.distributed import NULL_DTRACER, DistributedTracer
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
-from repro.serve.events import NULL_EVENTS
 from repro.serve.jobs import (
     JobFailedError,
     JobHandle,
@@ -71,6 +69,7 @@ from repro.serve.jobs import (
     ServiceClosedError,
     ServiceSaturatedError,
     ShardDownError,
+    retry_delay,
 )
 from repro.serve.router import KeyRouter, request_key
 from repro.serve.service import WorkerPool
@@ -131,7 +130,7 @@ class FleetHandle(JobHandle):
     source: str = "computed"
     #: The open ``shard.compile`` span of the current dispatch attempt
     #: (observability only; None when the request is untraced).
-    dspan: object = field(default=None, repr=False)
+    span: object = field(default=None, repr=False)
 
 
 class _Shard:
@@ -178,13 +177,16 @@ class CompileFleet:
         sleep: Override of the backoff sleep (tests pass a no-op).
         worker: Override of the pool worker function (tests inject
             crashing and gated workers here; must be picklable).
-        trace_dir: Distributed-trace export directory
-            (:mod:`repro.obs.distributed`); enables ``shard.compile``
-            spans here and ``worker.run_task`` spans in the pools for
-            requests that carry a trace context.
-        events: An :class:`~repro.serve.events.EventLog` receiving
-            fleet lifecycle events (shard start/death/restart, retries,
-            evictions); defaults to the shared no-op.
+        tracer: A :class:`~repro.obs.tracer.Tracer` receiving the
+            fleet's spans (``serve.batch``, and ``shard.compile`` /
+            ``fleet.hot`` / ``fleet.store`` for requests that carry a
+            trace context) and its lifecycle instants (shard
+            start/kill/death/restart, retries, evictions, fleet
+            start/close).  A tracer with an instants-only writer is the
+            ``--events-log``; one with a per-process span writer
+            (:func:`~repro.obs.tracer.trace_file`) streams the fleet's
+            spans and instants to ``trace-fleet-<pid>.jsonl`` and has
+            the pools write ``worker.run_task`` spans beside them.
     """
 
     def __init__(
@@ -204,8 +206,6 @@ class CompileFleet:
         tracer=NULL_TRACER,
         sleep: Callable[[float], None] = time.sleep,
         worker: Optional[Callable] = None,
-        trace_dir: Optional[str] = None,
-        events=NULL_EVENTS,
     ) -> None:
         self.router = KeyRouter(shards)
         #: The fleet's own registry — always live, so the stats plane
@@ -213,11 +213,7 @@ class CompileFleet:
         #: registry.  User metrics see the same stream through the tee.
         self.own_metrics = MetricsRegistry()
         self.metrics = _FleetMetrics(self.own_metrics, metrics)
-        self.tracer = tracer
-        self.trace_dir = trace_dir
-        self.dtracer = DistributedTracer(trace_dir, "fleet") \
-            if trace_dir else NULL_DTRACER
-        self.events = events if events is not None else NULL_EVENTS
+        self.tracer = tracer.for_service("fleet")
         self.jobs = jobs
         self.batch_size = batch_size
         self.max_pending = max_pending
@@ -247,14 +243,14 @@ class CompileFleet:
             shard = _Shard(index, store)
             shard.pool = self._make_pool(shard)
             self._shards.append(shard)
-            self.events.emit("shard.start", shard=index, generation=0)
+            self.tracer.event("shard.start", shard=index, generation=0)
         self._retry_queue: "queue.Queue[object]" = queue.Queue()
         self._supervisor = threading.Thread(
             target=self._supervise, name="repro-fleet-supervisor",
             daemon=True,
         )
         self._supervisor.start()
-        self.events.emit("fleet.start", shards=shards, jobs=jobs)
+        self.tracer.event("fleet.start", shards=shards, jobs=jobs)
 
     # -- shard lifecycle -------------------------------------------------
 
@@ -269,8 +265,7 @@ class CompileFleet:
             jobs=self.jobs, batch_size=self.batch_size,
             max_pending=self.max_pending, job_timeout=self.job_timeout,
             memo_spec=memo_spec, metrics=self.metrics, tracer=self.tracer,
-            worker=self._worker, trace_dir=self.trace_dir,
-            shard=shard.index,
+            worker=self._worker, shard=shard.index,
         )
 
     def _restart_shard(self, shard: _Shard) -> None:
@@ -285,8 +280,8 @@ class CompileFleet:
             shard.generation += 1
             shard.up = True
         self.metrics.inc("fleet.shard_restarts")
-        self.events.emit("shard.restart", shard=shard.index,
-                         generation=shard.generation)
+        self.tracer.event("shard.restart", shard=shard.index,
+                          generation=shard.generation)
 
     def kill_shard(self, index: int, timeout: float = 30.0) -> None:
         """Abruptly take one shard down (fault injection / ops drills).
@@ -298,8 +293,8 @@ class CompileFleet:
         shard = self._shards[index]
         shard.up = False
         self.metrics.inc("fleet.shard_kills")
-        self.events.emit("shard.kill", shard=index,
-                         generation=shard.generation)
+        self.tracer.event("shard.kill", shard=index,
+                          generation=shard.generation)
         shard.pool.close(drain=False, timeout=timeout)
 
     def health(self) -> Dict[str, object]:
@@ -350,7 +345,7 @@ class CompileFleet:
                 evicted += 1
         if evicted:
             self.metrics.inc("fleet.hot_evictions", evicted)
-            self.events.emit("hot.evict", evicted=evicted)
+            self.tracer.event("hot.evict", evicted=evicted)
 
     # -- the store tier --------------------------------------------------
 
@@ -394,10 +389,9 @@ class CompileFleet:
         if hot is not None:
             self.metrics.inc("fleet.hot_hits")
             if request.trace_id:
-                self.dtracer.start_span(
+                self.tracer.start(
                     "fleet.hot", trace_id=request.trace_id,
-                    parent_span_id=request.parent_span_id,
-                    key=key[:12],
+                    parent=request.parent_span_id, key=key[:12],
                 ).finish(source="hot")
             handle = FleetHandle(key=key, request=request, cached=True,
                                  source="hot")
@@ -421,14 +415,14 @@ class CompileFleet:
             with self._lock:
                 self._inflight.pop(key, None)
             if isinstance(error, ServiceSaturatedError):
-                self.events.emit("request.saturated", key=key[:12])
+                self.tracer.event("request.saturated", key=key[:12])
             raise
         self.metrics.inc("serve.jobs.cache_hits")
         if request.trace_id:
-            self.dtracer.start_span(
+            self.tracer.start(
                 "fleet.store", trace_id=request.trace_id,
-                parent_span_id=request.parent_span_id,
-                key=key[:12], shard=owner.index,
+                parent=request.parent_span_id, key=key[:12],
+                shard=owner.index,
             ).finish(source="store")
         handle.cached = True
         handle.source = "store"
@@ -471,15 +465,15 @@ class CompileFleet:
         if handle.request.trace_id:
             # One span per dispatch attempt; a retry opens a fresh one
             # carrying the restart mark.
-            span = self.dtracer.start_span(
+            span = self.tracer.start(
                 "shard.compile", trace_id=handle.request.trace_id,
-                parent_span_id=handle.request.parent_span_id,
+                parent=handle.request.parent_span_id,
                 shard=shard.index, generation=shard.generation,
                 fleet_attempt=attempt,
             )
             if attempt > 0:
                 span.annotate("supervisor.restart")
-        handle.dspan = span
+        handle.span = span
         if not shard.up or not shard.pool.alive:
             self._restart_shard(shard)
             if span is not None:
@@ -494,7 +488,7 @@ class CompileFleet:
         try:
             shard.pool.submit(job)
         except ServiceSaturatedError:
-            handle.dspan = None
+            handle.span = None
             if span is not None:
                 span.finish(outcome="saturated")
             raise
@@ -512,7 +506,7 @@ class CompileFleet:
             self._retry_or_fail(handle, job.error)
             return
         result = job.result(0)
-        span, handle.dspan = handle.dspan, None
+        span, handle.span = handle.span, None
         if span is not None:
             span.finish(outcome="ok", source="computed",
                         attempts=handle.attempts)
@@ -531,7 +525,7 @@ class CompileFleet:
         and a :class:`ServiceSaturatedError` met on a retry.  A job that
         raised fails at once.
         """
-        span, handle.dspan = handle.dspan, None
+        span, handle.span = handle.span, None
         name = type(error).__name__
         retryable = isinstance(
             error, (ServiceClosedError, ServiceSaturatedError)
@@ -539,13 +533,13 @@ class CompileFleet:
         if retryable and not self._stopping \
                 and handle.attempts <= self.retries:
             self.metrics.inc("fleet.shard_retries")
-            self.events.emit("request.retry", key=handle.key[:12],
-                             shard=handle.shard, attempt=handle.attempts,
-                             error=name)
+            self.tracer.event("request.retry", key=handle.key[:12],
+                              shard=handle.shard, attempt=handle.attempts,
+                              error=name)
             if span is not None:
                 span.annotate("retry.scheduled")
                 span.finish(outcome="retry", error=name)
-            delay = self.retry_backoff * 2 ** (handle.attempts - 1)
+            delay = retry_delay(self.retry_backoff, handle.attempts)
             self._retry_queue.put((handle, time.monotonic() + delay))
             return
         if span is not None:
@@ -573,9 +567,9 @@ class CompileFleet:
         with self._lock:
             self._inflight.pop(handle.key, None)
         self.metrics.inc("fleet.failed")
-        self.events.emit("request.failed", key=handle.key[:12],
-                         shard=handle.shard,
-                         error=type(error).__name__)
+        self.tracer.event("request.failed", key=handle.key[:12],
+                          shard=handle.shard,
+                          error=type(error).__name__)
         handle.fail(error)
 
     # -- supervision -----------------------------------------------------
@@ -611,8 +605,8 @@ class CompileFleet:
             if shard.up and not shard.pool.alive:
                 shard.up = False
                 self.metrics.inc("fleet.shard_deaths")
-                self.events.emit("shard.death", shard=shard.index,
-                                 generation=shard.generation)
+                self.tracer.event("shard.death", shard=shard.index,
+                                  generation=shard.generation)
             if not shard.up and not self._closed:
                 self._restart_shard(shard)
 
@@ -653,8 +647,8 @@ class CompileFleet:
             shard.pool.close(drain=drain, timeout=timeout)
             if shard.store is not None:
                 shard.store.sync()
-        self.events.emit("fleet.close", drained=drain)
-        self.dtracer.close()
+        self.tracer.event("fleet.close", drained=drain)
+        self.tracer.close()
 
     def __enter__(self) -> "CompileFleet":
         return self

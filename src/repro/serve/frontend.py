@@ -32,9 +32,8 @@ import threading
 import time
 from typing import Dict, Optional
 
-from repro.obs.distributed import NULL_DTRACER, DistributedTracer
 from repro.obs.metrics import NULL_METRICS, RollingHistogram
-from repro.serve.events import NULL_EVENTS
+from repro.obs.tracer import NULL_TRACER
 from repro.serve.fleet import CompileFleet
 from repro.serve.jobs import (
     JobFailedError,
@@ -101,8 +100,6 @@ class FleetFrontend:
         metrics=NULL_METRICS,
         allow_remote_shutdown: bool = True,
         backlog: int = 2048,
-        trace_dir: Optional[str] = None,
-        events=NULL_EVENTS,
     ) -> None:
         self.fleet = fleet
         self.endpoint = parse_endpoint(endpoint)
@@ -110,9 +107,16 @@ class FleetFrontend:
         self.metrics = metrics
         self.allow_remote_shutdown = allow_remote_shutdown
         self.backlog = backlog
-        self.dtracer = DistributedTracer(trace_dir, "frontend") \
-            if trace_dir else NULL_DTRACER
-        self.events = events if events is not None else NULL_EVENTS
+        #: The fleet's tracer, stamped ``frontend``: the front-end's
+        #: lifecycle instants share the fleet's writers and its event
+        #: log, and with a trace directory its spans land in
+        #: ``trace-frontend-<pid>.jsonl``.
+        self.tracer = fleet.tracer.for_service("frontend")
+        #: ``frontend.request`` spans are recorded only when they are
+        #: exported; otherwise a request's trace context (if any)
+        #: passes through untouched and no trace is started for it.
+        self._request_tracer = self.tracer \
+            if self.tracer.span_path is not None else NULL_TRACER
         #: Rolling per-op latency (µs) over the last minute — the
         #: ``STATS`` reply's ``latency`` section.  Touched only from
         #: the event loop, so no lock.
@@ -144,7 +148,7 @@ class FleetFrontend:
             host, port = sock.getsockname()[:2]
             self.bound = Endpoint(scheme="tcp", host=host, port=port)
         self._started_at = time.time()
-        self.events.emit("frontend.start", endpoint=str(self.bound))
+        self.tracer.event("frontend.start", endpoint=str(self.bound))
         return self.bound
 
     def request_shutdown(self) -> None:
@@ -159,8 +163,8 @@ class FleetFrontend:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-            self.events.emit("frontend.stop", endpoint=str(self.bound))
-            self.dtracer.close()
+            self.tracer.event("frontend.stop", endpoint=str(self.bound))
+            self.tracer.close()
         if self.endpoint.scheme == "unix" and self.endpoint.path:
             try:
                 os.unlink(self.endpoint.path)
@@ -180,16 +184,16 @@ class FleetFrontend:
                 except ProtocolError as error:
                     # Bad JSON inside an intact frame: answer, carry on.
                     self.metrics.inc("frontend.bad_requests")
-                    self.events.emit("protocol.error", kind="message",
-                                     detail=str(error))
+                    self.tracer.event("protocol.error", kind="message",
+                                      detail=str(error))
                     await write_frame(writer, reply_to_wire(
                         ErrorReply(error.code, str(error))))
                     continue
                 except FrameError as error:
                     # Broken byte stream: best-effort answer, hang up.
                     self.metrics.inc("frontend.frame_errors")
-                    self.events.emit("protocol.error", kind="frame",
-                                     detail=str(error))
+                    self.tracer.event("protocol.error", kind="frame",
+                                      detail=str(error))
                     await write_frame(writer, reply_to_wire(
                         ErrorReply(error.code, str(error))))
                     return
@@ -265,8 +269,8 @@ class FleetFrontend:
             request = request_from_wire(raw)
         except ProtocolError as error:
             self.metrics.inc("frontend.bad_requests")
-            self.events.emit("protocol.error", kind="request",
-                             detail=str(error))
+            self.tracer.event("protocol.error", kind="request",
+                              detail=str(error))
             return ErrorReply(error.code, str(error))
         op = str(raw.get("op", "?"))
         try:
@@ -332,14 +336,14 @@ class FleetFrontend:
     async def _compile(self, request: CompileRequest) -> Reply:
         loop = asyncio.get_running_loop()
         # The frontend hop of the distributed trace.  A client-sent
-        # context is adopted; with none, a trace-enabled server starts
-        # its own trace here.  When the server has no tracer the null
-        # span's ids are None and the incoming context passes through
-        # to the fleet untouched.
-        span = self.dtracer.start_span(
+        # context is adopted; with none, a server that exports spans
+        # starts its own trace here.  Otherwise the null span's ids are
+        # None and the incoming context passes through to the fleet
+        # untouched.
+        span = self._request_tracer.start(
             "frontend.request",
             trace_id=request.trace_id,
-            parent_span_id=request.parent_span_id,
+            parent=request.parent_span_id,
             benchmark=request.cell.benchmark,
             scheme=request.cell.scheme,
         )

@@ -34,6 +34,13 @@ from typing import Callable, List, Optional
 from repro.evaluation.engine import CellResult, GridCell
 
 
+def retry_delay(backoff: float, attempt: int) -> float:
+    """Seconds to wait before retry number ``attempt`` (1-based): the
+    backoff doubles with each retry of the same request.  The client's
+    resend loop and the fleet's retry budget both space retries so."""
+    return backoff * 2 ** (attempt - 1)
+
+
 class ServeError(Exception):
     """Base class for compilation-service errors."""
 
@@ -73,7 +80,7 @@ class JobRequest:
     text itself for keying.
 
     ``trace_id``/``parent_span_id`` carry the distributed trace context
-    (:mod:`repro.obs.distributed`) down through the fleet and its pools.
+    (:mod:`repro.obs.tracer`) down through the fleet and its pools.
     They are observability-only: content keying
     (:func:`repro.serve.router.request_key`) ignores them, so two
     requests for the same work still dedup onto one computation even

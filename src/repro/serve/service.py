@@ -28,7 +28,6 @@ only what is specific to running work on processes:
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as _FutureTimeout
@@ -37,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.evaluation.engine import _merge_partials, _run_task
 from repro.obs.metrics import NULL_METRICS
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, SpanWriter, Tracer
 from repro.serve.jobs import (
     JobFailedError,
     JobHandle,
@@ -51,25 +50,23 @@ def _service_worker(task):
     return _run_task(task)
 
 
-#: Per-process cache of worker-side distributed tracers, keyed by
-#: (trace directory, shard, pid).  The pid key matters: a pool worker is
-#: forked from the serving process and must not write through an
-#: inherited parent handle.
-_worker_tracers: Dict[Tuple[Optional[str], Optional[int], int], object] = {}
+#: Per-process cache of worker-side tracers, keyed by (span file
+#: template, shard).  Their writer keeps a file per pid, so a forked
+#: worker never writes through a handle inherited from the serving
+#: process.
+_worker_tracers: Dict[Tuple[str, Optional[int]], Tracer] = {}
 
 
-def _worker_tracer(trace_dir: str, shard: Optional[int]):
-    from repro.obs.distributed import DistributedTracer
-
-    key = (trace_dir, shard, os.getpid())
-    tracer = _worker_tracers.get(key)
+def _worker_tracer(span_path: str, shard: Optional[int]) -> Tracer:
+    tracer = _worker_tracers.get((span_path, shard))
     if tracer is None:
-        tracer = DistributedTracer(trace_dir, "worker", shard=shard)
-        _worker_tracers[key] = tracer
+        tracer = _worker_tracers[(span_path, shard)] = Tracer(
+            service="worker", shard=shard,
+            writers=(SpanWriter(span_path),))
     return tracer
 
 
-def _traced_call(worker, trace_dir, shard, specs, task):
+def _traced_call(worker, span_path, shard, specs, task):
     """Run ``worker(task)`` inside per-request ``worker.run_task`` spans.
 
     ``specs`` is a list of ``(trace_id, parent_span_id)`` pairs — one
@@ -77,12 +74,11 @@ def _traced_call(worker, trace_dir, shard, specs, task):
     *around* the injected worker rather than inside it, so test workers
     (crashers, gated workers) keep their exact signature and payload.
     """
-    tracer = _worker_tracer(trace_dir, shard)
+    tracer = _worker_tracer(span_path, shard)
     bench, scheme = task[0], task[1]
     spans = [
-        tracer.start_span("worker.run_task", trace_id=trace_id,
-                          parent_span_id=parent, benchmark=bench,
-                          scheme=scheme, group_jobs=len(specs))
+        tracer.start("worker.run_task", trace_id=trace_id, parent=parent,
+                     benchmark=bench, scheme=scheme, group_jobs=len(specs))
         for trace_id, parent in specs
     ]
     try:
@@ -105,9 +101,11 @@ class WorkerPool:
             store (``(None, 0.0)`` keeps the memo in memory only).
         worker: Override of the pool worker function (tests inject
             crashing workers through this seam; must be picklable).
-        trace_dir: Distributed-trace export directory; when set, jobs
-            that carry a trace context get a ``worker.run_task`` span
-            written from inside the pool worker process.
+        tracer: Receives the ``serve.batch`` spans.  When it streams
+            spans to a per-process file
+            (:attr:`~repro.obs.tracer.Tracer.span_path`), jobs that
+            carry a trace context get a ``worker.run_task`` span written
+            beside it from inside the pool worker process.
         shard: Shard identity stamped on worker spans.
     """
 
@@ -121,7 +119,6 @@ class WorkerPool:
         metrics=NULL_METRICS,
         tracer=NULL_TRACER,
         worker: Optional[Callable] = None,
-        trace_dir: Optional[str] = None,
         shard: Optional[int] = None,
     ) -> None:
         self.jobs = max(1, jobs)
@@ -130,7 +127,6 @@ class WorkerPool:
         self.memo_spec = memo_spec
         self.metrics = metrics
         self.tracer = tracer
-        self.trace_dir = trace_dir
         self.shard = shard
         self._worker = worker if worker is not None else _service_worker
         self._queue: "queue.Queue[JobHandle]" = queue.Queue(
@@ -244,16 +240,16 @@ class WorkerPool:
         # None as the slice end means "all functions" without knowing
         # the count parent-side.
         task = (bench, scheme, indexed, 0, None, text, self.memo_spec,
-                False)
+                None)
         specs = [
             (handle.request.trace_id, handle.request.parent_span_id)
             for handle in handles if handle.request.trace_id
-        ] if self.trace_dir is not None else []
+        ] if self.tracer.span_path is not None else []
         self.metrics.inc("serve.dispatches")
         try:
             if specs:
                 future = self._ensure_executor().submit(
-                    _traced_call, self._worker, self.trace_dir,
+                    _traced_call, self._worker, self.tracer.span_path,
                     self.shard, specs, task,
                 )
             else:

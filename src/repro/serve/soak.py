@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.evaluation.engine import GridCell
-from repro.obs.distributed import NULL_DTRACER, DistributedTracer
+from repro.obs.tracer import NULL_TRACER
 from repro.obs.metrics import NULL_METRICS, Histogram
 from repro.serve.client import Client
 
@@ -135,7 +135,7 @@ def run_soak(
     retries: int = 4,
     metrics=NULL_METRICS,
     on_request: Optional[object] = None,
-    trace_dir: Optional[str] = None,
+    tracer=NULL_TRACER,
 ) -> SoakReport:
     """Drive a many-client soak against a running front-end.
 
@@ -152,9 +152,10 @@ def run_soak(
     is *issued* — is the fault-injection hook the kill-a-shard tests
     use.  Per-request failures are recorded, never raised: the report's
     ``errors``/``dropped`` fields are the assertion surface.
-    ``trace_dir`` enables distributed tracing: all soak clients share
-    one ``client``-role tracer, each request gets a root span, and the
-    trace context rides the wire to the fleet.
+    A ``tracer`` that exports spans (:attr:`~repro.obs.tracer.Tracer.span_path`) enables
+    distributed tracing: all soak clients share it, stamped ``client``;
+    each request gets a root span, and the trace context rides the wire
+    to the fleet.
     """
     total = len(cells) if requests is None else requests
     if total <= 0 or not cells:
@@ -163,8 +164,8 @@ def run_soak(
     report = SoakReport(clients=clients, requests=total)
     lock = threading.Lock()
     start_gate = threading.Event()
-    tracer = DistributedTracer(trace_dir, "client") \
-        if trace_dir else NULL_DTRACER
+    tracer = tracer.for_service("client") \
+        if tracer.span_path is not None else NULL_TRACER
 
     def worker(worker_index: int) -> None:
         start_gate.wait()
@@ -233,6 +234,4 @@ def run_soak(
         thread.join()
     report.wall_seconds = time.perf_counter() - began
     metrics.gauge("soak.qps", report.qps)
-    if tracer is not NULL_DTRACER:
-        tracer.close()
     return report

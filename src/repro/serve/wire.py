@@ -334,7 +334,7 @@ class CompileRequest:
     benchmark named by ``cell.benchmark``.
 
     ``trace_id``/``parent_span_id`` are the distributed trace context
-    (:mod:`repro.obs.distributed`).  Both are optional and emitted on
+    (:mod:`repro.obs.tracer`).  Both are optional and emitted on
     the wire only when set, so the message shape — and protocol
     version 1 — are unchanged for untraced clients, and version-1
     servers that predate tracing simply ignore the extra fields.

@@ -7,6 +7,7 @@ for every cell, on both the shared-work serial path and the
 multiprocessing path.
 """
 
+import gc
 import os
 
 import pytest
@@ -22,7 +23,7 @@ from repro.evaluation.engine import (
 )
 from repro.schedule.priorities import HEURISTICS
 from repro.schedule.scheduler import ScheduleOptions
-from repro.obs import Tracer
+from repro.obs import Span, SpanWriter, Tracer, merge_traces, trace_file
 from repro.workloads.specint import build_benchmark
 
 # A small but representative slice of the paper's grid: one mutating and
@@ -65,17 +66,26 @@ TRACED_CELLS = [GridCell("compress", scheme, machine, "global_weight")
                 for machine in ("4U", "8U")]
 
 
-def _traced_grid(jobs):
+def _traced_grid(jobs, directory=None):
     """Trace a small direct-pipeline grid.
 
-    Returns the tracer, its self times and the grid's results.  With the
-    region memo on, a warm process may legitimately skip every stage, so
-    it is pinned off here.
+    Returns the tracer, its self times and the grid's results; with a
+    ``directory``, spans also stream to per-process files there.  With
+    the region memo on, a warm process may legitimately skip every
+    stage, so it is pinned off here.
     """
-    tracer = Tracer()
+    writers = (SpanWriter(trace_file(str(directory))),) \
+        if directory is not None else ()
+    tracer = Tracer(writers=writers)
     results = evaluate_grid(TRACED_CELLS, jobs=jobs, tracer=tracer,
                             region_memo=False)
+    tracer.close()
     return tracer, tracer.self_times(), results
+
+
+def _live_spans():
+    gc.collect()
+    return {id(obj) for obj in gc.get_objects() if isinstance(obj, Span)}
 
 
 def _untraced_signatures(jobs):
@@ -163,34 +173,47 @@ class TestGridHelpers:
         results = evaluate_grid(cells, jobs=0)
         assert len(results) == 2
 
-    def test_timer_collects_stages(self):
-        tracer, times, results = _traced_grid(jobs=1)
+    def test_timer_collects_stages(self, tmp_path):
+        tracer, times, results = _traced_grid(jobs=1, directory=tmp_path)
         # Observability never changes the answer.
         assert [_signature(r) for r in results] == _untraced_signatures(1)
         for stage in ("formation", "prep", "renaming", "ddg",
                       "list_schedule", "estimate"):
             assert stage in times, stage
         assert _stage_counts(times) == {stage: 100 for stage in STAGES}
-        roots = [span for span in tracer.spans if span.parent is None]
+        merged = merge_traces(str(tmp_path))
+        roots = merged.roots()
         assert [span.name for span in roots] == ["evaluate_grid"]
+        assert len(merged) == sum(s["count"] for s in times.values())
         # Serial spans nest, so self times add up to the wall.
         total = sum(stage["seconds"] for stage in times.values())
         assert abs(total - roots[0].duration) < 1e-9
 
-    def test_worker_timers_merged(self):
-        tracer, times, results = _traced_grid(jobs=2)
+    def test_worker_timers_merged(self, tmp_path):
+        tracer, times, results = _traced_grid(jobs=2, directory=tmp_path)
         assert [_signature(r) for r in results] == _untraced_signatures(2)
-        roots = [span for span in tracer.spans if span.parent is None]
+        merged = merge_traces(str(tmp_path))
+        roots = [span for span in merged.roots() if not span.instant]
         assert [span.name for span in roots] == ["evaluate_grid"]
-        (pool,) = [s for s in tracer.spans if s.name == "pool"]
-        tasks = [s for s in tracer.spans if s.name == "task"]
-        assert tasks and all(s.parent == pool.sid for s in tasks)
-        # Each task sits on the Chrome-trace track of the worker that ran it.
-        assert all(s.track not in (None, os.getpid()) for s in tasks)
-        # Grafted worker spans count every stage the serial path runs.
+        (pool,) = merged.find(name="pool")
+        tasks = merged.find(name="task")
+        assert tasks and all(s.parent_id == pool.span_id for s in tasks)
+        assert len(merged.find(name="task_done")) == len(tasks)
+        # Each task streams from the worker process that ran it, so it
+        # sits on that worker's own track.
+        assert all(s.service == "worker" and s.pid != os.getpid()
+                   for s in tasks)
+        # Worker totals count every stage the serial path runs.
         assert _stage_counts(times) == _stage_counts(_traced_grid(jobs=1)[1])
         assert _stage_counts(times) == {stage: 100 for stage in STAGES}
         assert times["ddg"]["seconds"] > 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_tracer_keeps_no_spans(self, jobs):
+        before = _live_spans()
+        tracer, times, _ = _traced_grid(jobs=jobs)
+        assert times["ddg"]["count"] == 100
+        assert _live_spans() <= before
 
     def test_cell_result_as_dict(self):
         result = evaluate_grid(GRID[:1], jobs=1)[0]

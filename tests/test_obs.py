@@ -1,7 +1,7 @@
 """Tests for the observability layer (:mod:`repro.obs`).
 
-Covers the tracer (span nesting, exception unwinding, Chrome trace-event
-and JSONL export), the metrics registry (histograms, merge semantics,
+Covers the span model (nesting, exception unwinding, totals at close,
+worker merging, the JSONL record schema and the Chrome export), the metrics registry (histograms, merge semantics,
 snapshot round-trips, the active-registry scope), the determinism
 contract (serial vs ``jobs=2`` evaluation of the same grid serializes
 byte-identically), the pipeline instrumentation points, the schedule
@@ -10,6 +10,7 @@ annotations on DOT export, and the CLI surfacing (``repro trace``,
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -28,9 +29,13 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     NullMetrics,
+    SpanWriter,
     Tracer,
     current_metrics,
+    merge_traces,
     metrics_scope,
+    read_spans,
+    trace_file,
 )
 from repro.obs.metrics import observability_snapshot
 from repro.schedule import ScheduleOptions
@@ -57,21 +62,35 @@ class FakeClock:
 # Tracer
 
 
+def _worker_task(directory, trace_id, parent):
+    """A forked worker's task, streamed to its own per-pid file."""
+    tracer = Tracer(service="worker",
+                    writers=(SpanWriter(trace_file(directory)),))
+    with tracer.span("task", parent=parent, trace_id=trace_id):
+        with tracer.span("ddg"):
+            pass
+    tracer.close()
+
+
 class TestTracer:
-    def test_span_nesting_and_ordering(self):
-        tracer = Tracer(clock=FakeClock())
+    def test_span_nesting_and_ordering(self, tmp_path):
+        path = str(tmp_path / "spans.jsonl")
+        tracer = Tracer(clock=FakeClock(), writers=(SpanWriter(path),))
         with tracer.span("outer", kind="test"):
             with tracer.span("first"):
                 pass
             with tracer.span("second"):
                 pass
+        tracer.close()
 
-        spans = tracer.finished_spans()
-        assert [s.name for s in spans] == ["outer", "first", "second"]
-        outer, first, second = spans
-        assert outer.parent is None and outer.depth == 0
-        assert first.parent == outer.sid and first.depth == 1
-        assert second.parent == outer.sid and second.depth == 1
+        spans, skipped = read_spans(path)
+        assert skipped == 0
+        # Records land as spans close: children before their parent.
+        assert [s.name for s in spans] == ["first", "second", "outer"]
+        first, second, outer = spans
+        assert outer.parent_id is None
+        assert first.parent_id == outer.span_id
+        assert second.parent_id == outer.span_id
         # Siblings are ordered by start time; the parent brackets both.
         assert first.start < second.start
         assert outer.start < first.start
@@ -80,59 +99,72 @@ class TestTracer:
 
     def test_span_durations_from_injected_clock(self):
         tracer = Tracer(clock=FakeClock())
-        with tracer.span("a"):
+        with tracer.span("a") as span:
             pass
-        (span,) = tracer.finished_spans()
         assert span.duration == pytest.approx(1.0)
+        assert tracer.self_times() == {"a": {"seconds": 1.0, "count": 1}}
 
     def test_exception_still_closes_spans(self):
         tracer = Tracer(clock=FakeClock())
         with pytest.raises(RuntimeError):
             with tracer.span("outer"):
-                with tracer.span("inner"):
+                with tracer.span("inner") as inner:
                     raise RuntimeError("boom")
-        assert [s.name for s in tracer.finished_spans()] == ["outer",
-                                                             "inner"]
+        assert sorted(tracer.self_times()) == ["inner", "outer"]
+        assert inner.annotations == ("error",)
+        assert inner.args["error"] == "RuntimeError: boom"
         # The stack fully unwound: a new span is a root again.
-        with tracer.span("after"):
+        with tracer.span("after") as after:
             pass
-        assert tracer.spans[-1].depth == 0
+        assert after.parent_id is None
 
     def test_orphaned_span_unwound_by_ancestor_close(self):
-        # A span opened directly (no context manager) is abandoned when
+        # A span opened without its context manager is abandoned when
         # an ancestor closes: the stack must not leak it.
         tracer = Tracer(clock=FakeClock())
         with tracer.span("outer"):
-            tracer._open("leaked", {})
-        with tracer.span("after"):
+            leaked = tracer.span("leaked")
+        with tracer.span("after") as after:
             pass
-        assert tracer.spans[-1].name == "after"
-        assert tracer.spans[-1].depth == 0
+        assert after.parent_id is None
+        assert "leaked" not in tracer.self_times()
+        # Closing the orphan late neither reopens nor pops anything.
+        with tracer.span("late") as late:
+            leaked.finish()
+            with tracer.span("inside") as inside:
+                pass
+        assert inside.parent_id == late.span_id
 
-    def test_events_attach_to_current_span(self):
-        tracer = Tracer(clock=FakeClock())
+    def test_events_attach_to_current_span(self, tmp_path):
+        path = str(tmp_path / "spans.jsonl")
+        tracer = Tracer(clock=FakeClock(), writers=(SpanWriter(path),))
         tracer.event("root_event")
-        with tracer.span("outer"):
+        with tracer.span("outer") as outer:
             tracer.event("nested", n=3)
-        assert len(tracer.events) == 2
-        (_, parent0, name0, _), (_, parent1, name1, args1) = tracer.events
-        assert (name0, parent0) == ("root_event", None)
-        assert name1 == "nested"
-        assert parent1 == tracer.spans[0].sid
-        assert args1 == {"n": 3}
+        tracer.close()
+        events = [s for s in read_spans(path)[0] if s.instant]
+        assert [(e.name, e.parent_id) for e in events] == [
+            ("root_event", None), ("nested", outer.span_id)]
+        assert events[1].args == {"n": 3}
+        assert events[1].duration == 0.0
+        # Instants are counted, not timed.
+        assert tracer.format_summary().startswith("1 spans, 2 events")
+        assert "nested" not in tracer.self_times()
 
     def test_null_tracer_is_reusable_and_silent(self):
         handle = NULL_TRACER.span("anything", a=1)
         with handle:
             with NULL_TRACER.span("nested"):
                 NULL_TRACER.event("e")
-        # Same singleton handle every time — no allocation per call.
+        # Same singleton span every time — no allocation per call.
         assert NULL_TRACER.span("other") is handle
+        assert NULL_TRACER.start("remote", trace_id="t") is handle
+        assert handle.span_id is None and handle.trace_id is None
 
     def test_self_times_nested_and_sibling_spans(self):
         # FakeClock: every read advances one second.
         tracer = Tracer(clock=FakeClock())
-        with tracer.span("root"):              # 100 .. 107
+        with tracer.span("root") as root:      # 100 .. 107
             with tracer.span("stage"):         # 101 .. 102
                 pass
             with tracer.span("stage"):         # 103 .. 106
@@ -144,28 +176,21 @@ class TestTracer:
             "stage": {"seconds": 3.0, "count": 2},
         }
         total = sum(s["seconds"] for s in tracer.self_times().values())
-        assert total == tracer.spans[0].duration
+        assert total == root.duration
 
-    def test_graft_adopts_worker_spans_under_the_open_span(self):
+    def test_merge_adopts_worker_totals_under_the_open_span(self):
         workers = []
         for _ in range(2):
             worker = Tracer(clock=FakeClock(101.0))
-            with worker.span("task"):          # 101 .. 104
+            with worker.span("task") as task:  # 101 .. 104
                 with worker.span("ddg"):       # 102 .. 103
                     pass
-            workers.append(worker)
+            workers.append((worker.self_times(), task.duration))
         parent = Tracer(clock=FakeClock())
-        with parent.span("grid"):              # 100 .. 102
-            with parent.span("pool"):          # 101: both tasks overlap it
-                for worker in workers:
-                    parent.graft(worker.spans)
-        names = [(s.name, s.depth) for s in parent.spans]
-        assert names == [("grid", 0), ("pool", 1), ("task", 2), ("ddg", 3),
-                         ("task", 2), ("ddg", 3)]
-        for sid, span in enumerate(parent.spans):
-            assert span.sid == sid
-        pool = parent.spans[1]
-        assert [s.parent for s in parent.spans] == [None, 0, 1, 2, 1, 4]
+        with parent.span("grid"):              # 100 .. 103
+            with parent.span("pool") as pool:  # 101 .. 102
+                for totals, seconds in workers:
+                    parent.merge(totals, parent=pool, seconds=seconds)
         assert pool.duration == 1.0
         # The concurrent tasks outlast the pool span: its self time is
         # floored at 0, and worker stage times sum across workers.
@@ -176,22 +201,38 @@ class TestTracer:
             "task": {"seconds": 4.0, "count": 2},
         }
 
-    def test_grafted_workers_export_on_their_own_tracks(self):
-        parent = Tracer(clock=FakeClock())
-        with parent.span("pool"):
-            for track in (4101, 4102):
-                worker = Tracer(clock=FakeClock(101.0))
-                with worker.span("task"):      # both at 101 .. 104
-                    with worker.span("ddg"):
-                        pass
-                parent.graft(worker.spans, track=track)
-        events = parent.to_chrome()["traceEvents"]
-        tids = {(e["name"], e["tid"]) for e in events if e["ph"] == "X"}
-        assert tids == {("pool", 0), ("task", 4101), ("ddg", 4101),
-                        ("task", 4102), ("ddg", 4102)}
-        names = {e["tid"]: e["args"]["name"] for e in events
-                 if e["name"] == "thread_name"}
-        assert names == {4101: "worker 4101", 4102: "worker 4102"}
+    def test_workers_export_on_their_own_tracks(self, tmp_path):
+        directory = str(tmp_path)
+        parent = Tracer(writers=(SpanWriter(trace_file(directory)),))
+        with parent.span("pool") as pool:
+            context = multiprocessing.get_context("spawn")
+            workers = [context.Process(
+                target=_worker_task,
+                args=(directory, pool.trace_id, pool.span_id))
+                for _ in range(2)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+        parent.close()
+        assert all(worker.exitcode == 0 for worker in workers)
+        merged = merge_traces(directory)
+        tasks = merged.find(name="task")
+        assert len(tasks) == 2
+        assert all(task.parent_id == pool.span_id for task in tasks)
+        events = merged.to_chrome()["traceEvents"]
+        labels = {e["pid"]: e["args"]["name"] for e in events
+                  if e["ph"] == "M"}
+        tracks = {(e["name"], e["pid"]) for e in events if e["ph"] == "X"}
+        (pool_track,) = [pid for name, pid in tracks if name == "pool"]
+        task_tracks = {pid for name, pid in tracks if name == "task"}
+        assert len(task_tracks) == 2 and pool_track not in task_tracks
+        assert {pid for name, pid in tracks if name == "ddg"} == task_tracks
+        assert sorted(labels[pid].split()[0] for pid in task_tracks) == [
+            "worker", "worker"]
+        # Each task hangs off the pool span by one cross-track flow
+        # arrow; a span nested on its own track needs none.
+        assert len([e for e in events if e["ph"] == "s"]) == 2
 
     def test_format_summary_mentions_spans(self):
         tracer = Tracer(clock=FakeClock())
@@ -203,17 +244,20 @@ class TestTracer:
 
 
 class TestTraceExport:
-    def _traced(self) -> Tracer:
-        tracer = Tracer(clock=FakeClock())
+    def _traced(self, path) -> Tracer:
+        tracer = Tracer(clock=FakeClock(), writers=(SpanWriter(path),))
         with tracer.span("outer", machine="4U"):
             with tracer.span("inner"):
                 pass
             tracer.event("ping", n=1)
+        tracer.close()
         return tracer
 
     def test_chrome_schema_round_trip(self, tmp_path):
+        spans = str(tmp_path / "spans.jsonl")
+        self._traced(spans)
         path = tmp_path / "trace.json"
-        self._traced().write_chrome(str(path))
+        merge_traces([spans]).write_chrome(str(path))
         doc = json.loads(path.read_text())
 
         assert set(doc) == {"traceEvents", "displayTimeUnit"}
@@ -239,13 +283,18 @@ class TestTraceExport:
 
     def test_jsonl_export(self, tmp_path):
         path = tmp_path / "spans.jsonl"
-        self._traced().write_jsonl(str(path))
-        lines = path.read_text().splitlines()
-        rows = [json.loads(line) for line in lines]
-        assert [row["name"] for row in rows] == ["outer", "inner"]
-        assert rows[0]["parent"] is None and rows[0]["start"] == 0.0
-        assert rows[1]["parent"] == rows[0]["sid"]
-        assert rows[1]["depth"] == 1
+        self._traced(str(path))
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        # One schema for spans and instants, written as each closes.
+        assert [(row["kind"], row["name"]) for row in rows] == [
+            ("span", "inner"), ("event", "ping"), ("span", "outer")]
+        assert all(set(row) == {
+            "kind", "name", "trace", "span", "parent", "service", "shard",
+            "pid", "start", "dur", "args", "annotations"} for row in rows)
+        inner, ping, outer = rows
+        assert outer["parent"] is None and outer["start"] == 100.0
+        assert inner["parent"] == ping["parent"] == outer["span"]
+        assert outer["dur"] == 4.0 and ping["dur"] == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -603,7 +652,7 @@ class TestPipelineCounters:
         assert lengths.count == counters["schedule.regions"]
         assert lengths.total == counters["schedule.cycles"]
 
-        names = [s.name for s in tracer.finished_spans()]
+        names = tracer.self_times()
         assert "evaluate_program" in names
         assert "schedule_region" in names
         assert "list_schedule" in names
@@ -716,6 +765,27 @@ class TestObservabilityCLI:
         trace_doc = json.loads(trace_path.read_text())
         assert any(e["name"] == "simulate"
                    for e in trace_doc["traceEvents"])
+
+    def test_temporary_trace_dir_is_removed(self, source_file, tmp_path,
+                                            monkeypatch, capsys):
+        """``--trace`` without ``--trace-dir`` streams spans under a
+        temporary directory; it goes once the command ends, also when
+        the command fails."""
+        import tempfile
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        trace_path = tmp_path / "t.json"
+        assert main(["run", source_file, "--args", "5",
+                     "--trace", str(trace_path)]) == 0
+        assert trace_path.exists()
+        assert list(scratch.iterdir()) == []
+        endpoint = f"unix://{tmp_path / 'missing' / 'repro.sock'}"
+        assert main(["serve", "--endpoint", endpoint, "--shards", "1",
+                     "--trace", str(trace_path)]) == 2
+        assert "cannot listen" in capsys.readouterr().err
+        assert list(scratch.iterdir()) == []
 
     def test_bench_timings_json(self, tmp_path, capsys):
         timings = tmp_path / "timings.json"

@@ -30,7 +30,7 @@ from repro.ir.parser import parse_program
 from repro.schedule.priorities import HEURISTICS
 from repro.ir.printer import format_program
 from repro.obs import MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import SpanWriter, Tracer, read_spans
 from repro.serve import (
     ArtifactStore,
     JobFailedError,
@@ -329,6 +329,31 @@ class TestShutdown:
         assert [handle.result(0.0) for handle in handles] == direct
 
 
+class TestRetryBackoff:
+    """The client's resend loop and the fleet's retry budget share one
+    rule: the delay doubles with each retry of the same request."""
+
+    def test_client_resends_back_off_exponentially(self, tmp_path):
+        sleeps = []
+        client = Client(f"unix://{tmp_path}/no-such.sock", retries=3,
+                        retry_backoff=0.05, sleep=sleeps.append)
+        with pytest.raises(OSError):
+            client.ping()
+        assert sleeps == [0.05, 0.1, 0.2]
+
+    def test_fleet_retries_back_off_exponentially(self):
+        sleeps = []
+        with _fleet(retries=2, retry_backoff=10.0, sleep=sleeps.append,
+                    worker=_always_crashing_worker) as fleet:
+            handle = fleet.submit(JobRequest(cell=_grid()[0]))
+            with pytest.raises(JobFailedError, match="3 attempt"):
+                handle.result(60.0)
+        # The supervisor sleeps until each retry is due: the delay less
+        # the moments spent between scheduling and sleeping.
+        assert sleeps == [pytest.approx(10.0, abs=1.0),
+                          pytest.approx(20.0, abs=1.0)]
+
+
 class TestTracing:
     def test_concurrent_shard_batches_do_not_nest(self, tmp_path):
         """Two shards' dispatchers record ``serve.batch`` on one tracer
@@ -336,7 +361,8 @@ class TestTracing:
         gate = str(tmp_path / "gate")
         cells = _grid(heuristics=HEURISTICS)
         metrics = MetricsRegistry()
-        tracer = Tracer()
+        path = str(tmp_path / "spans.jsonl")
+        tracer = Tracer(writers=(SpanWriter(path),))
         fleet = CompileFleet(
             shards=2, jobs=1, batch_size=1, metrics=metrics, tracer=tracer,
             sleep=_NO_SLEEP, worker=functools.partial(_gated_worker, gate),
@@ -353,14 +379,13 @@ class TestTracing:
                 assert handle.result(60.0) == evaluate_cell(cell)
         finally:
             fleet.close()
-        batches = [span for span in tracer.spans
+        assert tracer.self_times()["serve.batch"]["count"] == len(cells)
+        batches = [span for span in read_spans(path)[0]
                    if span.name == "serve.batch"]
         assert len(batches) == len(cells)
-        batch_ids = {span.sid for span in batches}
         for span in batches:
-            assert span.end is not None
-            assert span.parent not in batch_ids
-            assert span.depth == 0
+            assert span.service == "fleet"
+            assert span.parent_id is None
 
 
 class TestWire:
