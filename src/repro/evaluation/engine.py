@@ -200,13 +200,15 @@ def _schedule_function_partition(
     reads only the attributes schedules and summaries share.
     """
     options = cell.options()
-    schedules = []
     schedule_one = memo.schedule if memo is not None else schedule_region
-    for region in partition:
-        liveness = liveness_of(region.root.cfg)
-        schedules.append(
-            schedule_one(region, machine, options, liveness, tracer=tracer)
-        )
+    # Every region of a partition lives in the one CFG it was formed
+    # over, and scheduling never mutates it: one liveness serves all.
+    regions = list(partition)
+    liveness = liveness_of(regions[0].root.cfg) if regions else None
+    schedules = [
+        schedule_one(region, machine, options, liveness, tracer=tracer)
+        for region in regions
+    ]
     with tracer.span("estimate"):
         time = sum(s.weighted_time for s in schedules)
     return _FunctionPartial(

@@ -32,6 +32,14 @@ _OPCODES_BY_NAME = {op.value: op for op in Opcode}
 _CONDS_BY_NAME = {c.value: c for c in CompareCond}
 
 
+def _parse_number(parse, text: str, line: str):
+    """``parse(text)`` (``int`` or ``float``) for a figure of ``line``."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise IRValidationError(f"bad number {text!r} in {line!r}") from None
+
+
 def _parse_register(text: str) -> Register:
     match = _REG_RE.match(text)
     if not match:
@@ -55,6 +63,7 @@ def _parse_operation(function: Function, line: str,
     block = cfg.blocks()[-1] if len(cfg) else None
     if block is None:
         raise IRValidationError(f"op outside any block: {line!r}")
+    text = line
 
     speculative = False
     if line.endswith("!spec"):
@@ -81,6 +90,8 @@ def _parse_operation(function: Function, line: str,
         line = line.strip()
 
     tokens = line.split(None, 1)
+    if not tokens:
+        raise IRValidationError(f"op without an opcode: {text!r}")
     mnemonic = tokens[0]
     rest = tokens[1] if len(tokens) > 1 else ""
     cond: Optional[CompareCond] = None
@@ -135,16 +146,22 @@ def parse_program(text: str) -> Program:
     program: Optional[Program] = None
     function: Optional[Function] = None
     labels: Dict[str, BasicBlock] = {}
-    pending_edges: List[Tuple[str, str, str, Optional[str], float]] = []
+    #: (src label, dst label, kind, case value, weight, line)
+    pending_edges: List[Tuple[str, str, str, Optional[str], float, str]] = []
 
     def finish_function() -> None:
         nonlocal function
         if function is None:
             return
         _resolve_targets(function, labels)
-        for src_label, dst_label, kind_text, case_text, weight in pending_edges:
-            src = labels[src_label]
-            dst = labels[dst_label]
+        for (src_label, dst_label, kind_text, case_text, weight,
+             line) in pending_edges:
+            src = labels.get(src_label)
+            dst = labels.get(dst_label)
+            if src is None or dst is None:
+                unknown = src_label if src is None else dst_label
+                raise IRValidationError(
+                    f"edge of unknown block {unknown!r}: {line!r}")
             if kind_text.startswith("case"):
                 kind = EdgeKind.CASE
                 case_value: Optional[int] = int(case_text)  # type: ignore[arg-type]
@@ -163,8 +180,10 @@ def parse_program(text: str) -> Program:
             continue
 
         if line.startswith("program "):
-            entry = line.split("entry=", 1)[1].strip()
-            program = Program(entry=entry)
+            _, has_entry, entry = line.partition("entry=")
+            if not has_entry:
+                raise IRValidationError(f"program without entry=: {line!r}")
+            program = Program(entry=entry.strip())
             continue
 
         if program is None:
@@ -176,7 +195,7 @@ def parse_program(text: str) -> Program:
             initial = None
             if init_text:
                 initial = [
-                    float(v) if "." in v else int(v)
+                    _parse_number(float if "." in v else int, v, line)
                     for v in (t.strip() for t in init_text.split(","))
                     if v
                 ]
@@ -206,7 +225,7 @@ def parse_program(text: str) -> Program:
         if block_match:
             label, weight, entry_flag = block_match.groups()
             block = function.cfg.new_block(name=label)
-            block.weight = float(weight)
+            block.weight = _parse_number(float, weight, line)
             labels[label] = block
             if entry_flag:
                 function.cfg.set_entry(block)
@@ -216,7 +235,8 @@ def parse_program(text: str) -> Program:
         if edge_match:
             src_label, dst_label, kind_text, case_text, weight = edge_match.groups()
             pending_edges.append(
-                (src_label, dst_label, kind_text, case_text, float(weight))
+                (src_label, dst_label, kind_text, case_text,
+                 _parse_number(float, weight, line), line)
             )
             continue
 

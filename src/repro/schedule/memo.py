@@ -33,8 +33,8 @@ scoped to one (benchmark, scheme) group by :meth:`RegionMemo.begin_group`):
   the order, so a finished schedule is kept per (region, machine,
   order).  Heuristics often sort a small region the same way; the
   second such probe reuses the first schedule instead of rerunning it;
-* the region's content fingerprint is read once per region, not once
-  per (machine, heuristic) cell.
+* the region's content fingerprint and its exits' weights are read
+  once per region, not once per (machine, heuristic) cell.
 
 A probe that reuses a schedule still counts as a **miss** (``hits`` and
 ``store_hits`` are untouched), counts the schedule's counter record,
@@ -59,7 +59,9 @@ under :func:`repro.serve.store.region_key`.
   float accumulation as
   :attr:`~repro.schedule.schedule.RegionSchedule.weighted_time`), never
   stored, because the fingerprint quantizes weights with ``%g`` while
-  the estimate uses full-precision floats;
+  the estimate uses full-precision floats.  The weights are captured
+  once per region per group, with its fingerprint; they are the live
+  weights, because the IR does not change within a group;
 * every entry keeps the region's
   :class:`~repro.schedule.scheduler.RegionCounts` record, and every
   probe, hit or miss, counts it with
@@ -90,12 +92,14 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from operator import mul
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.ir.liveness import LivenessInfo
 from repro.lint.collect import current_collector
 from repro.machine.model import MachineModel
 from repro.obs.tracer import NULL_TRACER
+from repro.regions.hyperblock import Hyperblock
 from repro.regions.region import Region
 from repro.schedule.fingerprint import (
     latency_fingerprint,
@@ -120,10 +124,31 @@ DEFAULT_MAX_ENTRIES = 1 << 16
 
 _DEFAULT_MAX_CYCLES = ScheduleOptions().max_cycles
 
+#: :func:`repro.serve.store.region_key`, imported on first use: the
+#: store module imports the engine, which imports this module.
+_region_key = None
+
 #: The record fields every entry holds (exact-backend entries: all).
 _FIELDS = tuple(name for name in RegionCounts._fields
                 if not name.startswith("exact_"))
 _EXACT_FIELDS = RegionCounts._fields
+
+#: ``len(json.dumps(...))`` of a payload with no exit cycles and no
+#: record fields.
+_EMPTY_PAYLOAD_SIZE = len(json.dumps({"kind": "region", "exit_cycles": []}))
+#: What a present record field adds besides its figure: ``, "name": ``.
+_FIELD_SIZES = tuple(len(name) + 6 for name in RegionCounts._fields)
+
+
+def _payload_size(exit_cycles: Sequence[int], counts: RegionCounts) -> int:
+    """``len(json.dumps(payload, sort_keys=True))`` of an entry's
+    payload, without encoding it: JSON writes an int as ``str`` does and
+    a list of ints as ``str`` writes a Python list."""
+    size = _EMPTY_PAYLOAD_SIZE - 2 + len(str(list(exit_cycles)))
+    for field_size, value in zip(_FIELD_SIZES, counts):
+        if value is not None:
+            size += field_size + len(str(value))
+    return size
 
 
 class RegionSummary(NamedTuple):
@@ -147,7 +172,7 @@ class _Level2Entry:
     def __init__(self, exit_cycles: Tuple[int, ...], counts: RegionCounts):
         self.exit_cycles = exit_cycles
         self.counts = counts
-        self.size = len(json.dumps(self.payload(), sort_keys=True))
+        self.size = _payload_size(exit_cycles, counts)
 
     def payload(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
@@ -165,17 +190,17 @@ class _Level2Entry:
         return cls(tuple(record.cycle for record in schedule.exits), counts)
 
     @classmethod
-    def from_payload(cls, payload, exits,
+    def from_payload(cls, payload, exit_count: int,
                      exact: bool) -> Optional["_Level2Entry"]:
-        """The entry a store payload holds, or None when the payload is
-        corrupt: not a region object, one exit cycle per region exit
-        (``exits``) or every record field (the ``exact_*`` ones too when
-        ``exact``) missing, or a figure that is not a non-negative
-        int."""
+        """The entry a store payload holds, or None when there is none
+        (``payload`` is None) or it is corrupt: not a region object, one
+        exit cycle per region exit (``exit_count``) or every record field
+        (the ``exact_*`` ones too when ``exact``) missing, or a figure
+        that is not a non-negative int."""
         if not isinstance(payload, dict) or payload.get("kind") != "region":
             return None
         cycles = payload.get("exit_cycles")
-        if not isinstance(cycles, list) or len(cycles) != len(exits):
+        if not isinstance(cycles, list) or len(cycles) != exit_count:
             return None
         fields = _EXACT_FIELDS if exact else _FIELDS
         values: List[object] = [payload.get(name) for name in fields]
@@ -202,9 +227,9 @@ class RegionMemo:
         #: Tier 1, cleared per group.  Stage outputs by key.
         self._problems: Dict[Tuple, object] = {}
         self._ddgs: Dict[Tuple, object] = {}
-        #: id(region) -> (region, content fingerprint); the region
-        #: reference pins the id for the group.
-        self._fingerprints: Dict[int, Tuple[Region, str]] = {}
+        #: id(region) -> (region, content fingerprint, exit weights in
+        #: exit order); the region reference pins the id for the group.
+        self._regions: Dict[int, Tuple[Region, str, Tuple[float, ...]]] = {}
         #: (id(region), latency fp, sc, heuristic) -> priority order as
         #: a tuple of op indices.
         self._orders: Dict[Tuple, Tuple[int, ...]] = {}
@@ -226,7 +251,7 @@ class RegionMemo:
     def begin_group(self) -> None:
         """Reset tier-1 sharing (call when a new formation begins —
         ``id(region)`` keys must not outlive their region objects)."""
-        for table in (self._problems, self._ddgs, self._fingerprints,
+        for table in (self._problems, self._ddgs, self._regions,
                       self._orders, self._schedules):
             table.clear()
 
@@ -266,8 +291,6 @@ class RegionMemo:
 
     @staticmethod
     def _bypass(region: Region, options: ScheduleOptions) -> bool:
-        from repro.regions.hyperblock import Hyperblock
-
         return (
             isinstance(region, Hyperblock)
             or options.certify
@@ -299,8 +322,9 @@ class RegionMemo:
             return schedule_region(region, machine, options, liveness,
                                    tracer=tracer)
 
+        fingerprint, weights = self._region(region, liveness)
         key = (
-            self._region_fingerprint(region, liveness),
+            fingerprint,
             self._fingerprint(machine_fingerprint, machine),
             options.heuristic,
             options.dominator_parallelism,
@@ -314,15 +338,13 @@ class RegionMemo:
         if options.backend != "heuristic":
             key = key + (options.backend, options.exact_budget)
 
-        exits = None
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
         elif self.store is not None:
-            payload = self.store.get_payload(self._store_key(key))
-            exits = None if payload is None else region.exits()
             entry = _Level2Entry.from_payload(
-                payload, exits, exact=options.backend == "exact")
+                self.store.get_payload(self._store_key(key)), len(weights),
+                exact=options.backend == "exact")
             if entry is not None:
                 self.store_hits += 1
                 self._remember(key, entry)
@@ -345,11 +367,7 @@ class RegionMemo:
         # exit order — the fingerprint's %g quantization never leaks
         # into the estimate, and the float accumulation matches
         # RegionSchedule.weighted_time exactly.
-        weighted_time = sum(
-            exit.weight * cycle
-            for exit, cycle in zip(exits or region.exits(),
-                                   entry.exit_cycles)
-        )
+        weighted_time = sum(map(mul, weights, entry.exit_cycles))
         counts = entry.counts
         return RegionSummary(weighted_time, counts.length, counts.copy_count,
                              counts.merged_count, counts.speculated_count)
@@ -357,22 +375,25 @@ class RegionMemo:
     @staticmethod
     def _store_key(key: Tuple) -> str:
         """The content-addressed store key for one tier-2 memo key."""
-        from repro.serve.store import region_key
-
+        global _region_key
+        if _region_key is None:
+            from repro.serve.store import region_key as _region_key
         if len(key) == 5:
-            return region_key(*key)
-        return region_key(*key[:5], backend=key[5], exact_budget=key[6])
+            return _region_key(*key)
+        return _region_key(*key[:5], backend=key[5], exact_budget=key[6])
 
     # ------------------------------------------------------------------
 
-    def _region_fingerprint(self, region: Region,
-                            liveness: LivenessInfo) -> str:
-        """The region's content fingerprint, computed once per group."""
-        cached = self._fingerprints.get(id(region))
+    def _region(self, region: Region, liveness: LivenessInfo
+                ) -> Tuple[str, Tuple[float, ...]]:
+        """The region's content fingerprint and its exits' weights,
+        computed once per group."""
+        cached = self._regions.get(id(region))
         if cached is None:
-            cached = self._fingerprints[id(region)] = (
-                region, region_fingerprint(region, liveness))
-        return cached[1]
+            cached = self._regions[id(region)] = (
+                region, region_fingerprint(region, liveness),
+                tuple(exit.weight for exit in region.exits()))
+        return cached[1], cached[2]
 
     @staticmethod
     def _shared(table: Dict, key: Tuple, build):

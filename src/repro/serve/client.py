@@ -122,15 +122,21 @@ class Client:
             return self
         if self.endpoint.scheme == "unix":
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.connect_timeout)
-            sock.connect(self.endpoint.path)
         else:
             sock = socket.create_connection(
                 (self.endpoint.host, self.endpoint.port),
                 timeout=self.connect_timeout,
             )
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(self.timeout)
+        try:
+            if self.endpoint.scheme == "unix":
+                sock.settimeout(self.connect_timeout)
+                sock.connect(self.endpoint.path)
+            else:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(self.timeout)
+        except BaseException:
+            sock.close()
+            raise
         self._sock = sock
         try:
             reply = self._roundtrip(Hello(

@@ -46,6 +46,7 @@ Hit/miss/evict/corrupt totals flow into the active
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -68,16 +69,24 @@ STORE_FORMAT = 2
 DEFAULT_MAX_MB = 256
 
 
+@functools.cache
 def store_schema() -> str:
-    """The schema/version string mixed into every key and payload."""
+    """The schema/version string mixed into every key and payload
+    (computed once per process)."""
     from repro import __version__
 
     return f"repro-{__version__}/store-{STORE_FORMAT}"
 
 
+def _digest(parts) -> str:
+    """SHA-256 hex digest of the parts, each UTF-8 encoded and ended by
+    a NUL byte."""
+    return hashlib.sha256(
+        ("\x00".join(parts) + "\x00").encode("utf-8")).hexdigest()
+
+
 def cell_key(program_text: str, cell: GridCell) -> str:
     """SHA-256 key of one (program, scheme, machine, heuristic) cell."""
-    digest = hashlib.sha256()
     parts = [
         store_schema(),
         program_text,
@@ -91,10 +100,7 @@ def cell_key(program_text: str, cell: GridCell) -> str:
     backend = getattr(cell, "backend", "heuristic")
     if backend != "heuristic":
         parts.append(f"backend={backend}")
-    for part in parts:
-        digest.update(part.encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
+    return _digest(parts)
 
 
 def region_key(
@@ -119,7 +125,6 @@ def region_key(
     budget is part of the key.  The default backend omits the part
     entirely, keeping every pre-existing store entry addressable.
     """
-    digest = hashlib.sha256()
     parts = [
         store_schema(),
         "region",
@@ -131,10 +136,7 @@ def region_key(
     ]
     if backend != "heuristic":
         parts.append(f"backend={backend}:budget={exact_budget}")
-    for part in parts:
-        digest.update(part.encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
+    return _digest(parts)
 
 
 def result_to_payload(key: str, result: CellResult) -> Dict[str, object]:
@@ -312,10 +314,12 @@ class ArtifactStore:
         """``decode(payload)`` for the payload under ``key``, or None (a
         miss).  A payload that is not a JSON object restating ``key`` and
         the schema, or that ``decode`` rejects, is corrupt."""
-        path = self._object_path(key)
         try:
-            with open(path) as handle:
-                payload = json.load(handle)
+            with open(self._object_path(key), "rb", buffering=0) as handle:
+                data = handle.read()
+            # Objects are written as ASCII JSON: decode as UTF-8 (a bad
+            # byte is a ValueError) and skip json's encoding detection.
+            payload = json.loads(data.decode("utf-8"))
             if not isinstance(payload, dict) or payload.get("key") != key or \
                     payload.get("schema") != store_schema():
                 raise ValueError("payload/key mismatch")
@@ -327,7 +331,7 @@ class ArtifactStore:
             self._drop(key, "corrupt")
         else:
             self._clock += 1
-            size = self._index.get(key, (0, 0))[0] or self._entry_size(path)
+            size = self._index.get(key, (0, 0))[0] or len(data)
             self._index[key] = (size, self._clock)
             self.hits += 1
             current_metrics().inc("serve.store.hits")
@@ -349,13 +353,6 @@ class ArtifactStore:
         keep using :meth:`get`/:meth:`put`).
         """
         return self._read(key, lambda payload: payload)
-
-    @staticmethod
-    def _entry_size(path: str) -> int:
-        try:
-            return os.stat(path).st_size
-        except OSError:
-            return 0
 
     def put(self, key: str, result: CellResult) -> None:
         """Store ``result`` under ``key`` (atomic; last writer wins)."""
@@ -386,9 +383,17 @@ class ArtifactStore:
             self._save_index()
 
     def _evict_to_fit(self) -> None:
-        while len(self._index) > 1 and \
-                sum(size for size, _ in self._index.values()) > self.max_bytes:
-            victim = min(self._index, key=lambda k: self._index[k][1])
+        """Drop least-recently-used entries (lowest clock first; equal
+        clocks in index order) until the total fits, keeping at least
+        one."""
+        index = self._index
+        total = self.total_bytes()
+        if total <= self.max_bytes:
+            return
+        for victim in sorted(index, key=lambda k: index[k][1]):
+            if total <= self.max_bytes or len(index) <= 1:
+                break
+            total -= index[victim][0]
             self._drop(victim, "evictions")
 
     # -- maintenance ----------------------------------------------------

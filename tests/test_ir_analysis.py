@@ -1,6 +1,8 @@
 """Tests for dominators, liveness, the verifier, and text round-trips."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.ir import (
     CompareCond,
@@ -17,7 +19,8 @@ from repro.ir import (
     parse_program,
     verify_function,
 )
-from repro.util.errors import IRValidationError
+from repro.util.errors import IRValidationError, ReproError
+from repro.workloads.specint import build_benchmark
 
 from tests.helpers import (
     diamond_function,
@@ -315,3 +318,67 @@ class TestTextRoundTrip:
     def test_parse_rejects_garbage(self):
         with pytest.raises(IRValidationError):
             parse_program("program entry=main\nfunc main() {\n  block bb1 weight=0\n    r1 = frobnicate r2\n}\n")
+
+
+_PRINTED = format_program(build_benchmark("compress")).splitlines()
+
+#: One edit of one line of a printed benchmark: (line index, text,
+#: position, length, how).
+_LINE_EDIT = st.tuples(
+    st.integers(0, len(_PRINTED) - 1),
+    st.text(st.sampled_from(" .=->#,?!bpr19e()") | st.characters(),
+            max_size=8),
+    st.integers(0, 80), st.integers(0, 8),
+    st.sampled_from(["insert", "replace", "delete", "drop"]))
+
+
+def _parses_or_rejects(text: str) -> None:
+    """The parser's contract at the trust boundary: a program or a
+    typed error, never another exception."""
+    try:
+        parse_program(text)
+    except ReproError:
+        pass
+
+
+class TestParserRobustness:
+    @pytest.mark.parametrize("text, named", [
+        ("program entry=main\nfunc main() {\n  block bb1 weight=1 entry\n"
+         "    ret\n  edge bb1 -> bb9 taken weight=1\n}\n",
+         "edge bb1 -> bb9 taken weight=1"),
+        ("program entry=main\nfunc main() {\n  block bb1 weight=1..5\n}\n",
+         "block bb1 weight=1..5"),
+        ("program x\n", "program x"),
+    ], ids=["undefined_edge_label", "bad_block_weight", "header_no_entry"])
+    def test_bad_line_is_a_typed_error_naming_it(self, text, named):
+        with pytest.raises(IRValidationError, match=repr(named)):
+            parse_program(text)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(head=st.sampled_from(
+        ["", "program entry=main\nfunc main() {\n  block bb1 weight=1\n"]),
+        text=st.text())
+    def test_arbitrary_text(self, head, text):
+        _parses_or_rejects(head + text)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(edits=st.lists(_LINE_EDIT, min_size=1, max_size=3))
+    def test_mutated_lines_of_a_printed_benchmark(self, edits):
+        lines = list(_PRINTED)
+        for index, text, position, length, how in edits:
+            index %= len(lines)
+            line = lines[index]
+            position = min(position, len(line))
+            if how == "drop":
+                del lines[index]
+                continue
+            if how == "insert":
+                line = line[:position] + text + line[position:]
+            elif how == "replace":
+                line = line[:position] + text + line[position + length:]
+            else:
+                line = line[:position] + line[position + length:]
+            lines[index] = line
+        _parses_or_rejects("\n".join(lines))

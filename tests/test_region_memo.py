@@ -12,18 +12,27 @@ import json
 import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import form_treegions
 from repro.evaluation.engine import GridCell, build_scheme, evaluate_grid
 from repro.ir.analysis_cache import liveness_of
+from repro.ir.clone import clone_function
 from repro.machine import VLIW_4U, VLIW_8U
 from repro.obs.metrics import MetricsRegistry, metrics_scope
+from repro.regions.region import Region
 from repro.schedule import ScheduleOptions, schedule_region
 from repro.schedule import memo as memo_module
 from repro.schedule import scheduler
-from repro.schedule.memo import RegionMemo, RegionSummary, global_memo
+from repro.schedule.memo import (
+    RegionMemo,
+    RegionSummary,
+    _Level2Entry,
+    global_memo,
+)
 from repro.schedule.priorities import HEURISTICS, priority_order
-from repro.schedule.scheduler import dependences, prepare
+from repro.schedule.scheduler import RegionCounts, dependences, prepare
 from repro.serve.store import ArtifactStore
 from repro.workloads.paper_example import build_paper_example
 from repro.workloads.specint import build_benchmark
@@ -141,7 +150,7 @@ class TestTierOneSharing:
         regions, liveness = _regions(fn)
         memo = RegionMemo()
         memo.schedule(regions[0], VLIW_4U, ScheduleOptions(), liveness)
-        tables = (memo._problems, memo._ddgs, memo._fingerprints,
+        tables = (memo._problems, memo._ddgs, memo._regions,
                   memo._orders, memo._schedules)
         assert all(tables)
         memo.begin_group()
@@ -325,6 +334,52 @@ class TestStorePersistence:
         for key, cycles in damaged.items():
             assert store.get_payload(key)["exit_cycles"] == cycles
 
+    def test_store_revived_grid_reads_once_per_probe(self, tmp_path,
+                                                    monkeypatch):
+        """A store-warm probe reads its object once; the region's exits
+        are taken once per formed region per group, not once per
+        probe."""
+        schemes = ("bb", "treegion", "treegion-td:2.0")
+        cells = [GridCell("compress", scheme, machine, heuristic)
+                 for scheme in schemes
+                 for machine in ("4U", "8U")
+                 for heuristic in HEURISTICS]
+
+        def run(memo):
+            metrics = MetricsRegistry()
+            results = evaluate_grid(cells, jobs=1, metrics=metrics,
+                                    region_memo=memo,
+                                    region_store=str(tmp_path))
+            snapshot = metrics.deterministic_snapshot()
+            snapshot["counters"] = {
+                name: value for name, value in snapshot["counters"].items()
+                if not name.startswith("serve.store.")
+            }
+            return results, snapshot
+
+        cold_memo = RegionMemo()
+        cold = run(cold_memo)
+        # Tail duplication mutates what it forms: form over clones.
+        formed = sum(len(build_scheme(spec).form(clone_function(fn).cfg))
+                     for spec in schemes
+                     for fn in build_benchmark("compress").functions())
+        calls = {"exits": 0, "get_payload": 0}
+        for owner, name in ((Region, "exits"),
+                            (ArtifactStore, "get_payload")):
+            def spy(*args, _name=name, _original=getattr(owner, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(owner, name, spy)
+        memo = RegionMemo()
+        assert run(memo) == cold
+        stats, cold_stats = memo.stats(), cold_memo.stats()
+        assert calls["exits"] == formed
+        assert calls["get_payload"] == stats["store_hits"] > 0
+        assert stats["misses"] == 0
+        assert stats["hits"] == cold_stats["hits"] + cold_stats["misses"]
+        assert (stats["entries"], stats["bytes"]) == \
+            (cold_stats["entries"], cold_stats["bytes"])
+
     def test_lru_bound_respected(self):
         fn = build_paper_example().entry_function
         regions, liveness = _regions(fn)
@@ -336,6 +391,20 @@ class TestStorePersistence:
         stats = memo.stats()
         assert stats["entries"] == 1
         assert stats["bytes"] > 0
+
+
+_FIGURE = st.none() | st.integers(min_value=0, max_value=10 ** 12)
+
+
+class TestEntrySize:
+    @settings(max_examples=200, deadline=None)
+    @given(cycles=st.lists(st.integers(min_value=0, max_value=10 ** 9),
+                           max_size=12).map(tuple),
+           counts=st.tuples(*[_FIGURE] * len(RegionCounts._fields)).map(
+               lambda figures: RegionCounts(*figures)))
+    def test_size_is_the_payload_json_length(self, cycles, counts):
+        entry = _Level2Entry(cycles, counts)
+        assert entry.size == len(json.dumps(entry.payload(), sort_keys=True))
 
 
 class TestBypasses:

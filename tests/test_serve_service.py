@@ -13,11 +13,13 @@ queue to show every recovery path preserves that identity.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import os
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -340,6 +342,16 @@ class TestRetryBackoff:
         with pytest.raises(OSError):
             client.ping()
         assert sleeps == [0.05, 0.1, 0.2]
+
+    def test_failed_connect_closes_its_socket(self, tmp_path):
+        client = Client(f"unix://{tmp_path}/no-such.sock", retries=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(OSError):
+                client.connect()
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_fleet_retries_back_off_exponentially(self):
         sleeps = []

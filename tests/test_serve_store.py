@@ -185,6 +185,43 @@ class TestEviction:
         assert snapshot["counters"]["serve.store.puts"] == 2
 
 
+def _lru_victims(index, max_bytes):
+    """The store's eviction rule, one victim at a time: while more than
+    one entry is left and the sizes sum past the bound, drop the entry
+    with the lowest clock (the first such in index order)."""
+    index = dict(index)
+    victims = []
+    while len(index) > 1 and \
+            sum(size for size, _ in index.values()) > max_bytes:
+        victim = min(index, key=lambda k: index[k][1])
+        victims.append(victim)
+        del index[victim]
+    return victims
+
+
+class TestEvictionRule:
+    @settings(max_examples=100, deadline=None)
+    @given(entries=st.lists(st.tuples(st.integers(0, 400),
+                                      st.integers(0, 12)), max_size=40),
+           max_bytes=st.integers(0, 6000))
+    def test_victims_follow_the_lru_rule(self, entries, max_bytes):
+        with tempfile.TemporaryDirectory() as directory:
+            store = ArtifactStore(directory)
+            store.max_bytes = max_bytes
+            store._index = {f"{i:064x}": entry
+                            for i, entry in enumerate(entries)}
+            expected = _lru_victims(store._index, max_bytes)
+            dropped = []
+            drop = store._drop
+            store._drop = lambda key, counter=None: (
+                dropped.append(key) or drop(key, counter))
+            store._evict_to_fit()
+        assert dropped == expected
+        assert store.evictions == len(expected)
+        assert set(store._index) == \
+            {f"{i:064x}" for i in range(len(entries))} - set(expected)
+
+
 class TestCorruption:
     def test_corrupt_entry_recovers_as_miss(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
