@@ -446,7 +446,10 @@ def _resolve_program(bench: str,
 #: sixth element is the region-memo directive: None = memo off, else
 #: ``(store_directory_or_None, store_max_mb)`` — the worker uses its own
 #: process-global memo and opens its own store handle (object writes are
-#: atomic, so concurrent workers race safely).  The last element is the
+#: atomic, and a region pack is merged with the pack on disk as it is
+#: written, so concurrent workers keep each other's entries; two syncs
+#: of one pack that interleave can drop some, which costs a recompute,
+#: never a wrong result).  The last element is the
 #: trace directive: None = untraced, else ``(span file template or None,
 #: trace id, parent span id)`` — the worker records its task under the
 #: parent's ``pool`` span and streams spans to its own per-pid file when
@@ -487,16 +490,20 @@ def _run_task(task: _Task):
         if directory is not None:
             memo.attach_store(_worker_region_store(directory, max_mb))
         before = memo.stats()
-    with metrics_scope(metrics), \
-            tracer.span("task", parent=parent, trace_id=trace_id,
-                        benchmark=bench, scheme=scheme_spec,
-                        functions=f"{lo}:{hi}") as span:
-        out = _evaluate_group(program, scheme, indexed_cells, lo, hi,
-                              tracer, memo)
+    try:
+        with metrics_scope(metrics), \
+                tracer.span("task", parent=parent, trace_id=trace_id,
+                            benchmark=bench, scheme=scheme_spec,
+                            functions=f"{lo}:{hi}") as span:
+            out = _evaluate_group(program, scheme, indexed_cells, lo, hi,
+                                  tracer, memo)
+    finally:
+        # Store puts are write-back: persist what the task computed even
+        # when it raises (the pool then tears its workers down).
+        if memo is not None and memo.store is not None:
+            memo.store.sync()
     memo_stats = None
     if memo is not None:
-        if memo.store is not None:
-            memo.store.sync()
         after = memo.stats()
         memo_stats = {
             "hits": after["hits"] - before["hits"],

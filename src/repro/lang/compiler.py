@@ -394,7 +394,11 @@ def compile_module(module: ast.Module, entry: str = "main") -> Program:
                            initial=declaration.initial)
     for decl in module.functions:
         lowering = _FunctionLowering(program, module, decl)
-        program.add_function(lowering.lower())
+        try:
+            program.add_function(lowering.lower())
+        except RecursionError:
+            raise FrontendError(f"function '{decl.name}' nests too deeply "
+                                "to lower") from None
     if not program.has_function(entry):
         raise FrontendError(f"program has no '{entry}' function")
     verify_program(program)

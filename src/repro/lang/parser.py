@@ -378,4 +378,8 @@ class _Parser:
 
 def parse(source: str) -> ast.Module:
     """Tokenize and parse minic source into a module AST."""
-    return _Parser(tokenize(source)).parse_module()
+    tokens = tokenize(source)
+    try:
+        return _Parser(tokens).parse_module()
+    except RecursionError:
+        raise FrontendError("program nests too deeply to parse") from None

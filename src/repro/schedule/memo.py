@@ -38,8 +38,8 @@ scoped to one (benchmark, scheme) group by :meth:`RegionMemo.begin_group`):
 
 A probe that reuses a schedule still counts as a **miss** (``hits`` and
 ``store_hits`` are untouched), counts the schedule's counter record,
-stores its tier-2 entry and store object under its own key, and
-returns a :class:`RegionSummary` rather than the full schedule.
+stores its tier-2 entry and pack entry under its own key, and returns
+a :class:`RegionSummary` rather than the full schedule.
 
 **Tier 2 — content-addressed result memo** (global, optionally
 disk-backed): the full pipeline result is a pure function of
@@ -49,8 +49,16 @@ disk-backed): the full pipeline result is a pure function of
 the pipeline entirely and returns a :class:`RegionSummary` carrying
 exactly what the engine consumes (weighted time, length, copy/merge/
 speculation counts).  With an artifact store attached
-(:meth:`RegionMemo.attach_store`), entries persist across processes
-under :func:`repro.serve.store.region_key`.
+(:meth:`RegionMemo.attach_store`), entries persist across processes in
+one store object per region content and flags, its *pack*, keyed by
+:func:`repro.serve.store.region_key`: every (machine, heuristic) entry
+of the region, each under its :func:`~repro.serve.store.region_entry_id`.
+After an in-memory miss the memo reads the pack once per group (a
+tier-1 table keyed by content), and each probe decodes its own entry.
+A miss adds its entry to the pack and puts the pack back; the store
+holds it in memory and writes it once, on the caller's
+:meth:`~repro.serve.store.ArtifactStore.sync`, merged with whatever
+entries other processes wrote to the pack meanwhile.
 
 **Bit-identity.**  Summaries reproduce the direct path exactly:
 
@@ -68,9 +76,10 @@ under :func:`repro.serve.store.region_key`.
   :func:`~repro.schedule.scheduler.count_region`, as the direct route
   counts each region — so memo-on, memo-off, serial, and parallel runs
   of one grid report identical counters and histograms;
-* a store payload whose exit count differs from the live region's, or
-  whose figures are not non-negative ints, is a miss, and the
-  recomputed entry overwrites it.
+* a store object that is not a pack is an empty pack; a pack entry
+  whose exit count differs from the live region's, or whose figures are
+  not non-negative ints, is a miss, and the recomputed entry replaces it
+  in the pack.
 
 **Bypasses** (served by :func:`~repro.schedule.scheduler.schedule_region`,
 never cached): hyperblocks
@@ -123,10 +132,6 @@ from repro.schedule.scheduler import (
 DEFAULT_MAX_ENTRIES = 1 << 16
 
 _DEFAULT_MAX_CYCLES = ScheduleOptions().max_cycles
-
-#: :func:`repro.serve.store.region_key`, imported on first use: the
-#: store module imports the engine, which imports this module.
-_region_key = None
 
 #: The record fields every entry holds (exact-backend entries: all).
 _FIELDS = tuple(name for name in RegionCounts._fields
@@ -235,6 +240,11 @@ class RegionMemo:
         self._orders: Dict[Tuple, Tuple[int, ...]] = {}
         #: (id(region), machine fp, sc, order) -> finished schedule.
         self._schedules: Dict[Tuple, _Level2Entry] = {}
+        #: (region fp, dp, sc[, backend, budget]) -> (store key, the
+        #: pack's entries by entry id): each pack is read once per group.
+        self._packs: Dict[Tuple, Tuple[str, Dict[str, object]]] = {}
+        #: (machine fp, heuristic) -> entry id inside a pack.
+        self._entry_ids: Dict[Tuple[str, str], str] = {}
         #: (fingerprint function, id(machine)) -> (machine, fingerprint);
         #: the strong reference pins the id, so reuse cannot alias a
         #: collected model.
@@ -252,12 +262,18 @@ class RegionMemo:
         """Reset tier-1 sharing (call when a new formation begins —
         ``id(region)`` keys must not outlive their region objects)."""
         for table in (self._problems, self._ddgs, self._regions,
-                      self._orders, self._schedules):
+                      self._orders, self._schedules, self._packs):
             table.clear()
 
     def attach_store(self, store) -> None:
-        """Back tier 2 with an artifact store (``None`` detaches)."""
+        """Back tier 2 with an artifact store (``None`` detaches).
+
+        Entries reach the disk only on the store's
+        :meth:`~repro.serve.store.ArtifactStore.sync` or ``close()``:
+        the memo puts packs write-back and never syncs itself (the
+        engine syncs after each grid and each pool task)."""
         self.store = store
+        self._packs.clear()
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -332,9 +348,10 @@ class RegionMemo:
         )
         # The exact backend is a different pure function of the same
         # inputs (and its result additionally depends on the node
-        # budget), so its entries key separately; heuristic-backend
-        # keys keep their historical five-part shape, so existing
-        # stores stay valid.
+        # budget), so its entries key separately.  This tier-2 key keeps
+        # the machine and heuristic for the in-memory table; in the
+        # store they pick the entry (region_entry_id) inside the pack
+        # that the rest of the key names (region_key).
         if options.backend != "heuristic":
             key = key + (options.backend, options.exact_budget)
 
@@ -342,8 +359,10 @@ class RegionMemo:
         if entry is not None:
             self._entries.move_to_end(key)
         elif self.store is not None:
+            store_key, pack = self._pack(key)
+            entry_id = self._entry_id(key[1], options.heuristic)
             entry = _Level2Entry.from_payload(
-                self.store.get_payload(self._store_key(key)), len(weights),
+                pack.get(entry_id), len(weights),
                 exact=options.backend == "exact")
             if entry is not None:
                 self.store_hits += 1
@@ -358,8 +377,8 @@ class RegionMemo:
                                          liveness, tracer)
             self._remember(key, entry)
             if self.store is not None:
-                self.store.put_payload(self._store_key(key), entry.payload(),
-                                       defer_index=True)
+                pack[entry_id] = entry.payload()
+                self._put_pack(store_key, pack)
         count_region(entry.counts)
         if schedule is not None:
             return schedule
@@ -372,15 +391,40 @@ class RegionMemo:
         return RegionSummary(weighted_time, counts.length, counts.copy_count,
                              counts.merged_count, counts.speculated_count)
 
-    @staticmethod
-    def _store_key(key: Tuple) -> str:
-        """The content-addressed store key for one tier-2 memo key."""
-        global _region_key
-        if _region_key is None:
-            from repro.serve.store import region_key as _region_key
-        if len(key) == 5:
-            return _region_key(*key)
-        return _region_key(*key[:5], backend=key[5], exact_budget=key[6])
+    # The store module imports the engine, which imports this module:
+    # the three helpers below import from it on first use.
+
+    def _pack(self, key: Tuple) -> Tuple[str, Dict[str, object]]:
+        """The store key and entries of the region pack a tier-2 key
+        falls in, read from the store once per group.  A payload that is
+        not a pack is an empty pack."""
+        content = (key[0],) + key[3:]
+        cached = self._packs.get(content)
+        if cached is None:
+            from repro.serve.store import pack_entries, region_key
+
+            store_key = region_key(*content)
+            cached = self._packs[content] = (store_key, dict(
+                pack_entries(self.store.get_payload(store_key))))
+        return cached
+
+    def _put_pack(self, store_key: str, pack: Dict[str, object]) -> None:
+        """Put a region pack back (the store holds a copy and writes it
+        on its next sync)."""
+        from repro.serve.store import region_pack
+
+        self.store.put_payload(store_key, region_pack(dict(pack)))
+
+    def _entry_id(self, machine_fp: str, heuristic: str) -> str:
+        """The pack entry id of one (machine, heuristic), computed once
+        per pair."""
+        entry_id = self._entry_ids.get((machine_fp, heuristic))
+        if entry_id is None:
+            from repro.serve.store import region_entry_id
+
+            entry_id = self._entry_ids[machine_fp, heuristic] = \
+                region_entry_id(machine_fp, heuristic)
+        return entry_id
 
     # ------------------------------------------------------------------
 

@@ -8,7 +8,8 @@ the profile-weighted schedule estimate is a pure function of (IR,
 scheme, machine, heuristic), so its result can be memoized under a
 content hash of exactly those inputs.
 
-**Key derivation** (:func:`cell_key`): the SHA-256 digest of
+**Key derivation.**  A cell result is keyed by :func:`cell_key`: the
+SHA-256 digest of
 
 * the store schema string (:func:`store_schema` — repro version plus a
   payload-format revision, so an upgraded tool never reads stale
@@ -24,12 +25,29 @@ content hash of exactly those inputs.
 * the heuristic name and the two :class:`ScheduleOptions` flags a
   :class:`~repro.evaluation.engine.GridCell` carries.
 
+The region memo's *pack* of one region is keyed by :func:`region_key`:
+the schema, a ``region-pack`` tag, the region's content fingerprint,
+the two flags and, for a non-default backend, the backend and its
+budget.  Inside the pack, each (machine, heuristic) result sits under
+its :func:`region_entry_id`, a short digest of the machine fingerprint
+and the heuristic.
+
 **Layout**: ``<dir>/objects/<key[:2]>/<key>.json`` holds one JSON
-payload per entry (the key is restated inside the payload and checked
-on read); ``<dir>/index.json`` records sizes and LRU clocks.  Writes go
-through a temp file in the same directory followed by ``os.replace``,
-so concurrent writers of the same key race atomically — last write
-wins, and a reader never observes a torn file.
+payload per key (the key is restated inside the payload and checked
+on read): one cell result, or one region's pack of every (machine,
+heuristic) entry.  ``<dir>/index.json`` records sizes and LRU clocks,
+and is rewritten only when an entry was added, dropped or touched.
+Puts are write-back: the store holds a payload in memory, serves it
+to its own reads, and writes it once, on :meth:`ArtifactStore.sync` or
+:meth:`ArtifactStore.close` (:meth:`ArtifactStore.put` syncs at once;
+the region memo's packs wait for the caller's sync).  Writes go through
+a temp file in the same directory followed by ``os.replace``, so a
+reader never observes a torn file.  Concurrent writers of one cell
+result race atomically — last write wins.  A pending pack is merged
+with the pack on disk as it is written, so processes sharing a store
+keep each other's entries; only two syncs of one pack that interleave
+between that read and the rename can still drop entries, which costs a
+later recompute, never a wrong answer.
 
 **Eviction**: the store is LRU size-bounded (``max_mb``); exceeding the
 bound evicts least-recently-used entries until it fits and counts them
@@ -68,6 +86,10 @@ STORE_FORMAT = 2
 #: Default size bound (in MiB) when a caller does not pass one.
 DEFAULT_MAX_MB = 256
 
+#: The ``kind`` of a region pack: one object holding a region's result
+#: for every (machine, heuristic).
+REGION_PACK_KIND = "region-pack"
+
 
 @functools.cache
 def store_schema() -> str:
@@ -105,38 +127,58 @@ def cell_key(program_text: str, cell: GridCell) -> str:
 
 def region_key(
     region_fp: str,
-    machine_fp: str,
-    heuristic: str,
     dominator_parallelism: bool,
     schedule_copies: bool,
     backend: str = "heuristic",
     exact_budget: int = 0,
 ) -> str:
-    """SHA-256 key of one memoized region scheduling result.
+    """SHA-256 key of one region's result pack.
 
     The region-granular analogue of :func:`cell_key`: the program text is
     replaced by :func:`repro.schedule.fingerprint.region_fingerprint` and
     the scheme disappears entirely (whatever former produced the region,
-    equal content schedules identically).  A ``region`` tag keeps the two
-    keyspaces disjoint even under hash-input coincidence.
+    equal content schedules identically).  The machine and heuristic are
+    not in the key: one object holds the region's result for every
+    (machine, heuristic), each under its :func:`region_entry_id`.  A
+    ``region-pack`` tag keeps the keyspace disjoint from cell keys even
+    under hash-input coincidence.
 
     Non-default backends key separately: an exact result depends on the
     node budget (a larger budget may prove a shorter schedule), so the
-    budget is part of the key.  The default backend omits the part
-    entirely, keeping every pre-existing store entry addressable.
+    budget is part of the key.
     """
     parts = [
         store_schema(),
-        "region",
+        "region-pack",
         region_fp,
-        machine_fp,
-        heuristic,
         f"dp={int(dominator_parallelism)}",
         f"sc={int(schedule_copies)}",
     ]
     if backend != "heuristic":
         parts.append(f"backend={backend}:budget={exact_budget}")
     return _digest(parts)
+
+
+def region_entry_id(machine_fp: str, heuristic: str) -> str:
+    """The name of one (machine, heuristic) result inside a region pack:
+    a short digest of the machine fingerprint and the heuristic."""
+    return _digest(("region-entry", machine_fp, heuristic))[:16]
+
+
+def region_pack(entries: Dict[str, object]) -> Dict[str, object]:
+    """The payload of a region pack holding ``entries`` (by entry id)."""
+    return {"kind": REGION_PACK_KIND, "entries": entries}
+
+
+def pack_entries(payload: object) -> Dict[str, object]:
+    """The entries of a region pack payload.  Anything that is not a
+    pack (no payload, another kind, ``entries`` not an object) is an
+    empty pack; interpreting each entry is the region memo's business."""
+    if isinstance(payload, dict) and payload.get("kind") == REGION_PACK_KIND:
+        entries = payload.get("entries")
+        if isinstance(entries, dict):
+            return entries
+    return {}
 
 
 def result_to_payload(key: str, result: CellResult) -> Dict[str, object]:
@@ -214,7 +256,10 @@ class ArtifactStore:
     atomic renames, reads validate the restated key, and the index is
     advisory (a stale index only costs recency fidelity, never
     correctness — a missing object is a miss, an unindexed object is
-    re-adopted on the next :meth:`put` scan).
+    re-adopted on the next :meth:`put` scan).  A :meth:`put_payload` is
+    held in memory, served to this instance's reads, and written by the
+    next :meth:`sync`; a pending region pack is merged with the pack on
+    disk then, so concurrent writers keep each other's entries.
     """
 
     def __init__(self, directory: str,
@@ -231,6 +276,10 @@ class ArtifactStore:
         #: key -> (size_bytes, last_used_clock)
         self._index: Dict[str, Tuple[int, int]] = {}
         self._clock = 0
+        #: key -> stamped payload not yet written (write-back).
+        self._pending: Dict[str, Dict[str, object]] = {}
+        #: Whether the index changed since it was last loaded or saved.
+        self._dirty = False
         self._load_index()
 
     # -- index persistence ---------------------------------------------
@@ -278,6 +327,7 @@ class ArtifactStore:
         }
         self._atomic_write(self.index_path,
                            json.dumps(payload, sort_keys=True))
+        self._dirty = False
 
     def _atomic_write(self, path: str, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
@@ -300,6 +350,8 @@ class ArtifactStore:
 
     def _drop(self, key: str, counter: Optional[str] = None) -> None:
         self._index.pop(key, None)
+        self._pending.pop(key, None)
+        self._dirty = True
         try:
             os.unlink(self._object_path(key))
         except OSError:
@@ -310,29 +362,42 @@ class ArtifactStore:
 
     # -- the cache interface --------------------------------------------
 
+    def _load(self, key: str) -> Tuple[Dict[str, object], int]:
+        """The payload on disk under ``key`` and its size in bytes.
+        Raises OSError (no file) or ValueError (not a JSON object
+        restating ``key`` and the schema)."""
+        with open(self._object_path(key), "rb", buffering=0) as handle:
+            data = handle.read()
+        # Objects are written as ASCII JSON: decode as UTF-8 (a bad byte
+        # is a ValueError) and skip json's encoding detection.
+        payload = json.loads(data.decode("utf-8"))
+        if not isinstance(payload, dict) or payload.get("key") != key or \
+                payload.get("schema") != store_schema():
+            raise ValueError("payload/key mismatch")
+        return payload, len(data)
+
     def _read(self, key: str, decode):
         """``decode(payload)`` for the payload under ``key``, or None (a
-        miss).  A payload that is not a JSON object restating ``key`` and
-        the schema, or that ``decode`` rejects, is corrupt."""
+        miss).  A payload :meth:`_load` rejects, or that ``decode``
+        rejects, is corrupt.  A pending payload is served as it was put,
+        without touching the disk."""
+        payload = self._pending.get(key)
+        size = 0
         try:
-            with open(self._object_path(key), "rb", buffering=0) as handle:
-                data = handle.read()
-            # Objects are written as ASCII JSON: decode as UTF-8 (a bad
-            # byte is a ValueError) and skip json's encoding detection.
-            payload = json.loads(data.decode("utf-8"))
-            if not isinstance(payload, dict) or payload.get("key") != key or \
-                    payload.get("schema") != store_schema():
-                raise ValueError("payload/key mismatch")
+            if payload is None:
+                payload, size = self._load(key)
             value = decode(payload)
         except OSError:
             # No file: a plain miss (drop any stale index entry).
-            self._index.pop(key, None)
+            if self._index.pop(key, None) is not None:
+                self._dirty = True
         except (ValueError, KeyError, TypeError, RecursionError):
             self._drop(key, "corrupt")
         else:
             self._clock += 1
-            size = self._index.get(key, (0, 0))[0] or len(data)
+            size = self._index.get(key, (0, 0))[0] or size
             self._index[key] = (size, self._clock)
+            self._dirty = True
             self.hits += 1
             current_metrics().inc("serve.store.hits")
             return value
@@ -349,38 +414,44 @@ class ArtifactStore:
 
         The schema and restated key are validated like :meth:`get`;
         interpreting the rest of the payload is the caller's business
-        (the region memo stores its entries through this, cell results
-        keep using :meth:`get`/:meth:`put`).
+        (the region memo stores its packs through this, cell results
+        keep using :meth:`get`/:meth:`put`).  A pending payload is served
+        as held, not copied: callers must not mutate it.
         """
         return self._read(key, lambda payload: payload)
 
     def put(self, key: str, result: CellResult) -> None:
-        """Store ``result`` under ``key`` (atomic; last writer wins)."""
+        """Store ``result`` under ``key`` and write it now (atomic; last
+        writer wins)."""
         self.put_payload(key, result_to_payload(key, result))
+        self.sync()
 
-    def put_payload(self, key: str, payload: Dict[str, object],
-                    defer_index: bool = False) -> None:
-        """Store a JSON payload under ``key`` (atomic; last writer wins).
+    def put_payload(self, key: str, payload: Dict[str, object]) -> None:
+        """Store a JSON payload under ``key``, write-back.
 
-        The schema string and the key are stamped into the payload so
-        reads can validate them.  ``defer_index=True`` skips the
-        per-entry eviction sweep and index write — per-region puts are
-        far too hot for one disk write each — leaving both to the next
-        :meth:`sync` (or any undeferred put).
+        The schema string and the key are stamped into a copy of the
+        payload so reads can validate them.  The copy is held in memory
+        and served to this store's reads; the object write, eviction
+        sweep and index write wait for the next :meth:`sync` — the
+        region memo rewrites a region's pack once per result, far too
+        often for one disk write each.
         """
-        path = self._object_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         stamped = dict(payload)
         stamped["schema"] = store_schema()
         stamped["key"] = key
-        text = json.dumps(stamped, sort_keys=True)
-        self._atomic_write(path, text)
         self._clock += 1
-        self._index[key] = (len(text), self._clock)
+        self._index[key] = (self._index.get(key, (0, 0))[0], self._clock)
+        self._pending[key] = stamped
+        self._dirty = True
         current_metrics().inc("serve.store.puts")
-        if not defer_index:
-            self._evict_to_fit()
-            self._save_index()
+
+    def _write(self, key: str, payload: Dict[str, object]) -> int:
+        """Write one object file; returns its size."""
+        path = self._object_path(key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        text = json.dumps(payload, sort_keys=True)
+        self._atomic_write(path, text)
+        return len(text)
 
     def _evict_to_fit(self) -> None:
         """Drop least-recently-used entries (lowest clock first; equal
@@ -399,10 +470,28 @@ class ArtifactStore:
     # -- maintenance ----------------------------------------------------
 
     def sync(self) -> None:
-        """Persist the in-memory index (recency clocks and any entries
-        written with ``defer_index=True``), evicting to fit first."""
+        """Write every pending payload, evict to fit, and persist the
+        index if it changed since it was last written.
+
+        A pending region pack is first merged with the pack on disk:
+        entries another process wrote since this one read the pack are
+        kept, and this store's entries win where both hold one."""
+        for key, payload in self._pending.items():
+            if payload.get("kind") == REGION_PACK_KIND:
+                try:
+                    on_disk = self._load(key)[0]
+                except (OSError, ValueError, RecursionError):
+                    on_disk = None
+                entries = pack_entries(on_disk)
+                if entries:
+                    entries = {**entries, **pack_entries(payload)}
+                    payload = {**payload, "entries": entries}
+            self._index[key] = (self._write(key, payload),
+                                self._index[key][1])
+        self._pending.clear()
         self._evict_to_fit()
-        self._save_index()
+        if self._dirty:
+            self._save_index()
 
     def close(self) -> None:
         self.sync()
@@ -417,7 +506,8 @@ class ArtifactStore:
         return len(self._index)
 
     def __contains__(self, key: str) -> bool:
-        return os.path.exists(self._object_path(key))
+        return key in self._pending or \
+            os.path.exists(self._object_path(key))
 
     def keys(self) -> Tuple[str, ...]:
         return tuple(sorted(self._index))

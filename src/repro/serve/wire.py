@@ -295,12 +295,28 @@ def cell_to_wire(cell: GridCell) -> Dict[str, object]:
     }
 
 
+def _number(raw: Dict[str, object], field: str, default, kind):
+    """``raw[field]`` (``default`` when absent) converted by ``kind``
+    (``int`` or ``float``); :class:`ProtocolError` unless it is a JSON
+    number that converts."""
+    value = raw.get(field, default)
+    if not isinstance(value, (int, float)):
+        raise ProtocolError(f"{field} must be a number")
+    try:
+        return kind(value)
+    except (OverflowError, ValueError):
+        raise ProtocolError(f"{field} is out of range: {value!r}")
+
+
 def cell_from_wire(raw: Dict[str, object]) -> GridCell:
     if not isinstance(raw, dict):
         raise ProtocolError("cell must be a JSON object")
     scheme = raw.get("scheme")
     if not isinstance(scheme, str):
         raise ProtocolError("cell.scheme must be a string")
+    for field in ("benchmark", "machine", "heuristic"):
+        if not isinstance(raw.get(field, ""), str):
+            raise ProtocolError(f"cell.{field} must be a string")
     backend = raw.get("backend", "heuristic")
     if backend not in BACKENDS:
         raise ProtocolError(
@@ -420,8 +436,8 @@ def request_from_wire(raw: Dict[str, object]) -> Request:
         if text is not None and not isinstance(text, str):
             raise ProtocolError("compile.program_text must be a string")
         timeout = raw.get("timeout")
-        if timeout is not None and not isinstance(timeout, (int, float)):
-            raise ProtocolError("compile.timeout must be a number")
+        if timeout is not None:
+            timeout = _number(raw, "timeout", None, float)
         trace_id = raw.get("trace_id")
         if trace_id is not None and not isinstance(trace_id, str):
             raise ProtocolError("compile.trace_id must be a string")
@@ -431,8 +447,7 @@ def request_from_wire(raw: Dict[str, object]) -> Request:
             raise ProtocolError("compile.parent_span_id must be a string")
         return CompileRequest(cell=cell_from_wire(raw["cell"]),
                               program_text=text,
-                              timeout=None if timeout is None
-                              else float(timeout),
+                              timeout=timeout,
                               trace_id=trace_id,
                               parent_span_id=parent_span_id)
     if op == "ping":
@@ -540,7 +555,7 @@ def reply_to_wire(reply: Reply) -> Dict[str, object]:
 def reply_from_wire(raw: Dict[str, object]) -> Reply:
     if raw.get("ok") is False:
         code = raw.get("code")
-        if code not in ErrorCode.ALL:
+        if not isinstance(code, str) or code not in ErrorCode.ALL:
             code = ErrorCode.INTERNAL
         return ErrorReply(code=code, message=str(raw.get("error", "")))
     if raw.get("ok") is not True:
@@ -552,19 +567,19 @@ def reply_from_wire(raw: Dict[str, object]) -> Reply:
             raise ProtocolError("hello reply without protocol_version")
         return HelloReply(protocol_version=version,
                           schema=str(raw.get("schema", "")),
-                          shards=int(raw.get("shards", 0)))
+                          shards=_number(raw, "shards", 0, int))
     if op == "compile":
         result = raw.get("result")
         if not isinstance(result, dict):
             raise ProtocolError("compile reply without a result payload")
         return CompileReply(result=result,
                             cached=bool(raw.get("cached", False)),
-                            attempts=int(raw.get("attempts", 0)),
-                            shard=int(raw.get("shard", -1)),
+                            attempts=_number(raw, "attempts", 0, int),
+                            shard=_number(raw, "shard", -1, int),
                             source=str(raw.get("source", "")))
     if op == "ping":
         return PingReply(
-            protocol_version=int(raw.get("protocol_version", 0)),
+            protocol_version=_number(raw, "protocol_version", 0, int),
             schema=str(raw.get("schema", "")),
             healthy=bool(raw.get("healthy", False)),
             shards=raw.get("shards", {})
@@ -580,8 +595,8 @@ def reply_from_wire(raw: Dict[str, object]) -> Reply:
             healthy=bool(raw.get("healthy", False)),
             shards=raw.get("shards", {})
             if isinstance(raw.get("shards"), dict) else {},
-            uptime_seconds=float(raw.get("uptime_seconds", 0.0)),
-            pid=int(raw.get("pid", 0)),
+            uptime_seconds=_number(raw, "uptime_seconds", 0.0, float),
+            pid=_number(raw, "pid", 0, int),
         )
     if op == "shutdown":
         return ShutdownReply()

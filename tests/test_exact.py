@@ -385,15 +385,13 @@ class TestExactMemoAndEngine:
     def test_exact_and_heuristic_store_keys_differ(self):
         from repro.serve.store import region_key
 
-        legacy = region_key("r", "m", "global_weight", False, False)
-        assert legacy == region_key("r", "m", "global_weight", False,
-                                    False, backend="heuristic",
+        legacy = region_key("r", False, False)
+        assert legacy == region_key("r", False, False, backend="heuristic",
                                     exact_budget=123)
-        exact = region_key("r", "m", "global_weight", False, False,
-                           backend="exact", exact_budget=50_000)
+        exact = region_key("r", False, False, backend="exact",
+                           exact_budget=50_000)
         assert exact != legacy
-        assert exact != region_key("r", "m", "global_weight", False,
-                                   False, backend="exact",
+        assert exact != region_key("r", False, False, backend="exact",
                                    exact_budget=1_000)
 
 

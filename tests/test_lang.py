@@ -1,11 +1,13 @@
 """Tests for the minic frontend: lexing, parsing, lowering, execution."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.ir import verify_program
 from repro.interp import run_program
 from repro.lang import compile_source, parse, tokenize
-from repro.util.errors import FrontendError
+from repro.util.errors import FrontendError, ReproError
 
 
 def run(source, args=()):
@@ -227,3 +229,88 @@ class TestSemantics:
             compile_source("func main(){ break; }")
         with pytest.raises(FrontendError):
             compile_source("func nope(){ return 0; }")  # no main
+
+
+# ----------------------------------------------------------------------
+# Fuzzing the minic trust boundary: whatever the text, compile_source
+# returns a program or raises a typed error.
+
+_SOURCE = """
+array weights[8] = {3, 1, 4, 1, 5, 9, 2, 6};
+var total = 0;
+func pick(v, k) {
+    switch (v % 3) {
+        case 0: { return weights[k % 8]; }
+        case 1: { return -v; }
+        default: { return v / 2; }
+    }
+}
+func main(n) {
+    var best = 0;
+    for (var i = 0; i < n; i = i + 1) {
+        var v = (i * 2654435761) % 97;
+        if (v % 2 == 0 && v > 10) {
+            best = best + pick(v, i);
+        } else {
+            while (v > 3) { v = v >> 1; if (v == 5) { break; } }
+            total = total + (v << 2) | 1;
+        }
+    }
+    return best * 100 + total;
+}
+"""
+
+_TOKENS = ["(", ")", "{", "}", "[", "]", ";", ",", ":", "=", "==", "+",
+           "-", "*", "/", "%", "<", ">>", "&&", "!", "var", "if", "else",
+           "while", "for", "switch", "case", "default", "func", "return",
+           "break", "continue", "array", "0", "7", "1.5", "v", "main",
+           "pick", "//", "/*", "\n"]
+
+#: (position, text, length, how): one edit of the source text.
+_EDIT = st.tuples(st.integers(0, len(_SOURCE)),
+                  st.sampled_from(_TOKENS) | st.text(max_size=3),
+                  st.integers(0, 8),
+                  st.sampled_from(["insert", "replace", "delete"]))
+
+
+def _compiles_or_rejects(source: str) -> None:
+    """``compile_source`` returns a program or raises a ReproError."""
+    try:
+        compile_source(source)
+    except ReproError:
+        pass
+
+
+class TestMinicRobustness:
+    def test_seed_source_compiles(self):
+        verify_program(compile_source(_SOURCE))
+
+    @pytest.mark.parametrize("body", [
+        "return " + "(" * 3000 + "1" + ")" * 3000 + ";",
+        "return " + "-" * 3000 + "1;",
+        "return " + "+".join(["1"] * 3000) + ";",
+    ], ids=["parentheses", "unary_chain", "binary_chain"])
+    def test_deep_nesting_is_a_typed_error(self, body):
+        with pytest.raises(FrontendError, match="nests too deeply"):
+            compile_source("func main() { " + body + " }")
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(text=st.text())
+    def test_arbitrary_text(self, text):
+        _compiles_or_rejects(text)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(edits=st.lists(_EDIT, min_size=1, max_size=4))
+    def test_mutated_source(self, edits):
+        source = _SOURCE
+        for position, text, length, how in edits:
+            position = min(position, len(source))
+            if how == "insert":
+                source = source[:position] + text + source[position:]
+            elif how == "replace":
+                source = source[:position] + text + source[position + length:]
+            else:
+                source = source[:position] + source[position + length:]
+        _compiles_or_rejects(source)

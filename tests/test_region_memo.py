@@ -297,9 +297,9 @@ class TestStorePersistence:
         assert stats["misses"] == 0
 
     def test_wrong_exit_count_is_recomputed(self, tmp_path):
-        """A store object whose exit cycles do not match the region's
-        exits is corrupt: the probe recomputes and overwrites it rather
-        than weighting a truncated list."""
+        """A pack entry whose exit cycles do not match the region's exits
+        is corrupt: the probe recomputes it and writes it back into the
+        pack rather than weighting a truncated list."""
         fn = build_paper_example().entry_function
         regions, liveness = _regions(fn)
         options = ScheduleOptions(heuristic="global_weight")
@@ -317,9 +317,10 @@ class TestStorePersistence:
             path = store._object_path(key)
             with open(path) as handle:
                 payload = json.load(handle)
-            if len(payload["exit_cycles"]) > 1:
-                damaged[key] = payload["exit_cycles"]
-                payload["exit_cycles"] = payload["exit_cycles"][:-1]
+            (entry_id, entry), = payload["entries"].items()
+            if len(entry["exit_cycles"]) > 1:
+                damaged[key, entry_id] = entry["exit_cycles"]
+                entry["exit_cycles"] = entry["exit_cycles"][:-1]
                 with open(path, "w") as handle:
                     json.dump(payload, handle)
         assert damaged
@@ -331,14 +332,17 @@ class TestStorePersistence:
         ]
         assert served == reference
         assert revived.stats()["misses"] == len(damaged)
-        for key, cycles in damaged.items():
-            assert store.get_payload(key)["exit_cycles"] == cycles
+        revived.store.close()
+        for (key, entry_id), cycles in damaged.items():
+            entries = store.get_payload(key)["entries"]
+            assert entries[entry_id]["exit_cycles"] == cycles
 
     def test_store_revived_grid_reads_once_per_probe(self, tmp_path,
                                                     monkeypatch):
-        """A store-warm probe reads its object once; the region's exits
-        are taken once per formed region per group, not once per
-        probe."""
+        """A store-warm group reads each region pack it needs once, and
+        never more than once per formed region; each probe decodes its
+        own entry, and the region's exits are taken once per formed
+        region per group, not once per probe."""
         schemes = ("bb", "treegion", "treegion-td:2.0")
         cells = [GridCell("compress", scheme, machine, heuristic)
                  for scheme in schemes
@@ -370,11 +374,27 @@ class TestStorePersistence:
                 calls[_name] += 1
                 return _original(*args)
             monkeypatch.setattr(owner, name, spy)
+        groups = []
+        begin_group = RegionMemo.begin_group
+
+        def begin_group_spy(memo):
+            groups.append(set())
+            begin_group(memo)
+        monkeypatch.setattr(RegionMemo, "begin_group", begin_group_spy)
+        pack = RegionMemo._pack
+
+        def pack_spy(memo, key):
+            found = pack(memo, key)
+            groups[-1].add(found[0])
+            return found
+        monkeypatch.setattr(RegionMemo, "_pack", pack_spy)
         memo = RegionMemo()
         assert run(memo) == cold
         stats, cold_stats = memo.stats(), cold_memo.stats()
         assert calls["exits"] == formed
-        assert calls["get_payload"] == stats["store_hits"] > 0
+        assert calls["get_payload"] == sum(map(len, groups)) > 0
+        assert calls["get_payload"] <= formed
+        assert calls["get_payload"] < stats["store_hits"]
         assert stats["misses"] == 0
         assert stats["hits"] == cold_stats["hits"] + cold_stats["misses"]
         assert (stats["entries"], stats["bytes"]) == \

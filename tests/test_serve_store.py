@@ -25,10 +25,12 @@ from repro.evaluation.engine import (
     evaluate_grid,
 )
 from repro.ir.analysis_cache import liveness_of
-from repro.machine import VLIW_4U
+from repro.machine import VLIW_4U, VLIW_8U
 from repro.obs import MetricsRegistry, metrics_scope
 from repro.schedule import ScheduleOptions, schedule_region
 from repro.schedule.memo import RegionMemo
+from repro.schedule.priorities import HEURISTICS
+from repro.schedule.scheduler import RegionCounts
 from repro.serve import (
     ArtifactStore,
     cell_key,
@@ -37,6 +39,7 @@ from repro.serve import (
     result_to_payload,
     store_schema,
 )
+from repro.serve.store import pack_entries, region_entry_id, region_pack
 from repro.serve.router import _builtin_text
 from repro.workloads.paper_example import build_paper_example
 
@@ -148,6 +151,49 @@ class TestDurability:
             handle.write("{ not json")
         rebuilt = ArtifactStore(str(tmp_path))
         assert rebuilt.get(KEY_A) == _result()
+
+
+class TestWriteBack:
+    def test_pending_payload_is_read_before_sync(self, tmp_path):
+        """A payload put is served to the store's own reads before it
+        reaches the disk, and is on disk after close."""
+        store = ArtifactStore(str(tmp_path))
+        store.put_payload(KEY_A, {"value": 1})
+        assert not os.path.exists(store._object_path(KEY_A))
+        assert KEY_A in store and store.keys() == (KEY_A,)
+        payload = store.get_payload(KEY_A)
+        assert (payload["value"], payload["key"]) == (1, KEY_A)
+        assert store.hits == 1
+        store.close()
+        assert os.path.exists(store._object_path(KEY_A))
+        assert ArtifactStore(str(tmp_path)).get_payload(KEY_A) == payload
+
+    def test_put_writes_pending_payloads(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        store.put_payload(KEY_A, {"value": 1})
+        store.put(KEY_B, _result())
+        reopened = ArtifactStore(str(tmp_path))
+        assert reopened.keys() == (KEY_A, KEY_B)
+        assert reopened.get_payload(KEY_A)["value"] == 1
+
+    def test_index_written_only_when_changed(self, tmp_path, monkeypatch):
+        """A repeat grid whose probes all hit in memory writes neither
+        objects nor the index."""
+        cells = [GridCell("compress", "treegion", machine, "global_weight")
+                 for machine in ("4U", "8U")]
+        memo = RegionMemo()
+        store = ArtifactStore(str(tmp_path))
+        cold = evaluate_grid(cells, region_memo=memo, region_store=store)
+        assert len(store) > 0
+        writes = []
+        monkeypatch.setattr(ArtifactStore, "_atomic_write",
+                            lambda self, path, text: writes.append(path))
+        assert evaluate_grid(cells, region_memo=memo,
+                             region_store=store) == cold
+        assert writes == []
+        store.get_payload(store.keys()[0])  # a touch changes the index
+        store.sync()
+        assert writes == [store.index_path]
 
 
 class TestEviction:
@@ -326,26 +372,39 @@ _JSON = st.recursive(
     max_leaves=10,
 )
 
+_CASES = [(machine, heuristic) for machine in (VLIW_4U, VLIW_8U)
+          for heuristic in HEURISTICS]
+
 _REGION_CASE = []
 
 
 def _region_case():
     """The paper example's region with the most exits, its liveness, its
-    direct-route summary, and the region memo's store key and payload
-    for it (built once)."""
+    direct-route summary per (machine, heuristic) of ``_CASES``, the
+    region memo's store key for its pack, the pack holding every case's
+    entry, and the entry id of the first case (built once)."""
     if not _REGION_CASE:
         fn = build_paper_example().entry_function
         liveness = liveness_of(fn.cfg)
         region = max(form_treegions(fn.cfg), key=lambda r: len(r.exits()))
-        direct = _summary(schedule_region(region, VLIW_4U,
-                                          ScheduleOptions(), liveness))
+        direct = [
+            _summary(schedule_region(region, machine,
+                                     ScheduleOptions(heuristic=heuristic),
+                                     liveness))
+            for machine, heuristic in _CASES]
         with tempfile.TemporaryDirectory() as directory:
             store = ArtifactStore(directory)
-            RegionMemo(store=store).schedule(region, VLIW_4U,
-                                             ScheduleOptions(), liveness)
+            memo = RegionMemo(store=store)
+            for machine, heuristic in _CASES:
+                memo.schedule(region, machine,
+                              ScheduleOptions(heuristic=heuristic), liveness)
             (key,) = store.keys()
             payload = store.get_payload(key)
-        _REGION_CASE.append((region, liveness, direct, key, payload))
+        assert len(payload["entries"]) == len(_CASES)
+        entry_id = region_entry_id(machine_fingerprint(_CASES[0][0]),
+                                   _CASES[0][1])
+        _REGION_CASE.append((region, liveness, direct, key, payload,
+                             entry_id))
     return _REGION_CASE[0]
 
 
@@ -354,10 +413,21 @@ def _summary(schedule):
             schedule.merged_count, schedule.speculated_count)
 
 
+def _probe(store, case: int = 0):
+    """A fresh region memo's summary of the region's ``case`` over
+    ``store``, and the memo."""
+    region, liveness, _, _, _, _ = _region_case()
+    machine, heuristic = _CASES[case]
+    memo = RegionMemo(store=store)
+    served = memo.schedule(region, machine,
+                           ScheduleOptions(heuristic=heuristic), liveness)
+    return _summary(served), memo
+
+
 def _assert_store_reads_hold(plant) -> None:
     """``plant(directory)`` writes files into a fresh store directory;
     each kind of read over what it wrote must keep the contract."""
-    region, liveness, direct, key, _ = _region_case()
+    _, _, direct, key, _, _ = _region_case()
     for read in ("get", "get_payload", "memo"):
         with tempfile.TemporaryDirectory() as directory:
             os.makedirs(os.path.join(directory, "objects"))
@@ -372,10 +442,7 @@ def _assert_store_reads_hold(plant) -> None:
                     isinstance(payload, dict) and payload["key"] == key
                     and payload["schema"] == store_schema())
             else:
-                memo = RegionMemo(store=store)
-                served = memo.schedule(region, VLIW_4U, ScheduleOptions(),
-                                       liveness)
-                assert _summary(served) == direct
+                assert _probe(store)[0] == direct[0]
 
 
 def _object_planter(data: bytes):
@@ -396,16 +463,49 @@ def _stamped(value) -> bytes:
     return json.dumps(value).encode()
 
 
+def _pack_with(entries) -> bytes:
+    """The region's pack with ``entries`` in place of its entries."""
+    return _stamped({"kind": "region-pack", "entries": entries})
+
+
 def _valid_for(field, value, exits: int) -> bool:
-    """Whether the region payload reader must accept ``value`` in
-    ``field``: a well-typed wrong figure is indistinguishable from a
-    real result, so the fuzzer only plants values it must reject."""
+    """Whether the pack entry reader must accept ``value`` in ``field``:
+    a well-typed wrong figure is indistinguishable from a real result,
+    so the fuzzer only plants values it must reject."""
     if field == "kind":
         return value == "region"
     if field == "exit_cycles":
         return (isinstance(value, list) and len(value) == exits
                 and all(type(c) is int and c >= 0 for c in value))
     return type(value) is int and value >= 0
+
+
+#: The record fields every heuristic-backend entry holds.
+_ENTRY_FIELDS = tuple(name for name in RegionCounts._fields
+                      if not name.startswith("exact_"))
+
+
+def _valid_entry(value, exits: int) -> bool:
+    """Whether ``value`` is an entry the pack reader must accept."""
+    return isinstance(value, dict) and all(
+        _valid_for(field, value.get(field), exits)
+        for field in ("kind", "exit_cycles") + _ENTRY_FIELDS)
+
+
+def _assert_pack_serves_nothing(data: bytes) -> None:
+    """Over a pack object holding ``data``, a probe misses, answers what
+    the direct route answers, and the store writes a pack holding the
+    recomputed entry back on close."""
+    _, _, direct, key, payload, entry_id = _region_case()
+    with tempfile.TemporaryDirectory() as directory:
+        _object_planter(data)(directory)
+        store = ArtifactStore(directory)
+        served, memo = _probe(store)
+        assert served == direct[0]
+        assert (memo.misses, memo.store_hits) == (1, 0)
+        store.close()
+        written = ArtifactStore(directory).get_payload(key)
+        assert written["entries"][entry_id] == payload["entries"][entry_id]
 
 
 class TestFuzzTrustBoundary:
@@ -422,14 +522,48 @@ class TestFuzzTrustBoundary:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_region_payload_with_one_field_replaced(self, data):
-        region, _, _, _, payload = _region_case()
-        fields = sorted(set(payload) - {"key", "schema"})
-        field = data.draw(st.sampled_from(fields))
+        region, _, _, _, payload, entry_id = _region_case()
+        entry = payload["entries"][entry_id]
+        field = data.draw(st.sampled_from(sorted(entry)))
         value = data.draw(_JSON.filter(
             lambda v: not _valid_for(field, v, len(region.exits()))))
-        planted = dict(payload)
-        planted[field] = value
-        _assert_store_reads_hold(_object_planter(_stamped(planted)))
+        planted = dict(payload["entries"])
+        planted[entry_id] = dict(entry, **{field: value})
+        _assert_store_reads_hold(_object_planter(_pack_with(planted)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(value=_JSON)
+    def test_pack_of_arbitrary_json(self, value):
+        _assert_pack_serves_nothing(_stamped(value))
+
+    @settings(max_examples=40, deadline=None)
+    @given(value=_JSON)
+    def test_pack_entries_of_arbitrary_json(self, value):
+        _assert_pack_serves_nothing(_pack_with(value))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_one_pack_entry_of_arbitrary_json(self, data):
+        """A bad entry among valid ones is one miss, recomputed and
+        written back; the valid entries still hit."""
+        region, _, direct, key, payload, _ = _region_case()
+        exits = len(region.exits())
+        case = data.draw(st.integers(0, len(_CASES) - 1))
+        machine, heuristic = _CASES[case]
+        bad_id = region_entry_id(machine_fingerprint(machine), heuristic)
+        value = data.draw(_JSON.filter(lambda v: not _valid_entry(v, exits)))
+        with tempfile.TemporaryDirectory() as directory:
+            _object_planter(_pack_with(
+                dict(payload["entries"], **{bad_id: value})))(directory)
+            store = ArtifactStore(directory)
+            for index in range(len(_CASES)):
+                served, memo = _probe(store, index)
+                assert served == direct[index]
+                assert (memo.misses, memo.store_hits) == \
+                    ((1, 0) if index == case else (0, 1))
+            store.close()
+            written = ArtifactStore(directory).get_payload(key)
+        assert written["entries"] == payload["entries"]
 
     @settings(max_examples=60, deadline=None)
     @given(index=st.binary(max_size=64) | st.one_of(
@@ -484,6 +618,55 @@ class TestConcurrency:
         assert reader.corrupt == 0
         final = ArtifactStore(directory).get(KEY_A)
         assert final is not None and final.time in (1.0, 2.0)
+
+
+class TestPackWriters:
+    def test_two_handles_keep_each_others_pack_entries(self, tmp_path):
+        """Two handles on one directory read one (absent) pack, each
+        put a different entry and sync in turn: the later sync merges
+        with the pack on disk, so both entries survive; where both hold
+        one entry, the later writer's wins."""
+        first, second = (ArtifactStore(str(tmp_path)) for _ in range(2))
+        for store in (first, second):
+            assert store.get_payload(KEY_A) is None
+        first.put_payload(KEY_A, region_pack({"x": 1, "both": "first"}))
+        second.put_payload(KEY_A, region_pack({"y": 2, "both": "second"}))
+        first.sync()
+        second.sync()
+        written = ArtifactStore(str(tmp_path)).get_payload(KEY_A)
+        assert written["entries"] == {"x": 1, "y": 2, "both": "second"}
+
+    def test_pending_pack_replaces_an_object_that_is_not_a_pack(
+            self, tmp_path):
+        first, second = (ArtifactStore(str(tmp_path)) for _ in range(2))
+        first.put_payload(KEY_A, {"value": 1})
+        first.sync()
+        second.put_payload(KEY_A, region_pack({"y": 2}))
+        second.sync()
+        written = ArtifactStore(str(tmp_path)).get_payload(KEY_A)
+        assert pack_entries(written) == {"y": 2} and "value" not in written
+
+    def test_pool_task_syncs_when_it_raises(self, tmp_path, monkeypatch):
+        """A pool task whose group raises still writes what its memo
+        put: store puts are write-back, and the worker syncs in a
+        finally."""
+        from repro.evaluation import engine
+        from repro.schedule import memo as memo_module
+
+        def failing_group(program, scheme, cells, lo, hi, tracer, memo):
+            memo.store.put_payload(KEY_A, region_pack({"x": 1}))
+            raise RuntimeError("task failed")
+
+        monkeypatch.setattr(engine, "_evaluate_group", failing_group)
+        monkeypatch.setattr(engine, "_worker_stores", {})
+        monkeypatch.setattr(memo_module, "global_memo", RegionMemo)
+        cell = GridCell("compress", "treegion", "4U", "global_weight")
+        task = ("compress", "treegion", ((0, cell),), 0, 1, None,
+                (str(tmp_path), 16.0), None)
+        with pytest.raises(RuntimeError):
+            engine._run_task(task)
+        written = ArtifactStore(str(tmp_path)).get_payload(KEY_A)
+        assert pack_entries(written) == {"x": 1}
 
 
 class TestHitMissMetrics:

@@ -11,7 +11,11 @@ from __future__ import annotations
 import socket
 import struct
 
+import json
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.evaluation.engine import GridCell
 from repro.obs.metrics import Histogram
@@ -38,6 +42,8 @@ from repro.serve.wire import (
     StatsReply,
     StatsRequest,
     TruncatedFrameError,
+    WireError,
+    cell_from_wire,
     decode_frame_body,
     encode_frame,
     parse_endpoint,
@@ -48,6 +54,7 @@ from repro.serve.wire import (
     request_to_wire,
     send_frame,
 )
+from repro.util.errors import ReproError
 
 
 class TestEndpoints:
@@ -218,10 +225,140 @@ class TestMessageCodecs:
             assert failure.value.code == ErrorCode.BAD_REQUEST
 
     def test_unknown_error_code_degrades_to_internal(self):
-        reply = reply_from_wire(
-            {"ok": False, "code": "FUTURE_CODE", "error": "?"})
-        assert isinstance(reply, ErrorReply)
-        assert reply.code == ErrorCode.INTERNAL
+        for code in ("FUTURE_CODE", ["BAD_REQUEST"], {"a": 1}):
+            reply = reply_from_wire({"ok": False, "code": code, "error": "?"})
+            assert isinstance(reply, ErrorReply)
+            assert reply.code == ErrorCode.INTERNAL
+
+    @pytest.mark.parametrize("raw", [
+        {"ok": True, "op": "hello", "protocol_version": 1, "shards": "4"},
+        {"ok": True, "op": "compile", "result": {}, "attempts": [1]},
+        {"ok": True, "op": "compile", "result": {}, "shard": float("inf")},
+        {"ok": True, "op": "ping", "protocol_version": float("nan")},
+        {"ok": True, "op": "health", "uptime_seconds": {"s": 1}},
+        {"ok": True, "op": "health", "uptime_seconds": 10 ** 400},
+    ])
+    def test_bad_reply_figure_is_a_protocol_error(self, raw):
+        with pytest.raises(ProtocolError):
+            reply_from_wire(raw)
+
+    @pytest.mark.parametrize("raw", [
+        {"op": "compile", "cell": {"scheme": "bb"}, "timeout": 10 ** 400},
+        {"op": "compile", "cell": {"scheme": "bb", "machine": ["4U"]}},
+        {"op": "compile", "cell": {"scheme": "bb", "heuristic": 7}},
+    ])
+    def test_bad_request_figure_is_a_protocol_error(self, raw):
+        with pytest.raises(ProtocolError) as failure:
+            request_from_wire(raw)
+        assert failure.value.code == ErrorCode.BAD_REQUEST
+
+
+# ----------------------------------------------------------------------
+# Fuzzing the wire trust boundary: whatever a peer sends, the decoders
+# return a typed message or raise a WireError (or another ReproError).
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=10,
+)
+
+#: A JSON value of any type, shallow: cheap to draw, and it still covers
+#: unhashable containers, huge ints and non-finite floats.
+_VALUE = (st.none() | st.booleans() | st.integers() | st.floats()
+          | st.text(max_size=4) | st.lists(st.integers(), max_size=2)
+          | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+
+def _field(valid):
+    """Half the time a value of the right type (``valid``), half the time
+    any JSON value."""
+    return st.booleans().flatmap(lambda right: valid if right else _VALUE)
+
+
+_CELL = st.fixed_dictionaries({}, optional={
+    field: _field(valid) for field, valid in (
+        ("benchmark", st.just("compress")),
+        ("scheme", st.sampled_from(["treegion", "bb", "bogus:1"])),
+        ("machine", st.sampled_from(["4U", "8U"])),
+        ("heuristic", st.just("global_weight")),
+        ("dominator_parallelism", st.booleans()),
+        ("schedule_copies", st.booleans()),
+        ("backend", st.sampled_from(["heuristic", "exact"])),
+    )})
+
+#: Every field a request or reply decoder reads, each either arbitrary
+#: JSON or a value of the right type, so decoding gets past early checks.
+_FIELDS = {
+    "protocol_version": st.integers(),
+    "client": st.text(max_size=4),
+    "cell": _CELL,
+    "program_text": st.text(max_size=8),
+    "timeout": st.integers() | st.floats(),
+    "trace_id": st.text(max_size=4),
+    "parent_span_id": st.text(max_size=4),
+    "code": st.sampled_from(sorted(ErrorCode.ALL)),
+    "error": st.text(max_size=4),
+    "schema": st.text(max_size=4),
+    "shards": st.integers() | st.dictionaries(st.text(max_size=2),
+                                              _JSON, max_size=2),
+    "result": st.dictionaries(st.text(max_size=4), _JSON, max_size=2),
+    "cached": st.booleans(),
+    "attempts": st.integers(),
+    "shard": st.integers(),
+    "source": st.text(max_size=4),
+    "healthy": st.booleans(),
+    "stats": st.dictionaries(st.text(max_size=4), _JSON, max_size=2),
+    "uptime_seconds": st.floats(),
+    "pid": st.integers(),
+}
+
+_MESSAGE = st.fixed_dictionaries(
+    {"op": _field(st.sampled_from(["hello", "compile", "ping", "stats",
+                                   "health", "shutdown", "bogus"])),
+     "ok": _field(st.booleans())},
+    optional={field: _field(valid) for field, valid in _FIELDS.items()})
+
+
+def _decodes_or_rejects(decode, value) -> None:
+    """``decode(value)`` returns or raises a typed error."""
+    try:
+        decode(value)
+    except (WireError, ReproError):
+        pass
+
+
+class TestFuzzDecoders:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(body=st.binary(max_size=64)
+           | _JSON.map(lambda v: json.dumps(v).encode())
+           | _MESSAGE.map(lambda v: json.dumps(v).encode()))
+    def test_frame_body(self, body):
+        for decode in (request_from_wire, reply_from_wire):
+            _decodes_or_rejects(lambda b: decode(decode_frame_body(b)),
+                                body)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(message=_MESSAGE)
+    def test_request(self, message):
+        _decodes_or_rejects(request_from_wire, message)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(message=_MESSAGE)
+    def test_reply(self, message):
+        _decodes_or_rejects(reply_from_wire, message)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(cell=_field(_CELL))
+    def test_cell(self, cell):
+        _decodes_or_rejects(cell_from_wire, cell)
 
 
 @pytest.fixture
