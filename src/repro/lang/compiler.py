@@ -359,11 +359,23 @@ class _FunctionLowering:
 
     def _binary(self, expr: ast.Binary, dest: Optional[Register]) -> Value:
         if expr.op in _ARITH:
-            left = self._expr(expr.left)
-            right = self._expr(expr.right)
-            dest = dest or self.fn.regs.fresh_gpr()
-            self.b.emit(_ARITH[expr.op], dests=[dest], srcs=[left, right])
-            return dest
+            # A left-nested chain (``a + b - c * d ...``) is lowered
+            # bottom-up in a loop, not one call per node, so its length
+            # is not bounded by the recursion limit.  The ops and
+            # register numbers match the recursive lowering.
+            chain = [expr]
+            while (isinstance(chain[-1].left, ast.Binary)
+                   and chain[-1].left.op in _ARITH):
+                chain.append(chain[-1].left)
+            value = self._expr(chain[-1].left)
+            for node in reversed(chain):
+                right = self._expr(node.right)
+                target = (dest if node is expr else None) \
+                    or self.fn.regs.fresh_gpr()
+                self.b.emit(_ARITH[node.op], dests=[target],
+                            srcs=[value, right])
+                value = target
+            return value
         if expr.op in _COMPARE or expr.op in ("&&", "||"):
             return self._bool_diamond(expr, dest)
         raise FrontendError(f"unknown operator {expr.op!r}", expr.line)

@@ -364,21 +364,18 @@ def _live_at_exit(
     """Registers (post-renaming names) whose values the exit must carry,
     in sorted order (the DDG's deterministic edge-insertion order).
 
-    ``registers`` restricts the answer to those registers (the DDG
-    builders pass the registers the problem's ops define: only those
-    have producers in the region), in the same relative order as the
-    unrestricted tuple; the repair substitution applies first.  None
-    returns the whole live set, as the schedule certifier asks.
+    ``registers`` restricts the answer to those registers, in the same
+    relative order as the unrestricted tuple; the repair substitution
+    applies first.  None returns the whole live set, as the schedule
+    certifier asks.  This decodes the exit's whole live set; the DDG
+    builders go through :func:`exit_live_sets`, which needs it only
+    for exits with repairs.
     """
     if exit.edge is None or liveness is None:
         return ()
-    repairs = [(original, renamed) for copy_exit, original, renamed
-               in copies or [] if copy_exit is exit]
-    if not repairs and registers is not None:
-        return liveness.live_into_edge_within(exit.edge, registers)
     live = set(liveness.live_into_edge(exit.edge))
-    for original, renamed in repairs:
-        if original in live:
+    for copy_exit, original, renamed in copies or ():
+        if copy_exit is exit and original in live:
             live.discard(original)
             live.add(renamed)
     if registers is not None:
@@ -395,6 +392,33 @@ def defined_registers(problem: ScheduleProblem) -> Set[Register]:
     return defined
 
 
+def exit_live_sets(
+    problem: ScheduleProblem,
+    liveness: LivenessInfo,
+    copies: Optional[List[ExitCopy]],
+) -> Dict[int, Tuple[Register, ...]]:
+    """Per exit (keyed by ``id``): :func:`_live_at_exit` restricted to
+    the registers the problem's ops define, since only those have
+    producers in the region.
+
+    An exit without repair copies reads its answer off the live-in bits
+    under one mask built for the whole problem; only an exit with
+    repairs decodes its live set.
+    """
+    defined = defined_registers(problem)
+    mask = liveness.mask(defined)
+    repaired = {id(exit) for exit, _, _ in copies or ()}
+    live: Dict[int, Tuple[Register, ...]] = {}
+    for exit in problem.exits:
+        if exit.edge is None:
+            live[id(exit)] = ()
+        elif id(exit) in repaired:
+            live[id(exit)] = _live_at_exit(exit, liveness, copies, defined)
+        else:
+            live[id(exit)] = liveness.live_into_edge_masked(exit.edge, mask)
+    return live
+
+
 def build_ddg(
     problem: ScheduleProblem,
     machine: MachineModel,
@@ -409,19 +433,14 @@ def build_ddg(
     """
     ddg = DDG(problem)
     region = problem.region
-    live_cache: Dict[int, Tuple[Register, ...]] = {}
-    if liveness is not None:
-        defined = defined_registers(problem)
-        for exit in problem.exits:
-            live_cache[id(exit)] = _live_at_exit(exit, liveness, copies,
-                                                 defined)
+    live_cache = (exit_live_sets(problem, liveness, copies)
+                  if liveness is not None else None)
 
     stack: List[Tuple[BasicBlock, _PathState]] = [(region.root, _PathState())]
     while stack:
         block, state = stack.pop()
         for sop in problem.by_block[block.bid]:
-            _add_op_edges(ddg, machine, sop, state,
-                          live_cache if liveness is not None else None)
+            _add_op_edges(ddg, machine, sop, state, live_cache)
         children = region.children(block)
         # The first child (processed next, pushed last) adopts the parent
         # state outright — the parent is done with it — so linear chains

@@ -31,7 +31,9 @@ list scheduler can observe about a region.
   region produce no edges, no renames, and no copies, so they are
   excluded — but the *relative sorted order* of the appearing ones is
   preserved, because renaming and the DDG iterate live sets in sorted
-  order.
+  order.  The mask of the appearing registers is built once per region
+  from the liveness's dense register ids; each exit's set is its
+  live-in bits under that mask, whose bit order is that sorted order.
 
 **What is not in the key**: op uids (identity bookkeeping), absolute
 register indices and block ids (alpha-renamed regions hash equal), the
@@ -191,9 +193,10 @@ def region_fingerprint(region: Region,
     caller schedules with liveness (the engine always does); passing
     None keys the conservative no-liveness pipeline instead.
 
-    The digest is cached on the region keyed by ``cfg.version``, so
-    repeated calls across the heuristic/machine sweep of a grid row are
-    one dict probe.
+    The parts are NUL-terminated and hashed in one ``sha256`` call.  The
+    digest is cached on the region keyed by ``cfg.version``, so repeated
+    calls across the heuristic/machine sweep of a grid row are one dict
+    probe.
     """
     cfg = region.root.cfg
     version = cfg.version if cfg is not None else -1
@@ -215,6 +218,7 @@ def region_fingerprint(region: Region,
                     appearing.add(src)
             if op.guard is not None:
                 appearing.add(op.guard)
+    mask = liveness.mask(appearing) if liveness is not None else 0
 
     for position, block in enumerate(region.blocks):
         parent = region.parent(block)
@@ -237,17 +241,13 @@ def region_fingerprint(region: Region,
                 if liveness is None:
                     live = "?"
                 else:
-                    live = ",".join(
-                        canon.reg(register) for register
-                        in liveness.live_into_edge_within(edge, appearing)
-                    )
+                    live = ",".join(map(canon.reg, liveness
+                                        .live_into_edge_masked(edge, mask)))
                 parts.append(f"L:{live}")
 
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part.encode("utf-8"))
-        digest.update(b"\x00")
-    fingerprint = digest.hexdigest()
+    parts.append("")  # NUL-terminates the last part
+    fingerprint = hashlib.sha256(
+        "\x00".join(parts).encode("utf-8")).hexdigest()
     try:
         setattr(region, _CACHE_ATTR, (version, fingerprint))
     except AttributeError:

@@ -23,7 +23,7 @@ placement-order list scheduler.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.ir.cfg import BasicBlock, Edge
 from repro.ir.liveness import LivenessInfo
@@ -32,7 +32,7 @@ from repro.ir.registers import Register
 from repro.ir.types import Opcode
 from repro.machine.model import MachineModel
 from repro.regions.hyperblock import Hyperblock
-from repro.schedule.ddg import DDG, _live_at_exit, defined_registers
+from repro.schedule.ddg import DDG, exit_live_sets
 from repro.schedule.prep import ScheduleProblem, _Prep
 
 
@@ -144,12 +144,8 @@ def build_hyperblock_ddg(
     ddg = DDG(problem)
     ops = problem.sched_ops
 
-    live_cache: Dict[int, Tuple[Register, ...]] = {}
-    if liveness is not None:
-        defined = defined_registers(problem)
-        for exit in problem.exits:
-            live_cache[id(exit)] = _live_at_exit(exit, liveness, None,
-                                                 defined)
+    live_cache = (exit_live_sets(problem, liveness, None)
+                  if liveness is not None else None)
 
     out_states: Dict[int, _DagState] = {}
     for block in region.topological_order():
@@ -159,8 +155,7 @@ def build_hyperblock_ddg(
         else:
             state = _DagState()
         for sop in problem.by_block[block.bid]:
-            _add_dag_edges(ddg, machine, sop, state,
-                           live_cache if liveness is not None else None)
+            _add_dag_edges(ddg, machine, sop, state, live_cache)
         out_states[block.bid] = state
 
     _add_dag_control_heights(ddg, region)

@@ -295,7 +295,8 @@ class _Prep:
         if self.liveness is None:
             return False
         for exit in self.problem.exits:
-            if exit.edge is not None and pred in self.liveness.live_into_edge(exit.edge):
+            if (exit.edge is not None
+                    and self.liveness.is_live_into_edge(exit.edge, pred)):
                 return True
         return False
 

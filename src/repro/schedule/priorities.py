@@ -75,7 +75,13 @@ def priority_keys(
             (sop.home.weight, counts[sop.home.bid], heights[sop.index])
             for sop in problem.sched_ops
         ]
-    raise ValueError(
+    raise unknown_heuristic(heuristic)
+
+
+def unknown_heuristic(heuristic) -> ValueError:
+    """The error every route raises for a heuristic not in
+    ``HEURISTICS``."""
+    return ValueError(
         f"unknown heuristic {heuristic!r}; choose one of {HEURISTICS}"
     )
 

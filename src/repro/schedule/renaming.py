@@ -89,7 +89,8 @@ class _ConflictAnalysis:
         for exit in self.problem.exits:
             if exit.source.bid in subtree_ids:
                 continue
-            if exit.edge is not None and reg in self.liveness.live_into_edge(exit.edge):
+            if (exit.edge is not None
+                    and self.liveness.is_live_into_edge(exit.edge, reg)):
                 return True
         return False
 
@@ -108,7 +109,7 @@ def rename_region(problem: ScheduleProblem, liveness: LivenessInfo) -> List[Exit
     for exit in problem.exits:
         exits_by_block.setdefault(exit.source.bid, []).append(exit)
     # Only a register the region defines can carry a rename into an exit.
-    defined = set(analysis.def_blocks)
+    defined = liveness.mask(analysis.def_blocks.keys())
 
     # DFS with a scoped rename map (original name -> current name).
     stack: List[Tuple[BasicBlock, Dict[Register, Register]]] = [
@@ -148,7 +149,7 @@ def rename_region(problem: ScheduleProblem, liveness: LivenessInfo) -> List[Exit
         for exit in exits_by_block.get(block.bid, []):
             if exit.edge is None:
                 continue  # RET srcs were rewritten in place
-            for reg in liveness.live_into_edge_within(exit.edge, defined):
+            for reg in liveness.live_into_edge_masked(exit.edge, defined):
                 current = renames.get(reg)
                 if current is not None and current != reg:
                     copies.append((exit, reg, current))

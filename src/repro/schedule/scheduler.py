@@ -43,13 +43,23 @@ from repro.regions.region import Region, RegionPartition
 from repro.schedule.ddg import DDG, build_ddg
 from repro.schedule.list_scheduler import list_schedule
 from repro.schedule.prep import ScheduleProblem, prepare_region
-from repro.schedule.priorities import GLOBAL_WEIGHT, Heuristic, priority_order
+from repro.schedule.priorities import (
+    GLOBAL_WEIGHT,
+    HEURISTICS,
+    Heuristic,
+    priority_order,
+    unknown_heuristic,
+)
 from repro.schedule.renaming import ExitCopy, rename_region
 from repro.schedule.schedule import RegionSchedule, SchedOp
 
 
 #: The values :attr:`ScheduleOptions.backend` accepts.
 BACKENDS = ("heuristic", "exact")
+
+#: ``HEURISTICS`` as a set: :func:`check_options` runs on every memo
+#: probe.
+_HEURISTICS = frozenset(HEURISTICS)
 
 
 @dataclass(frozen=True)
@@ -171,6 +181,8 @@ def check_options(region: Region, options: ScheduleOptions) -> None:
     the region memo (:meth:`repro.schedule.memo.RegionMemo.schedule`),
     hits included.
     """
+    if options.heuristic not in _HEURISTICS:
+        raise unknown_heuristic(options.heuristic)
     if options.backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {options.backend!r}; "

@@ -1,9 +1,12 @@
 """Tests for dominators, liveness, the verifier, and text round-trips."""
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.tail_duplication import TreegionLimits, form_treegions_td
 from repro.ir import (
     CompareCond,
     DominatorTree,
@@ -19,8 +22,11 @@ from repro.ir import (
     parse_program,
     verify_function,
 )
+from repro.ir.clone import clone_function
+from repro.ir.registers import register_key
 from repro.util.errors import IRValidationError, ReproError
-from repro.workloads.specint import build_benchmark
+from repro.validate.generator import generate
+from repro.workloads.specint import BENCHMARK_NAMES, build_benchmark
 
 from tests.helpers import (
     diamond_function,
@@ -103,6 +109,108 @@ class TestLiveness:
         live = compute_liveness(fn.cfg)
         for edge in entry.out_edges:
             assert live.live_into_edge(edge) == live.live_in(edge.dst)
+
+
+def _reference_liveness(cfg):
+    """The textbook set-based fixed point: live-in and live-out sets
+    keyed by block id, every block included."""
+    use, defs = {}, {}
+    for block in cfg.blocks():
+        used, defined = set(), set()
+        for op in block.ops:
+            used.update(reg for reg in op.used_registers()
+                        if reg not in defined)
+            defined.update(op.defined_registers())
+        use[block.bid], defs[block.bid] = used, defined
+    live_in = {block.bid: set() for block in cfg.blocks()}
+    live_out = {block.bid: set() for block in cfg.blocks()}
+    order = list(reversed(cfg.reverse_postorder()))
+    changed = True
+    while changed:
+        changed = False
+        for block in order:
+            out = set().union(*(live_in[succ.bid]
+                                for succ in block.successors))
+            inn = use[block.bid] | (out - defs[block.bid])
+            if out != live_out[block.bid] or inn != live_in[block.bid]:
+                live_out[block.bid], live_in[block.bid] = out, inn
+                changed = True
+    return live_in, live_out
+
+
+def _assert_matches_reference(cfg, rng):
+    """Bitset liveness equals the reference on every block's sets, on
+    restricted exit queries and on single-register membership."""
+    live = compute_liveness(cfg)
+    ref_in, ref_out = _reference_liveness(cfg)
+    everything = sorted({reg for block in cfg.blocks() for op in block.ops
+                         for reg in op.used_registers()
+                         + op.defined_registers()}, key=register_key)
+    # A register minted after the analysis ran is never live.
+    bound = max((reg.index for reg in everything), default=-1) + 1
+    unnumbered = [Register(rclass, bound) for rclass in RegClass]
+    for block in cfg.blocks():
+        assert live.live_in(block) == ref_in[block.bid], block
+        assert live.live_out(block) == ref_out[block.bid], block
+        for edge in block.out_edges:
+            into = ref_in[edge.dst.bid]
+            for size in (0, 1, 8, 64):
+                size = min(size, len(everything))
+                subset = set(rng.sample(everything, size)) | {
+                    rng.choice(unnumbered)}
+                expected = tuple(sorted(into & subset, key=register_key))
+                assert live.live_into_edge_within(edge, subset) == expected
+                assert live.live_into_edge_masked(
+                    edge, live.mask(subset)) == expected
+            probes = (rng.sample(everything, min(16, len(everything)))
+                      + rng.sample(sorted(into, key=register_key),
+                                   min(16, len(into))))
+            for reg in probes + unnumbered:
+                assert live.is_live_into_edge(edge, reg) == (reg in into)
+
+
+def _tail_duplicated(function):
+    clone = clone_function(function)
+    form_treegions_td(clone.cfg, TreegionLimits(code_expansion=2.0))
+    return clone
+
+
+class TestBitsetLivenessMatchesReference:
+    """``compute_liveness`` against a set-based reference fixed point."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_builtin_benchmarks_and_tail_duplicated_clones(self, name):
+        rng = random.Random(name)
+        for function in build_benchmark(name).functions():
+            _assert_matches_reference(function.cfg, rng)
+            _assert_matches_reference(_tail_duplicated(function).cfg, rng)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(min_value=0, max_value=1_000_000))
+    def test_generated_programs(self, seed):
+        rng = random.Random(seed)
+        for function in generate(seed).program.functions():
+            _assert_matches_reference(function.cfg, rng)
+
+    def test_unreachable_block_with_uses(self):
+        fn = Function("orphaned", [Register(RegClass.GPR, 0)])
+        fn.regs.reserve(Register(RegClass.GPR, 0))
+        b = IRBuilder(fn)
+        entry = b.block("entry")
+        orphan = b.block("orphan")
+        exit_bb = b.block("exit")
+        b.at(entry)
+        x = b.mov(1)
+        b.fallthrough(exit_bb)
+        b.at(orphan)
+        y = b.add(fn.params[0], 2)
+        b.fallthrough(exit_bb)
+        b.at(exit_bb)
+        b.ret(b.add(x, y))
+        live = compute_liveness(fn.cfg)
+        assert live.live_in(orphan) == {fn.params[0], x}
+        _assert_matches_reference(fn.cfg, random.Random(0))
 
 
 class TestDegenerateCfgs:

@@ -483,6 +483,25 @@ class TestEngineWiring:
         gauges = metrics.snapshot()["gauges"]
         assert "cache.region.misses" in gauges
 
+    def test_unknown_heuristic_is_one_error_on_every_route(self):
+        """Memo off, memo on (cold and after the region's other
+        heuristics are cached) and pool workers raise the direct
+        route's ValueError, never a bare KeyError."""
+        bad = [GridCell(bench, "treegion", "4U", "dependence_height")
+               for bench in ("compress", "li")]
+        message = ("unknown heuristic 'dependence_height'; "
+                   f"choose one of {HEURISTICS}")
+        memo = RegionMemo()
+        evaluate_grid([GridCell("compress", "treegion", "4U", heuristic)
+                       for heuristic in HEURISTICS], region_memo=memo)
+        for route in (dict(region_memo=False),
+                      dict(region_memo=RegionMemo()),
+                      dict(region_memo=memo),
+                      dict(jobs=2)):
+            with pytest.raises(ValueError) as caught:
+                evaluate_grid(bad, **route)
+            assert str(caught.value) == message, route
+
     def test_global_memo_is_default(self):
         before = global_memo().stats()
         evaluate_grid(self.GRID[:2], jobs=1)
