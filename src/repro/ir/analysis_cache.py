@@ -40,6 +40,7 @@ from weakref import WeakKeyDictionary
 from repro.ir.cfg import CFG
 from repro.ir.dominators import DominatorTree
 from repro.ir.liveness import LivenessInfo, compute_liveness
+from repro.ir.registers import CLASSES, INDEX_BITS, RANKS, Register
 from repro.ir.types import RegClass
 
 T = TypeVar("T")
@@ -52,15 +53,24 @@ def _register_bounds(cfg: CFG) -> Dict[RegClass, int]:
     region; scanning once per CFG version makes per-region preparation
     O(region) instead of O(function).
     """
-    bounds = {rclass: 0 for rclass in RegClass}
+    # Registers compare as ``rank << INDEX_BITS | index``: per rank, the
+    # largest register carries the class's highest index.
+    top = [0] * len(CLASSES)
     for block in cfg.blocks():
         for op in block.ops:
-            for reg in op.defined_registers():
-                if reg.index >= bounds[reg.rclass]:
-                    bounds[reg.rclass] = reg.index + 1
-            for reg in op.used_registers():
-                if reg.index >= bounds[reg.rclass]:
-                    bounds[reg.rclass] = reg.index + 1
+            for reg in op.dests:
+                if reg > top[reg >> INDEX_BITS]:
+                    top[reg >> INDEX_BITS] = reg
+            for reg in op.srcs:
+                if isinstance(reg, Register) and reg > top[reg >> INDEX_BITS]:
+                    top[reg >> INDEX_BITS] = reg
+            reg = op.guard
+            if reg is not None and reg > top[reg >> INDEX_BITS]:
+                top[reg >> INDEX_BITS] = reg
+    bounds = {}
+    for rclass in RegClass:
+        highest = top[RANKS[rclass]]
+        bounds[rclass] = highest.index + 1 if highest else 0
     return bounds
 
 

@@ -10,15 +10,17 @@ This is the textbook backward may-analysis over virtual registers, computed
 per function.  Guards count as uses.
 
 **Dense register ids.**  Every register the CFG's ops mention gets a
-dense id, assigned once in :func:`~repro.ir.registers.register_key`
-order, so bit ``i`` of a set stands for the ``i``-th register in sorted
-order and ascending bit order is sorted register order.  Per-block use,
-def, live-in and live-out sets are Python ``int`` bitsets and the
-fixpoint runs over ints: a union is one ``|``, a difference one
-``& ~``, an equality test one ``!=``.  The hot pipeline questions are
-bit operations and never build a whole set: is this register live into
-that exit (:meth:`LivenessInfo.is_live_into_edge`), and which of these
-registers are (:meth:`LivenessInfo.live_into_edge_masked`, under a
+dense id, assigned once in sorted register order (a register is an
+``int``, see :mod:`repro.ir.registers`), so bit ``i`` of a set stands
+for the ``i``-th register in sorted order and ascending bit order is
+sorted register order.  Per-block use, def, live-in and live-out sets
+are Python ``int`` bitsets and the fixpoint runs over ints: a union is
+one ``|``, a difference one ``& ~``, an equality test one ``!=``.  The
+hot pipeline questions are bit operations and never build a whole set:
+is this register live into any of these exits (its
+:meth:`LivenessInfo.bit` against :meth:`LivenessInfo.live_into_edges`),
+and which of these registers are live into that exit
+(:meth:`LivenessInfo.live_into_edge_masked`, under a
 :meth:`LivenessInfo.mask` that renaming, the DDG builders and the
 region fingerprint build once per region).  Callers that want the
 whole set (dead code elimination, the synthetic generator, the
@@ -33,7 +35,7 @@ from itertools import repeat
 from typing import AbstractSet, Dict, FrozenSet, List, Tuple
 
 from repro.ir.cfg import CFG, BasicBlock
-from repro.ir.registers import Register, register_key
+from repro.ir.registers import Register
 
 
 class LivenessInfo:
@@ -102,10 +104,18 @@ class LivenessInfo:
         """
         return self.live_in(edge.dst)
 
-    def is_live_into_edge(self, edge, register: Register) -> bool:
-        """``register in live_into_edge(edge)``, as one bit test."""
-        return bool(self._live_in.get(edge.dst.bid, 0)
-                    & self._bits.get(register, 0))
+    def bit(self, register: Register) -> int:
+        """The register's single-bit mask (0 when it is unnumbered)."""
+        return self._bits.get(register, 0)
+
+    def live_into_edges(self, edges) -> int:
+        """The union of the edges' live-in bitsets: a register is live
+        into one of them when its :meth:`bit` is in the union."""
+        live_in = self._live_in
+        union = 0
+        for edge in edges:
+            union |= live_in.get(edge.dst.bid, 0)
+        return union
 
     def live_into_edge_within(
         self, edge, registers: AbstractSet[Register]
@@ -142,7 +152,7 @@ def compute_liveness(cfg: CFG) -> LivenessInfo:
                     registers.add(src)
             if op.guard is not None:
                 registers.add(op.guard)
-    numbered = tuple(sorted(registers, key=register_key))
+    numbered = tuple(sorted(registers))
     bits = {register: 1 << index for index, register in enumerate(numbered)}
 
     # Per block: upward-exposed uses, and the complement of the defs.

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.util.errors import IRValidationError
 from repro.ir.cfg import BasicBlock
 from repro.ir.function import Function, Program
-from repro.ir.registers import Register
+from repro.ir.registers import INDEX_BITS, INDEX_LIMIT, Register
 from repro.ir.types import CompareCond, EdgeKind, Immediate, Opcode, RegClass
 
 _REG_RE = re.compile(r"^([rpb])(\d+)$")
@@ -33,27 +33,34 @@ _CONDS_BY_NAME = {c.value: c for c in CompareCond}
 
 
 def _parse_number(parse, text: str, line: str):
-    """``parse(text)`` (``int`` or ``float``) for a figure of ``line``."""
+    """``parse(text)`` (``int`` or ``float``) for a figure of ``line``.
+    Python's ``int`` refuses more than a few thousand digits with a
+    ``ValueError``, so an over-long number is a typed error too."""
     try:
         return parse(text)
     except ValueError:
         raise IRValidationError(f"bad number {text!r} in {line!r}") from None
 
 
-def _parse_register(text: str) -> Register:
+def _parse_register(text: str, line: str) -> Register:
     match = _REG_RE.match(text)
     if not match:
         raise IRValidationError(f"bad register {text!r}")
-    return Register(_CLASS_BY_PREFIX[match.group(1)], int(match.group(2)))
+    index = _parse_number(int, match.group(2), line)
+    if index >= INDEX_LIMIT:
+        raise IRValidationError(
+            f"register index of {text!r} is not below 2**{INDEX_BITS}"
+            f" in {line!r}")
+    return Register(_CLASS_BY_PREFIX[match.group(1)], index)
 
 
-def _parse_operand(text: str):
+def _parse_operand(text: str, line: str):
     imm = _IMM_RE.match(text)
     if imm:
         raw = imm.group(1)
-        value = float(raw) if "." in raw else int(raw)
-        return Immediate(value)
-    return _parse_register(text)
+        return Immediate(_parse_number(float if "." in raw else int,
+                                       raw, line))
+    return _parse_register(text, line)
 
 
 def _parse_operation(function: Function, line: str,
@@ -80,13 +87,14 @@ def _parse_operation(function: Function, line: str,
     guard: Optional[Register] = None
     if "?" in line:
         line, guard_text = line.rsplit("?", 1)
-        guard = _parse_register(guard_text.strip())
+        guard = _parse_register(guard_text.strip(), text)
         line = line.strip()
 
     dests: List[Register] = []
     if "=" in line:
         dest_text, line = line.split("=", 1)
-        dests = [_parse_register(t.strip()) for t in dest_text.split(",")]
+        dests = [_parse_register(t.strip(), text)
+                 for t in dest_text.split(",")]
         line = line.strip()
 
     tokens = line.split(None, 1)
@@ -112,7 +120,7 @@ def _parse_operation(function: Function, line: str,
 
     srcs = []
     if rest.strip():
-        srcs = [_parse_operand(t.strip()) for t in rest.split(",")]
+        srcs = [_parse_operand(t.strip(), text) for t in rest.split(",")]
 
     op = cfg.new_op(opcode, dests=dests, srcs=srcs, guard=guard,
                     cond=cond, callee=callee)
@@ -164,7 +172,8 @@ def parse_program(text: str) -> Program:
                     f"edge of unknown block {unknown!r}: {line!r}")
             if kind_text.startswith("case"):
                 kind = EdgeKind.CASE
-                case_value: Optional[int] = int(case_text)  # type: ignore[arg-type]
+                case_value: Optional[int] = _parse_number(
+                    int, case_text, line)
             else:
                 kind = EdgeKind(kind_text)
                 case_value = None
@@ -199,7 +208,8 @@ def parse_program(text: str) -> Program:
                     for v in (t.strip() for t in init_text.split(","))
                     if v
                 ]
-            program.add_global(name, size=int(size), initial=initial)
+            program.add_global(name, size=_parse_number(int, size, line),
+                               initial=initial)
             continue
 
         func_match = _FUNC_RE.match(line)
@@ -207,7 +217,7 @@ def parse_program(text: str) -> Program:
             finish_function()
             name, params_text = func_match.groups()
             params = [
-                _parse_register(t.strip())
+                _parse_register(t.strip(), line)
                 for t in params_text.split(",")
                 if t.strip()
             ]

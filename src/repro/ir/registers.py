@@ -3,54 +3,75 @@
 The IR uses an unbounded supply of virtual registers in three classes
 (general, predicate, branch-target).  Register pressure and allocation are
 outside the paper's scope — its machine models assume enough registers, and
-compile-time renaming freely mints new names — so registers here are simple
-immutable (class, index) pairs.
+compile-time renaming freely mints new names — so a register is just an
+immutable (class, index) pair.
+
+**Layout.**  A :class:`Register` is an ``int`` whose value is
+``rank << INDEX_BITS | index``, with ranks b=1, p=2, r=3.  Renaming, the
+DDG and the fingerprint key dicts and sets by register millions of times
+per evaluation grid; as an ``int`` a register hashes, compares and sorts
+in C.  The ranks follow the class prefixes' alphabetical order, so
+integer order is (class prefix, index) order: ``sorted()`` over
+registers gives the deterministic order liveness bit ids and the
+fingerprint's live sets rely on.  No register is 0 (every register is
+truthy), and no register equals an ``int`` below ``2**INDEX_BITS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.ir.types import RegClass
+from repro.util.errors import IRValidationError
+
+#: Bits of a register's value that hold its index; the class rank sits
+#: above them.
+INDEX_BITS = 32
+#: Exclusive upper bound of a register index.
+INDEX_LIMIT = 1 << INDEX_BITS
+_INDEX_MASK = INDEX_LIMIT - 1
+
+#: Class -> rank, the value's bits above the index.
+RANKS = {RegClass.BTR: 1, RegClass.PRED: 2, RegClass.GPR: 3}
+#: Rank -> class (index 0 is no class: no register has rank 0).
+CLASSES = (None, RegClass.BTR, RegClass.PRED, RegClass.GPR)
+#: Rank -> printed prefix.
+PREFIXES = (None, "b", "p", "r")
 
 
-@dataclass(frozen=True, order=True)
-class Register:
+class Register(int):
     """A virtual register, e.g. ``r3``, ``p1``, ``b2``.
 
-    Frozen so registers can key dicts and sets; ordering (by class then
-    index) makes sorted dumps deterministic.
+    An ``int`` (see the module docstring for the layout), so registers
+    key dicts and sets with C-level hashing and equality, and order by
+    class, then index.
     """
 
-    rclass: RegClass
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        # Registers key the DDG's producer maps and the renamer's live
-        # sets millions of times per evaluation grid; the generated hash
-        # re-hashes the enum member on every probe, so precompute once.
-        object.__setattr__(self, "_hash", hash((self.rclass, self.index)))
+    def __new__(cls, rclass: RegClass, index: int) -> "Register":
+        if not 0 <= index < INDEX_LIMIT:
+            raise ValueError(
+                f"register index {index} is outside 0..{INDEX_LIMIT - 1}")
+        return int.__new__(cls, RANKS[rclass] << INDEX_BITS | index)
 
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def rclass(self) -> RegClass:
+        return CLASSES[self >> INDEX_BITS]
+
+    @property
+    def index(self) -> int:
+        return self & _INDEX_MASK
 
     def __reduce__(self):
-        # Rebuild through __init__ so an unpickled register recomputes
-        # ``_hash`` under the receiving interpreter's hash seed.
         return (Register, (self.rclass, self.index))
 
     def __str__(self) -> str:
-        return f"{self.rclass.prefix}{self.index}"
+        return f"{PREFIXES[self >> INDEX_BITS]}{self & _INDEX_MASK}"
 
     def __repr__(self) -> str:
         return f"Register({self})"
 
-
-def register_key(register: Register):
-    """Sort key ordering registers as ``Register``'s own comparison
-    does (class, then index), without a generated ``__lt__`` call per
-    comparison; hot paths sort live sets with it."""
-    return (register.rclass.value, register.index)
+    def __format__(self, spec: str) -> str:
+        return format(str(self), spec)
 
 
 class RegisterFactory:
@@ -66,10 +87,20 @@ class RegisterFactory:
         self._next = {rclass: 0 for rclass in RegClass}
 
     def fresh(self, rclass: RegClass) -> Register:
-        """Return a never-before-seen register of the given class."""
+        """Return a never-before-seen register of the given class.
+
+        Raises :class:`IRValidationError` when the function already
+        uses the class's largest index, so no fresh name is left.
+        """
         index = self._next[rclass]
+        try:
+            register = Register(rclass, index)
+        except ValueError:
+            raise IRValidationError(
+                f"no fresh {rclass.prefix} register: every index below "
+                f"2**{INDEX_BITS} is taken or reserved") from None
         self._next[rclass] = index + 1
-        return Register(rclass, index)
+        return register
 
     def fresh_gpr(self) -> Register:
         return self.fresh(RegClass.GPR)

@@ -6,6 +6,11 @@ stores, a two-destination compare-to-predicate (``CMPP``), prepare-to-branch
 (``PBR``) writing branch-target registers, and predicated branch ops
 (``BRCT``/``BRCF``/``BRU``).  ``SWITCH`` models the wide multiway branches
 that the paper observes rooting the problematic treegions in gcc and perl.
+
+The enumerations hash by identity (``__hash__ = object.__hash__``):
+members are singletons and Enum equality is already identity, so the
+machine's latency table, the opcode-class sets and the register
+factory probe in C instead of through ``Enum.__hash__``.
 """
 
 from __future__ import annotations
@@ -27,14 +32,7 @@ class RegClass(enum.Enum):
     PRED = "p"
     BTR = "b"
 
-    def __lt__(self, other: "RegClass"):
-        # Register is ordered "by class then index" (sorted liveness
-        # dumps, renaming determinism); that requires the class itself to
-        # be orderable when a mixed-class set is sorted — which first
-        # happens when a predicate is live across a block boundary.
-        if isinstance(other, RegClass):
-            return self.value < other.value
-        return NotImplemented
+    __hash__ = object.__hash__
 
     @property
     def prefix(self) -> str:
@@ -88,6 +86,8 @@ class Opcode(enum.Enum):
     RET = "ret"          # return [src0]
     NOP = "nop"
 
+    __hash__ = object.__hash__
+
     @property
     def is_branch(self) -> bool:
         """True for ops that transfer control (excluding CALL/RET)."""
@@ -131,6 +131,8 @@ class CompareCond(enum.Enum):
     GT = "gt"
     GE = "ge"
 
+    __hash__ = object.__hash__
+
     def evaluate(self, lhs, rhs) -> bool:
         """Apply the comparison to two Python numbers."""
         if self is CompareCond.EQ:
@@ -167,6 +169,8 @@ class EdgeKind(enum.Enum):
     FALLTHROUGH = "fallthrough"  # textual successor (no branch / branch not taken)
     CASE = "case"                # SWITCH case edge; carries a case value
     DEFAULT = "default"          # SWITCH default edge
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

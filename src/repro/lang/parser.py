@@ -97,7 +97,7 @@ class _Parser:
         negative = self.accept("op", "-") is not None
         token = self.advance()
         if token.kind == "int":
-            value: object = int(token.text)
+            value: object = _int_value(token)
         elif token.kind == "float":
             value = float(token.text)
         else:
@@ -117,7 +117,7 @@ class _Parser:
         line = self.expect("array").line
         name = self.expect("ident").text
         self.expect("op", "[")
-        size = int(self.expect("int").text)
+        size = _int_value(self.expect("int"))
         self.expect("op", "]")
         initial: List[object] = []
         if self.accept("op", "="):
@@ -266,7 +266,7 @@ class _Parser:
         while not self.check("op", "}"):
             if self.accept("case"):
                 negative = self.accept("op", "-") is not None
-                value = int(self.expect("int").text)
+                value = _int_value(self.expect("int"))
                 if negative:
                     value = -value
                 if value in seen_values:
@@ -347,7 +347,7 @@ class _Parser:
         token = self.current
         if token.kind == "int":
             self.advance()
-            return ast.IntLit(line=token.line, value=int(token.text))
+            return ast.IntLit(line=token.line, value=_int_value(token))
         if token.kind == "float":
             self.advance()
             return ast.FloatLit(line=token.line, value=float(token.text))
@@ -374,6 +374,17 @@ class _Parser:
             f"expected an expression, found {token.text or token.kind!r}",
             token.line, token.column,
         )
+
+
+def _int_value(token: Token) -> int:
+    """The value of an ``int`` token.  Python's ``int`` refuses more
+    than a few thousand digits; that is a typed error here."""
+    try:
+        return int(token.text)
+    except ValueError:
+        raise FrontendError(
+            f"integer literal of {len(token.text)} digits is too long",
+            token.line, token.column) from None
 
 
 def parse(source: str) -> ast.Module:

@@ -48,7 +48,7 @@ from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from repro.ir.cfg import BasicBlock
 from repro.ir.liveness import LivenessInfo
-from repro.ir.registers import Register, register_key
+from repro.ir.registers import Register
 from repro.ir.types import Opcode
 from repro.machine.model import MachineModel
 from repro.regions.region import RegionExit
@@ -380,7 +380,7 @@ def _live_at_exit(
             live.add(renamed)
     if registers is not None:
         live &= registers
-    return tuple(sorted(live, key=register_key))
+    return tuple(sorted(live))
 
 
 def defined_registers(problem: ScheduleProblem) -> Set[Register]:

@@ -50,8 +50,7 @@ import hashlib
 from typing import Dict, List, Optional
 
 from repro.ir.liveness import LivenessInfo
-from repro.ir.registers import Register
-from repro.ir.types import RegClass
+from repro.ir.registers import INDEX_BITS, PREFIXES, Register
 from repro.machine.model import MachineModel
 from repro.regions.region import Region
 
@@ -116,8 +115,8 @@ class _Canonicalizer:
         #: Register -> dense per-class id ("r0", "p1", ...), assigned in
         #: op-stream appearance order.
         self.regs: Dict[Register, str] = {}
-        #: Per register class: how many ids ``regs`` has handed out.
-        self.class_counts: Dict[RegClass, int] = {}
+        #: Per register class rank: how many ids ``regs`` has handed out.
+        self.class_counts: List[int] = [0] * len(PREFIXES)
         #: External branch-target bid -> dense id ("x0", ...).
         self.labels: Dict[int, str] = {}
         #: Tail-duplication origin uid -> dense id ("o0", ...).
@@ -131,13 +130,15 @@ class _Canonicalizer:
     # -- operand renumbering -------------------------------------------
 
     def reg(self, register: Register) -> str:
-        name = self.regs.get(register)
-        if name is None:
-            rclass = register.rclass
-            count = self.class_counts.get(rclass, 0)
-            self.class_counts[rclass] = count + 1
-            name = f"{rclass.value}{count}"
-            self.regs[register] = name
+        return self.regs.get(register) or self.new_reg(register)
+
+    def new_reg(self, register: Register) -> str:
+        """Name a register on its first appearance: its class prefix and
+        the count of its class named before it."""
+        rank = register >> INDEX_BITS
+        count = self.class_counts[rank]
+        self.class_counts[rank] = count + 1
+        name = self.regs[register] = f"{PREFIXES[rank]}{count}"
         return name
 
     def label(self, bid: Optional[int]) -> str:
@@ -159,27 +160,34 @@ class _Canonicalizer:
             self.origins[uid] = name
         return name
 
-    def operand(self, value) -> str:
-        if isinstance(value, Register):
-            return self.reg(value)
-        # Immediate: repr distinguishes 1 from 1.0 exactly as the
-        # interpreter and scheduler do.
-        return f"#{value.value!r}"
-
     # -- op serialization ----------------------------------------------
 
     def op(self, operation) -> str:
-        pieces = [
+        # Each register operand is one dict probe; only a first
+        # appearance calls ``new_reg``.  Immediates print their repr,
+        # which distinguishes 1 from 1.0 exactly as the interpreter and
+        # scheduler do.  Dests, then sources, then the guard: the order
+        # first appearances are numbered in.
+        get = self.regs.get
+        new_reg = self.new_reg
+        dests = ",".join([get(dest) or new_reg(dest)
+                          for dest in operation.dests])
+        srcs = ",".join([(get(src) or new_reg(src))
+                         if isinstance(src, Register) else f"#{src.value!r}"
+                         for src in operation.srcs])
+        guard = operation.guard
+        cond = operation.cond
+        callee = operation.callee
+        return "|".join((
             operation.opcode.value,
-            operation.cond.value if operation.cond is not None else "-",
-            ",".join(self.reg(dest) for dest in operation.dests),
-            ",".join(self.operand(src) for src in operation.srcs),
-            self.reg(operation.guard) if operation.guard is not None else "-",
+            cond.value if cond is not None else "-",
+            dests,
+            srcs,
+            (get(guard) or new_reg(guard)) if guard is not None else "-",
             self.label(operation.target),
-            operation.callee if operation.callee is not None else "-",
+            callee if callee is not None else "-",
             self.origin(operation.origin),
-        ]
-        return "|".join(pieces)
+        ))
 
 
 def region_fingerprint(region: Region,

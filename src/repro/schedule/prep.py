@@ -29,6 +29,7 @@ into a :class:`~repro.schedule.schedule.SchedOp`.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional
 
 from repro.util.errors import SchedulingError
@@ -117,17 +118,18 @@ def _reserve_all_registers(problem: ScheduleProblem) -> None:
                 problem.regs.reserve(reg)
 
 
-def _predicate_uses_elsewhere(
-    region: Region, pred: Register, branch: Operation, cmpp: Operation
-) -> bool:
-    """Does ``pred`` have readers besides ``branch`` inside the region?"""
+def _register_reads(region: Region) -> Counter:
+    """How many operands (sources and guards) of the region's ops read
+    each register."""
+    reads: List[Register] = []
     for block in region:
         for op in block.ops:
-            if op is branch or op is cmpp:
-                continue
-            if pred in op.used_registers():
-                return True
-    return False
+            for src in op.srcs:
+                if isinstance(src, Register):
+                    reads.append(src)
+            if op.guard is not None:
+                reads.append(op.guard)
+    return Counter(reads)
 
 
 def _find_defining_cmpp(block: BasicBlock, pred: Register, before: Operation):
@@ -148,6 +150,10 @@ class _Prep:
         self.region = region
         self.machine = machine
         self.liveness = liveness
+        #: Register -> operands reading it in the region, and the bits
+        #: live into any exit; both built on the first foldable branch.
+        self._reads: Optional[Counter] = None
+        self._exits_live: Optional[int] = None
         _reserve_all_registers(self.problem)
 
     # ------------------------------------------------------------------
@@ -283,22 +289,31 @@ class _Prep:
             cond = cmpp.cond if position == 0 else cmpp.cond.negate()
             if term.opcode is Opcode.BRCF:
                 cond = cond.negate()
-            keep_original = _predicate_uses_elsewhere(
-                self.region, pred, term, cmpp
-            ) or self._pred_live_out(pred)
+            keep_original = (self._predicate_uses_elsewhere(pred, term, cmpp)
+                             or self._pred_live_out(pred))
             self._branch_plan = ("cmpp", term, cmpp, cond, keep_original)
             return None if keep_original else cmpp
         self._branch_plan = ("pand", term, pred)
         return None
 
+    def _predicate_uses_elsewhere(self, pred: Register, branch: Operation,
+                                  cmpp: Operation) -> bool:
+        """Does ``pred`` have readers besides ``branch`` and ``cmpp``
+        inside the region?"""
+        if self._reads is None:
+            self._reads = _register_reads(self.region)
+        own = (branch.used_registers().count(pred)
+               + cmpp.used_registers().count(pred))
+        return self._reads[pred] > own
+
     def _pred_live_out(self, pred: Register) -> bool:
         if self.liveness is None:
             return False
-        for exit in self.problem.exits:
-            if (exit.edge is not None
-                    and self.liveness.is_live_into_edge(exit.edge, pred)):
-                return True
-        return False
+        if self._exits_live is None:
+            self._exits_live = self.liveness.live_into_edges(
+                exit.edge for exit in self.problem.exits
+                if exit.edge is not None)
+        return bool(self._exits_live & self.liveness.bit(pred))
 
     def _emit_edge_predicates(self, block, term, guard) -> None:
         """Emit the ops computing this block's outgoing edge predicates."""

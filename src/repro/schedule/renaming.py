@@ -34,7 +34,7 @@ from typing import Dict, List, Set, Tuple
 
 from repro.ir.cfg import BasicBlock
 from repro.ir.liveness import LivenessInfo
-from repro.ir.registers import Register
+from repro.ir.registers import INDEX_BITS, RANKS, Register
 from repro.ir.types import Opcode, RegClass
 from repro.regions.region import RegionExit
 from repro.schedule.prep import ScheduleProblem
@@ -45,6 +45,8 @@ from repro.schedule.prep import ScheduleProblem
 _DEFINES_WHEN_SQUASHED = frozenset({
     Opcode.CMPP, Opcode.NINSET, Opcode.PAND, Opcode.PANDCN, Opcode.POR,
 })
+
+_BTR_RANK = RANKS[RegClass.BTR]
 
 #: (exit, original register, renamed register) — "copy original <- renamed
 #: when leaving through this exit".
@@ -60,6 +62,9 @@ class _ConflictAnalysis:
         self.liveness = liveness
         self.def_blocks: Dict[Register, Set[int]] = {}
         self.use_blocks: Dict[Register, Set[int]] = {}
+        #: Per block (bid): the live-in bits of every exit outside its
+        #: subtree, built on the block's first def.
+        self._foreign_live: Dict[int, int] = {}
         self._collect()
 
     def _collect(self) -> None:
@@ -77,7 +82,7 @@ class _ConflictAnalysis:
         """Should a def of ``reg`` in ``block`` get a fresh name?"""
         if block is self.region.root:
             return False
-        if reg.rclass is RegClass.BTR:
+        if reg >> INDEX_BITS == _BTR_RANK:
             return False  # BTRs are minted fresh per branch already
         cfg = self.region.root.cfg
         touching = self.def_blocks.get(reg, set()) | self.use_blocks.get(reg, set())
@@ -85,14 +90,19 @@ class _ConflictAnalysis:
             other = cfg.block(bid)
             if other is not block and self._unrelated(block, other):
                 return True
+        foreign_live = self._foreign_live.get(block.bid)
+        if foreign_live is None:
+            foreign_live = self._foreign_live[block.bid] = \
+                self._live_outside_subtree(block)
+        return bool(foreign_live & self.liveness.bit(reg))
+
+    def _live_outside_subtree(self, block: BasicBlock) -> int:
+        """The live-in bits of the exits whose source is not in
+        ``block``'s subtree."""
         subtree_ids = {b.bid for b in self.region.subtree(block)}
-        for exit in self.problem.exits:
-            if exit.source.bid in subtree_ids:
-                continue
-            if (exit.edge is not None
-                    and self.liveness.is_live_into_edge(exit.edge, reg)):
-                return True
-        return False
+        return self.liveness.live_into_edges(
+            exit.edge for exit in self.problem.exits
+            if exit.edge is not None and exit.source.bid not in subtree_ids)
 
 
 def rename_region(problem: ScheduleProblem, liveness: LivenessInfo) -> List[ExitCopy]:

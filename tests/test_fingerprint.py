@@ -12,9 +12,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import form_treegions
-from repro.ir import CompareCond, Function, IRBuilder, Opcode, RegClass, Register
+from repro.ir import (CompareCond, EdgeKind, Function, IRBuilder, Opcode,
+                      RegClass, Register)
 from repro.ir.analysis_cache import liveness_of
 from repro.ir.clone import clone_function
 from repro.machine import VLIW_4U, VLIW_8U, MachineModel
@@ -231,18 +234,37 @@ class TestMachineFingerprints:
         assert latency_fingerprint(no_btr) != latency_fingerprint(VLIW_4U)
 
 
-class TestRegisterHash:
-    """The precomputed ``Register.__hash__`` must stay consistent with
-    equality — registers key the DDG's producer maps."""
+def _revive_in_worker(registers):
+    """Runs in a spawned worker: the registers arrive unpickled under
+    another interpreter's hash seed and travel back pickled again."""
+    return [(register, str(register), hash(register))
+            for register in registers]
 
-    def test_hash_matches_field_tuple(self):
-        register = Register(RegClass.GPR, 3)
-        assert hash(register) == hash((register.rclass, register.index))
+
+_CLASS_BY_VALUE_ORDER = sorted(RegClass, key=lambda rclass: rclass.value)
+
+
+class TestRegisterHash:
+    """A register is an ``int``: it hashes and compares in C, in the
+    order the old (class value, index) tuple key gave."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_CLASS_BY_VALUE_ORDER),
+                              st.integers(0, (1 << 32) - 1)),
+                    min_size=2, max_size=30))
+    def test_order_matches_field_tuple(self, fields):
+        registers = [Register(rclass, index) for rclass, index in fields]
+        assert sorted(registers) == sorted(
+            registers, key=lambda reg: (reg.rclass.value, reg.index))
+        for register, (rclass, index) in zip(registers, fields):
+            assert register.rclass is rclass and register.index == index
 
     def test_equal_registers_hash_equal(self):
         assert (hash(Register(RegClass.PRED, 1))
                 == hash(Register(RegClass.PRED, 1)))
         assert Register(RegClass.PRED, 1) == Register(RegClass.PRED, 1)
+        assert Register(RegClass.PRED, 1) != Register(RegClass.GPR, 1)
+        assert len({Register(rclass, 0) for rclass in RegClass}) == 3
 
     def test_pickle_round_trip(self):
         import pickle
@@ -250,5 +272,50 @@ class TestRegisterHash:
         register = Register(RegClass.BTR, 2)
         revived = pickle.loads(pickle.dumps(register))
         assert revived == register
+        assert type(revived) is Register
         assert hash(revived) == hash(register)
         assert {register: "x"}[revived] == "x"
+
+    def test_pickle_round_trip_through_spawn_worker(self):
+        import multiprocessing
+
+        registers = [Register(RegClass.GPR, 7), Register(RegClass.PRED, 0),
+                     Register(RegClass.BTR, (1 << 32) - 1)]
+        context = multiprocessing.get_context("spawn")
+        with context.Pool(1) as pool:
+            echoed = pool.apply(_revive_in_worker, (registers,))
+        assert [register for register, _, _ in echoed] == registers
+        assert all(type(register) is Register for register, _, _ in echoed)
+        assert [name for _, name, _ in echoed] == ["r7", "p0", "b4294967295"]
+        assert [code for _, _, code in echoed] == list(map(hash, registers))
+
+    def test_truthy_and_distinct_from_its_index(self):
+        for rclass in RegClass:
+            for index in (0, 1, 41, (1 << 32) - 1):
+                register = Register(rclass, index)
+                assert register
+                assert register != index
+                assert register not in {index: None}
+                assert str(register) == f"{rclass.prefix}{index}"
+                assert f"{register:>6}" == f"{str(register):>6}"
+                assert repr(register) == f"Register({register})"
+
+    @pytest.mark.parametrize("index", [-1, 1 << 32, 1 << 40])
+    def test_out_of_range_index_raises(self, index):
+        with pytest.raises(ValueError):
+            Register(RegClass.GPR, index)
+
+
+class TestIdentityHashes:
+    """Registers and the IR enums hash in C; a Python-level ``__hash__``
+    coming back would put an interpreter call on every dict and set
+    probe of renaming, the DDG and the fingerprint."""
+
+    def test_register_hash_is_int_hash(self):
+        assert Register.__hash__ is int.__hash__
+        assert Register.__eq__ is int.__eq__
+
+    @pytest.mark.parametrize("enum_type",
+                             [RegClass, Opcode, CompareCond, EdgeKind])
+    def test_ir_enums_hash_by_identity(self, enum_type):
+        assert enum_type.__hash__ is object.__hash__

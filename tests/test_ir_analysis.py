@@ -23,7 +23,6 @@ from repro.ir import (
     verify_function,
 )
 from repro.ir.clone import clone_function
-from repro.ir.registers import register_key
 from repro.util.errors import IRValidationError, ReproError
 from repro.validate.generator import generate
 from repro.workloads.specint import BENCHMARK_NAMES, build_benchmark
@@ -145,7 +144,7 @@ def _assert_matches_reference(cfg, rng):
     ref_in, ref_out = _reference_liveness(cfg)
     everything = sorted({reg for block in cfg.blocks() for op in block.ops
                          for reg in op.used_registers()
-                         + op.defined_registers()}, key=register_key)
+                         + op.defined_registers()})
     # A register minted after the analysis ran is never live.
     bound = max((reg.index for reg in everything), default=-1) + 1
     unnumbered = [Register(rclass, bound) for rclass in RegClass]
@@ -158,15 +157,16 @@ def _assert_matches_reference(cfg, rng):
                 size = min(size, len(everything))
                 subset = set(rng.sample(everything, size)) | {
                     rng.choice(unnumbered)}
-                expected = tuple(sorted(into & subset, key=register_key))
+                expected = tuple(sorted(into & subset))
                 assert live.live_into_edge_within(edge, subset) == expected
                 assert live.live_into_edge_masked(
                     edge, live.mask(subset)) == expected
             probes = (rng.sample(everything, min(16, len(everything)))
-                      + rng.sample(sorted(into, key=register_key),
+                      + rng.sample(sorted(into),
                                    min(16, len(into))))
             for reg in probes + unnumbered:
-                assert live.is_live_into_edge(edge, reg) == (reg in into)
+                assert bool(live.live_into_edges([edge])
+                            & live.bit(reg)) == (reg in into)
 
 
 def _tail_duplicated(function):
@@ -430,12 +430,15 @@ class TestTextRoundTrip:
 
 _PRINTED = format_program(build_benchmark("compress")).splitlines()
 
+#: Digit runs longer than Python's ``int`` accepts from a string.
+_LONG_DIGITS = st.integers(4301, 5000).map(lambda n: "7" * n)
+
 #: One edit of one line of a printed benchmark: (line index, text,
 #: position, length, how).
 _LINE_EDIT = st.tuples(
     st.integers(0, len(_PRINTED) - 1),
     st.text(st.sampled_from(" .=->#,?!bpr19e()") | st.characters(),
-            max_size=8),
+            max_size=8) | _LONG_DIGITS,
     st.integers(0, 80), st.integers(0, 8),
     st.sampled_from(["insert", "replace", "delete", "drop"]))
 
@@ -461,6 +464,41 @@ class TestParserRobustness:
     def test_bad_line_is_a_typed_error_naming_it(self, text, named):
         with pytest.raises(IRValidationError, match=repr(named)):
             parse_program(text)
+
+    @pytest.mark.parametrize("line", [
+        "r{long} = mov #1",
+        "r1 = mov #{long}",
+        "r1 = add r2, r{long}",
+        "r1 = mov #1 ? p{long}",
+        "r4294967296 = mov #1",
+        "r1 = mov b4294967296",
+    ], ids=["long_dest", "long_immediate", "long_source", "long_guard",
+            "dest_index_2_32", "source_index_2_32"])
+    def test_out_of_range_number_names_its_line(self, line):
+        line = line.format(long="9" * 5000)
+        text = ("program entry=main\nfunc main() {\n"
+                f"  block bb1 weight=1 entry\n    {line}\n    ret\n}}\n")
+        with pytest.raises(IRValidationError) as caught:
+            parse_program(text)
+        assert repr(line) in str(caught.value)
+
+    @pytest.mark.parametrize("text", [
+        "program entry=main\nglobal g size={long}\n",
+        "program entry=main\nglobal g size=2 init=[1,{long}]\n",
+        "program entry=main\nfunc main(r{long}) {{\n}}\n",
+        "program entry=main\nfunc main() {{\n  block bb1 weight=1 entry\n"
+        "    switch r1\n  edge bb1 -> bb1 case({long}) weight=1\n}}\n",
+    ], ids=["global_size", "global_init", "param", "case_value"])
+    def test_long_number_outside_an_op_is_a_typed_error(self, text):
+        with pytest.raises(IRValidationError, match="bad number"):
+            parse_program(text.format(long="9" * 5000))
+
+    def test_largest_register_index_parses(self):
+        text = ("program entry=main\nfunc main() {\n"
+                "  block bb1 weight=1 entry\n    p4294967295 = mov #1\n"
+                "    ret\n}\n")
+        block = parse_program(text).entry_function.cfg.blocks()[0]
+        assert block.ops[0].dests == [Register(RegClass.PRED, (1 << 32) - 1)]
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=list(HealthCheck))

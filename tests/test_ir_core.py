@@ -12,7 +12,10 @@ from repro.ir import (
     RegClass,
     Register,
     RegisterFactory,
+    parse_program,
 )
+from repro.api import simulate
+from repro.util.errors import IRValidationError
 
 
 class TestRegister:
@@ -37,6 +40,29 @@ class TestRegister:
         regs = RegisterFactory()
         regs.reserve(Register(RegClass.GPR, 5))
         assert regs.fresh_gpr().index == 6
+
+    def test_factory_past_the_largest_index_is_a_typed_error(self):
+        regs = RegisterFactory()
+        regs.reserve(Register(RegClass.PRED, (1 << 32) - 2))
+        assert regs.fresh_pred().index == (1 << 32) - 1
+        with pytest.raises(IRValidationError, match="no fresh p register"):
+            regs.fresh_pred()
+        assert regs.fresh_gpr().index == 0
+
+    def test_scheduling_a_function_with_no_fresh_name_left(self):
+        # Guard synthesis needs fresh predicates; the function already
+        # uses the largest predicate index.
+        program = parse_program(
+            "program entry=main\nfunc main(r1) {\n"
+            "  block bb1 weight=1 entry\n"
+            "    p4294967295 = cmpp.lt r1, #3\n"
+            "    brct p4294967295 -> bb2\n"
+            "  block bb3 weight=1\n    ret r1\n"
+            "  block bb2 weight=1\n    ret #1\n"
+            "  edge bb1 -> bb2 taken weight=0.5\n"
+            "  edge bb1 -> bb3 fallthrough weight=0.5\n}\n")
+        with pytest.raises(IRValidationError, match="no fresh p register"):
+            simulate(program, "treegion", "4U", [5])
 
 
 class TestOperation:

@@ -266,9 +266,11 @@ _TOKENS = ["(", ")", "{", "}", "[", "]", ";", ",", ":", "=", "==", "+",
            "break", "continue", "array", "0", "7", "1.5", "v", "main",
            "pick", "//", "/*", "\n"]
 
-#: (position, text, length, how): one edit of the source text.
+#: (position, text, length, how): one edit of the source text.  Long
+#: digit runs exceed Python's ``int`` limit on string conversion.
 _EDIT = st.tuples(st.integers(0, len(_SOURCE)),
-                  st.sampled_from(_TOKENS) | st.text(max_size=3),
+                  st.sampled_from(_TOKENS) | st.text(max_size=3)
+                  | st.integers(4301, 5000).map(lambda n: "7" * n),
                   st.integers(0, 8),
                   st.sampled_from(["insert", "replace", "delete"]))
 
@@ -292,6 +294,20 @@ class TestMinicRobustness:
     def test_deep_nesting_is_a_typed_error(self, body):
         with pytest.raises(FrontendError, match="nests too deeply"):
             compile_source("func main() { " + body + " }")
+
+    @pytest.mark.parametrize("source", [
+        "func main() {{ return {long}; }}",
+        "func main() {{ return -{long}; }}",
+        "array a[{long}]; func main() {{ return 0; }}",
+        "var g = {long}; func main() {{ return g; }}",
+        "array a[2] = {{1, {long}}}; func main() {{ return 0; }}",
+        "func main() {{ switch (1) {{ case {long}: {{ return 1; }} }}"
+        " return 0; }}",
+    ], ids=["literal", "negative_literal", "array_size", "global_init",
+            "array_init", "case_value"])
+    def test_long_integer_literal_is_a_typed_error(self, source):
+        with pytest.raises(FrontendError, match="5000 digits is too long"):
+            compile_source(source.format(long="9" * 5000))
 
     def test_long_binary_chain_lowers(self):
         # Left-nested arithmetic chains lower in a loop: their length is
