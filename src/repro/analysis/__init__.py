@@ -7,8 +7,9 @@ The pieces:
   termination argument live in its module doc and DESIGN.md §15);
 * :mod:`repro.analysis.reaching` — reaching definitions with
   must/may-uninitialized-use classification;
-* :mod:`repro.analysis.liveranges` — flow-sensitive live ranges: dead
-  stores and interference-based register-pressure estimates;
+* :mod:`repro.analysis.liveranges` — flow-sensitive live ranges, op by
+  op from :mod:`repro.ir.liveness`'s block sets: dead stores and
+  interference-based register-pressure estimates;
 * :mod:`repro.analysis.reachability` — unreachable blocks and
   constant-branch pruning;
 * :mod:`repro.analysis.callgraph` — whole-program call graph with

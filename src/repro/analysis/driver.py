@@ -1,13 +1,13 @@
 """The ``repro analyze`` driver: bounds vs. achieved heights, per region.
 
-For every (scheme, machine) pair this forms regions exactly the way the
-evaluation engine does (cloning first when formation mutates), computes
-each region's critical-path and resource-saturation lower bounds
-(:mod:`repro.analysis.bounds`), schedules the same region under every
-requested heuristic with default options, and reports the bounds next
-to the achieved heights.  A bound exceeding *any* achieved height is a
-soundness bug — the corpus gate, the ``analysis-smoke`` CI job, and the
-validate oracle all fail on it.
+For every scheme this forms regions exactly the way the evaluation
+engine does (:func:`repro.evaluation.schemes.form_program`).  For every
+machine it then computes each region's critical-path and
+resource-saturation lower bounds (:mod:`repro.analysis.bounds`),
+schedules the same region under every requested heuristic with default
+options, and reports the bounds next to the achieved heights.  A bound
+exceeding *any* achieved height is a soundness bug — the corpus gate,
+the ``analysis-smoke`` CI job, and the validate oracle all fail on it.
 
 The result is a plain JSON-ready dict; :func:`format_analysis` renders
 the human view.
@@ -43,8 +43,8 @@ def analyze_program(
     """
     from repro.api import machine as resolve_machine
     from repro.api import make_scheme
+    from repro.evaluation.schemes import form_program
     from repro.ir.analysis_cache import live_ranges_of, liveness_of
-    from repro.ir.clone import clone_program
     from repro.analysis.bounds import region_lower_bounds
     from repro.schedule.priorities import HEURISTICS
     from repro.schedule.scheduler import ScheduleOptions, schedule_region
@@ -69,12 +69,10 @@ def analyze_program(
                 "repro analyze bounds cover tree-pipeline schemes only; "
                 "hyperblock schedules through a different pipeline"
             )
+        _, functions = form_program(program, scheme)
         for machine_spec in machines:
             mach = resolve_machine(machine_spec)
-            # Formation may tail-duplicate; never touch the caller's IR.
-            worked = clone_program(program) if scheme.mutates else program
-            for function in worked.functions():
-                partition = scheme.form(function.cfg)
+            for function, partition, _, _ in functions:
                 liveness = liveness_of(function.cfg)
                 ranges = live_ranges_of(function.cfg)
                 for region in partition:

@@ -1,10 +1,10 @@
 """Flow-sensitive live ranges: dead stores and register pressure.
 
-Block-level liveness is re-derived on the generic solver (a backward
-union fixpoint identical to :mod:`repro.ir.liveness`, kept here so the
-per-op pass below and the block-level sets always agree on one
-analysis), then refined to op granularity by walking each block's ops
-backward from its live-out set.  Two consumers:
+Block-level liveness is the function's one live-variable analysis,
+:meth:`repro.ir.analysis_cache.AnalysisCache.liveness` (the int-bitset
+fixed point of :mod:`repro.ir.liveness`), refined to op granularity by
+walking each block's ops backward from its live-out set.  Two
+consumers:
 
 * **Dead stores** — an op whose destinations are all dead immediately
   after it, with no side effects, computes a value nothing ever reads
@@ -17,18 +17,19 @@ backward from its live-out set.  Two consumers:
   that many registers of the class: a sound lower bound on demand.
   :func:`LiveRanges.region_pressure` takes the max over a region's
   blocks, which ``sched.pressure-exceeds-class`` compares against the
-  machine's per-class register file.
+  machine's per-class register file.  Both read the same live-out sets,
+  so they agree by construction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set
+from typing import Dict, FrozenSet, List, NamedTuple
 
+from repro.ir.analysis_cache import liveness_of, reachability_of
 from repro.ir.cfg import CFG, BasicBlock
 from repro.ir.operation import Operation
 from repro.ir.registers import Register
 from repro.ir.types import RegClass
-from repro.analysis.solver import BACKWARD, BlockGraph, solve
 
 
 class DeadStore(NamedTuple):
@@ -37,41 +38,6 @@ class DeadStore(NamedTuple):
     block: BasicBlock
     op: Operation
     position: int
-
-
-class _LivenessProblem:
-    """Backward may-liveness over register powersets."""
-
-    direction = BACKWARD
-
-    def __init__(self, graph: BlockGraph):
-        self._graph = graph
-        # (upward-exposed uses, defs) per block, dense-indexed.
-        self.use_def: List = []
-        for block in graph.blocks:
-            uses: Set[Register] = set()
-            defs: Set[Register] = set()
-            for op in block.ops:
-                for reg in op.used_registers():
-                    if reg not in defs:
-                        uses.add(reg)
-                defs.update(op.dests)
-            self.use_def.append((frozenset(uses), frozenset(defs)))
-
-    def boundary(self) -> FrozenSet[Register]:
-        return frozenset()
-
-    def transfer(self, block: BasicBlock,
-                 value: FrozenSet[Register]) -> FrozenSet[Register]:
-        uses, defs = self.use_def[self._graph.index_of[block.bid]]
-        return uses | (value - defs)
-
-    @staticmethod
-    def join(a: FrozenSet[Register],
-             b: FrozenSet[Register]) -> FrozenSet[Register]:
-        if a is b or b.issubset(a):
-            return a
-        return a | b
 
 
 def block_peak_pressure(block: BasicBlock,
@@ -107,22 +73,18 @@ def block_peak_pressure(block: BasicBlock,
 class LiveRanges:
     """Op-granular liveness facts for one CFG."""
 
-    def __init__(self, cfg: CFG, params=()):
+    def __init__(self, cfg: CFG):
         self.cfg = cfg
-        self.graph = BlockGraph(cfg)
-        self.problem = _LivenessProblem(self.graph)
-        self.result = solve(self.graph, self.problem)
-        self._block_pressure: Optional[List[Dict[RegClass, int]]] = None
+        self.liveness = liveness_of(cfg)
+        self._block_pressure: Dict[int, Dict[RegClass, int]] = {}
 
     # ------------------------------------------------------------------
 
     def live_in(self, block: BasicBlock) -> FrozenSet[Register]:
-        value = self.result.value_in(block)
-        return value if value is not None else frozenset()
+        return self.liveness.live_in(block)
 
     def live_out(self, block: BasicBlock) -> FrozenSet[Register]:
-        value = self.result.value_out(block)
-        return value if value is not None else frozenset()
+        return self.liveness.live_out(block)
 
     # ------------------------------------------------------------------
 
@@ -131,13 +93,17 @@ class LiveRanges:
 
         Side-effecting ops (stores, calls, branches, returns) are never
         reported — their usefulness does not flow through registers.
-        Ops in unreachable blocks are skipped (``ir.unreachable-block``
-        owns those).
+        Ops in the blocks ``ir.unreachable-block`` reports are skipped
+        (that rule owns them); every other block is checked, loops with
+        no way out included.
         """
+        cfg = self.cfg
+        # Without an entry, ir.unreachable-block reports nothing.
+        reach = reachability_of(cfg) if cfg.entry is not None else None
         found: List[DeadStore] = []
-        for index, block in enumerate(self.graph.blocks):
-            if self.result.in_values[index] is None:
-                continue  # unreachable
+        for block in cfg.blocks():
+            if reach is not None and not reach.is_reachable(block):
+                continue
             live = set(self.live_out(block))
             # Walk backward so "live after op" is exact per position.
             flagged: List[DeadStore] = []
@@ -156,14 +122,10 @@ class LiveRanges:
 
     def block_pressure(self, block: BasicBlock) -> Dict[RegClass, int]:
         """Max simultaneously-live registers per class inside ``block``."""
-        if self._block_pressure is None:
-            self._block_pressure = [None] * len(self.graph)  # type: ignore
-        index = self.graph.index_of[block.bid]
-        cached = self._block_pressure[index]
-        if cached is not None:
-            return cached
-        peak = block_peak_pressure(block, self.live_out(block))
-        self._block_pressure[index] = peak
+        peak = self._block_pressure.get(block.bid)
+        if peak is None:
+            peak = self._block_pressure[block.bid] = block_peak_pressure(
+                block, self.live_out(block))
         return peak
 
     def region_pressure(self, blocks) -> Dict[RegClass, int]:

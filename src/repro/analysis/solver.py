@@ -1,7 +1,7 @@
 """Generic worklist dataflow solver over packed CSR block arrays.
 
-Every analysis in :mod:`repro.analysis` is an instance of the classic
-iterative dataflow framework: values drawn from a finite-height join
+The block-level analyses of :mod:`repro.analysis` are instances of the
+classic iterative dataflow framework: values drawn from a finite-height join
 semilattice, one monotone transfer function per basic block, and a
 worklist iteration to the least fixed point.  This module provides the
 two shared pieces:
@@ -36,15 +36,17 @@ flowing into one of its edges changed, and values only ever move up the
 lattice (``join`` with new information, monotone ``transfer``).  With a
 finite-height lattice every block's value can change at most *height*
 times, so the worklist drains after at most ``O(blocks x edges x
-height)`` transfer applications.  All four shipped analyses use
-powerset (or two-point) lattices over a function's registers, defs, or
-blocks, so the height is finite by construction; the argument is spelled
-out in DESIGN.md §15.
+height)`` transfer applications.  Both shipped analyses use finite
+lattices — reaching definitions a powerset of a function's def sites,
+reachability the two-point reached/bottom lattice — so the height is
+finite by construction; the argument is spelled out in DESIGN.md §15.
+Liveness is :mod:`repro.ir.liveness`'s bitset fixed point, not solved here.
 
-**Unreachable blocks.**  Blocks that no executable path reaches keep the
-value ``None`` ("bottom": no information has arrived).  Transfers never
-run on ``None``, so every analysis gets unreachable-block handling for
-free — consumers see ``None`` and skip, never a half-initialized value.
+**Unreachable blocks.**  Blocks the iteration never reaches (forward:
+no executable path from the entry; backward: no path to an exit) keep
+the value ``None`` ("bottom": no information has arrived).  Transfers
+never run on ``None`` — consumers see ``None`` and skip, never a
+half-initialized value.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ class BlockGraph:
             self.index_of[cfg.entry.bid] if cfg.entry is not None else -1
         )
 
-        succ_counts = array("i", [0]) * 0  # placate mypy-ish readers
         succ_counts = array("i", [0] * (n + 1))
         pred_counts = array("i", [0] * (n + 1))
         for block in self.blocks:

@@ -16,19 +16,16 @@ from repro.evaluation.schemes import (
     superblock_scheme,
     treegion_td_scheme,
 )
-from repro.evaluation.runner import (
-    EvaluationResult,
-    evaluate_program,
-    baseline_time,
-    speedup_over_baseline,
-)
+from repro.evaluation.runner import baseline_time, speedup_over_baseline
 from repro.evaluation.engine import (
     CellResult,
+    EvaluationResult,
     GridCell,
     build_scheme,
     default_grid,
     evaluate_cell,
     evaluate_grid,
+    evaluate_program,
     machine_by_name,
 )
 

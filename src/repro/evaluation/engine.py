@@ -25,13 +25,12 @@ provides :func:`evaluate_grid`, which exploits that structure:
   partial results **in function order**, reproducing the serial float
   accumulation exactly.
 
-Both paths, and :func:`evaluate_cell`, evaluate a group through one
-function (``_evaluate_group``): clone and form each function once, then
-schedule the formed partitions for every cell of the group.
-
-Both paths are guaranteed bit-identical to per-cell serial evaluation
-(:func:`evaluate_cell`): same ``time``, same ``code_expansion``, same
-per-region schedule lengths.  ``tests/test_engine.py`` enforces this.
+Every route runs one core: ``form_program``, ``_schedule_function_partition``
+per function, ``_merge_partials`` in function order.  The direct route
+:func:`evaluate_program` runs it with the memo off (:func:`evaluate_cell`
+and the simulator's ``schedule_program`` reduce it); both grid paths run it
+per (benchmark, scheme) group and are bit-identical to it: same ``time``,
+``code_expansion`` and region lengths (``tests/test_engine.py``).
 
 Cells name their scheme by *spec string* (``"bb"``, ``"slr"``,
 ``"treegion"``, ``"superblock"``, ``"hyperblock"``,
@@ -48,15 +47,19 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ir.analysis_cache import liveness_of
-from repro.ir.clone import clone_function
 from repro.ir.function import Program
 from repro.machine.model import MachineModel
 from repro.machine.presets import PAPER_MACHINES, SCALAR_1U
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, metrics_scope
 from repro.obs.tracer import NULL_TRACER, SpanWriter, Tracer
+from repro.regions.region import RegionPartition
+from repro.regions.stats import RegionStats, partition_stats
 from repro.schedule.priorities import HEURISTICS
+from repro.schedule.schedule import RegionSchedule
 from repro.schedule.scheduler import ScheduleOptions, schedule_region
-from repro.evaluation.schemes import Scheme, SchemeSpec
+from repro.evaluation.schemes import (
+    FormedFunction, Scheme, SchemeSpec, form_program,
+)
 
 #: Machines addressable by name from a grid cell.
 MACHINES: Dict[str, MachineModel] = {"1U": SCALAR_1U, **PAPER_MACHINES}
@@ -167,8 +170,8 @@ def default_grid(
 # Per-function evaluation core
 #
 # Formation and estimation are independent per function, so everything
-# below works on (function, partition) pairs; both execution paths are
-# built from the same pieces, which is what makes them bit-identical.
+# below works on formed functions; the direct route and both grid paths
+# are built from the same pieces, which is what makes them bit-identical.
 
 
 @dataclass
@@ -185,47 +188,49 @@ class _FunctionPartial:
 
 
 def _schedule_function_partition(
-    partition,
-    original_ops: int,
-    final_ops: int,
-    cell: GridCell,
+    formed: FormedFunction,
     machine: MachineModel,
+    options: ScheduleOptions,
     tracer=NULL_TRACER,
     memo=None,
+    schedules: Optional[List[RegionSchedule]] = None,
 ) -> _FunctionPartial:
-    """Schedule one function's formed partition for one cell.
+    """Schedule one formed function for one machine and options.
 
     With a :class:`repro.schedule.memo.RegionMemo` supplied, regions go
     through it (hits come back as summaries); the accumulation below
-    reads only the attributes schedules and summaries share.
+    reads only the attributes schedules and summaries share.  A caller
+    that reads placements passes a ``schedules`` list (and no memo): each
+    region's :class:`RegionSchedule` is appended to it, in region order.
     """
-    options = cell.options()
     schedule_one = memo.schedule if memo is not None else schedule_region
     # Every region of a partition lives in the one CFG it was formed
     # over, and scheduling never mutates it: one liveness serves all.
-    regions = list(partition)
+    regions = list(formed.partition)
     liveness = liveness_of(regions[0].root.cfg) if regions else None
-    schedules = [
+    scheduled = [
         schedule_one(region, machine, options, liveness, tracer=tracer)
         for region in regions
     ]
+    if schedules is not None:
+        schedules.extend(scheduled)
     with tracer.span("estimate"):
-        time = sum(s.weighted_time for s in schedules)
+        time = sum(s.weighted_time for s in scheduled)
     return _FunctionPartial(
         time=time,
-        original_ops=original_ops,
-        final_ops=final_ops,
-        schedule_lengths=tuple(s.length for s in schedules),
-        copies=sum(s.copy_count for s in schedules),
-        merged=sum(s.merged_count for s in schedules),
-        speculated=sum(s.speculated_count for s in schedules),
+        original_ops=formed.original_ops,
+        final_ops=formed.final_ops,
+        schedule_lengths=tuple(s.length for s in scheduled),
+        copies=sum(s.copy_count for s in scheduled),
+        merged=sum(s.merged_count for s in scheduled),
+        speculated=sum(s.speculated_count for s in scheduled),
     )
 
 
-def _merge_partials(cell: GridCell,
+def _merge_partials(cell: Optional[GridCell],
                     partials: Sequence[_FunctionPartial]) -> CellResult:
     """Fold per-function partials (already in function order) into one
-    result, reproducing the serial runner's accumulation order."""
+    result, in the direct route's accumulation order."""
     time = 0.0
     lengths: List[int] = []
     original_ops = final_ops = copies = merged = speculated = 0
@@ -271,20 +276,12 @@ def _evaluate_group(
     """Evaluate every cell of one (benchmark, scheme) group over the
     functions ``[lo, hi)`` of ``program``.
 
-    Each function is cloned and formed once: formation is machine- and
+    Each function is formed once: formation is machine- and
     heuristic-independent, and scheduling never mutates the IR, so
     every cell schedules the same partitions.  Returns ``(index,
     partials)`` per cell, the partials in function order.
     """
-    formed = []  # (partition, original_ops, final_ops) per function
-    for function in list(program.functions())[lo:hi]:
-        with tracer.span("clone"):
-            worked = clone_function(function) if scheme.mutates \
-                else function
-        with tracer.span("formation", function=function.name):
-            partition = scheme.form(worked.cfg)
-        formed.append((partition, function.cfg.total_ops,
-                       worked.cfg.total_ops))
+    _, functions = form_program(program, scheme, lo, hi, tracer)
     if memo is not None:
         # Tier-1 sharing is id-keyed; scope it to this group's freshly
         # formed regions.
@@ -292,17 +289,100 @@ def _evaluate_group(
     out = []
     for index, cell in indexed_cells:
         machine = machine_by_name(cell.machine)
+        options = cell.options()
         with tracer.span("cell", machine=cell.machine,
                          heuristic=cell.heuristic):
             partials = [
-                _schedule_function_partition(
-                    partition, original_ops, final_ops, cell, machine,
-                    tracer, memo=memo,
-                )
-                for partition, original_ops, final_ops in formed
+                _schedule_function_partition(formed, machine, options,
+                                             tracer, memo)
+                for formed in functions
             ]
         out.append((index, partials))
     return out
+
+
+# ----------------------------------------------------------------------
+# The direct route
+
+
+@dataclass
+class EvaluationResult:
+    """Everything one (program, scheme, machine, options) run produced."""
+
+    scheme: str
+    machine: str
+    heuristic: str
+    #: Estimated execution time (profile-weighted cycles).
+    time: float = 0.0
+    #: Code expansion factor vs the original program (1.0 when the scheme
+    #: does not duplicate).
+    code_expansion: float = 1.0
+    #: Per-function partitions (on the possibly-duplicated clone).
+    partitions: List[RegionPartition] = field(default_factory=list)
+    #: All region schedules, in (function, region) order.
+    schedules: List[RegionSchedule] = field(default_factory=list)
+    #: The program the partitions refer to (clone if the scheme mutates).
+    program: Optional[Program] = None
+    #: Per-function figures, in function order.
+    partials: List[_FunctionPartial] = field(default_factory=list)
+
+    @property
+    def stats(self) -> RegionStats:
+        return partition_stats(self.partitions)
+
+    @property
+    def multi_block_stats(self) -> RegionStats:
+        return partition_stats(self.partitions, multi_block_only=True)
+
+    @property
+    def total_copies(self) -> int:
+        return sum(s.copy_count for s in self.schedules)
+
+    @property
+    def total_merged(self) -> int:
+        return sum(s.merged_count for s in self.schedules)
+
+    @property
+    def total_speculated(self) -> int:
+        return sum(s.speculated_count for s in self.schedules)
+
+
+def evaluate_program(
+    program: Program,
+    scheme: Scheme,
+    machine: MachineModel,
+    options: Optional[ScheduleOptions] = None,
+    metrics=NULL_METRICS,
+    tracer=NULL_TRACER,
+) -> EvaluationResult:
+    """Run one full formation + scheduling + estimation pipeline: the
+    shared core with the region memo off, keeping every schedule.
+
+    The input program is never modified: schemes that tail-duplicate
+    run on clones (the result's ``program``).  ``metrics`` collects
+    pipeline counters and ``tracer`` records the run as nested spans
+    (program → clone/formation, then per function
+    schedule_region/estimate → prep/renaming/ddg/priorities/
+    list_schedule).
+    """
+    options = options or ScheduleOptions()
+    with metrics_scope(metrics), \
+            tracer.span("evaluate_program", scheme=scheme.name,
+                        machine=machine.name,
+                        heuristic=options.heuristic):
+        worked, functions = form_program(program, scheme, tracer=tracer)
+        result = EvaluationResult(
+            scheme.name, machine.name, options.heuristic, program=worked,
+            partitions=[formed.partition for formed in functions])
+        for formed in functions:
+            with tracer.span("function", function=formed.function.name):
+                result.partials.append(_schedule_function_partition(
+                    formed, machine, options, tracer,
+                    schedules=result.schedules))
+        totals = _merge_partials(None, result.partials)
+        result.time = totals.time
+        result.code_expansion = totals.code_expansion
+        return result
 
 
 # ----------------------------------------------------------------------
@@ -360,22 +440,19 @@ def evaluate_cell(
     metrics=NULL_METRICS,
     tracer=NULL_TRACER,
 ) -> CellResult:
-    """Evaluate one grid cell from scratch (the reference serial path).
-
-    Exactly :func:`repro.evaluation.runner.evaluate_program` with the
-    cell's parameters, reduced to a picklable :class:`CellResult`.
-    """
+    """Evaluate one grid cell from scratch (the reference serial path):
+    :func:`evaluate_program` with the cell's parameters, reduced to a
+    picklable :class:`CellResult`."""
     if program is None:
         program = _resolve_program(cell.benchmark, None)
-    scheme = build_scheme(cell.scheme)
-    with metrics_scope(metrics), \
-            tracer.span("evaluate_cell", benchmark=cell.benchmark,
-                        scheme=cell.scheme, machine=cell.machine,
-                        heuristic=cell.heuristic):
+    with tracer.span("evaluate_cell", benchmark=cell.benchmark,
+                     scheme=cell.scheme, machine=cell.machine,
+                     heuristic=cell.heuristic):
         metrics.inc("engine.cells")
-        [(_, partials)] = _evaluate_group(program, scheme, [(0, cell)],
-                                          tracer=tracer)
-        return _merge_partials(cell, partials)
+        result = evaluate_program(program, build_scheme(cell.scheme),
+                                  machine_by_name(cell.machine),
+                                  cell.options(), metrics, tracer)
+        return _merge_partials(cell, result.partials)
 
 
 # ----------------------------------------------------------------------

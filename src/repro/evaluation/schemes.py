@@ -1,8 +1,10 @@
 """Region-formation schemes, packaged for the experiment runner.
 
 A :class:`Scheme` bundles a region former with its parameters and records
-whether formation mutates the CFG (tail duplication does), so the runner
-knows to work on a clone.  The five schemes the paper compares:
+whether formation mutates the CFG (tail duplication does);
+:func:`form_program`, through which every caller forms a program, is the
+one place that reads the flag and clones.  The five schemes the paper
+compares:
 
 * ``bb`` — basic blocks (the speedup baseline, Section 3);
 * ``slr`` — simple linear regions (Section 3);
@@ -22,10 +24,13 @@ what you call at the point of use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.ir.cfg import CFG
+from repro.ir.clone import clone_function, clone_globals
+from repro.ir.function import Function, Program
 from repro.obs.metrics import NULL_METRICS, current_metrics
+from repro.obs.tracer import NULL_TRACER
 from repro.regions.basic import form_basic_block_regions
 from repro.regions.hyperblock import HyperblockLimits, form_hyperblocks
 from repro.regions.region import RegionPartition
@@ -41,8 +46,51 @@ class Scheme:
 
     name: str
     form: Callable[[CFG], RegionPartition]
-    #: True when formation tail-duplicates (the runner clones the program).
+    #: True when formation tail-duplicates (:func:`form_program` then
+    #: forms clones).
     mutates: bool = False
+
+
+class FormedFunction(NamedTuple):
+    """One function's regions under a scheme: the function formed (a
+    clone when the scheme mutates) and its op counts before and after."""
+
+    function: Function
+    partition: RegionPartition
+    original_ops: int
+    final_ops: int
+
+
+def form_program(
+    program: Program,
+    scheme: Scheme,
+    lo: int = 0,
+    hi: Optional[int] = None,
+    tracer=NULL_TRACER,
+) -> Tuple[Program, List[FormedFunction]]:
+    """Form the functions ``[lo, hi)`` of ``program``; returns the
+    program they belong to and one :class:`FormedFunction` each.
+
+    A mutating scheme forms clones of the slice's functions, in a new
+    program with the input's entry and globals; any other scheme forms
+    the input's own.  Either way the input is left as it was.
+    """
+    functions = program.functions()[lo:hi]
+    with tracer.span("clone"):
+        if scheme.mutates:
+            worked = clone_globals(program)
+            targets = [worked.add_function(clone_function(function))
+                       for function in functions]
+        else:
+            worked, targets = program, functions
+    formed: List[FormedFunction] = []
+    for function, target in zip(functions, targets):
+        with tracer.span("formation", function=function.name):
+            partition = scheme.form(target.cfg)
+        formed.append(FormedFunction(target, partition,
+                                     function.cfg.total_ops,
+                                     target.cfg.total_ops))
+    return worked, formed
 
 
 def _counted(form: Callable[[CFG], RegionPartition]
@@ -201,8 +249,3 @@ class SchemeSpec:
         if self.limit is None:
             return treegion_td_scheme()
         return treegion_td_scheme(TreegionLimits(code_expansion=self.limit))
-
-
-def parse_scheme_spec(spec: str) -> SchemeSpec:
-    """Module-level alias for :meth:`SchemeSpec.parse`."""
-    return SchemeSpec.parse(spec)

@@ -202,36 +202,35 @@ def variation_study(
 
     Degradation 1.0 = perfectly robust.
     """
+    from repro.evaluation.engine import evaluate_program
     from repro.ir.clone import clone_program
     from repro.schedule.scheduler import ScheduleOptions, schedule_partition
 
     results: Dict[str, Dict[str, float]] = {}
     for heuristic in heuristics:
-        worked = clone_program(program)
-        scheme = scheme_factory()
-        partitions = []
-        schedules = []
         options = ScheduleOptions(heuristic=heuristic)
-        for function in worked.functions():
-            partition = scheme.form(function.cfg)
-            partitions.append(partition)
-            schedules.extend(schedule_partition(partition, machine, options))
+        # Perturbation rewrites profile weights, so it works on a copy
+        # even when the scheme itself leaves the input alone.
+        trained = evaluate_program(clone_program(program), scheme_factory(),
+                                   machine, options)
+        schedules = trained.schedules
+        cfgs = [function.cfg for function in trained.program.functions()]
         train_time = sum(s.weighted_time for s in schedules)
 
         test_times: List[float] = []
         oracle_times: List[float] = []
         for seed in seeds:
             snapshots = []
-            for function in worked.functions():
-                snapshots.append(snapshot_weights(function.cfg))
-                perturb_profile(function.cfg, seed, magnitude=magnitude)
+            for cfg in cfgs:
+                snapshots.append(snapshot_weights(cfg))
+                perturb_profile(cfg, seed, magnitude=magnitude)
             test_times.append(time_under_current_weights(schedules))
             oracle = []
-            for partition in partitions:
+            for partition in trained.partitions:
                 oracle.extend(schedule_partition(partition, machine, options))
             oracle_times.append(time_under_current_weights(oracle))
-            for function, snapshot in zip(worked.functions(), snapshots):
-                restore_weights(function.cfg, snapshot)
+            for cfg, snapshot in zip(cfgs, snapshots):
+                restore_weights(cfg, snapshot)
 
         mean_test = sum(test_times) / len(test_times)
         mean_oracle = sum(oracle_times) / len(oracle_times)

@@ -1,10 +1,11 @@
 """The ``repro gap`` driver: heuristic heights vs proven optima.
 
-For every (scheme, machine) pair this forms regions exactly the way the
-evaluation engine does (cloning first when formation mutates), solves
-each region with the exact backend (:func:`repro.exact.backend.
-solve_region` — which also yields all four heuristic heights as the
-incumbent candidates), and scores each heuristic against the optimum:
+For every scheme this forms regions exactly the way the evaluation
+engine does (:func:`repro.evaluation.schemes.form_program`).  For every
+machine it then solves each region with the exact backend
+(:func:`repro.exact.backend.solve_region` — which also yields all four
+heuristic heights as the incumbent candidates), and scores each
+heuristic against the optimum:
 
 * per-heuristic **gap histograms** (``height − optimum`` over regions
   with a proven optimum) and the fraction of regions where each
@@ -54,8 +55,8 @@ def gap_program(
     """
     from repro.api import machine as resolve_machine
     from repro.api import make_scheme
+    from repro.evaluation.schemes import form_program
     from repro.ir.analysis_cache import liveness_of
-    from repro.ir.clone import clone_program
     from repro.analysis.bounds import bounds_from_ddg
     from repro.exact.backend import DEFAULT_NODE_BUDGET, solve_region
     from repro.schedule.priorities import HEURISTICS
@@ -75,12 +76,10 @@ def gap_program(
                 "repro gap covers tree-pipeline schemes only; "
                 "hyperblock schedules through a different pipeline"
             )
+        _, functions = form_program(program, scheme)
         for machine_spec in machines:
             mach = resolve_machine(machine_spec)
-            # Formation may tail-duplicate; never touch the caller's IR.
-            worked = clone_program(program) if scheme.mutates else program
-            for function in worked.functions():
-                partition = scheme.form(function.cfg)
+            for function, partition, _, _ in functions:
                 liveness = liveness_of(function.cfg)
                 for region in partition:
                     schedule, info, problem, ddg = solve_region(

@@ -1,13 +1,14 @@
 """Version-keyed per-CFG analysis cache.
 
 Scheduling one program under several schemes, machines, and heuristics
-recomputes the same liveness sets, dominator trees, and register bounds
-over and over — every ``evaluate_program`` call walks the full CFG once
-per *region* just to reserve registers, and each scheme recomputes
-liveness on a CFG nothing has touched.  This module memoizes those
-function-level analyses keyed on :attr:`repro.ir.cfg.CFG.version`, the
-mutation counter every structural edit bumps (builder emits, parser
-appends, optimizer rewrites, tail duplication, superblock formation).
+would recompute the same liveness sets, dominator trees, and register
+bounds over and over — each region scheduled would walk the full CFG
+just to reserve registers, and each scheme would recompute liveness on
+a CFG nothing has touched.  This module memoizes those function-level
+analyses keyed on :attr:`repro.ir.cfg.CFG.version`, the mutation
+counter every structural edit bumps (builder emits, parser appends,
+optimizer rewrites, tail duplication, superblock formation).  The
+op-granular live ranges build on the cached liveness, not a second one.
 
 The invalidation contract is simple and strict:
 

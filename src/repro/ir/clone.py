@@ -66,10 +66,16 @@ def clone_function(source: Function) -> Function:
     return target
 
 
-def clone_program(source: Program) -> Program:
+def clone_globals(source: Program) -> Program:
+    """The source's entry and a copy of its globals, no functions."""
     target = Program(entry=source.entry_name)
     for var in source.globals.values():
         target.add_global(var.name, size=var.size, initial=list(var.initial))
+    return target
+
+
+def clone_program(source: Program) -> Program:
+    target = clone_globals(source)
     for function in source.functions():
         target.add_function(clone_function(function))
     return target

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.ir.clone import clone_program
 from repro.ir.function import Program
 from repro.lint.collect import lint_scope
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
@@ -39,21 +38,23 @@ def lint_schedules(
 ) -> LintReport:
     """Schedule every function of ``program`` and certify the result.
 
-    Mirrors :func:`repro.vliw.simulator.schedule_program` function by
-    function, but opens a lint scope per function so each diagnostic
-    carries the function it came from.  The schedules themselves are
-    produced by the ordinary pipeline; the certifier inside
-    ``schedule_region`` sees the open scope and reports into it.
+    Runs the direct route of :func:`repro.evaluation.engine.
+    evaluate_program` function by function (formation, then the
+    engine's per-function core with the memo off), with a lint scope
+    open around each function's scheduling so each diagnostic carries
+    the function it came from.  The certifier inside ``schedule_region``
+    sees the open scope and reports into it.
     """
-    from repro.schedule.scheduler import ScheduleOptions, schedule_partition
+    from repro.evaluation.engine import _schedule_function_partition
+    from repro.evaluation.schemes import form_program
+    from repro.schedule.scheduler import ScheduleOptions
 
     report = report if report is not None else LintReport()
     options = options or ScheduleOptions()
-    worked = clone_program(program) if scheme.mutates else program
-    for function in worked.functions():
-        with lint_scope(report, function=function.name):
-            partition = scheme.form(function.cfg)
-            schedule_partition(partition, machine, options)
+    _, functions = form_program(program, scheme)
+    for formed in functions:
+        with lint_scope(report, function=formed.function.name):
+            _schedule_function_partition(formed, machine, options)
     return report
 
 

@@ -551,8 +551,8 @@ def check_schedule(
     """Run every schedule rule over one region schedule.
 
     ``function_name`` defaults to the active lint scope's function (set by
-    the lint runner around ``schedule_program``), since regions do not
-    know which function they came from.
+    ``lint_schedules`` around each function's scheduling), since regions
+    do not know which function they came from.
     """
     if report is None:
         report = LintReport()

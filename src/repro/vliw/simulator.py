@@ -28,10 +28,10 @@ atomic ops, as the paper's compiler does).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.util.errors import InterpreterError, SchedulingError
-from repro.ir.clone import clone_program
 from repro.ir.function import Function, Program
 from repro.ir.registers import Register
 from repro.ir.types import Immediate, Opcode
@@ -40,7 +40,8 @@ from repro.interp.state import MachineState
 from repro.machine.model import MachineModel
 from repro.regions.region import RegionPartition
 from repro.schedule.schedule import RegionSchedule, SchedOp
-from repro.schedule.scheduler import ScheduleOptions, schedule_partition
+from repro.schedule.scheduler import ScheduleOptions
+from repro.evaluation.engine import evaluate_program
 from repro.evaluation.schemes import Scheme
 
 
@@ -89,14 +90,18 @@ def schedule_program(
     machine: MachineModel,
     options: Optional[ScheduleOptions] = None,
 ) -> ScheduledProgram:
-    """Form regions and schedule every function; input program untouched."""
-    options = options or ScheduleOptions()
-    worked = clone_program(program) if scheme.mutates else program
-    result = ScheduledProgram(worked, machine, scheme.name)
-    for function in worked.functions():
-        partition = scheme.form(function.cfg)
-        schedules = schedule_partition(partition, machine, options)
-        result.add(ScheduledFunction(function, partition, schedules))
+    """Form regions and schedule every function; input program untouched.
+
+    :func:`~repro.evaluation.engine.evaluate_program` (the route the grid
+    measures) reduced to executable schedules, split per function.
+    """
+    evaluated = evaluate_program(program, scheme, machine, options)
+    result = ScheduledProgram(evaluated.program, machine, scheme.name)
+    schedules = iter(evaluated.schedules)
+    for function, partition in zip(evaluated.program.functions(),
+                                   evaluated.partitions):
+        result.add(ScheduledFunction(
+            function, partition, list(islice(schedules, len(partition)))))
     return result
 
 

@@ -87,8 +87,9 @@ _cache: Dict[str, Program] = {}
 def build_benchmark(name: str, use_cache: bool = True) -> Program:
     """Generate (or fetch the cached) stand-in program for a benchmark.
 
-    Callers that mutate the CFG must clone first (the evaluation runner
-    does) — the cache hands out the same object.
+    Callers that mutate the CFG must clone first
+    (:func:`repro.evaluation.schemes.form_program` does) — the cache hands
+    out the same object.
     """
     if use_cache and name in _cache:
         return _cache[name]

@@ -307,6 +307,30 @@ class TestLiveRanges:
         assert peak[RegClass.GPR] == 1
         assert peak[RegClass.PRED] == 0
 
+    def test_dead_store_skips_exactly_the_unreachable_blocks(self):
+        """A dead mov in a block unreachable from the entry belongs to
+        ``ir.unreachable-block`` alone; one in a loop with no way out is
+        still a dead store."""
+        fn = Function("trapped")
+        b = IRBuilder(fn)
+        entry = b.block("entry")
+        spin = b.block("spin")
+        orphan = b.block("orphan")
+        b.at(entry)
+        b.jump(spin)
+        b.at(spin)
+        b.mov(1)
+        b.jump(spin)
+        b.at(orphan)
+        b.mov(2)
+        b.ret(0)
+        report = api.lint_program(program_with(fn))
+        by_rule = {}
+        for diagnostic in report.diagnostics:
+            by_rule.setdefault(diagnostic.rule, []).append(diagnostic.block)
+        assert by_rule["ir.unreachable-block"] == [orphan.bid]
+        assert by_rule["ir.dead-store"] == [spin.bid]
+
 
 # ----------------------------------------------------------------------
 # Reachability

@@ -18,7 +18,7 @@ from repro import api
 from repro.api import GridCell
 from repro.cli import main
 from repro.core import form_treegions
-from repro.evaluation.runner import evaluate_program
+from repro.evaluation.engine import evaluate_program
 from repro.evaluation.schemes import treegion_scheme, treegion_td_scheme
 from repro.interp import profile_program
 from repro.ir.dot import cfg_to_dot

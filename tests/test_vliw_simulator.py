@@ -7,6 +7,10 @@ from repro.lang import compile_source
 from repro.machine import MachineModel, VLIW_4U, VLIW_8U
 from repro.schedule import ScheduleOptions
 from repro.evaluation import bb_scheme, treegion_scheme
+from repro.evaluation.engine import (
+    GridCell, build_scheme, evaluate_cell, machine_by_name,
+)
+from repro.workloads.specint import build_benchmark
 from repro.vliw import VLIWSimulator, schedule_program, simulate
 from repro.util.errors import InterpreterError
 
@@ -147,6 +151,29 @@ class TestAccounting:
         reference.run([6])
         _res, simulator = simulate(program, treegion_scheme(), VLIW_4U, [6])
         assert simulator.memory == reference.memory
+
+
+class TestGridRoute:
+    def test_schedule_program_is_what_the_grid_measures(self):
+        """The simulator runs the engine's route: for a mutating scheme,
+        its region lengths (function, then region order) and weighted
+        time are the grid cell's."""
+        cell = GridCell("compress", "treegion-td:2.0", "4U", "dep_height")
+        program = build_benchmark(cell.benchmark)
+        expected = evaluate_cell(cell, program=program)
+        scheduled = schedule_program(program, build_scheme(cell.scheme),
+                                     machine_by_name(cell.machine),
+                                     cell.options())
+        assert scheduled.program is not program
+        functions = list(scheduled.functions.values())
+        lengths = tuple(schedule.length for function in functions
+                        for schedule in function.by_root.values())
+        assert lengths == expected.schedule_lengths
+        time = 0.0
+        for function in functions:
+            time += sum(schedule.weighted_time
+                        for schedule in function.by_root.values())
+        assert time == expected.time
 
 
 class TestNarrowMachines:
