@@ -1,17 +1,15 @@
-"""Static-analysis substrate: dataflow solver and concrete analyses.
+"""Static-analysis substrate: the per-CFG analyses and what reads them.
 
 The pieces:
 
-* :mod:`repro.analysis.solver` — generic forward/backward worklist
-  solver over CSR-packed block graphs (the lattice protocol and the
-  termination argument live in its module doc and DESIGN.md §15);
-* :mod:`repro.analysis.reaching` — reaching definitions with
+* :mod:`repro.analysis.reaching` — reaching definitions as two int
+  bitsets per block (may be uninitialized, may be defined) with
   must/may-uninitialized-use classification;
 * :mod:`repro.analysis.liveranges` — flow-sensitive live ranges, op by
   op from :mod:`repro.ir.liveness`'s block sets: dead stores and
   interference-based register-pressure estimates;
-* :mod:`repro.analysis.reachability` — unreachable blocks and
-  constant-branch pruning;
+* :mod:`repro.analysis.reachability` — constant-branch pruning and one
+  breadth-first search over the executable edges: unreachable blocks;
 * :mod:`repro.analysis.callgraph` — whole-program call graph with
   profile-weighted call-site ranking;
 * :mod:`repro.analysis.bounds` — sound per-region lower bounds on
@@ -31,12 +29,8 @@ from repro.analysis.driver import analyze_program, format_analysis
 from repro.analysis.liveranges import DeadStore, LiveRanges
 from repro.analysis.reachability import ConstBranch, Reachability
 from repro.analysis.reaching import ReachingDefinitions, UninitUse
-from repro.analysis.solver import BlockGraph, DataflowResult, solve
 
 __all__ = [
-    "BlockGraph",
-    "DataflowResult",
-    "solve",
     "ReachingDefinitions",
     "UninitUse",
     "LiveRanges",

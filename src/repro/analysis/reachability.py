@@ -10,25 +10,28 @@ across sibling arms, so the dominance check is what keeps this sound).
 
 Branches whose outcome is decided by a known constant (``BRCT``/``BRCF``
 on a constant predicate, ``SWITCH`` on a constant selector) have their
-untaken out-edges marked *dead*; forward reachability then runs on the
-generic solver with an ``edge_value`` hook that refuses to propagate
-along dead edges.  Blocks left at bottom are unreachable — either
-structurally (no path at all) or because every path in runs through the
-dead arm of a constant branch.
+untaken out-edges marked *dead*; every other edge is *executable*.  One
+breadth-first search from the entry over the executable edges then
+marks the reachable blocks.  A block it never reaches is unreachable —
+either structurally (no path at all) or because every path in runs
+through the dead arm of a constant branch.
 
-Consumers: ``ir.const-branch`` (each decided branch) and
-``ir.unreachable-block`` (each bottom block).
+Consumers: ``ir.const-branch`` (each decided branch),
+``ir.unreachable-block`` (each unreached block), and the analyses that
+skip what never executes: ``ir.dead-store`` (:mod:`.liveranges`) and
+``ir.uninit-use`` (:mod:`.reaching`, which also follows only the
+executable edges).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from collections import deque
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.ir.cfg import CFG, BasicBlock, Edge
 from repro.ir.operation import Operation
 from repro.ir.registers import Register
 from repro.ir.types import EdgeKind, Immediate, Opcode
-from repro.analysis.solver import FORWARD, BlockGraph, solve
 
 
 class ConstBranch(NamedTuple):
@@ -43,58 +46,46 @@ class ConstBranch(NamedTuple):
     dead_edges: Tuple[Edge, ...]
 
 
-class _ReachProblem:
-    """Two-point lattice (bottom/reached) with dead-edge filtering."""
-
-    direction = FORWARD
-
-    def __init__(self, dead_edge_ids: Set[int]):
-        self._dead = dead_edge_ids
-
-    def boundary(self) -> bool:
-        return True
-
-    def transfer(self, block: BasicBlock, value: bool) -> bool:
-        return value
-
-    @staticmethod
-    def join(a: bool, b: bool) -> bool:
-        return a or b
-
-    def edge_value(self, edge: Edge, value: bool) -> Optional[bool]:
-        return None if id(edge) in self._dead else value
-
-
 class Reachability:
     """Const-aware reachability facts for one CFG."""
 
     def __init__(self, cfg: CFG):
         self.cfg = cfg
-        self.graph = BlockGraph(cfg)
         self._single_defs = self._collect_single_defs(cfg)
         self._const_memo: Dict[Register, Optional[object]] = {}
         self.const_branches: List[ConstBranch] = []
-        dead: Set[int] = set()
-        for block in self.graph.blocks:
+        self._dead: Set[int] = set()
+        for block in cfg.blocks():
             decided = self._decide_branch(block)
             if decided is None:
                 continue
             self.const_branches.append(decided)
-            dead.update(id(edge) for edge in decided.dead_edges)
-        self.result = solve(self.graph, _ReachProblem(dead))
+            self._dead.update(id(edge) for edge in decided.dead_edges)
+
+        self._reached: Set[int] = set()
+        if cfg.entry is not None:
+            self._reached.add(cfg.entry.bid)
+            queue = deque((cfg.entry,))
+            while queue:
+                for edge in self.executable_edges(queue.popleft()):
+                    if edge.dst.bid not in self._reached:
+                        self._reached.add(edge.dst.bid)
+                        queue.append(edge.dst)
 
     # ------------------------------------------------------------------
 
+    def executable_edges(self, block: BasicBlock) -> Iterator[Edge]:
+        """The block's out-edges, in order, less the dead ones."""
+        dead = self._dead
+        return (edge for edge in block.out_edges if id(edge) not in dead)
+
     def is_reachable(self, block: BasicBlock) -> bool:
-        return self.result.value_in(block) is not None
+        return block.bid in self._reached
 
     def unreachable_blocks(self) -> List[BasicBlock]:
-        """Blocks no executable path reaches (entry excluded by defn)."""
-        return [
-            block
-            for index, block in enumerate(self.graph.blocks)
-            if self.result.in_values[index] is None
-        ]
+        """Blocks no executable path reaches, in bid order."""
+        return [block for block in self.cfg.blocks()
+                if block.bid not in self._reached]
 
     # ------------------------------------------------------------------
     # Constant environment

@@ -1,32 +1,32 @@
-"""Reaching definitions, with uninitialized-use classification.
+"""Reaching definitions, graded for uninitialized uses.
 
-A *def site* is one (block, op position) pair writing a register; two
-pseudo-sites complete the lattice at the function boundary:
+``ir.uninit-use`` asks two questions of every register read: can the
+register arrive *uninitialized* (no definition on some path from the
+entry), and can it arrive *defined* (a definition or a parameter on
+some path)?  Two int bitsets per block answer both, numbered by
+:meth:`repro.ir.liveness.LivenessInfo.bit` so the function has one
+register numbering:
 
-* ``UNINIT`` — the register enters the function carrying no value;
-* ``PARAM`` — the register is a declared function parameter.
+* ``uninit`` — registers with a path from the entry that no unguarded
+  def crosses.  At the entry every register but the parameters is set;
+  an unguarded (*strong*) def clears its bit.
+* ``defined`` — registers with a path from the entry through a def or
+  from a parameter.  Any def sets its bit.  Guarded (predicated) defs
+  are *weak*: they set ``defined`` but leave ``uninit`` alone, because
+  the write may be squashed at run time.
 
-The value domain maps each tracked register to the set of def sites
-reaching a program point; sites are packed ints (block dense index and
-op position), so set elements stay small and hashable.  Guarded
-(predicated) defs are *weak*: they add their site without killing what
-flowed in, because the write may be squashed at run time.  Unguarded
-defs are *strong* and replace the incoming set — the classic
-predicate-conservative formulation.
-
-By default only the *observable support* is tracked: registers with at
-least one upward-exposed use somewhere in the function (plus the
-declared parameters).  A register every block defines before reading can
-never observe its own reaching set, so carrying it through the fixpoint
-is pure overhead — on the synthetic SPEC stand-ins this cuts the tracked
-universe by an order of magnitude.  Pass ``universe`` explicitly to
-track more.
+Both are forward may-facts: a join is one ``|`` per set and a transfer
+one ``& ~strong`` and one ``| defs``, so the fixed point runs over ints.
+It follows only the edges
+:class:`~repro.analysis.reachability.Reachability` keeps executable: the
+dead arm of a constant branch neither reports reads nor lets its defs
+reach the join.
 
 Consumers:
 
-* :func:`ReachingDefinitions.uninit_uses` classifies every register read
-  as *must*-uninitialized (only ``UNINIT`` reaches: wrong on every
-  path) or *may*-uninitialized (``UNINIT`` and real defs both reach:
+* :func:`ReachingDefinitions.uninit_uses` grades every read that
+  ``uninit`` reaches as *must*-uninitialized (``defined`` does not
+  reach: wrong on every path) or *may*-uninitialized (both reach:
   wrong on some path) — the ``ir.uninit-use`` lint rule.
 * :func:`ReachingDefinitions.def_free_path` reconstructs one offending
   entry-to-use path along which the register is never strongly defined,
@@ -36,180 +36,106 @@ Consumers:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
+from repro.ir.analysis_cache import liveness_of, reachability_of
 from repro.ir.cfg import CFG, BasicBlock
 from repro.ir.operation import Operation
 from repro.ir.registers import Register
-from repro.analysis.solver import FORWARD, BlockGraph, solve
-
-#: Pseudo def sites.
-UNINIT = 0
-PARAM = 1
-_SITE_BASE = 2
-_UNINIT_SET = frozenset((UNINIT,))
-_PARAM_SET = frozenset((PARAM,))
-
-
-def pack_site(block_index: int, position: int) -> int:
-    """Pack one real def site into an int (op position capped at 16 bits)."""
-    return ((block_index << 16) | (position & 0xFFFF)) + _SITE_BASE
-
-
-def unpack_site(site: int) -> Tuple[int, int]:
-    """(block dense index, op position) of a packed real site."""
-    raw = site - _SITE_BASE
-    return raw >> 16, raw & 0xFFFF
 
 
 class UninitUse(NamedTuple):
-    """One register read that ``UNINIT`` reaches."""
+    """One register read that an uninitialized path reaches."""
 
     block: BasicBlock
     op: Operation
     position: int
     reg: Register
-    #: ``"must"`` — only UNINIT reaches; ``"may"`` — UNINIT and a real
-    #: def both reach.
+    #: ``"must"`` — no definition reaches; ``"may"`` — a definition
+    #: reaches along some paths but not others.
     kind: str
 
 
-class _ReachingProblem:
-    """The dataflow instance: forward, powerset-of-sites per register."""
-
-    direction = FORWARD
-
-    def __init__(self, graph: BlockGraph, universe: FrozenSet[Register],
-                 params: FrozenSet[Register]):
-        self.universe = universe
-        self.params = params
-        # Per block (dense index), per tracked register: (strong, sites) —
-        # whether the block unconditionally kills the incoming set, and
-        # the local sites that survive to the block's end.
-        self.summaries: List[Dict[Register, Tuple[bool, FrozenSet[int]]]] = []
-        for index, block in enumerate(graph.blocks):
-            summary: Dict[Register, Tuple[bool, List[int]]] = {}
-            for position, op in enumerate(block.ops):
-                for reg in op.dests:
-                    if reg not in universe:
-                        continue
-                    site = pack_site(index, position)
-                    strong, sites = summary.get(reg, (False, []))
-                    if op.guard is None:
-                        summary[reg] = (True, [site])
-                    else:
-                        summary[reg] = (strong, sites + [site])
-            self.summaries.append({
-                reg: (strong, frozenset(sites))
-                for reg, (strong, sites) in summary.items()
-            })
-        self._graph = graph
-
-    def boundary(self) -> Dict[Register, FrozenSet[int]]:
-        value = {reg: _UNINIT_SET for reg in self.universe}
-        for reg in self.params:
-            value[reg] = _PARAM_SET
-        return value
-
-    def transfer(self, block: BasicBlock,
-                 value: Dict[Register, FrozenSet[int]]):
-        summary = self.summaries[self._graph.index_of[block.bid]]
-        if not summary:
-            return value
-        out = dict(value)
-        for reg, (strong, sites) in summary.items():
-            if strong:
-                out[reg] = sites
-            else:
-                out[reg] = out.get(reg, _UNINIT_SET) | sites
-        return out
-
-    @staticmethod
-    def join(a: Dict[Register, FrozenSet[int]],
-             b: Dict[Register, FrozenSet[int]]):
-        if a is b:
-            return a
-        out = dict(a)
-        for reg, sites in b.items():
-            mine = out.get(reg)
-            if mine is None:
-                out[reg] = sites
-            elif not sites.issubset(mine):  # keep identity when possible
-                out[reg] = mine | sites
-        return out
-
-
-def _observable_support(cfg: CFG) -> FrozenSet[Register]:
-    """Registers with an upward-exposed use in at least one block."""
-    support: Set[Register] = set()
-    for block in cfg.blocks():
-        defined: Set[Register] = set()
-        for op in block.ops:
-            for reg in op.used_registers():
-                if reg not in defined:
-                    support.add(reg)
-            defined.update(op.dests)
-    return frozenset(support)
-
-
 class ReachingDefinitions:
-    """Fixed-point reaching-def sets for one CFG."""
+    """Uninit and defined bitsets at the entry of every reachable block."""
 
-    def __init__(self, cfg: CFG, params: Tuple[Register, ...] = (),
-                 universe: Optional[FrozenSet[Register]] = None):
+    def __init__(self, cfg: CFG, params: Tuple[Register, ...] = ()):
         self.cfg = cfg
-        self.graph = BlockGraph(cfg)
-        self.params = frozenset(params)
-        if universe is None:
-            universe = _observable_support(cfg) | self.params
-        self.universe = universe
-        self.problem = _ReachingProblem(self.graph, universe, self.params)
-        self.result = solve(self.graph, self.problem)
+        self._bit = liveness_of(cfg).bit
+        self._reach = reachability_of(cfg)
+        # Per block: the registers it defines, and those it defines
+        # unguarded.
+        self._defs: Dict[int, int] = {}
+        self._strong: Dict[int, int] = {}
+        for block in cfg.blocks():
+            defs = strong = 0
+            for op in block.ops:
+                for reg in op.dests:
+                    bit = self._bit(reg)
+                    defs |= bit
+                    if op.guard is None:
+                        strong |= bit
+            self._defs[block.bid] = defs
+            self._strong[block.bid] = strong
+
+        #: bid -> (uninit, defined) at block entry; unreached blocks are
+        #: absent.
+        self._in: Dict[int, Tuple[int, int]] = {}
+        entry = cfg.entry
+        if entry is None:
+            return
+        param_bits = 0
+        for reg in params:
+            param_bits |= self._bit(reg)
+        # ``~param_bits`` sets every bit the numbering could hand out.
+        self._in[entry.bid] = (~param_bits, param_bits)
+        queue = deque((entry,))
+        queued = {entry.bid}
+        while queue:
+            block = queue.popleft()
+            queued.discard(block.bid)
+            uninit, defined = self._in[block.bid]
+            uninit &= ~self._strong[block.bid]
+            defined |= self._defs[block.bid]
+            for edge in self._reach.executable_edges(block):
+                dst = edge.dst.bid
+                old = self._in.get(dst)
+                new = (uninit, defined) if old is None \
+                    else (old[0] | uninit, old[1] | defined)
+                if new != old:
+                    self._in[dst] = new
+                    if dst not in queued:
+                        queued.add(dst)
+                        queue.append(edge.dst)
 
     # ------------------------------------------------------------------
 
-    def reaching_in(self, block: BasicBlock):
-        """Register -> def-site set at block entry (None if unreachable)."""
-        return self.result.value_in(block)
-
-    def reaching_out(self, block: BasicBlock):
-        """Register -> def-site set at block exit (None if unreachable)."""
-        return self.result.value_out(block)
-
     def uninit_uses(self) -> List[UninitUse]:
-        """Every read (sources and guards) that ``UNINIT`` reaches.
+        """Every read (sources and guards) that ``uninit`` reaches.
 
-        Uses inside blocks no path reaches are skipped — they never
+        Uses inside unreachable blocks are skipped — they never
         execute, and ``ir.unreachable-block`` already reports the block.
         """
+        bit_of = self._bit
         found: List[UninitUse] = []
-        for index, block in enumerate(self.graph.blocks):
-            value = self.result.in_values[index]
-            if value is None:
+        for block in self.cfg.blocks():
+            state = self._in.get(block.bid)
+            if state is None:
                 continue  # unreachable
-            local: Dict[Register, Tuple[bool, FrozenSet[int]]] = {}
+            uninit, defined = state
             for position, op in enumerate(block.ops):
                 for reg in op.used_registers():
-                    if reg not in self.universe:
-                        continue
-                    strong, sites = local.get(reg, (False, frozenset()))
-                    if strong:
-                        continue  # locally defined before this read
-                    reaching = value.get(reg, _UNINIT_SET) | sites
-                    if UNINIT not in reaching:
-                        continue
-                    kind = "must" if reaching == _UNINIT_SET else "may"
-                    found.append(UninitUse(block, op, position, reg, kind))
+                    bit = bit_of(reg)
+                    if uninit & bit:
+                        kind = "may" if defined & bit else "must"
+                        found.append(
+                            UninitUse(block, op, position, reg, kind)
+                        )
                 for reg in op.dests:
-                    if reg not in self.universe:
-                        continue
-                    site = pack_site(index, position)
-                    strong, sites = local.get(reg, (False, frozenset()))
+                    bit = bit_of(reg)
+                    defined |= bit
                     if op.guard is None:
-                        local[reg] = (True, frozenset((site,)))
-                    else:
-                        local[reg] = (strong, sites | {site})
-            del local
+                        uninit &= ~bit
         return found
 
     def def_free_path(self, reg: Register,
@@ -219,33 +145,25 @@ class ReachingDefinitions:
         Returns block labels (``bb3`` style) for the lint fix hint; an
         empty list when no such path exists (the use is not uninit).
         """
-        graph = self.graph
-        target = graph.index_of[use_block.bid]
-        start = graph.entry_index
-        if start < 0:
+        entry = self.cfg.entry
+        if entry is None:
             return []
-
-        def strongly_defines(index: int) -> bool:
-            entry = self.problem.summaries[index].get(reg)
-            return entry is not None and entry[0]
-
-        parent = {start: -1}
-        queue = deque((start,))
+        bit = self._bit(reg)
+        parent = {entry.bid: None}
+        queue = deque((entry,))
         while queue:
-            i = queue.popleft()
-            if i == target:
-                path = []
-                while i != -1:
-                    path.append(f"bb{graph.blocks[i].bid}")
-                    i = parent[i]
+            block = queue.popleft()
+            if block is use_block:
+                path: List[str] = []
+                bid = block.bid
+                while bid is not None:
+                    path.append(f"bb{bid}")
+                    bid = parent[bid]
                 return list(reversed(path))
-            if i != start and i != target and strongly_defines(i):
+            if self._strong[block.bid] & bit:
                 continue  # a strong def en route kills UNINIT
-            if i == start and strongly_defines(i):
-                continue
-            for e in range(graph.succ_ptr[i], graph.succ_ptr[i + 1]):
-                succ = graph.succ[e]
-                if succ not in parent:
-                    parent[succ] = i
-                    queue.append(succ)
+            for edge in self._reach.executable_edges(block):
+                if edge.dst.bid not in parent:
+                    parent[edge.dst.bid] = block.bid
+                    queue.append(edge.dst)
         return []

@@ -8,7 +8,7 @@ the corresponding rule scopes and raises :class:`IRValidationError`
 listing *every* error found — not just the first, as the pre-lint
 verifier did.
 
-Warning-severity rules (e.g. ``ir.use-def``) never fail verification;
+Warning-severity rules (e.g. ``ir.dead-store``) never fail verification;
 they describe suspicious-but-defined constructs and are surfaced by
 ``repro lint`` instead.
 

@@ -27,7 +27,6 @@ from repro.lint.diagnostics import LintReport, Severity
 from repro.lint.registry import (
     ir_rule,
     make_emitter,
-    register_alias,
     rules_for,
 )
 
@@ -299,10 +298,8 @@ _FLOW_RULE_CAP = 10
          invariant="renaming and exit copies reason about live values; a "
                    "use that UNINIT reaches reads an undefined register")
 def _check_uninit_use(function: Function, emit) -> None:
-    # Flow-sensitive successor of the old whole-function ``ir.use-def``
-    # warning (that id is aliased to this rule): reaching definitions
-    # classify every read, and must-uninit reads carry one offending
-    # entry-to-use path in the hint.
+    # Reaching definitions classify every read, and must-uninit reads
+    # carry one offending entry-to-use path in the hint.
     cfg = function.cfg
     if cfg.entry is None:
         return
@@ -340,12 +337,6 @@ def _check_uninit_use(function: Function, emit) -> None:
              f"{overflow['may']} more may-uninitialized read(s) "
              f"(first {_FLOW_RULE_CAP} shown)",
              block=cfg.entry.bid, severity=worst)
-
-
-# ``ir.uninit-use`` subsumes the path-insensitive ``ir.use-def`` rule of
-# earlier releases; the old id keeps resolving (``--fail-on``, saved
-# JSON reports) through the registry alias table.
-register_alias("ir.use-def", "ir.uninit-use")
 
 
 @ir_rule("ir.dead-store", scope="function", severity=Severity.WARNING,

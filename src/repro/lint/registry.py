@@ -46,30 +46,14 @@ class Rule:
 
 
 _RULES: Dict[str, Rule] = {}
-#: Old rule id -> current rule id.  Renamed rules stay addressable under
-#: their historical ids (``--fail-on`` configs, stored JSON reports).
-_ALIASES: Dict[str, str] = {}
 _LOADED = False
 
 
 def register(rule: Rule) -> Rule:
-    if rule.id in _RULES or rule.id in _ALIASES:
+    if rule.id in _RULES:
         raise ValueError(f"lint rule {rule.id!r} registered twice")
     _RULES[rule.id] = rule
     return rule
-
-
-def register_alias(old_id: str, new_id: str) -> None:
-    """Make ``old_id`` resolve to the rule registered as ``new_id``."""
-    if old_id in _RULES or old_id in _ALIASES:
-        raise ValueError(f"lint rule alias {old_id!r} registered twice")
-    _ALIASES[old_id] = new_id
-
-
-def resolve_rule_id(rule_id: str) -> str:
-    """The current id for ``rule_id`` (aliases followed, one hop)."""
-    ensure_loaded()
-    return _ALIASES.get(rule_id, rule_id)
 
 
 def _decorator(id: str, family: str, scope: str, severity: Severity,
@@ -118,7 +102,7 @@ def rules_for(family: str, scope: str = None) -> List[Rule]:
 
 def get_rule(rule_id: str) -> Rule:
     ensure_loaded()
-    return _RULES[_ALIASES.get(rule_id, rule_id)]
+    return _RULES[rule_id]
 
 
 def make_emitter(rule: Rule, report, function_name: Optional[str] = None):

@@ -2,11 +2,10 @@
 
 Layers, bottom-up:
 
-* **Solver** — the generic worklist iteration: direction handling,
-  bottom values for unreachable blocks, degenerate graphs;
 * **Analyses** — reaching definitions (must/may uninit classification
-  and the path witness), live ranges (dead stores, pressure),
-  const-aware reachability, and the whole-program call graph;
+  and the path witness, checked against a set-based reference on
+  random CFGs), live ranges (dead stores, pressure), const-aware
+  reachability, and the whole-program call graph;
 * **Bounds** — per-region lower bounds stay sound (≤ every achieved
   height) on the real workloads, driven through
   ``api.analyze_program``;
@@ -17,18 +16,19 @@ Layers, bottom-up:
 
 import dataclasses
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.analysis import (
-    BlockGraph,
     CallGraph,
     LiveRanges,
     Reachability,
     ReachingDefinitions,
     region_lower_bounds,
-    solve,
 )
 from repro.analysis.liveranges import block_peak_pressure
 from repro.ir import (
@@ -36,6 +36,7 @@ from repro.ir import (
     DominatorTree,
     Function,
     IRBuilder,
+    Opcode,
     Program,
     RegClass,
     Register,
@@ -145,61 +146,6 @@ def empty_block_function():
 
 
 # ----------------------------------------------------------------------
-# Solver
-
-
-class _CollectBids:
-    """Forward union-of-bids: value_in(b) = bids on some path to b."""
-
-    direction = "forward"
-
-    def boundary(self):
-        return frozenset()
-
-    def transfer(self, block, value):
-        return value | {block.bid}
-
-    @staticmethod
-    def join(a, b):
-        return a | b
-
-
-class TestSolver:
-    def test_forward_joins_over_diamond(self):
-        fn = diamond_function()
-        blocks = {b.name: b for b in fn.cfg.blocks()}
-        result = solve(BlockGraph(fn.cfg), _CollectBids())
-        at_join = result.value_in(blocks["join"])
-        assert blocks["then"].bid in at_join
-        assert blocks["else"].bid in at_join
-        assert blocks["join"].bid not in at_join  # in-value, not out
-        assert result.value_out(blocks["join"]) == (
-            at_join | {blocks["join"].bid}
-        )
-
-    def test_unreachable_block_stays_bottom(self):
-        fn, orphan = orphan_block_function()
-        result = solve(BlockGraph(fn.cfg), _CollectBids())
-        assert result.value_in(orphan) is None
-        assert result.value_out(orphan) is None
-
-    def test_empty_cfg(self):
-        fn = Function("nothing")
-        graph = BlockGraph(fn.cfg)
-        assert len(graph) == 0
-        result = solve(graph, _CollectBids())
-        assert result.in_values == [] and result.out_values == []
-
-    def test_bad_direction_raises(self):
-        class Sideways(_CollectBids):
-            direction = "sideways"
-
-        fn = diamond_function()
-        with pytest.raises(ValueError):
-            solve(BlockGraph(fn.cfg), Sideways())
-
-
-# ----------------------------------------------------------------------
 # Reaching definitions
 
 
@@ -248,6 +194,251 @@ class TestReachingDefinitions:
         assert with_params.uninit_uses() == []
         without = ReachingDefinitions(fn.cfg)
         assert [u.kind for u in without.uninit_uses()] == ["must"]
+
+    def test_empty_function(self):
+        fn = Function("nothing")
+        reaching = ReachingDefinitions(fn.cfg)
+        assert reaching.uninit_uses() == []
+        reach = Reachability(fn.cfg)
+        assert reach.unreachable_blocks() == []
+        assert reach.const_branches == []
+
+    def test_orphan_block_reads_are_not_reported(self):
+        fn = Function("orphaned")
+        b = IRBuilder(fn)
+        entry = b.block("entry")
+        orphan = b.block("orphan")
+        b.at(entry)
+        b.ret(0)
+        b.at(orphan)
+        b.ret(Register(RegClass.GPR, 55))
+        assert ReachingDefinitions(fn.cfg).uninit_uses() == []
+
+    def test_loop_carried_def_is_may_at_the_header(self):
+        """x is read at the loop header before the body defines it: the
+        first trip reads it uninitialized, later trips do not."""
+        fn = Function("carried", [Register(RegClass.GPR, 0)])
+        fn.regs.reserve(Register(RegClass.GPR, 0))
+        b = IRBuilder(fn)
+        entry = b.block("entry")
+        header = b.block("header")
+        body = b.block("body")
+        exit_bb = b.block("exit")
+        x = b.fresh()
+        b.at(entry)
+        b.fallthrough(header)
+        b.at(header)
+        p = b.cmpp(CompareCond.LT, x, fn.params[0])
+        b.br_true(p, body, exit_bb)
+        b.at(body)
+        b.add(fn.params[0], 1, dest=x)
+        b.jump(header)
+        b.at(exit_bb)
+        b.ret(0)
+        reaching = ReachingDefinitions(fn.cfg, params=tuple(fn.params))
+        uses = reaching.uninit_uses()
+        assert [(u.block, u.reg, u.kind) for u in uses] == [
+            (header, x, "may")]
+        assert reaching.def_free_path(x, header) == [
+            f"bb{entry.bid}", f"bb{header.bid}"]
+
+    def test_dead_arm_reads_are_not_reported(self):
+        """A read in the dead arm of a constant branch belongs to
+        ``ir.unreachable-block`` alone, not to ``ir.uninit-use``."""
+        fn = Function("constbr")
+        b = IRBuilder(fn)
+        entry = b.block("entry")
+        then_bb = b.block("then")
+        else_bb = b.block("else")
+        b.at(entry)
+        p = b.cmpp(CompareCond.GT, 1, 0)
+        b.br_true(p, then_bb, else_bb)
+        b.at(then_bb)
+        b.ret(0)
+        b.at(else_bb)
+        b.ret(Register(RegClass.GPR, 55))
+        report = api.lint_program(program_with(fn))
+        by_rule = {}
+        for diagnostic in report.diagnostics:
+            by_rule.setdefault(diagnostic.rule, []).append(diagnostic.block)
+        assert by_rule["ir.unreachable-block"] == [else_bb.bid]
+        assert "ir.uninit-use" not in by_rule
+        assert report.ok
+
+    def test_dead_arm_def_does_not_reach_the_join(self):
+        """v is defined only on the never-taken arm: every executable
+        path reads it uninitialized."""
+        fn = Function("deadarm")
+        b = IRBuilder(fn)
+        entry = b.block("entry")
+        then_bb = b.block("then")
+        join = b.block("join")
+        b.at(entry)
+        p = b.cmpp(CompareCond.GT, 0, 1)
+        b.br_true(p, then_bb, join)
+        b.at(then_bb)
+        v = b.mov(7)
+        b.jump(join)
+        b.at(join)
+        b.ret(v)
+        reaching = ReachingDefinitions(fn.cfg)
+        assert [(u.reg, u.kind) for u in reaching.uninit_uses()] == [
+            (v, "must")]
+        assert reaching.def_free_path(v, join) == [
+            f"bb{entry.bid}", f"bb{join.bid}"]
+
+    def test_guarded_def_before_a_read_is_may(self):
+        """A guarded def may be squashed, so it cannot hide the read
+        after it in the same block."""
+        fn = Function("squash", [Register(RegClass.GPR, 0)])
+        fn.regs.reserve(Register(RegClass.GPR, 0))
+        b = IRBuilder(fn)
+        block = b.block("entry")
+        b.at(block)
+        p = b.cmpp(CompareCond.GT, fn.params[0], 0)
+        r1 = b.fresh()
+        b.emit(Opcode.MOV, dests=[r1], srcs=[7], guard=p)
+        b.add(r1, 1)
+        b.ret(0)
+        uses = reaching_definitions_of(fn).uninit_uses()
+        assert [(u.reg, u.kind) for u in uses] == [(r1, "may")]
+
+
+def _random_function(rng):
+    """A small random CFG: forward, back and self edges, constant and
+    data-dependent branches, guarded and unguarded defs, parameters.
+
+    Registers come from a small shared pool so defs and reads collide;
+    each constant branch tests a fresh predicate defined just before it.
+    """
+    params = [Register(RegClass.GPR, i) for i in range(rng.randint(0, 2))]
+    fn = Function("random", params)
+    gprs = [Register(RegClass.GPR, i) for i in range(5)]
+    preds = [Register(RegClass.PRED, i) for i in range(2)]
+    for reg in gprs + preds:
+        fn.regs.reserve(reg)
+    b = IRBuilder(fn)
+    blocks = [b.block(f"b{i}") for i in range(rng.randint(1, 7))]
+    for block in blocks:
+        b.at(block)
+        for _ in range(rng.randint(0, 4)):
+            roll = rng.random()
+            if roll < 0.3:
+                b.add(rng.choice(gprs), 1, dest=rng.choice(gprs))
+            elif roll < 0.5:
+                b.mov(rng.randint(0, 9), dest=rng.choice(gprs))
+            elif roll < 0.65:
+                b.cmpp(CompareCond.GT, rng.choice(gprs), 0,
+                       dest=rng.choice(preds))
+            else:
+                b.emit(Opcode.MOV, dests=[rng.choice(gprs)],
+                       srcs=[rng.choice(gprs + [3])],
+                       guard=rng.choice(preds))
+        roll = rng.random()
+        if roll < 0.2:
+            b.ret(rng.choice(gprs))
+        elif roll < 0.4:
+            b.jump(rng.choice(blocks))
+        else:
+            taken, fallthrough = rng.sample(blocks, 2) \
+                if len(blocks) > 1 else (blocks[0], blocks[0])
+            if rng.random() < 0.3:
+                p = b.cmpp(CompareCond.GT, rng.randint(0, 1), 0)
+            else:
+                p = rng.choice(preds)
+            b.br_true(p, taken, fallthrough)
+    return fn
+
+
+def _reference_uninit_uses(cfg, params, dead):
+    """Reaching def sites per register, round-robin over sets: the
+    textbook powerset lattice with ``UNINIT`` and ``PARAM`` pseudo-sites,
+    following only edges not in ``dead`` (edge ids).
+
+    Returns the reached bids and (bid, position, reg, kind) per read
+    that ``UNINIT`` reaches.
+    """
+    registers = {reg for block in cfg.blocks() for op in block.ops
+                 for reg in op.used_registers() + op.dests}
+    boundary = {reg: {"PARAM"} if reg in params else {"UNINIT"}
+                for reg in registers}
+
+    def step(block, position, op, value):
+        for reg in op.dests:
+            site = (block.bid, position)
+            value[reg] = {site} if op.guard is None else value[reg] | {site}
+
+    def transfer(block, value):
+        value = {reg: set(sites) for reg, sites in value.items()}
+        for position, op in enumerate(block.ops):
+            step(block, position, op, value)
+        return value
+
+    value_in = {block.bid: None for block in cfg.blocks()}
+    changed = True
+    while changed:
+        changed = False
+        for block in cfg.blocks():
+            flowing = [transfer(edge.src, value_in[edge.src.bid])
+                       for edge in block.in_edges
+                       if id(edge) not in dead
+                       and value_in[edge.src.bid] is not None]
+            if block is cfg.entry:
+                flowing.append(boundary)
+            if not flowing:
+                continue
+            joined = {reg: set().union(*(v[reg] for v in flowing))
+                      for reg in registers}
+            if joined != value_in[block.bid]:
+                value_in[block.bid] = joined
+                changed = True
+
+    found = []
+    for block in cfg.blocks():
+        if value_in[block.bid] is None:
+            continue
+        value = {reg: set(sites)
+                 for reg, sites in value_in[block.bid].items()}
+        for position, op in enumerate(block.ops):
+            for reg in op.used_registers():
+                if "UNINIT" in value[reg]:
+                    kind = "must" if value[reg] == {"UNINIT"} else "may"
+                    found.append((block.bid, position, reg, kind))
+            step(block, position, op, value)
+    reached = {bid for bid, value in value_in.items() if value is not None}
+    return reached, found
+
+
+class TestReachingMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=1_000_000))
+    def test_random_cfgs(self, seed):
+        fn = _random_function(random.Random(seed))
+        cfg = fn.cfg
+        reach = Reachability(cfg)
+        dead = {id(edge) for decided in reach.const_branches
+                for edge in decided.dead_edges}
+        reached, expected = _reference_uninit_uses(
+            cfg, set(fn.params), dead)
+        assert {block.bid for block in reach.unreachable_blocks()} == {
+            block.bid for block in cfg.blocks()} - reached
+
+        reaching = ReachingDefinitions(cfg, params=tuple(fn.params))
+        uses = reaching.uninit_uses()
+        assert [(u.block.bid, u.position, u.reg, u.kind)
+                for u in uses] == expected
+
+        blocks = {f"bb{block.bid}": block for block in cfg.blocks()}
+        for use in uses:
+            path = [blocks[label]
+                    for label in reaching.def_free_path(use.reg, use.block)]
+            assert path[0] is cfg.entry and path[-1] is use.block
+            for src, dst in zip(path, path[1:]):
+                assert any(edge.dst is dst and id(edge) not in dead
+                           for edge in src.out_edges)
+            for block in path[:-1]:
+                assert not any(use.reg in op.dests and op.guard is None
+                               for op in block.ops)
 
 
 # ----------------------------------------------------------------------

@@ -394,14 +394,6 @@ class TestIRRulesNegative:
         assert diag.severity is Severity.WARNING
         assert report.ok  # warnings do not fail the report
 
-    def test_use_def_alias_still_resolves(self):
-        # Saved ``--fail-on`` configs and JSON reports address the old
-        # rule id; the registry alias keeps it working.
-        from repro.lint.registry import get_rule, resolve_rule_id
-
-        assert resolve_rule_id("ir.use-def") == "ir.uninit-use"
-        assert get_rule("ir.use-def").id == "ir.uninit-use"
-
     def test_program_entry_undefined(self):
         program = program_with(diamond_function())
         program.entry_name = "missing"
@@ -549,8 +541,7 @@ class TestVerifyShim:
 
     def test_must_uninit_raises(self):
         # The flow-sensitive rule grades a read nothing ever defines as
-        # an error, so the shim now rejects what the old path-
-        # insensitive ``ir.use-def`` warning let through.
+        # an error, so the raising verifier rejects it.
         fn = Function("uses")
         b = IRBuilder(fn)
         block = b.block("entry")
