@@ -57,6 +57,7 @@ from repro.regions.stats import RegionStats, partition_stats
 from repro.schedule.priorities import HEURISTICS
 from repro.schedule.schedule import RegionSchedule
 from repro.schedule.scheduler import ScheduleOptions, schedule_region
+from repro.util.gc_policy import evaluation_gc
 from repro.evaluation.schemes import (
     FormedFunction, Scheme, SchemeSpec, form_program,
 )
@@ -198,8 +199,8 @@ def _schedule_function_partition(
     """Schedule one formed function for one machine and options.
 
     With a :class:`repro.schedule.memo.RegionMemo` supplied, regions go
-    through it (hits come back as summaries); the accumulation below
-    reads only the attributes schedules and summaries share.  A caller
+    through it and come back as summaries; the accumulation below reads
+    only the attributes schedules and summaries share.  A caller
     that reads placements passes a ``schedules`` list (and no memo): each
     region's :class:`RegionSchedule` is appended to it, in region order.
     """
@@ -568,7 +569,7 @@ def _run_task(task: _Task):
             memo.attach_store(_worker_region_store(directory, max_mb))
         before = memo.stats()
     try:
-        with metrics_scope(metrics), \
+        with evaluation_gc(), metrics_scope(metrics), \
                 tracer.span("task", parent=parent, trace_id=trace_id,
                             benchmark=bench, scheme=scheme_spec,
                             functions=f"{lo}:{hi}") as span:
@@ -747,7 +748,9 @@ def evaluate_grid(
             this call (workers open their own handles).
 
     Every path returns results bit-identical to calling
-    :func:`evaluate_cell` per cell.
+    :func:`evaluate_cell` per cell.  The call, and each pool task, runs
+    under :func:`repro.util.gc_policy.evaluation_gc`; the caller's GC
+    thresholds are restored on return.
     """
     cells = list(cells)
     if jobs == 0:
@@ -759,7 +762,8 @@ def evaluate_grid(
     stats = {"hits": 0, "misses": 0, "store_hits": 0, "bytes": 0}
     before = memo.stats() if memo is not None else None
     try:
-        with tracer.span("evaluate_grid", cells=len(cells), jobs=jobs):
+        with evaluation_gc(), \
+                tracer.span("evaluate_grid", cells=len(cells), jobs=jobs):
             if jobs <= 1 or not cells:
                 return _evaluate_grid_serial(cells, programs,
                                              program_texts, metrics, tracer,

@@ -7,8 +7,8 @@ The second scheduling backend next to the list scheduler
   (cycle-by-cycle maximal-bundle enumeration, dominance memoization,
   admissible lower-bound pruning, deterministic node budget);
 * :mod:`repro.exact.backend` — the pipeline entry: heuristic incumbent
-  seeding, the solve, and RegionSchedule materialization
-  (``ScheduleOptions(backend="exact")`` routes here);
+  seeding and the solve, returning a ScheduleRecord like the list
+  scheduler (``ScheduleOptions(backend="exact")`` routes here);
 * :mod:`repro.exact.gap` — the ``repro gap`` / ``repro.api.gap_report``
   driver scoring every heuristic's height against the proven optimum
   per region and machine-certifying the ``repro.analysis.bounds``

@@ -6,25 +6,25 @@ with ``backend="exact"``, on every route that reaches it) and the
 ``repro gap`` driver (through :func:`solve_region`).  The contract:
 
 1. every heuristic in :data:`repro.schedule.priorities.HEURISTICS` is
-   list-scheduled on the prepared problem (placement state is reset
-   between runs with
-   :meth:`~repro.schedule.prep.ScheduleProblem.reset_placement`), and
-   the best height becomes the branch-and-bound incumbent;
+   list-scheduled on the prepared problem (list scheduling writes
+   nothing to the problem, so the runs share it as they are);
 2. if the DDG lower bound (:func:`repro.analysis.bounds.bounds_from_ddg`
    — the same admissible bound ``repro analyze`` reports) already meets
    the incumbent, the incumbent is optimal and the search is skipped;
 3. otherwise :func:`repro.exact.bnb.branch_and_bound` runs under the
    options' node budget;
-4. the returned :class:`~repro.schedule.schedule.RegionSchedule` is the
-   improved schedule when the search found one, else the best
-   heuristic's schedule re-run verbatim (so a ``budget-exceeded``
-   result is bit-identical to the heuristic backend's output — same
-   bundles, same slots, same exit cycles).
+4. the returned :class:`~repro.schedule.schedule.ScheduleRecord` is the
+   improved cycle assignment when the search found one (ops placed in
+   (cycle, index) order), else the best heuristic's own record (so a
+   ``budget-exceeded`` result is bit-identical to the heuristic
+   backend's output — same bundles, same slots, same exit cycles).
 
-Improved schedules are materialized through the same post-passes as the
-list scheduler (:func:`_record_exits` / :func:`_mark_speculation`), so
-downstream consumers — the ``sched.*`` lint certifier, the VLIW
-simulator, ``dot --schedule`` — see a structurally identical object.
+Records are read like the list scheduler's: the scheduler's stage
+counts their figures, and
+:meth:`~repro.schedule.schedule.RegionSchedule.materialize` builds the
+full schedule where placements are read (:func:`solve_region`, the
+direct route), so the ``sched.*`` lint certifier, the VLIW simulator
+and ``dot --schedule`` see a structurally identical object.
 
 Restrictions: ``dominator_parallelism`` rewires consumers mid-placement
 and ``schedule_copies`` appends ops whose edges break the low-to-high
@@ -40,18 +40,14 @@ from repro.ir.liveness import LivenessInfo
 from repro.machine.model import MachineModel
 from repro.regions.region import Region
 from repro.schedule.ddg import DDG
-from repro.schedule.list_scheduler import (
-    _mark_speculation,
-    _record_exits,
-    list_schedule,
-)
+from repro.schedule.list_scheduler import list_schedule
 from repro.schedule.prep import ScheduleProblem
 from repro.schedule.priorities import (
     HEURISTICS,
     all_priority_keys,
     priority_order,
 )
-from repro.schedule.schedule import RegionSchedule
+from repro.schedule.schedule import RegionSchedule, ScheduleRecord
 from repro.schedule.scheduler import (
     ScheduleOptions,
     count_region,
@@ -112,25 +108,6 @@ class ExactInfo:
                 f"lb={self.lower_bound} nodes={self.nodes}>")
 
 
-def _schedule_from_cycles(problem: ScheduleProblem, cycle_of: List[int],
-                          copies) -> RegionSchedule:
-    """Materialize a cycle assignment as a RegionSchedule.
-
-    Ops are placed in (cycle, index) order, so slots within a bundle
-    follow op index — deterministic, and legal under every ``sched.*``
-    rule (slot order within a MultiOp carries no semantics; the
-    simulator applies its stores-first rule itself).
-    """
-    schedule = RegionSchedule(problem.region)
-    for index in sorted(range(len(cycle_of)),
-                        key=lambda i: (cycle_of[i], i)):
-        schedule.place(problem.sched_ops[index], cycle_of[index])
-    _record_exits(problem, schedule)
-    _mark_speculation(problem, schedule)
-    schedule.copies = list(copies)
-    return schedule
-
-
 def exact_schedule_problem(
     problem: ScheduleProblem,
     ddg: DDG,
@@ -138,13 +115,12 @@ def exact_schedule_problem(
     machine: MachineModel,
     options: ScheduleOptions,
     copies,
-) -> Tuple[RegionSchedule, ExactInfo]:
-    """Solve one prepared problem exactly; returns (schedule, info).
+) -> Tuple[ScheduleRecord, ExactInfo]:
+    """Solve one prepared problem exactly; returns (record, info).
 
     ``keys`` is the ``all_priority_keys`` dict when the caller already
-    has one (memo tier 1); None computes it here.
-    The problem must be placement-clean on entry; on return it holds
-    the returned schedule's placement (like any pipeline run).
+    has one (memo tier 1); None computes it here.  The problem is left
+    as it came in.
     """
     from repro.analysis.bounds import bounds_from_ddg
 
@@ -152,20 +128,17 @@ def exact_schedule_problem(
     if keys is None:
         keys = all_priority_keys(problem, ddg)
 
-    def heuristic_schedule(heuristic: str) -> RegionSchedule:
+    records: Dict[str, ScheduleRecord] = {}
+    for heuristic in HEURISTICS:
         order = priority_order(problem, ddg, heuristic,
                                keys=keys.get(heuristic))
-        return list_schedule(problem, ddg, order, machine, copies=copies,
-                             max_cycles=options.max_cycles)
-
-    heights: Dict[str, int] = {}
-    best_heuristic = HEURISTICS[0]
-    for heuristic in HEURISTICS:
-        schedule = heuristic_schedule(heuristic)
-        heights[heuristic] = schedule.length
-        if schedule.length < heights[best_heuristic]:
-            best_heuristic = heuristic
-        problem.reset_placement()
+        records[heuristic] = list_schedule(
+            problem, ddg, order, machine, copies=copies,
+            max_cycles=options.max_cycles)
+    heights = {heuristic: record.length
+               for heuristic, record in records.items()}
+    # Ties break in HEURISTICS order.
+    best_heuristic = min(HEURISTICS, key=heights.__getitem__)
     incumbent_length = heights[best_heuristic]
 
     bounds = bounds_from_ddg(problem, ddg, machine)
@@ -195,17 +168,21 @@ def exact_schedule_problem(
         )
 
     if result.best is not None:
-        schedule = _schedule_from_cycles(problem, result.best, copies)
+        # Slots within a bundle follow op index (the sort is stable):
+        # deterministic, and legal under every ``sched.*`` rule (slot
+        # order within a MultiOp carries no semantics; the simulator
+        # applies its stores-first rule itself).
+        cycle_of = list(result.best)
+        order = sorted(range(len(cycle_of)), key=cycle_of.__getitem__)
+        record = ScheduleRecord(problem, cycle_of, order, [],
+                                max(cycle_of, default=0), list(copies))
     else:
-        # No improvement (or none found in budget): the final schedule
-        # is the best heuristic's, re-run so bundles and slots are
-        # bit-identical to the heuristic backend's output.
-        schedule = heuristic_schedule(best_heuristic)
+        record = records[best_heuristic]
 
     status = PROVEN if result.proven else BUDGET_EXCEEDED
     info = ExactInfo(
         status=status,
-        length=schedule.length,
+        length=record.length,
         optimum=result.length if result.proven else None,
         lower_bound=lower_bound,
         heights=heights,
@@ -215,7 +192,7 @@ def exact_schedule_problem(
         nodes=result.nodes,
         pruned=result.pruned,
     )
-    return schedule, info
+    return record, info
 
 
 def solve_region(
@@ -239,7 +216,7 @@ def solve_region(
     problem, copies = prepare(region, machine, liveness)
     ddg = dependences(problem, machine, liveness, copies)
     options = ScheduleOptions(backend="exact", exact_budget=budget)
-    schedule, info = exact_schedule_problem(problem, ddg, None, machine,
-                                            options, copies)
+    record, info = exact_schedule_problem(problem, ddg, None, machine,
+                                          options, copies)
     count_region(region_counts(problem, ddg, info=info))
-    return schedule, info, problem, ddg
+    return RegionSchedule.materialize(problem, record), info, problem, ddg

@@ -27,8 +27,11 @@ The inner loop runs on arrays the DDG builds once in
 cycles live in a local ``cycle_of`` int array (merged ops record their
 survivor's cycle, so no ``effective_cycle`` chain is ever chased), and
 the per-cycle resource table is three parallel int lists indexed by
-``cycle - 1``.  No per-edge or per-op objects are touched until an op is
-actually placed.
+``cycle - 1``.  Placement writes nothing to any SchedOp or Operation:
+the result is a :class:`~repro.schedule.schedule.ScheduleRecord` of
+those arrays and the figures the estimate reads, and
+:meth:`~repro.schedule.schedule.RegionSchedule.materialize` builds the
+full schedule from it where placements are read.
 
 Dominator parallelism (Section 4) is folded in exactly where the paper puts
 it — at schedule time: "if a tail duplicated Op A' is speculated into a
@@ -41,13 +44,16 @@ operands *and* the same DDG producers for every register source (per-path
 renaming makes operand equality meaningful).  The merged op consumes no
 slot; its consumers are rewired to read the survivor's destinations.  The
 merge candidates (placed, unguarded, speculable duplicates, by ``origin``)
-are collected only when dominator parallelism is on.
+are collected only when dominator parallelism is on.  The merge step is
+the one place placement mutates the problem: it rewrites the consumers'
+operands, so a problem scheduled with dominator parallelism is
+single-use.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.util.errors import SchedulingError
 from repro.ir.registers import Register
@@ -55,7 +61,7 @@ from repro.machine.model import MachineModel
 from repro.schedule.ddg import DDG
 from repro.schedule.prep import ScheduleProblem
 from repro.schedule.renaming import ExitCopy
-from repro.schedule.schedule import ExitRecord, RegionSchedule, SchedOp
+from repro.schedule.schedule import SchedOp, ScheduleRecord
 
 
 def list_schedule(
@@ -66,10 +72,9 @@ def list_schedule(
     dominator_parallelism: bool = False,
     copies: Optional[List[ExitCopy]] = None,
     max_cycles: int = 1_000_000,
-) -> RegionSchedule:
+) -> ScheduleRecord:
     """Place every op of ``order`` (the heuristic-sorted DDG node list)."""
-    schedule = RegionSchedule(problem.region)
-    copies = copies if copies is not None else []
+    copies = list(copies) if copies else []
     merge_table: Dict[int, List[SchedOp]] = {}
 
     sched_ops = problem.sched_ops
@@ -90,6 +95,9 @@ def list_schedule(
     #: merged (0 = not yet placed).  Merge survivors are always already
     #: placed, so a merged op's entry is final the moment it is written.
     cycle_of = [0] * n
+    #: Placed op indices in placement order; (merged, survivor) pairs.
+    placement: List[int] = []
+    merges: List[Tuple[int, int]] = []
     is_mem, is_br = ddg.is_memory, ddg.is_branch
 
     issue_width = machine.issue_width
@@ -103,7 +111,6 @@ def list_schedule(
     placed = 0
     while ready:
         _rank, index = heappop(ready)
-        sop = sched_ops[index]
         earliest = 1
         for e in range(pred_ptr[index], pred_ptr[index + 1]):
             candidate = cycle_of[pred_src[e]] + pred_lat[e]
@@ -112,9 +119,11 @@ def list_schedule(
 
         survivor = None
         if dominator_parallelism:
+            sop = sched_ops[index]
             survivor = _find_merge_target(problem, ddg, merge_table, sop)
         if survivor is not None:
-            _merge(problem, ddg, schedule, copies, sop, survivor)
+            _merge(problem, ddg, copies, sop, survivor)
+            merges.append((index, survivor.index))
             cycle_of[index] = cycle_of[survivor.index]
         else:
             cycle = earliest
@@ -135,14 +144,15 @@ def list_schedule(
                 cycle += 1
                 if cycle > max_cycles:
                     raise SchedulingError(
-                        f"schedule exceeded {max_cycles} cycles placing {sop!r}"
+                        f"schedule exceeded {max_cycles} cycles placing "
+                        f"{sched_ops[index]!r}"
                     )
             used[slot] += 1
             if mem:
                 memory[slot] += 1
             if br:
                 branches[slot] += 1
-            schedule.place(sop, cycle)
+            placement.append(index)
             cycle_of[index] = cycle
             if (dominator_parallelism and sop.source is not None
                     and sop.op.guard is None and sop.op.can_speculate):
@@ -160,11 +170,10 @@ def list_schedule(
         raise SchedulingError(
             f"DDG has a cycle: only {placed}/{n} ops were placeable"
         )
-
-    _record_exits(problem, schedule)
-    _mark_speculation(problem, schedule)
-    schedule.copies = list(copies)
-    return schedule
+    # Every placed cycle extended the tables, and only up to it: their
+    # length is the schedule's.
+    return ScheduleRecord(problem, cycle_of, placement, merges, len(used),
+                          copies)
 
 
 # ----------------------------------------------------------------------
@@ -211,14 +220,12 @@ def _same_producers(ddg: DDG, a: SchedOp, b: SchedOp) -> bool:
 def _merge(
     problem: ScheduleProblem,
     ddg: DDG,
-    schedule: RegionSchedule,
     copies: List[ExitCopy],
     sop: SchedOp,
     survivor: SchedOp,
 ) -> None:
-    """Eliminate ``sop``; route its consumers to ``survivor``."""
-    sop.merged_into = survivor
-    schedule.merged.append(sop)
+    """Eliminate ``sop``: its consumers and exit copies read
+    ``survivor``'s destinations instead."""
     replacements = dict(zip(sop.op.dests, survivor.op.dests))
     # Rewrite every (necessarily unplaced) consumer reading sop's dests.
     index = sop.index
@@ -231,32 +238,3 @@ def _merge(
     for position, (exit, original, renamed) in enumerate(copies):
         if renamed in replacements:
             copies[position] = (exit, original, replacements[renamed])
-
-
-# ----------------------------------------------------------------------
-# Post-pass bookkeeping
-
-def _record_exits(problem: ScheduleProblem, schedule: RegionSchedule) -> None:
-    for exit in problem.exits:
-        sop = problem.exit_op_for(exit)
-        if sop.cycle is None:
-            raise SchedulingError(f"exit op for {exit!r} was never scheduled")
-        schedule.exits.append(ExitRecord(exit, sop.cycle))
-
-
-def _mark_speculation(problem: ScheduleProblem, schedule: RegionSchedule) -> None:
-    """Mark ops issued before their home guard resolves as speculative."""
-    count = 0
-    for sop in schedule.all_ops():
-        if sop.source is None or sop.exit is not None:
-            continue
-        guard = problem.guards.get(sop.home.bid)
-        if guard is None:
-            continue  # root ops are never speculative
-        guard_def = problem.guard_def.get(guard)
-        if guard_def is None or guard_def.effective_cycle is None:
-            continue
-        if sop.cycle is not None and sop.cycle <= guard_def.effective_cycle:
-            sop.op.speculative = True
-            count += 1
-    schedule.speculated_count = count

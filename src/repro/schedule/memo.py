@@ -19,9 +19,10 @@ scoped to one (benchmark, scheme) group by :meth:`RegionMemo.begin_group`):
 * prep + renaming depend on the machine only through ``use_btr``
   (:mod:`repro.schedule.prep` reads nothing else from the model), so one
   prepared :class:`~repro.schedule.prep.ScheduleProblem` serves every
-  machine of a row that agrees on it — both paper machines do.  Between
-  uses the only mutated state is per-op placement, which
-  :meth:`~repro.schedule.prep.ScheduleProblem.reset_placement` undoes;
+  machine of a row that agrees on it — both paper machines do.  The
+  list scheduler and the exact backend return a
+  :class:`~repro.schedule.schedule.ScheduleRecord` and write nothing to
+  the problem, so it is shared as it is;
 * the DDG and the four heuristics' priority keys read the machine only
   through its latency table
   (:func:`~repro.schedule.fingerprint.latency_fingerprint`), so they are
@@ -30,27 +31,29 @@ scoped to one (benchmark, scheme) group by :meth:`RegionMemo.begin_group`):
   indices per (region, latency model, heuristic): 4U and 8U share one
   sort;
 * the list scheduler reads only the problem, the DDG, the machine and
-  the order, so a finished schedule is kept per (region, machine,
-  order).  Heuristics often sort a small region the same way; the
-  second such probe reuses the first schedule instead of rerunning it;
+  the order, so a finished schedule's entry is kept per (region,
+  machine, order).  Heuristics often sort a small region the same way;
+  the second such probe reuses the first schedule instead of rerunning
+  it;
 * the region's content fingerprint and its exits' weights are read
   once per region, not once per (machine, heuristic) cell.
 
 A probe that reuses a schedule still counts as a **miss** (``hits`` and
-``store_hits`` are untouched), counts the schedule's counter record,
-stores its tier-2 entry and pack entry under its own key, and returns
-a :class:`RegionSummary` rather than the full schedule.
+``store_hits`` are untouched), counts the schedule's counter record and
+stores its tier-2 entry and pack entry under its own key.
 
 **Tier 2 — content-addressed result memo** (global, optionally
 disk-backed): the full pipeline result is a pure function of
 ``(region content, machine, heuristic, flags)``, keyed by
 :func:`repro.schedule.fingerprint.region_fingerprint` ×
 :func:`~repro.schedule.fingerprint.machine_fingerprint`.  A hit skips
-the pipeline entirely and returns a :class:`RegionSummary` carrying
-exactly what the engine consumes (weighted time, length, copy/merge/
-speculation counts).  With an artifact store attached
-(:meth:`RegionMemo.attach_store`), entries persist across processes in
-one store object per region content and flags, its *pack*, keyed by
+the pipeline entirely.  Every probe that is not a bypass, hit or
+miss, returns a :class:`RegionSummary` carrying exactly what the engine
+consumes (weighted time, length, copy/merge/speculation counts): no
+:class:`~repro.schedule.schedule.RegionSchedule` is built.  With an
+artifact store attached (:meth:`RegionMemo.attach_store`), entries
+persist across processes in one store object per region content and
+flags, its *pack*, keyed by
 :func:`repro.serve.store.region_key`: every (machine, heuristic) entry
 of the region, each under its :func:`~repro.serve.store.region_entry_id`.
 After an in-memory miss the memo reads the pack once per group (a
@@ -190,9 +193,11 @@ class _Level2Entry:
         return payload
 
     @classmethod
-    def of(cls, schedule, counts: RegionCounts) -> "_Level2Entry":
-        """The entry for a fresh schedule and its counter record."""
-        return cls(tuple(record.cycle for record in schedule.exits), counts)
+    def of(cls, record, counts: RegionCounts) -> "_Level2Entry":
+        """The entry for a fresh
+        :class:`~repro.schedule.schedule.ScheduleRecord` and its counter
+        record."""
+        return cls(record.exit_cycles, counts)
 
     @classmethod
     def from_payload(cls, payload, exit_count: int,
@@ -238,7 +243,8 @@ class RegionMemo:
         #: (id(region), latency fp, sc, heuristic) -> priority order as
         #: a tuple of op indices.
         self._orders: Dict[Tuple, Tuple[int, ...]] = {}
-        #: (id(region), machine fp, sc, order) -> finished schedule.
+        #: (id(region), machine fp, sc, order) -> the entry of a
+        #: finished schedule.
         self._schedules: Dict[Tuple, _Level2Entry] = {}
         #: (region fp, dp, sc[, backend, budget]) -> (store key, the
         #: pack's entries by entry id): each pack is read once per group.
@@ -326,11 +332,10 @@ class RegionMemo:
     ):
         """Schedule ``region`` through the memo.
 
-        Returns a full :class:`~repro.schedule.schedule.RegionSchedule`
-        when the pipeline ran (a miss or a bypass) and a
-        :class:`RegionSummary` otherwise: on a hit, and on a miss whose
-        schedule the group already holds.  Both expose the accumulation
-        attributes the engine reads.
+        Returns a :class:`RegionSummary` on every probe, hit or miss, and
+        a full :class:`~repro.schedule.schedule.RegionSchedule` only on a
+        bypass (:func:`~repro.schedule.scheduler.schedule_region` ran).
+        Both expose the accumulation attributes the engine reads.
         """
         check_options(region, options)
         if self._bypass(region, options):
@@ -370,18 +375,15 @@ class RegionMemo:
 
         if entry is not None:
             self.hits += 1
-            schedule = None
         else:
             self.misses += 1
-            entry, schedule = self._miss(region, machine, key[1], options,
-                                         liveness, tracer)
+            entry = self._miss(region, machine, key[1], options, liveness,
+                               tracer)
             self._remember(key, entry)
             if self.store is not None:
                 pack[entry_id] = entry.payload()
                 self._put_pack(store_key, pack)
         count_region(entry.counts)
-        if schedule is not None:
-            return schedule
         # Weighted time is recomputed from the *live* exit weights in
         # exit order — the fingerprint's %g quantization never leaks
         # into the estimate, and the float accumulation matches
@@ -452,8 +454,6 @@ class RegionMemo:
         problem, copies = self._shared(
             self._problems, (id(region), machine.use_btr, sc),
             lambda: prepare(region, machine, liveness, sc, tracer))
-        # The problem may hold the placement of an earlier schedule.
-        problem.reset_placement()
 
         def build_ddg_and_keys():
             ddg = dependences(problem, machine, liveness, copies, tracer)
@@ -466,12 +466,11 @@ class RegionMemo:
     def _miss(self, region, machine, machine_key, options, liveness,
               tracer):
         """Run the scheduler's stages for one tier-2 miss, with tier-1
-        sharing in front of them.
+        sharing in front of them, and return the entry.
 
-        Returns ``(entry, schedule)``.  ``schedule`` is None when the
-        group already scheduled this region for this machine in the
-        same priority order: the list scheduler reads nothing else, so
-        ``entry`` is that schedule's, counter record included.
+        When the group already scheduled this region for this machine
+        in the same priority order, that schedule's entry is returned,
+        counter record included: the list scheduler reads nothing else.
         """
         if options.dominator_parallelism:
             # The dp merge step rewrites consumer operands in place, so
@@ -480,9 +479,8 @@ class RegionMemo:
             problem, copies = prepare(region, machine, liveness,
                                       options.schedule_copies, tracer)
             ddg = dependences(problem, machine, liveness, copies, tracer)
-            schedule, counts = schedule_prepared(
-                problem, ddg, copies, machine, options, tracer=tracer)
-            return _Level2Entry.of(schedule, counts), schedule
+            return _Level2Entry.of(*schedule_prepared(
+                problem, ddg, copies, machine, options, tracer=tracer))
 
         sc = options.schedule_copies
         # Keyed by latency fingerprint, not full machine fingerprint:
@@ -508,19 +506,18 @@ class RegionMemo:
             schedule_key = (id(region), machine_key, sc, order)
             entry = self._schedules.get(schedule_key)
             if entry is not None:
-                return entry, None
+                return entry
 
         problem, copies, ddg, keys = self._prepared(
             region, machine, liveness, sc, ddg_key, tracer)
         ops = problem.sched_ops
-        schedule, counts = schedule_prepared(
+        entry = _Level2Entry.of(*schedule_prepared(
             problem, ddg, copies, machine, options, keys=keys,
             order=None if order is None else [ops[i] for i in order],
-            tracer=tracer)
-        entry = _Level2Entry.of(schedule, counts)
+            tracer=tracer))
         if order is not None:
             self._schedules[schedule_key] = entry
-        return entry, schedule
+        return entry
 
 
 # ----------------------------------------------------------------------

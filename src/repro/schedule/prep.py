@@ -30,7 +30,7 @@ into a :class:`~repro.schedule.schedule.SchedOp`.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.util.errors import SchedulingError
 from repro.ir.analysis_cache import register_bounds_of
@@ -62,9 +62,13 @@ class ScheduleProblem:
         self.exit_ops: Dict[int, SchedOp] = {}
         #: Private register namespace (reserved against the whole CFG).
         self.regs = RegisterFactory()
-        #: Cycle (op) at which each block's guard is defined, for
-        #: speculation statistics; filled by the scheduler.
+        #: Guard register -> the SchedOp that defines it (filled as prep
+        #: synthesizes guard predicates).
         self.guard_def: Dict[Register, SchedOp] = {}
+        #: (op index, index of the op defining its home block's guard)
+        #: for every original non-exit op in a guarded block: the op is
+        #: speculated when it issues no later than that definition.
+        self.speculation_pairs: List[Tuple[int, int]] = []
         #: Guard ANDs prep synthesized and names renaming minted (the
         #: ``prep.pand_merges``/``rename.registers_minted`` counters).
         self.pand_merges = 0
@@ -89,17 +93,6 @@ class ScheduleProblem:
 
     def guard_of(self, block: BasicBlock) -> Optional[Register]:
         return self.guards[block.bid]
-
-    def reset_placement(self) -> None:
-        """Undo a schedule's placement so the problem can be scheduled
-        again.  Without dominator parallelism (whose merge step rewrites
-        consumer operands) these are the only fields list scheduling
-        mutates, so a reset problem is bit-identical to a fresh one."""
-        for sop in self.sched_ops:
-            sop.cycle = None
-            sop.slot = None
-            sop.merged_into = None
-            sop.op.speculative = False
 
 
 def _reserve_all_registers(problem: ScheduleProblem) -> None:
@@ -168,6 +161,13 @@ class _Prep:
         problem.guards[self.region.root.bid] = None
         for block in self._visit_order():
             self._prep_block(block)
+        guards, guard_def = problem.guards, problem.guard_def
+        for sop in problem.sched_ops:
+            if sop.source is None or sop.exit is not None:
+                continue  # synthesized and exit ops never count
+            definer = guard_def.get(guards.get(sop.home.bid))
+            if definer is not None:  # the root has no guard
+                problem.speculation_pairs.append((sop.index, definer.index))
         return problem
 
     def _visit_order(self) -> List[BasicBlock]:

@@ -2,11 +2,16 @@
 
 A :class:`SchedOp` is the scheduler's private view of one operation: the
 underlying (possibly synthesized) :class:`~repro.ir.operation.Operation`
-is cloned on entry, so scheduling never mutates the program IR.  A
-:class:`RegionSchedule` is the result: MultiOps (one list of SchedOps per
-cycle), per-exit retire cycles, and the bookkeeping the paper's metrics
-need (copy ops from renaming, dominator-parallelism merges, speculation
-counts).
+is cloned on entry, so scheduling never mutates the program IR.
+
+A scheduler decides a :class:`ScheduleRecord`: each op's cycle, the
+order ops were placed in, the dominator-parallelism merges, and the
+figures the paper's estimate needs (exit retire cycles, length, copy,
+merge and speculation counts).  The evaluation grid reads only those
+figures.  A :class:`RegionSchedule` is the full form, built from a
+record by :meth:`RegionSchedule.materialize` where placements are read:
+MultiOps (one list of SchedOps per cycle), per-exit retire records, and
+the same bookkeeping.
 """
 
 from __future__ import annotations
@@ -104,6 +109,54 @@ class ExitRecord:
         return f"<exit {self.exit!r} retires @ cycle {self.cycle}>"
 
 
+class ScheduleRecord:
+    """One region's schedule as plain figures, built from the arrays the
+    scheduler keeps; building it writes to no SchedOp or Operation.
+
+    ``cycle_of[i]`` is op ``i``'s effective issue cycle (a merged op's
+    is its survivor's), ``order`` the placed ops' indices in placement
+    order (so slots follow it) and ``merges`` the ``(index, survivor
+    index)`` pairs dominator parallelism eliminated.  The exit cycles
+    are read through ``problem.exit_ops`` in exit order, and a placed op
+    is speculated when it issues no later than the op defining its home
+    block's guard (``problem.speculation_pairs``).
+    """
+
+    __slots__ = ("cycle_of", "order", "merges", "exit_cycles", "length",
+                 "copies", "speculated")
+
+    def __init__(self, problem, cycle_of: List[int], order: List[int],
+                 merges: List[Tuple[int, int]], length: int,
+                 copies: List[Tuple[RegionExit, Register, Register]]):
+        self.cycle_of = cycle_of
+        self.order = order
+        self.merges = merges
+        exit_ops = problem.exit_ops
+        self.exit_cycles = tuple([cycle_of[exit_ops[id(exit)].index]
+                                  for exit in problem.exits])
+        self.length = length
+        self.copies = copies
+        pairs = problem.speculation_pairs
+        if merges:
+            merged = {index for index, _ in merges}
+            pairs = [pair for pair in pairs if pair[0] not in merged]
+        #: Indices of the speculated ops.
+        self.speculated = [index for index, guard in pairs
+                           if cycle_of[index] <= cycle_of[guard]]
+
+    @property
+    def copy_count(self) -> int:
+        return len(self.copies)
+
+    @property
+    def merged_count(self) -> int:
+        return len(self.merges)
+
+    @property
+    def speculated_count(self) -> int:
+        return len(self.speculated)
+
+
 class RegionSchedule:
     """The scheduled form of one region."""
 
@@ -142,6 +195,35 @@ class RegionSchedule:
         sop.cycle = cycle
         sop.slot = len(multiop)
         multiop.append(sop)
+
+    @classmethod
+    def materialize(cls, problem, record: ScheduleRecord) -> "RegionSchedule":
+        """The full schedule of ``problem`` that ``record`` describes.
+
+        Ops are placed in the record's placement order, so every slot is
+        the one the scheduler's resource table gave it.  Every op's
+        ``cycle``/``slot``/``merged_into``/``speculative`` is set, so a
+        problem that held an earlier placement is overwritten whole.
+        """
+        schedule = cls(problem.region)
+        sched_ops = problem.sched_ops
+        for sop in sched_ops:
+            sop.cycle = sop.slot = sop.merged_into = None
+            sop.op.speculative = False
+        cycle_of = record.cycle_of
+        for index in record.order:
+            schedule.place(sched_ops[index], cycle_of[index])
+        for index, survivor in record.merges:
+            sop = sched_ops[index]
+            sop.merged_into = sched_ops[survivor]
+            schedule.merged.append(sop)
+        schedule.exits = [ExitRecord(exit, cycle) for exit, cycle
+                          in zip(problem.exits, record.exit_cycles)]
+        for index in record.speculated:
+            sched_ops[index].op.speculative = True
+        schedule.speculated_count = record.speculated_count
+        schedule.copies = list(record.copies)
+        return schedule
 
     def all_ops(self) -> List[SchedOp]:
         return [sop for multiop in self.cycles for sop in multiop]

@@ -10,9 +10,12 @@ passes, as one stage sequence.
 :func:`schedule_region` runs the stages in order: :func:`prepare` (guard
 synthesis and renaming), :func:`dependences` (the DDG) and
 :func:`schedule_prepared` (priority sort and list scheduling, or the
-exact backend).  It works for any tree-shaped region, so the same code
-schedules basic blocks, SLRs, superblocks, and treegions — only the
-region former differs between the paper's experiments.
+exact backend), then builds the
+:class:`~repro.schedule.schedule.RegionSchedule` from the last stage's
+:class:`~repro.schedule.schedule.ScheduleRecord`.  It works for any
+tree-shaped region, so the same code schedules basic blocks, SLRs,
+superblocks, and treegions — only the region former differs between
+the paper's experiments.
 
 This module is the only one that knows the stage order.  The region
 memo (:mod:`repro.schedule.memo`) puts its caches in front of the same
@@ -51,7 +54,7 @@ from repro.schedule.priorities import (
     unknown_heuristic,
 )
 from repro.schedule.renaming import ExitCopy, rename_region
-from repro.schedule.schedule import RegionSchedule, SchedOp
+from repro.schedule.schedule import RegionSchedule, SchedOp, ScheduleRecord
 
 
 #: The values :attr:`ScheduleOptions.backend` accepts.
@@ -125,18 +128,18 @@ class RegionCounts(NamedTuple):
 
 
 def region_counts(problem: ScheduleProblem, ddg: Optional[DDG] = None,
-                  schedule: Optional[RegionSchedule] = None,
+                  record: Optional[ScheduleRecord] = None,
                   info=None) -> RegionCounts:
     """The record of a region's prepared problem and, where the route
-    built them, its DDG, its schedule and the exact search's
+    built them, its DDG, its schedule's figures and the exact search's
     :class:`~repro.exact.backend.ExactInfo`."""
     absent = (None,) * 4
     return RegionCounts(
         problem.pand_merges, problem.registers_minted,
         *((ddg.num_nodes, ddg.num_edges, ddg.num_control_edges)
           if ddg is not None else absent[:3]),
-        *((schedule.length, len(schedule.copies), len(schedule.merged),
-           schedule.speculated_count) if schedule is not None else absent),
+        *((record.length, record.copy_count, record.merged_count,
+           record.speculated_count) if record is not None else absent),
         *((info.nodes, info.pruned, int(info.proven), int(info.improved))
           if info is not None else absent))
 
@@ -237,16 +240,19 @@ def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
                       keys: Optional[Dict[Heuristic, List[Tuple]]] = None,
                       order: Optional[List[SchedOp]] = None,
                       tracer=NULL_TRACER
-                      ) -> Tuple[RegionSchedule, RegionCounts]:
+                      ) -> Tuple[ScheduleRecord, RegionCounts]:
     """Stage 3: sort by priority and list-schedule (or solve exactly).
 
-    Returns the schedule and the region's :class:`RegionCounts`, which
-    the caller counts.  ``problem`` must be placement-clean
-    (:meth:`~repro.schedule.prep.ScheduleProblem.reset_placement`);
-    on return it holds the schedule's placement.  ``keys`` is an
-    :func:`~repro.schedule.priorities.all_priority_keys` dict for this
-    problem when the caller already has one; None computes what is
-    needed here.  ``order`` is this problem's
+    Returns the schedule's :class:`~repro.schedule.schedule.ScheduleRecord`
+    and the region's :class:`RegionCounts`, which the caller counts.
+    Neither backend writes to the problem, except dominator
+    parallelism's merge step (it rewrites consumer operands, so such a
+    problem is single-use); callers that read placements build the
+    :class:`RegionSchedule` with
+    :meth:`~repro.schedule.schedule.RegionSchedule.materialize`.
+    ``keys`` is an :func:`~repro.schedule.priorities.all_priority_keys`
+    dict for this problem when the caller already has one; None computes
+    what is needed here.  ``order`` is this problem's
     :func:`~repro.schedule.priorities.priority_order` for
     ``options.heuristic`` when the caller already sorted it; the list
     scheduler then skips the sort (the exact backend ignores it).
@@ -256,7 +262,7 @@ def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
         from repro.exact.backend import exact_schedule_problem
 
         with tracer.span("exact"):
-            schedule, info = exact_schedule_problem(
+            record, info = exact_schedule_problem(
                 problem, ddg, keys, machine, options, copies,
             )
     else:
@@ -267,7 +273,7 @@ def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
                     keys=keys.get(options.heuristic) if keys else None,
                 )
         with tracer.span("list_schedule"):
-            schedule = list_schedule(
+            record = list_schedule(
                 problem,
                 ddg,
                 order,
@@ -276,7 +282,7 @@ def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
                 copies=copies,
                 max_cycles=options.max_cycles,
             )
-    return schedule, region_counts(problem, ddg, schedule, info)
+    return record, region_counts(problem, ddg, record, info)
 
 
 def schedule_region(
@@ -315,11 +321,11 @@ def schedule_region(
             problem = prepare_hyperblock(region, machine, liveness)
             ddg = build_hyperblock_ddg(problem, machine, liveness)
             order = priority_order(problem, ddg, options.heuristic)
-            schedule = list_schedule(problem, ddg, order, machine, copies=[],
-                                     max_cycles=options.max_cycles)
+            record = list_schedule(problem, ddg, order, machine, copies=[],
+                                   max_cycles=options.max_cycles)
         # The DAG dependences are not counted: only prep and schedule.
-        count_region(region_counts(problem, schedule=schedule))
-        return schedule
+        count_region(region_counts(problem, record=record))
+        return RegionSchedule.materialize(problem, record)
     with tracer.span("schedule_region", region=region.root.bid,
                      blocks=len(region.blocks),
                      machine=machine.name,
@@ -327,9 +333,10 @@ def schedule_region(
         problem, copies = prepare(region, machine, liveness,
                                   options.schedule_copies, tracer)
         ddg = dependences(problem, machine, liveness, copies, tracer)
-        schedule, counts = schedule_prepared(problem, ddg, copies, machine,
-                                             options, tracer=tracer)
+        record, counts = schedule_prepared(problem, ddg, copies, machine,
+                                           options, tracer=tracer)
         count_region(counts)
+        schedule = RegionSchedule.materialize(problem, record)
         if options.certify or current_collector() is not None:
             with tracer.span("certify"):
                 _certify(problem, ddg, schedule, machine, liveness, options)

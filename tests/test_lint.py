@@ -54,6 +54,7 @@ from repro.schedule.list_scheduler import list_schedule
 from repro.schedule.prep import prepare_region
 from repro.schedule.priorities import GLOBAL_WEIGHT, HEURISTICS, priority_order
 from repro.schedule.renaming import rename_region
+from repro.schedule.schedule import RegionSchedule
 from repro.util.errors import IRValidationError, ScheduleCertificationError
 from repro.workloads.minic_programs import build_minic_program
 from repro.workloads.paper_example import build_paper_example
@@ -83,8 +84,9 @@ def _triple(fn, machine=VLIW_4U, heuristic=GLOBAL_WEIGHT, dp=False,
     copies = rename_region(problem, liveness)
     ddg = build_ddg(problem, machine, liveness=liveness, copies=copies)
     order = priority_order(problem, ddg, heuristic)
-    schedule = list_schedule(problem, ddg, order, machine,
-                             dominator_parallelism=dp, copies=copies)
+    schedule = RegionSchedule.materialize(problem, list_schedule(
+        problem, ddg, order, machine, dominator_parallelism=dp,
+        copies=copies))
     return problem, ddg, schedule, liveness
 
 
