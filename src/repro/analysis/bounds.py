@@ -41,7 +41,8 @@ tree-pipeline regions under default
 :class:`~repro.schedule.scheduler.ScheduleOptions` —
 ``dominator_parallelism`` may merge duplicate ops (an op stops
 consuming a slot and inherits its survivor's cycle), which invalidates
-both arguments, and ``schedule_copies`` adds ops after the DDG is built.
+both arguments, and ``schedule_copies`` schedules extra COPY ops
+that the default problem the bound reads does not hold.
 The corpus soundness gate and the validate oracle check the bound
 against all four heuristics on exactly that default configuration, and
 the exact backend (:mod:`repro.exact`) machine-certifies it against
@@ -109,13 +110,12 @@ def _windowed_floor(values: List[int], cap: int) -> int:
 
 
 def bounds_from_ddg(problem, ddg, machine: MachineModel) -> RegionBounds:
-    """The bound math over an already-built (finalized) placement DDG.
+    """The bound math over an already-built placement DDG.
 
     ``problem``/``ddg`` must come from the default pipeline (no
     materialized copy ops, no dominator parallelism) — the soundness
     scope documented on the module.
     """
-    ddg.finalize()
     n = len(problem.sched_ops)
     if n == 0:
         return RegionBounds(0, 0, 0, 0, 0)

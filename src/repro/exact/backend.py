@@ -124,7 +124,6 @@ def exact_schedule_problem(
     """
     from repro.analysis.bounds import bounds_from_ddg
 
-    ddg.finalize()
     if keys is None:
         keys = all_priority_keys(problem, ddg)
 

@@ -5,9 +5,10 @@ compares against :class:`repro.analysis.bounds.RegionBounds`) over
 exactly the legality constraints the list scheduler enforces: every op
 issues once, no earlier than ``cycle(pred) + latency`` over the
 placement edges of the CSR-packed DDG, within ``issue_width`` slots per
-cycle and the optional memory/branch per-cycle caps.  Height-only
-control edges are excluded — the list scheduler speculates through
-them, so an "optimal" schedule must be allowed to as well.
+cycle and the optional memory/branch per-cycle caps.  Control
+dependences only raise heights and are not in the arrays — the list
+scheduler speculates through them, so an "optimal" schedule must be
+allowed to as well.
 
 **Search space.**  Cycle-by-cycle bundle enumeration: the search fixes
 the complete MultiOp of cycle 1, then cycle 2, and so on.  Within one
@@ -101,7 +102,7 @@ def branch_and_bound(
 ) -> BnBResult:
     """Search for a schedule strictly shorter than ``incumbent``.
 
-    ``pred_ptr``/``succ_*`` are the DDG's finalized CSR placement
+    ``pred_ptr``/``succ_*`` are the DDG's CSR placement
     arrays; every edge must point from a lower to a higher index (true
     for tree-preorder problems without materialized copy ops — the
     caller enforces that restriction).

@@ -190,7 +190,6 @@ def _check_pressure(ctx: ScheduleContext, emit) -> None:
 def _check_latency(ctx: ScheduleContext, emit) -> None:
     ops = ctx.problem.sched_ops
     ddg = ctx.ddg
-    ddg.finalize()
     for src_index, src in enumerate(ops):
         if src.merged_into is not None:
             continue  # eliminated: anti/output edges on it are moot
@@ -479,7 +478,6 @@ def _check_merges(ctx: ScheduleContext, emit) -> None:
         stale = {old for old, new in replacements.items() if old != new}
         if not stale:
             continue
-        ctx.ddg.finalize()
         succ_ptr = ctx.ddg.succ_ptr
         for edge in range(succ_ptr[sop.index], succ_ptr[sop.index + 1]):
             consumer = ctx.problem.sched_ops[ctx.ddg.succ_dst[edge]]

@@ -27,7 +27,7 @@ budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.util.ordered import OrderedSet
 from repro.ir.cfg import BasicBlock, CFG
@@ -116,6 +116,12 @@ class Hyperblock(Region):
                 if edge.dst.bid not in member_ids or edge.dst is self.root:
                     count += 1
         return count
+
+    def exit_counts(self) -> Dict[int, int]:
+        """Every member's :meth:`exit_count_below`: joins make the
+        reachable sets overlap, so each block counts its own."""
+        return {block.bid: self.exit_count_below(block)
+                for block in self.blocks}
 
 
 def _has_call(block: BasicBlock) -> bool:

@@ -59,12 +59,12 @@ class Region:
     parent is a member is enforced.
     """
 
-    _next_rid = 0
-
     def __init__(self, kind: str):
         self.kind = kind
-        Region._next_rid += 1
-        self.rid = Region._next_rid
+        #: 1-based position in the owning :class:`RegionPartition`, in
+        #: ``add`` order (0 until added), so printed ids depend only on
+        #: the partition's own construction order.
+        self.rid = 0
         self.blocks: List[BasicBlock] = []
         self._members: Dict[int, BasicBlock] = {}
         self._parent: Dict[int, Optional[BasicBlock]] = {}
@@ -212,6 +212,29 @@ class Region:
                     count += 1
         return count
 
+    def exit_counts(self) -> Dict[int, int]:
+        """Every member's :meth:`exit_count_below`, keyed by bid, in one
+        bottom-up pass.
+
+        In a tree every in-region edge runs from a parent to its child,
+        so a block's count is its own exits plus its children's counts;
+        blocks are kept parents first, so the reverse visits children
+        first.
+        """
+        counts: Dict[int, int] = {}
+        root = self.root
+        for block in reversed(self.blocks):
+            term = block.terminator
+            if term is not None and term.opcode is Opcode.RET:
+                count = 1
+            else:
+                count = sum(1 for edge in block.out_edges
+                            if edge.dst not in self or edge.dst is root)
+            for child in self._children[block.bid]:
+                count += counts[child.bid]
+            counts[block.bid] = count
+        return counts
+
     # ------------------------------------------------------------------
     # Statistics
 
@@ -246,6 +269,7 @@ class RegionPartition:
 
     def add(self, region: Region) -> Region:
         self.regions.append(region)
+        region.rid = len(self.regions)
         for block in region.blocks:
             if block.bid in self._by_block:
                 raise SchedulingError(

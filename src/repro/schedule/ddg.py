@@ -25,25 +25,41 @@ down the tree therefore builds all edges, carrying per-path state:
   issuing *in* the exit cycle is allowed, as ``r6 = 5`` does in the
   paper's Figure 5.
 
-Op indices are assigned in tree preorder, so every edge points from a lower
-to a higher index and the graph is a DAG by construction; heights are
-computed in one reverse sweep.
+**Walk order.**  The walk visits blocks in tree preorder (a hyperblock's
+in topological order) and each block's ops in ``by_block`` order.  Every
+edge into op *i* is found while the walk visits *i*, and its source was
+visited earlier, so walk order is topological for every edge.  It is
+usually index order too, but not under ``schedule_copies``: a COPY op
+sits before its exit branch in ``by_block`` yet carries a higher index.
 
-**Storage layout.**  The grid hot path builds this graph 14k+ times per
-run, so edges are kept *flat*: construction appends to three parallel int
-lists (``src``/``dst``/``latency`` per placement edge, in insertion
-order), deduplicated through a set of packed ints.  :meth:`DDG.finalize`
-converts the flat stream into CSR form — ``pred_ptr``/``pred_src``/
-``pred_lat`` index predecessor edges of op *i* as the half-open slice
-``pred_ptr[i]:pred_ptr[i+1]``, and likewise ``succ_ptr``/``succ_dst``/
-``succ_lat`` and the control-edge arrays — which is what
-:func:`~repro.schedule.list_scheduler.list_schedule` and
-:meth:`DDG.compute_heights` iterate, as do the schedule-legality lint
-rules; the scheduling hot path never allocates a single per-edge tuple.
+**Control dependences** are the paper's "every op below a branch
+depends on it": each branch-role op (exit branches, returns, and the
+guard predicate ops standing in for internal branches) controls every
+op strictly below its block.  Speculation lets the scheduler break them,
+so they never constrain placement and are never stored; they only make
+branches and compare chains tall, and therefore urgent under the
+dependence-height heuristic, as in Figure 5 where the CMPPs and branches
+issue as early as their data allows.  ``num_control_edges`` counts them
+and the height sweep adds them.
+
+**Storage.**  A cold evaluation of the paper's grid builds about 1,700
+of these graphs, averaging 20 ops, so the graph is built straight into
+CSR form.  The walk appends op *i*'s predecessor edges — first
+occurrence of each ``(source, latency)`` pair, in the order found — to
+``pred_src``/``pred_lat``, so ``pred_ptr[i]:pred_ptr[i+1]`` is op *i*'s
+half-open slice.  One reverse sweep over walk order then computes every
+height (longest path to a sink over placement and control edges) and
+fills the successor arrays ``succ_ptr``/``succ_dst``/``succ_lat``, whose
+per-op order is walk order by destination.  A DDG is complete when
+built: :func:`~repro.schedule.list_scheduler.list_schedule`, the
+schedule-legality lint rules, the bounds and the exact backend read the
+arrays as they are, and the scheduling hot path never allocates a
+per-edge object after construction.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from repro.ir.cfg import BasicBlock
@@ -56,63 +72,45 @@ from repro.schedule.prep import ScheduleProblem
 from repro.schedule.renaming import ExitCopy
 from repro.schedule.schedule import SchedOp
 
-#: Packed-edge encoding: ``(src << SHIFT | dst) << LAT_BITS | latency``.
-#: Valid while indices fit in SHIFT bits and latency in LAT_BITS bits;
-#: out-of-range edges (never seen in practice) fall back to tuples in the
-#: same dedup set.
-_IDX_SHIFT = 21
-_IDX_LIMIT = 1 << _IDX_SHIFT
-_LAT_BITS = 10
-_LAT_LIMIT = 1 << _LAT_BITS
+#: Opcodes of the guard predicate ops prep synthesizes for internal
+#: branches: with exit ops, the branch-role ops of a tree region.
+BRANCH_GUARDS = frozenset((Opcode.CMPP, Opcode.PAND, Opcode.PANDCN,
+                           Opcode.NINSET))
 
 
 class DDG:
-    """Dependence edges + heights over a :class:`ScheduleProblem`.
+    """Dependence edges + heights over a :class:`ScheduleProblem`, as
+    CSR arrays indexed like ``sched_ops``.
 
-    Two edge populations share the graph:
-
-    * **placement edges** (``preds``/``succs``) constrain the list
-      scheduler: flow, anti, output, memory, and exit requirements;
-    * **height-only control edges** (``control_succs``) reproduce the
-      control dependences of the paper's DDG: every op below a branch is
-      control-dependent on it.  Speculation means the scheduler is free
-      to *break* these at placement time (they never constrain placement
-      here), but dependence heights are computed over both populations —
-      which is what makes branches and compare chains tall and therefore
-      urgent under the dependence-height heuristic, exactly as in the
-      paper's Figure 5 schedule where the CMPPs and branches issue as
-      early as their data allows.
+    The placement edges (flow, anti, output, memory and exit) constrain
+    the list scheduler; the control dependences only raise heights (see
+    the module docstring).  A builder walks the region calling
+    :meth:`add_preds` once per op in walk order, then :meth:`close`.
     """
 
-    def __init__(self, problem: ScheduleProblem):
-        self.problem = problem
-        n = len(problem.sched_ops)
-        self._n = n
-        # Flat placement-edge stream in insertion order.
-        self._edge_src: List[int] = []
-        self._edge_dst: List[int] = []
-        self._edge_lat: List[int] = []
-        # Flat height-only control-edge stream.
-        self._cedge_src: List[int] = []
-        self._cedge_dst: List[int] = []
-        self._edge_set = set()
-        self._dirty = True
-        # CSR arrays (populated by finalize()).
+    def __init__(self, problem: ScheduleProblem, machine: MachineModel):
+        sched_ops = problem.sched_ops
+        n = len(sched_ops)
+        self.num_nodes = n
+        self.num_edges = 0
+        self.num_control_edges = 0
+        #: Per-op columns: result latency and the resource classes the
+        #: list scheduler's slot caps test (memory ops, branches).
+        opcodes = [sop.op.opcode for sop in sched_ops]
+        latency = machine.latency_of
+        self.latency: List[int] = [latency(opcode) for opcode in opcodes]
+        self.is_memory: List[bool] = [opcode.is_memory for opcode in opcodes]
+        self.is_branch: List[bool] = [opcode.is_branch for opcode in opcodes]
+        #: Predecessor edges of op i: ``pred_src``/``pred_lat`` over
+        #: ``pred_ptr[i]:pred_ptr[i+1]``; ``in_degree[i]`` is their count.
         self.pred_ptr: List[int] = []
         self.pred_src: List[int] = []
         self.pred_lat: List[int] = []
+        self.in_degree: List[int] = [0] * n
+        #: Successor edges of op i, likewise over ``succ_ptr``.
         self.succ_ptr: List[int] = []
         self.succ_dst: List[int] = []
         self.succ_lat: List[int] = []
-        self.cpred_ptr: List[int] = []
-        self.cpred_src: List[int] = []
-        self.csucc_ptr: List[int] = []
-        self.csucc_dst: List[int] = []
-        self.in_degree: List[int] = []
-        #: Per-op resource classes for the list scheduler's slot caps
-        #: (memory ops, branches), indexed like ``sched_ops``.
-        self.is_memory: List[bool] = []
-        self.is_branch: List[bool] = []
         #: producers[i][reg] = index of the SchedOp whose def of ``reg``
         #: op ``i`` reads (register flow only); used by dominator
         #: parallelism to prove two duplicates read identical values.
@@ -122,204 +120,116 @@ class DDG:
         #: only merge two duplicated loads when these match — otherwise
         #: they observe different memory states.
         self.mem_producers: List[Optional[int]] = [None] * n
-        self.heights: List[int] = [0] * n
+        self.heights: List[int] = []
 
-    # ------------------------------------------------------------------
-    # Construction (flat appends, packed-int dedup)
-
-    def add_edge(self, src: int, dst: int, latency: int) -> None:
-        if src == dst:
-            return
-        if src < _IDX_LIMIT and dst < _IDX_LIMIT and latency < _LAT_LIMIT:
-            key = ((src << _IDX_SHIFT) | dst) << _LAT_BITS | latency
-        else:
-            key = (src, dst, latency)
-        edge_set = self._edge_set
-        if key in edge_set:
-            return
-        edge_set.add(key)
-        self._edge_src.append(src)
-        self._edge_dst.append(dst)
-        self._edge_lat.append(latency)
-        self._dirty = True
-
-    def add_control_edge(self, src: int, dst: int) -> None:
-        """A breakable (height-only) control dependence at latency 1."""
-        if src != dst:
-            self._cedge_src.append(src)
-            self._cedge_dst.append(dst)
-            self._dirty = True
-
-    @property
-    def num_nodes(self) -> int:
-        return self._n
-
-    @property
-    def num_edges(self) -> int:
-        return len(self._edge_src)
-
-    @property
-    def num_control_edges(self) -> int:
-        return len(self._cedge_src)
-
-    # ------------------------------------------------------------------
-    # CSR finalization
-
-    def finalize(self) -> None:
-        """Build the CSR arrays from the flat edge stream, and the per-op
-        resource flags (idempotent).
-
-        Per-node edge order in CSR equals global insertion order
-        restricted to the node — bit-identical to what the old per-node
-        append lists held, so the scheduler sees edges in the same order
-        as before the flat rewrite.  The flags are built here, once per
-        graph, because every list schedule over the graph (each machine
-        and priority order of a group) reads them.
+    def add_preds(self, i: int, edges: List[Tuple[int, int]]) -> None:
+        """Record op ``i``'s ``(source, latency)`` edges, found in this
+        order while the walk visits ``i``; a repeated pair counts once.
         """
-        sched_ops = self.problem.sched_ops
-        n = len(sched_ops)
-        if not self._dirty and n == self._n:
-            return
-        if len(self.heights) < n:
-            # Ops were appended after construction (copy insertion).
-            self.heights.extend([0] * (n - len(self.heights)))
-        self._n = n
-        self.is_memory = [sop.op.is_memory for sop in sched_ops]
-        self.is_branch = [sop.op.is_branch for sop in sched_ops]
+        if edges:
+            if len(edges) > 1:
+                edges = dict.fromkeys(edges)
+            pred_src, pred_lat = self.pred_src, self.pred_lat
+            for src, latency in edges:
+                pred_src.append(src)
+                pred_lat.append(latency)
+            self.in_degree[i] = len(edges)
 
-        src_list, dst_list, lat_list = \
-            self._edge_src, self._edge_dst, self._edge_lat
-        pred_ptr = [0] * (n + 1)
-        succ_ptr = [0] * (n + 1)
-        for dst in dst_list:
-            pred_ptr[dst + 1] += 1
-        for src in src_list:
-            succ_ptr[src + 1] += 1
-        for i in range(n):
-            pred_ptr[i + 1] += pred_ptr[i]
-            succ_ptr[i + 1] += succ_ptr[i]
-        m = len(src_list)
-        pred_src = [0] * m
-        pred_lat = [0] * m
+    def close(self, problem: ScheduleProblem, blocks: List[BasicBlock],
+              above: Dict[int, Tuple[int, ...]], below_ops: Dict[int, int],
+              branch_guards: AbstractSet[Opcode]) -> None:
+        """Lay the walk's edges out as CSR and take heights in one
+        reverse sweep over walk order.
+
+        ``blocks`` is the walk's block order, ``above[bid]`` the bids of
+        the blocks directly above a block, ``below_ops[bid]`` the number
+        of ops strictly below it (the control targets of each of its
+        branch-role ops), and ``branch_guards`` the opcodes of the
+        synthesized guard ops that count as branch-role.
+        """
+        by_block = problem.by_block
+        n = self.num_nodes
+        in_degree = self.in_degree
+        pred_ptr = [0, *accumulate(in_degree)]
+        pred_src, pred_lat = self.pred_src, self.pred_lat
+        walk = [sop.index for block in blocks for sop in by_block[block.bid]]
+        if walk != list(range(n)):
+            # COPY ops were visited out of index order: regroup by index.
+            start = [0] * n
+            position = 0
+            for i in walk:
+                start[i] = position
+                position += in_degree[i]
+            pred_src = [pred_src[e] for i in range(n)
+                        for e in range(start[i], start[i] + in_degree[i])]
+            pred_lat = [pred_lat[e] for i in range(n)
+                        for e in range(start[i], start[i] + in_degree[i])]
+        m = len(pred_src)
+
+        counts = [0] * n
+        for src in pred_src:
+            counts[src] += 1
+        succ_ptr = [0, *accumulate(counts)]
+        # Filled from each op's end backwards, by the reverse sweep.
+        fill = succ_ptr[1:]
         succ_dst = [0] * m
         succ_lat = [0] * m
-        pred_fill = pred_ptr[:n]
-        succ_fill = succ_ptr[:n]
-        for e in range(m):
-            src = src_list[e]
-            dst = dst_list[e]
-            lat = lat_list[e]
-            slot = pred_fill[dst]
-            pred_src[slot] = src
-            pred_lat[slot] = lat
-            pred_fill[dst] = slot + 1
-            slot = succ_fill[src]
-            succ_dst[slot] = dst
-            succ_lat[slot] = lat
-            succ_fill[src] = slot + 1
+
+        heights = list(self.latency)
+        # bid -> the greatest height strictly below the block (absent:
+        # no op below it).
+        below_max: Dict[int, int] = {}
+        control = 0
+        for block in reversed(blocks):
+            bid = block.bid
+            below = below_max.get(bid, -1)
+            top = below
+            for sop in reversed(by_block[bid]):
+                i = sop.index
+                height = heights[i]
+                if below >= 0 and (sop.exit is not None or (
+                        sop.source is None
+                        and sop.op.opcode in branch_guards)):
+                    control += below_ops[bid]
+                    if below >= height:
+                        height = heights[i] = below + 1
+                if height > top:
+                    top = height
+                for e in range(pred_ptr[i + 1] - 1, pred_ptr[i] - 1, -1):
+                    src = pred_src[e]
+                    latency = pred_lat[e]
+                    slot = fill[src] - 1
+                    fill[src] = slot
+                    succ_dst[slot] = i
+                    succ_lat[slot] = latency
+                    if latency + height > heights[src]:
+                        heights[src] = latency + height
+            for up in above.get(bid, ()):
+                if top > below_max.get(up, -1):
+                    below_max[up] = top
+
         self.pred_ptr, self.pred_src, self.pred_lat = \
             pred_ptr, pred_src, pred_lat
         self.succ_ptr, self.succ_dst, self.succ_lat = \
             succ_ptr, succ_dst, succ_lat
-        self.in_degree = [pred_ptr[i + 1] - pred_ptr[i] for i in range(n)]
-
-        csrc, cdst = self._cedge_src, self._cedge_dst
-        cpred_ptr = [0] * (n + 1)
-        csucc_ptr = [0] * (n + 1)
-        for dst in cdst:
-            cpred_ptr[dst + 1] += 1
-        for src in csrc:
-            csucc_ptr[src + 1] += 1
-        for i in range(n):
-            cpred_ptr[i + 1] += cpred_ptr[i]
-            csucc_ptr[i + 1] += csucc_ptr[i]
-        cm = len(csrc)
-        cpred_src = [0] * cm
-        csucc_dst = [0] * cm
-        cpred_fill = cpred_ptr[:n]
-        csucc_fill = csucc_ptr[:n]
-        for e in range(cm):
-            src = csrc[e]
-            dst = cdst[e]
-            slot = cpred_fill[dst]
-            cpred_src[slot] = src
-            cpred_fill[dst] = slot + 1
-            slot = csucc_fill[src]
-            csucc_dst[slot] = dst
-            csucc_fill[src] = slot + 1
-        self.cpred_ptr, self.cpred_src = cpred_ptr, cpred_src
-        self.csucc_ptr, self.csucc_dst = csucc_ptr, csucc_dst
-        self._dirty = False
-
-    # ------------------------------------------------------------------
-
-    def compute_heights(self, machine: MachineModel) -> None:
-        """Longest path to any sink over placement + control edges.
-
-        Computed in reverse topological (Kahn) order over the CSR arrays
-        so late insertions — the scheduled-copies ablation adds COPY ops
-        that *precede* the exit branches created before them — are
-        handled regardless of index order.
-        """
-        self.finalize()
-        n = self._n
-        ops = self.problem.sched_ops
-        heights = self.heights
-        latency = machine.latency
-        pred_ptr, pred_src = self.pred_ptr, self.pred_src
-        succ_ptr, succ_dst, succ_lat = \
-            self.succ_ptr, self.succ_dst, self.succ_lat
-        cpred_ptr, cpred_src = self.cpred_ptr, self.cpred_src
-        csucc_ptr, csucc_dst = self.csucc_ptr, self.csucc_dst
-
-        unresolved = [
-            succ_ptr[i + 1] - succ_ptr[i] + csucc_ptr[i + 1] - csucc_ptr[i]
-            for i in range(n)
-        ]
-        ready = [i for i in range(n) if unresolved[i] == 0]
-        resolved = 0
-        while ready:
-            i = ready.pop()
-            resolved += 1
-            best = latency(ops[i].op)
-            for e in range(succ_ptr[i], succ_ptr[i + 1]):
-                candidate = succ_lat[e] + heights[succ_dst[e]]
-                if candidate > best:
-                    best = candidate
-            for e in range(csucc_ptr[i], csucc_ptr[i + 1]):
-                candidate = 1 + heights[csucc_dst[e]]
-                if candidate > best:
-                    best = candidate
-            heights[i] = best
-            for e in range(pred_ptr[i], pred_ptr[i + 1]):
-                j = pred_src[e]
-                unresolved[j] -= 1
-                if unresolved[j] == 0:
-                    ready.append(j)
-            for e in range(cpred_ptr[i], cpred_ptr[i + 1]):
-                j = cpred_src[e]
-                unresolved[j] -= 1
-                if unresolved[j] == 0:
-                    ready.append(j)
-        if resolved != n:
-            raise AssertionError("DDG has a cycle; heights undefined")
+        self.heights = heights
+        self.num_edges = m
+        self.num_control_edges = control
 
 
 class _PathState:
     """Per-path dependence state carried down the tree walk.
 
-    Forking is copy-on-write: a fork shares the parent's maps and copies
-    them only on the child's first write (:meth:`own`).  The old eager
-    fork deep-copied every dict and list once *per tree child*, which is
-    quadratic on bushy treegions (a 40-way switch fans a full path state
-    out 40 times at every level).  Sequence-valued state (``uses_since``
-    values, ``loads_since``, ``side_ops``) is stored as tuples, so shared
-    references are immutable and "appending" simply rebinds a fresh tuple
-    on one state without touching its siblings.
+    The first child of a block adopts its parent's state outright (the
+    parent is done with it), so linear chains never copy; every other
+    child starts from a copy taken before the first child runs.  The
+    copies are shallow: sequence-valued state (``uses_since`` values,
+    ``loads_since``, ``side_ops``) is stored as tuples, so "appending"
+    rebinds a fresh tuple on one state without touching its siblings.
     """
 
     __slots__ = ("last_def", "uses_since", "last_store", "loads_since",
-                 "side_ops", "_owned")
+                 "side_ops")
 
     def __init__(self):
         self.last_def: Dict[Register, int] = {}
@@ -327,32 +237,15 @@ class _PathState:
         self.last_store: Optional[int] = None   # last ST or CALL
         self.loads_since: Tuple[int, ...] = ()
         self.side_ops: Tuple[int, ...] = ()     # stores/calls on the path
-        self._owned = True
 
-    def fork(self) -> "_PathState":
+    def copy(self) -> "_PathState":
         child = _PathState.__new__(_PathState)
-        child.last_def = self.last_def
-        child.uses_since = self.uses_since
+        child.last_def = dict(self.last_def)
+        child.uses_since = dict(self.uses_since)
         child.last_store = self.last_store
         child.loads_since = self.loads_since
         child.side_ops = self.side_ops
-        child._owned = False
-        # The parent now shares its dicts with the child: it must copy
-        # before writing too (only relevant if it keeps processing ops).
-        self._owned = False
         return child
-
-    def own(self) -> None:
-        """Make the dict-valued state private before the first write.
-
-        Shallow copies suffice — the values (op indices / index tuples)
-        are immutable — and dict order is preserved, so edge insertion
-        order is bit-identical to the eager-copy implementation.
-        """
-        if not self._owned:
-            self.last_def = dict(self.last_def)
-            self.uses_since = dict(self.uses_since)
-            self._owned = True
 
 
 def _live_at_exit(
@@ -431,132 +324,105 @@ def build_ddg(
     exit must wait for; without them every exit conservatively waits for
     all path ops.
     """
-    ddg = DDG(problem)
+    ddg = DDG(problem, machine)
     region = problem.region
+    by_block = problem.by_block
     live_cache = (exit_live_sets(problem, liveness, copies)
                   if liveness is not None else None)
 
+    blocks: List[BasicBlock] = []
     stack: List[Tuple[BasicBlock, _PathState]] = [(region.root, _PathState())]
     while stack:
         block, state = stack.pop()
-        for sop in problem.by_block[block.bid]:
-            _add_op_edges(ddg, machine, sop, state, live_cache)
+        blocks.append(block)
+        for sop in by_block[block.bid]:
+            _add_op_edges(ddg, problem.sched_ops, sop, state, live_cache)
         children = region.children(block)
         # The first child (processed next, pushed last) adopts the parent
-        # state outright — the parent is done with it — so linear chains
-        # never copy path state at all; siblings fork copy-on-write.
+        # state; its siblings copy it first.
         for child in reversed(children[1:]):
-            stack.append((child, state.fork()))
+            stack.append((child, state.copy()))
         if children:
             stack.append((children[0], state))
 
-    _add_control_height_edges(ddg)
-    ddg.compute_heights(machine)
+    above: Dict[int, Tuple[int, ...]] = {}
+    below_ops = dict.fromkeys(by_block, 0)
+    for block in reversed(blocks):
+        parent = region.parent(block)
+        if parent is not None:
+            above[block.bid] = (parent.bid,)
+            below_ops[parent.bid] += (below_ops[block.bid]
+                                      + len(by_block[block.bid]))
+    ddg.close(problem, blocks, above, below_ops, BRANCH_GUARDS)
     return ddg
 
 
-def _add_control_height_edges(ddg: DDG) -> None:
-    """Height-only control dependences: branch-role ops (exit branches,
-    returns, and the guard predicate ops standing in for internal
-    branches) control everything homed strictly below their block."""
-    problem = ddg.problem
-    region = problem.region
-    guard_opcodes = (Opcode.CMPP, Opcode.PAND, Opcode.PANDCN, Opcode.NINSET)
-
-    subtree_ops: Dict[int, List[int]] = {}
-    # Reverse preorder = children before parents.
-    for block in reversed(list(_preorder(region))):
-        own = [sop.index for sop in problem.by_block[block.bid]]
-        below: List[int] = []
-        for child in region.children(block):
-            below.extend(subtree_ops[child.bid])
-        subtree_ops[block.bid] = own + below
-        if not below:
-            continue
-        for sop in problem.by_block[block.bid]:
-            is_branch_role = sop.exit is not None or (
-                sop.source is None and sop.op.opcode in guard_opcodes
-            )
-            if is_branch_role:
-                for target in below:
-                    ddg.add_control_edge(sop.index, target)
-
-
-def _preorder(region) -> List[BasicBlock]:
-    order: List[BasicBlock] = []
-    stack = [region.root]
-    while stack:
-        block = stack.pop()
-        order.append(block)
-        stack.extend(reversed(region.children(block)))
-    return order
-
-
-def _add_op_edges(ddg: DDG, machine: MachineModel, sop: SchedOp,
+def _add_op_edges(ddg: DDG, ops: List[SchedOp], sop: SchedOp,
                   state: _PathState,
                   live_cache: Optional[Dict[int, Tuple[Register, ...]]]) -> None:
     i = sop.index
     op = sop.op
-    ops = ddg.problem.sched_ops
+    latency = ddg.latency
+    last_def = state.last_def
+    uses_since = state.uses_since
+    edges: List[Tuple[int, int]] = []
 
     # Flow dependences (sources + guard).
     used = op.used_registers()
     if used:
-        state.own()
+        producers = ddg.producers[i]
         for reg in used:
-            producer = state.last_def.get(reg)
+            producer = last_def.get(reg)
             if producer is not None:
-                ddg.add_edge(producer, i, machine.latency(ops[producer].op))
-                ddg.producers[i][reg] = producer
-            state.uses_since[reg] = state.uses_since.get(reg, ()) + (i,)
+                edges.append((producer, latency[producer]))
+                producers[reg] = producer
+            uses_since[reg] = uses_since.get(reg, ()) + (i,)
 
     # Output / anti dependences.
-    defined = op.defined_registers()
-    if defined:
-        state.own()
-        for reg in defined:
-            previous = state.last_def.get(reg)
-            if previous is not None:
-                spacing = max(
-                    1,
-                    machine.latency(ops[previous].op) - machine.latency(op) + 1,
-                )
-                ddg.add_edge(previous, i, spacing)
-            for user in state.uses_since.get(reg, ()):
-                ddg.add_edge(user, i, 0)
-            state.last_def[reg] = i
-            state.uses_since[reg] = ()
+    for reg in op.dests:
+        previous = last_def.get(reg)
+        if previous is not None:
+            edges.append(
+                (previous, max(1, latency[previous] - latency[i] + 1)))
+        for user in uses_since.get(reg, ()):
+            if user != i:
+                edges.append((user, 0))
+        last_def[reg] = i
+        uses_since[reg] = ()
 
     # Memory ordering (loads never bypass stores; Playdoh same-cycle rule).
-    if op.opcode is Opcode.LD:
-        ddg.mem_producers[i] = state.last_store
-        if state.last_store is not None:
-            producer = ops[state.last_store].op
-            latency = 0 if producer.opcode is Opcode.ST else 1
-            ddg.add_edge(state.last_store, i, latency)
+    opcode = op.opcode
+    if opcode is Opcode.LD:
+        store = state.last_store
+        ddg.mem_producers[i] = store
+        if store is not None:
+            edges.append(
+                (store, 0 if ops[store].op.opcode is Opcode.ST else 1))
         state.loads_since = state.loads_since + (i,)
-    elif op.opcode is Opcode.ST or op.opcode is Opcode.CALL:
+    elif opcode is Opcode.ST or opcode is Opcode.CALL:
         if state.last_store is not None:
-            ddg.add_edge(state.last_store, i, 1)
+            edges.append((state.last_store, 1))
         for load in state.loads_since:
-            ddg.add_edge(load, i, 1)
+            edges.append((load, 1))
         state.last_store = i
         state.loads_since = ()
 
-    # Track side-effecting ops; record exit requirements.
+    # Exit requirements (exit ops define nothing, so none waits on itself).
     if sop.exit is not None:
         # Side effects on the path must all have issued before leaving.
         for side_op in state.side_ops:
-            ddg.add_edge(side_op, i, 0)
+            edges.append((side_op, 0))
         if live_cache is None:
             # No liveness: conservatively wait for every path def.
-            for producer in state.last_def.values():
-                ddg.add_edge(producer, i, 0)
+            for producer in last_def.values():
+                edges.append((producer, 0))
         else:
             # live_cache values are pre-sorted tuples.
             for reg in live_cache[id(sop.exit)]:
-                producer = state.last_def.get(reg)
+                producer = last_def.get(reg)
                 if producer is not None:
-                    ddg.add_edge(producer, i, 0)
-    elif op.opcode is Opcode.ST or op.opcode is Opcode.CALL:
+                    edges.append((producer, 0))
+    elif opcode is Opcode.ST or opcode is Opcode.CALL:
         state.side_ops = state.side_ops + (i,)
+
+    ddg.add_preds(i, edges)

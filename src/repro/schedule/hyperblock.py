@@ -23,7 +23,7 @@ placement-order list scheduler.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.ir.cfg import BasicBlock, Edge
 from repro.ir.liveness import LivenessInfo
@@ -32,7 +32,7 @@ from repro.ir.registers import Register
 from repro.ir.types import Opcode
 from repro.machine.model import MachineModel
 from repro.regions.hyperblock import Hyperblock
-from repro.schedule.ddg import DDG, exit_live_sets
+from repro.schedule.ddg import BRANCH_GUARDS, DDG, exit_live_sets
 from repro.schedule.prep import ScheduleProblem, _Prep
 
 
@@ -92,6 +92,9 @@ def prepare_hyperblock(
 # ----------------------------------------------------------------------
 # DAG dependence graph
 
+#: A join's ``POR`` guard is branch-role too.
+_DAG_BRANCH_GUARDS = BRANCH_GUARDS | {Opcode.POR}
+
 
 class _DagState:
     """Dependence state at one program point of the DAG walk.
@@ -124,111 +127,95 @@ class _DagState:
             merged.sides |= state.sides
         return merged
 
-    def copy(self) -> "_DagState":
-        clone = _DagState()
-        clone.defs = dict(self.defs)
-        clone.uses = dict(self.uses)
-        clone.stores = self.stores
-        clone.loads = self.loads
-        clone.sides = self.sides
-        return clone
-
 
 def build_hyperblock_ddg(
     problem: ScheduleProblem,
     machine: MachineModel,
     liveness: Optional[LivenessInfo] = None,
 ) -> DDG:
-    """DDG over an if-converted hyperblock (all-paths dependences)."""
+    """DDG over an if-converted hyperblock (all-paths dependences).
+
+    Built like the tree DDG, walking blocks in topological order.  A
+    branch-role op controls every op in the blocks reachable below its
+    own (the DAG analogue of the tree's subtree), and a join's ``POR``
+    guard counts as branch-role too.
+    """
     region: Hyperblock = problem.region  # type: ignore[assignment]
-    ddg = DDG(problem)
-    ops = problem.sched_ops
+    ddg = DDG(problem, machine)
+    by_block = problem.by_block
 
     live_cache = (exit_live_sets(problem, liveness, None)
                   if liveness is not None else None)
 
+    blocks = region.topological_order()
+    above: Dict[int, Tuple[int, ...]] = {}
+    below_ops: Dict[int, int] = {}
     out_states: Dict[int, _DagState] = {}
-    for block in region.topological_order():
+    for block in blocks:
         preds = region.dag_preds(block)
+        above[block.bid] = tuple(p.bid for p in preds)
+        below_ops[block.bid] = sum(
+            len(by_block[reached.bid])
+            for reached in region.reachable_from(block)
+            if reached is not block)
         if preds:
             state = _DagState.merge([out_states[p.bid] for p in preds])
         else:
             state = _DagState()
-        for sop in problem.by_block[block.bid]:
-            _add_dag_edges(ddg, machine, sop, state, live_cache)
+        for sop in by_block[block.bid]:
+            _add_dag_edges(ddg, problem.sched_ops, sop, state, live_cache)
         out_states[block.bid] = state
 
-    _add_dag_control_heights(ddg, region)
-    ddg.compute_heights(machine)
+    ddg.close(problem, blocks, above, below_ops, _DAG_BRANCH_GUARDS)
     return ddg
 
 
-def _add_dag_edges(ddg: DDG, machine: MachineModel, sop, state: _DagState,
+def _add_dag_edges(ddg: DDG, ops, sop, state: _DagState,
                    live_cache) -> None:
     i = sop.index
     op = sop.op
-    ops = ddg.problem.sched_ops
+    latency = ddg.latency
+    edges: List[Tuple[int, int]] = []
 
     for reg in op.used_registers():
         for producer in state.defs.get(reg, ()):
-            ddg.add_edge(producer, i, machine.latency(ops[producer].op))
+            edges.append((producer, latency[producer]))
         state.uses[reg] = state.uses.get(reg, frozenset()) | {i}
 
     for reg in op.defined_registers():
         for previous in state.defs.get(reg, ()):
-            spacing = max(
-                1, machine.latency(ops[previous].op) - machine.latency(op) + 1
-            )
-            ddg.add_edge(previous, i, spacing)
+            edges.append(
+                (previous, max(1, latency[previous] - latency[i] + 1)))
         for user in state.uses.get(reg, ()):
-            ddg.add_edge(user, i, 0)
+            if user != i:
+                edges.append((user, 0))
         state.defs[reg] = frozenset({i})
         state.uses[reg] = frozenset()
 
     if op.opcode is Opcode.LD:
         for store in state.stores:
-            latency = 0 if ops[store].op.opcode is Opcode.ST else 1
-            ddg.add_edge(store, i, latency)
+            edges.append(
+                (store, 0 if ops[store].op.opcode is Opcode.ST else 1))
         state.loads |= {i}
     elif op.opcode is Opcode.ST or op.opcode is Opcode.CALL:
         for store in state.stores:
-            ddg.add_edge(store, i, 1)
+            edges.append((store, 1))
         for load in state.loads:
-            ddg.add_edge(load, i, 1)
+            edges.append((load, 1))
         state.stores = frozenset({i})
         state.loads = frozenset()
         state.sides |= {i}
 
     if sop.exit is not None:
         for side in state.sides:
-            ddg.add_edge(side, i, 0)
+            edges.append((side, 0))
         if live_cache is None:
             for defs in state.defs.values():
                 for producer in defs:
-                    ddg.add_edge(producer, i, 0)
+                    edges.append((producer, 0))
         else:
             for reg in live_cache[id(sop.exit)]:  # pre-sorted
                 for producer in state.defs.get(reg, ()):
-                    ddg.add_edge(producer, i, 0)
+                    edges.append((producer, 0))
 
-
-def _add_dag_control_heights(ddg: DDG, region: Hyperblock) -> None:
-    """Height-only control edges: branch-role ops control every op in
-    blocks reachable below them (the DAG analogue of the tree version)."""
-    problem = ddg.problem
-    guard_opcodes = (Opcode.CMPP, Opcode.PAND, Opcode.PANDCN,
-                     Opcode.NINSET, Opcode.POR)
-    for block in region.blocks:
-        below: List[int] = []
-        for reached in region.reachable_from(block):
-            if reached is block:
-                continue
-            below.extend(s.index for s in problem.by_block[reached.bid])
-        if not below:
-            continue
-        for sop in problem.by_block[block.bid]:
-            if sop.exit is not None or (
-                sop.source is None and sop.op.opcode in guard_opcodes
-            ):
-                for target in below:
-                    ddg.add_control_edge(sop.index, target)
+    ddg.add_preds(i, edges)

@@ -18,9 +18,9 @@ increase either — so the heap nearly always pops ops in exact priority
 order; the heap exists to stay correct when floating-point profile weights
 break monotonicity by an ulp.
 
-The inner loop runs on arrays the DDG builds once in
-:meth:`repro.schedule.ddg.DDG.finalize` and every list schedule over it
-(each machine and priority order of a group) shares: the CSR edge arrays
+The inner loop runs on arrays :func:`repro.schedule.ddg.build_ddg`
+builds once and every list schedule over the DDG (each machine and
+priority order of a group) shares: the CSR edge arrays
 (predecessor edges of the popped op are the slice
 ``pred_ptr[i]:pred_ptr[i+1]`` of two parallel int lists) and the per-op
 ``is_memory``/``is_branch`` flags that the slot caps test.  Placement
@@ -80,7 +80,6 @@ def list_schedule(
     sched_ops = problem.sched_ops
     n = len(sched_ops)
 
-    ddg.finalize()
     pred_ptr, pred_src, pred_lat = ddg.pred_ptr, ddg.pred_src, ddg.pred_lat
     succ_ptr, succ_dst = ddg.succ_ptr, ddg.succ_dst
 

@@ -44,13 +44,6 @@ HEURISTICS: Tuple[Heuristic, ...] = (
 )
 
 
-def _exit_counts(problem: ScheduleProblem) -> Dict[int, int]:
-    region = problem.region
-    return {
-        block.bid: region.exit_count_below(block) for block in region
-    }
-
-
 def priority_keys(
     problem: ScheduleProblem, ddg: DDG, heuristic: Heuristic
 ) -> List[Tuple]:
@@ -59,7 +52,7 @@ def priority_keys(
     if heuristic == DEP_HEIGHT:
         return [(heights[sop.index],) for sop in problem.sched_ops]
     if heuristic == EXIT_COUNT:
-        counts = _exit_counts(problem)
+        counts = problem.region.exit_counts()
         return [
             (counts[sop.home.bid], heights[sop.index])
             for sop in problem.sched_ops
@@ -70,7 +63,7 @@ def priority_keys(
             for sop in problem.sched_ops
         ]
     if heuristic == WEIGHTED_COUNT:
-        counts = _exit_counts(problem)
+        counts = problem.region.exit_counts()
         return [
             (sop.home.weight, counts[sop.home.bid], heights[sop.index])
             for sop in problem.sched_ops
@@ -98,7 +91,7 @@ def all_priority_keys(
     :func:`priority_keys` returns for that heuristic.
     """
     heights = ddg.heights
-    counts = _exit_counts(problem)
+    counts = problem.region.exit_counts()
     sops = problem.sched_ops
     per_op = [
         (heights[sop.index], counts[sop.home.bid], sop.home.weight)

@@ -68,7 +68,6 @@ def brute_force_optimum(problem, ddg, machine, seed_length):
     length of a known legal schedule, used purely as a depth cap).
     Exponential; callers keep regions at <= 6 ops.
     """
-    ddg.finalize()
     n = len(problem.sched_ops)
     if n == 0:
         return 0

@@ -1,6 +1,12 @@
 """Unit tests for the Region base class and machine models."""
 
+import contextlib
+import io
+import pathlib
+
 import pytest
+
+from repro.cli import main
 
 from repro.machine import (
     MachineModel,
@@ -13,6 +19,8 @@ from repro.machine import (
 from repro.ir import CFG, EdgeKind, Opcode
 from repro.regions.region import Region, RegionPartition
 from repro.util.errors import SchedulingError
+
+EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
 
 def _tree_region():
@@ -113,6 +121,34 @@ class TestRegionPartition:
         r2_dup.add_block(x)
         with pytest.raises(SchedulingError):
             partition.add(r2_dup)
+
+    def test_ids_follow_add_order(self):
+        cfg = CFG()
+        regions = []
+        for _ in range(3):
+            region = Region("t")
+            region.add_block(cfg.new_block())
+            regions.append(region)
+        assert [r.rid for r in regions] == [0, 0, 0]
+        partition = RegionPartition("t")
+        for region in reversed(regions):
+            partition.add(region)
+        assert [r.rid for r in partition] == [1, 2, 3]
+        assert "region #1 " in repr(regions[2])
+
+    def test_repeated_cli_run_prints_identical_text(self):
+        # Two identical commands in one process: printed region ids come
+        # from the partition alone, not from what ran before.
+        argv = ["schedule", str(EXAMPLES / "dotprod.mc"), "--args", "10",
+                "--scheme", "treegion", "--machine", "4U"]
+        outputs = []
+        for _ in range(2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            outputs.append(out.getvalue())
+        assert outputs[0] == outputs[1]
+        assert "region #1 " in outputs[0]
 
     def test_covering_detects_gaps(self):
         cfg = CFG()

@@ -277,7 +277,8 @@ def _cli_digest(name: str, command: str) -> str:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0
-        # Region ids come from a process-wide counter: mask them.
+        # The digests were recorded with region ids masked, so the
+        # mask stays: it keeps them comparable across id schemes.
         digest.update(_REGION_ID.sub(r"\1N", out.getvalue()).encode())
     return digest.hexdigest()
 
