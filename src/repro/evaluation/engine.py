@@ -44,13 +44,17 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.ir.analysis_cache import liveness_of
 from repro.ir.function import Program
 from repro.machine.model import MachineModel
 from repro.machine.presets import PAPER_MACHINES, SCALAR_1U
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry, metrics_scope
+from repro.obs.metrics import (
+    NULL_METRICS, MetricsRegistry, current_metrics, metrics_scope,
+)
 from repro.obs.tracer import NULL_TRACER, SpanWriter, Tracer
 from repro.regions.region import RegionPartition
 from repro.regions.stats import RegionStats, partition_stats
@@ -61,6 +65,9 @@ from repro.util.gc_policy import evaluation_gc
 from repro.evaluation.schemes import (
     FormedFunction, Scheme, SchemeSpec, form_program,
 )
+
+if TYPE_CHECKING:
+    from repro.schedule.memo import GroupState
 
 #: Machines addressable by name from a grid cell.
 MACHINES: Dict[str, MachineModel] = {"1U": SCALAR_1U, **PAPER_MACHINES}
@@ -265,28 +272,60 @@ def _groups(cells: Sequence[GridCell]
     return groups
 
 
+@dataclass
+class _Group:
+    """The functions ``[lo, hi)`` of one program formed under one
+    scheme: what every cell of a (benchmark, scheme) group schedules.
+
+    Formation is machine- and heuristic-independent, and scheduling
+    never mutates the IR, so a group serves any number of cells, in one
+    task or, kept by a serve worker, across tasks.
+    """
+
+    #: The program formed; the reference pins it, so a cache keyed by
+    #: its ``id`` cannot alias a later program.
+    program: Program
+    functions: List[FormedFunction]
+    #: The metrics snapshot formation recorded, counted again each time
+    #: the group is evaluated.
+    counters: Dict[str, object]
+    #: The region memo's tier 1 over these regions (None until a memo
+    #: schedules them).
+    state: Optional[GroupState] = None
+
+    @property
+    def ops(self) -> int:
+        """Op count of the formed functions (tail duplication included)."""
+        return sum(formed.final_ops for formed in self.functions)
+
+
+def _form_group(program: Program, scheme: Scheme, lo: int = 0,
+                hi: Optional[int] = None, tracer=NULL_TRACER) -> _Group:
+    """Form the functions ``[lo, hi)`` of ``program`` once, recording
+    formation's counters in the group instead of counting them."""
+    formation = MetricsRegistry()
+    with metrics_scope(formation):
+        _, functions = form_program(program, scheme, lo, hi, tracer)
+    return _Group(program, functions, formation.snapshot())
+
+
 def _evaluate_group(
-    program: Program,
-    scheme: Scheme,
+    group: _Group,
     indexed_cells: Sequence[Tuple[int, GridCell]],
-    lo: int = 0,
-    hi: Optional[int] = None,
     tracer=NULL_TRACER,
     memo=None,
 ) -> List[Tuple[int, List[_FunctionPartial]]]:
-    """Evaluate every cell of one (benchmark, scheme) group over the
-    functions ``[lo, hi)`` of ``program``.
-
-    Each function is formed once: formation is machine- and
-    heuristic-independent, and scheduling never mutates the IR, so
-    every cell schedules the same partitions.  Returns ``(index,
+    """Evaluate every cell of one formed group; returns ``(index,
     partials)`` per cell, the partials in function order.
+
+    Formation's counters are counted here, so a group kept from an
+    earlier task counts exactly as a freshly formed one.  With a memo,
+    the group's tier-1 state is installed first (a fresh one on the
+    group's first evaluation).
     """
-    _, functions = form_program(program, scheme, lo, hi, tracer)
+    current_metrics().merge_snapshot(group.counters)
     if memo is not None:
-        # Tier-1 sharing is id-keyed; scope it to this group's freshly
-        # formed regions.
-        memo.begin_group()
+        group.state = memo.begin_group(group.state)
     out = []
     for index, cell in indexed_cells:
         machine = machine_by_name(cell.machine)
@@ -296,7 +335,7 @@ def _evaluate_group(
             partials = [
                 _schedule_function_partition(formed, machine, options,
                                              tracer, memo)
-                for formed in functions
+                for formed in group.functions
             ]
         out.append((index, partials))
     return out
@@ -476,8 +515,9 @@ def _evaluate_grid_serial(
                 program = _resolve_program(bench, programs, texts)
                 scheme = build_scheme(scheme_spec)
                 metrics.inc("engine.cells", len(indexed))
-                for index, partials in _evaluate_group(
-                        program, scheme, indexed, tracer=tracer, memo=memo):
+                group = _form_group(program, scheme, tracer=tracer)
+                for index, partials in _evaluate_group(group, indexed,
+                                                       tracer, memo):
                     results[index] = _merge_partials(cells[index], partials)
     return results  # type: ignore[return-value]
 
@@ -537,7 +577,7 @@ _Task = Tuple[str, str, Tuple[Tuple[int, GridCell], ...], int, int,
               Optional[Tuple[Optional[str], Optional[str], str]]]
 
 
-def _run_task(task: _Task):
+def _run_task(task: _Task, groups=None):
     """Pool worker: evaluate one group's cells over a function slice.
 
     The program is rebuilt from the benchmark name (or re-parsed from the
@@ -546,12 +586,20 @@ def _run_task(task: _Task):
     per task.  A traced task returns its tracer's per-name totals and
     the task span's duration, for the parent to fold in under its
     ``pool`` span.
+
+    ``groups`` keeps formed groups between tasks, keyed by (program id,
+    scheme spec, ``lo``, ``hi``), through ``get``, ``put`` and ``drop``
+    (a serve worker passes its
+    :class:`~repro.serve.service.KeptGroups`).  A task whose group is
+    kept skips formation and starts from the group's tier-1 memo state;
+    a task that raises drops its group.  The grid's pool passes none:
+    it forms each group exactly once.
     """
     bench, scheme_spec, indexed_cells, lo, hi, text, memo_spec, trace = \
         task
     program = _resolve_program(
         bench, None, {bench: text} if text is not None else None)
-    scheme = build_scheme(scheme_spec)
+    key = (id(program), scheme_spec, lo, hi)
     tracer, parent, trace_id = NULL_TRACER, None, None
     if trace is not None:
         path, trace_id, parent = trace
@@ -573,8 +621,18 @@ def _run_task(task: _Task):
                 tracer.span("task", parent=parent, trace_id=trace_id,
                             benchmark=bench, scheme=scheme_spec,
                             functions=f"{lo}:{hi}") as span:
-            out = _evaluate_group(program, scheme, indexed_cells, lo, hi,
-                                  tracer, memo)
+            group = groups.get(key) if groups is not None else None
+            if group is None:
+                group = _form_group(program, build_scheme(scheme_spec), lo,
+                                    hi, tracer)
+                if groups is not None:
+                    groups.put(key, group)
+            out = _evaluate_group(group, indexed_cells, tracer, memo)
+    except BaseException:
+        # A group whose task raised may hold half-built tier-1 state.
+        if groups is not None:
+            groups.drop(key)
+        raise
     finally:
         # Store puts are write-back: persist what the task computed even
         # when it raises (the pool then tears its workers down).

@@ -13,8 +13,13 @@ decides which stage outputs it can reuse.  Options are validated by
 :func:`~repro.schedule.scheduler.check_options` before any lookup, so a
 bad option raises here exactly as on the direct route.
 
-**Tier 1 — in-process structural sharing** (``id(region)``-keyed,
-scoped to one (benchmark, scheme) group by :meth:`RegionMemo.begin_group`):
+**Tier 1 — in-process structural sharing** (``id(region)``-keyed, held
+in a :class:`GroupState`).  A group state belongs to one formed group, a
+(program, scheme, function slice): :meth:`RegionMemo.begin_group`
+installs a fresh one for a new formation, or puts a kept one back for a
+group whose formed regions outlived an earlier task (a serve worker
+keeps them, :mod:`repro.serve.service`).  Its keys stay valid as long
+as the state lives beside the regions it was built over:
 
 * prep + renaming depend on the machine only through ``use_btr``
   (:mod:`repro.schedule.prep` reads nothing else from the model), so one
@@ -57,7 +62,9 @@ flags, its *pack*, keyed by
 :func:`repro.serve.store.region_key`: every (machine, heuristic) entry
 of the region, each under its :func:`~repro.serve.store.region_entry_id`.
 After an in-memory miss the memo reads the pack once per group (a
-tier-1 table keyed by content), and each probe decodes its own entry.
+table keyed by content, cleared by :meth:`~RegionMemo.begin_group` and
+:meth:`~RegionMemo.attach_store`, so a pack another process wrote since
+the last task is read again), and each probe decodes its own entry.
 A miss adds its entry to the pack and puts the pack back; the store
 holds it in memory and writes it once, on the caller's
 :meth:`~repro.serve.store.ArtifactStore.sync`, merged with whatever
@@ -72,7 +79,7 @@ entries other processes wrote to the pack meanwhile.
   stored, because the fingerprint quantizes weights with ``%g`` while
   the estimate uses full-precision floats.  The weights are captured
   once per region per group, with its fingerprint; they are the live
-  weights, because the IR does not change within a group;
+  weights, because nothing mutates a formed group's IR;
 * every entry keeps the region's
   :class:`~repro.schedule.scheduler.RegionCounts` record, and every
   probe, hit or miss, counts it with
@@ -96,8 +103,8 @@ order and schedule tables: it searches from the priority keys, and its
 results key separately.
 
 Tier-2 keys assume the region's blocks/ops/weights do not change between
-fingerprinting and scheduling — true for the engine, which forms fresh
-regions per evaluation and never mutates IR while scheduling.
+fingerprinting and scheduling — true for the engine, which never mutates
+IR once it is formed, kept or not.
 """
 
 from __future__ import annotations
@@ -219,13 +226,37 @@ class _Level2Entry:
         return cls(tuple(cycles), RegionCounts(*values))
 
 
+class GroupState:
+    """Tier 1 of one formed group: its stage outputs, keyed by the ids of
+    the group's regions.
+
+    A state is only valid beside the regions it was built over; whoever
+    keeps it past a task keeps those regions alive with it.
+    """
+
+    __slots__ = ("problems", "ddgs", "regions", "orders", "schedules")
+
+    def __init__(self) -> None:
+        #: Stage outputs by key.
+        self.problems: Dict[Tuple, object] = {}
+        self.ddgs: Dict[Tuple, object] = {}
+        #: id(region) -> (region, content fingerprint, exit weights in
+        #: exit order); the region reference pins the id.
+        self.regions: Dict[int, Tuple[Region, str, Tuple[float, ...]]] = {}
+        #: (id(region), latency fp, sc, heuristic) -> priority order as
+        #: a tuple of op indices.
+        self.orders: Dict[Tuple, Tuple[int, ...]] = {}
+        #: (id(region), machine fp, sc, order) -> the entry of a
+        #: finished schedule.
+        self.schedules: Dict[Tuple, _Level2Entry] = {}
+
+
 class RegionMemo:
     """Two-tier memo for :func:`repro.schedule.scheduler.schedule_region`.
 
     One instance per process is the intended shape (see
-    :func:`global_memo`); tier 1 must be scoped to a formation lifetime
-    with :meth:`begin_group`, tier 2 is content-addressed and safe
-    forever.
+    :func:`global_memo`); tier 1 must be scoped to a formed group with
+    :meth:`begin_group`, tier 2 is content-addressed and safe forever.
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES,
@@ -234,18 +265,6 @@ class RegionMemo:
         #: Tier 2: (region fp, machine fp, heuristic, dp, sc) -> entry,
         #: LRU-ordered (oldest first).
         self._entries: "OrderedDict[Tuple, _Level2Entry]" = OrderedDict()
-        #: Tier 1, cleared per group.  Stage outputs by key.
-        self._problems: Dict[Tuple, object] = {}
-        self._ddgs: Dict[Tuple, object] = {}
-        #: id(region) -> (region, content fingerprint, exit weights in
-        #: exit order); the region reference pins the id for the group.
-        self._regions: Dict[int, Tuple[Region, str, Tuple[float, ...]]] = {}
-        #: (id(region), latency fp, sc, heuristic) -> priority order as
-        #: a tuple of op indices.
-        self._orders: Dict[Tuple, Tuple[int, ...]] = {}
-        #: (id(region), machine fp, sc, order) -> the entry of a
-        #: finished schedule.
-        self._schedules: Dict[Tuple, _Level2Entry] = {}
         #: (region fp, dp, sc[, backend, budget]) -> (store key, the
         #: pack's entries by entry id): each pack is read once per group.
         self._packs: Dict[Tuple, Tuple[str, Dict[str, object]]] = {}
@@ -261,15 +280,26 @@ class RegionMemo:
         self.store_hits = 0
         self.bytes = 0
         self.store = store
+        self.begin_group()
 
     # ------------------------------------------------------------------
 
-    def begin_group(self) -> None:
-        """Reset tier-1 sharing (call when a new formation begins —
-        ``id(region)`` keys must not outlive their region objects)."""
-        for table in (self._problems, self._ddgs, self._regions,
-                      self._orders, self._schedules, self._packs):
-            table.clear()
+    def begin_group(self, state: Optional[GroupState] = None
+                    ) -> GroupState:
+        """Install tier 1 for a group and return its state: a fresh
+        :class:`GroupState` for a new formation (``id(region)`` keys must
+        not outlive their region objects), or ``state`` when the caller
+        kept one with the group's formed regions.  The pack table is
+        cleared either way."""
+        if state is None:
+            state = GroupState()
+        self._problems = state.problems
+        self._ddgs = state.ddgs
+        self._regions = state.regions
+        self._orders = state.orders
+        self._schedules = state.schedules
+        self._packs.clear()
+        return state
 
     def attach_store(self, store) -> None:
         """Back tier 2 with an artifact store (``None`` detaches).

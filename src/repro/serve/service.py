@@ -10,10 +10,15 @@ only what is specific to running work on processes:
   rather than buffering unboundedly;
 * **batching** — queued jobs are coalesced into batches and grouped by
   (program, scheme) exactly like the engine's parallel path, so one
-  dispatch clones and forms each program once and schedules it for
-  every (machine, heuristic) of the group; the worker *is* the engine's
+  dispatch schedules a formed program for every (machine, heuristic) of
+  the group; the worker *is* the engine's
   (:func:`repro.evaluation.engine._run_task`), which is what makes
   served results bit-identical to :func:`~repro.api.evaluate_grid`;
+* **kept groups** — each worker process keeps the groups it formed,
+  with their region-memo tier-1 state (prepared problems, DDGs,
+  priority orders, finished schedules), in a :class:`KeptGroups` LRU
+  bounded by op count, so a later request for another cell of the same
+  (program, scheme) skips formation and the stages the first one ran;
 * **one attempt per dispatch** — a dispatch that times out or loses its
   worker process (``BrokenProcessPool``) recycles the executor, so one
   poisoned worker cannot wedge the pool, and fails every job of the
@@ -30,12 +35,13 @@ from __future__ import annotations
 
 import queue
 import threading
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.evaluation.engine import _merge_partials, _run_task
-from repro.obs.metrics import NULL_METRICS
+from repro.obs.metrics import NULL_METRICS, current_metrics
 from repro.obs.tracer import NULL_TRACER, SpanWriter, Tracer
 from repro.serve.jobs import (
     JobFailedError,
@@ -45,9 +51,62 @@ from repro.serve.jobs import (
 )
 
 
+#: Op bound of the groups one worker process keeps.  A kept group's
+#: RSS was measured at about 1.45 KB per op once its cells ran, so the
+#: bound is about 45 MiB; the serve benchmark's 24 (program, scheme)
+#: groups hold about 12,800 ops.
+MAX_KEPT_OPS = 1 << 15
+
+
+class KeptGroups:
+    """A worker process's formed groups, kept between tasks.
+
+    Keys are :func:`~repro.evaluation.engine._run_task`'s (program id,
+    scheme spec, ``lo``, ``hi``); the kept group pins its program, so
+    the id cannot name another program while the entry lives, and two
+    texts under one benchmark name parse to two programs.  The least
+    recently used groups go first once the kept groups' total op count
+    passes ``max_ops``.  A hit counts ``serve.groups.reused`` and a put
+    ``serve.groups.formed``; a key is put only after ``get`` missed it.
+    """
+
+    def __init__(self, max_ops: int = MAX_KEPT_OPS) -> None:
+        self.max_ops = max_ops
+        self.ops = 0
+        self._groups: "OrderedDict[Tuple, object]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+    def get(self, key: Tuple):
+        group = self._groups.get(key)
+        if group is not None:
+            self._groups.move_to_end(key)
+            current_metrics().inc("serve.groups.reused")
+        return group
+
+    def put(self, key: Tuple, group) -> None:
+        current_metrics().inc("serve.groups.formed")
+        self._groups[key] = group
+        self.ops += group.ops
+        while self.ops > self.max_ops:
+            _, evicted = self._groups.popitem(last=False)
+            self.ops -= evicted.ops
+
+    def drop(self, key: Tuple) -> None:
+        group = self._groups.pop(key, None)
+        if group is not None:
+            self.ops -= group.ops
+
+
+#: The kept groups of this process (only pool workers fill it).
+_kept_groups = KeptGroups()
+
+
 def _service_worker(task):
-    """Default pool worker: exactly the engine's group-task worker."""
-    return _run_task(task)
+    """Default pool worker: the engine's group-task worker, keeping
+    formed groups in this process across tasks."""
+    return _run_task(task, _kept_groups)
 
 
 #: Per-process cache of worker-side tracers, keyed by (span file

@@ -133,6 +133,13 @@ def render_top(stats: Dict[str, object], *,
     ]
     if memo_bits:
         lines.append("region memo  " + "  ".join(memo_bits))
+    group_bits = [
+        f"{name.rsplit('.', 1)[1]} {counters[name]}"
+        for name in ("serve.groups.formed", "serve.groups.reused")
+        if name in counters
+    ]
+    if group_bits:
+        lines.append("worker groups  " + "  ".join(group_bits))
     lines.append("")
 
     # -- rolling latency --------------------------------------------------

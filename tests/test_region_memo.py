@@ -150,11 +150,13 @@ class TestTierOneSharing:
         regions, liveness = _regions(fn)
         memo = RegionMemo()
         memo.schedule(regions[0], VLIW_4U, ScheduleOptions(), liveness)
-        tables = (memo._problems, memo._ddgs, memo._regions,
-                  memo._orders, memo._schedules)
-        assert all(tables)
+
+        def tables():
+            return (memo._problems, memo._ddgs, memo._regions,
+                    memo._orders, memo._schedules)
+        assert all(tables())
         memo.begin_group()
-        assert not any(tables)
+        assert not any(tables())
         assert memo.stats()["entries"] > 0  # tier 2 is content-addressed
 
 
@@ -378,9 +380,9 @@ class TestStorePersistence:
         groups = []
         begin_group = RegionMemo.begin_group
 
-        def begin_group_spy(memo):
+        def begin_group_spy(memo, *state):
             groups.append(set())
-            begin_group(memo)
+            return begin_group(memo, *state)
         monkeypatch.setattr(RegionMemo, "begin_group", begin_group_spy)
         pack = RegionMemo._pack
 

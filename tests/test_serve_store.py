@@ -653,7 +653,7 @@ class TestPackWriters:
         from repro.evaluation import engine
         from repro.schedule import memo as memo_module
 
-        def failing_group(program, scheme, cells, lo, hi, tracer, memo):
+        def failing_group(group, cells, tracer, memo):
             memo.store.put_payload(KEY_A, region_pack({"x": 1}))
             raise RuntimeError("task failed")
 

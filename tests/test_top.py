@@ -33,7 +33,8 @@ STATS = {
                      "fleet.failed": 0, "fleet.deduped": 5,
                      "fleet.hot_hits": 9, "fleet.hot_evictions": 1,
                      "fleet.shard_restarts": 2, "fleet.shard_deaths": 1,
-                     "fleet.shard_retries": 3},
+                     "fleet.shard_retries": 3,
+                     "serve.groups.formed": 2, "serve.groups.reused": 6},
         "gauges": {"memo.entries": 14, "memo.bytes": 6067},
     },
     "latency": {
@@ -63,6 +64,7 @@ class TestRenderTop:
         assert "hot tier  3/4096 entries  ~2.0KiB" in frame
         assert "restarts 2  deaths 1  retries 3" in frame
         assert "region memo  bytes 6067  entries 14" in frame
+        assert "worker groups  formed 2  reused 6" in frame
         # Latency rows format µs into human units.
         assert "480µs" in frame
         assert "45.0ms" in frame
