@@ -36,8 +36,8 @@ achieve under default options:
   only quantities, valid in *any* legal schedule, which is what makes
   the windows admissible.
 
-The overall bound is the max of both families.  Soundness scope:
-tree-pipeline regions under default
+The overall bound is the max of both families.  Soundness scope: any
+region (hyperblocks included) under default
 :class:`~repro.schedule.scheduler.ScheduleOptions` —
 ``dominator_parallelism`` may merge duplicate ops (an op stops
 consuming a slot and inherits its survivor's cycle), which invalidates
@@ -148,8 +148,9 @@ def bounds_from_ddg(problem, ddg, machine: MachineModel) -> RegionBounds:
 
     # Backward chain lengths: down[i] cycles must elapse from op i's
     # issue to the last issue.  Placement edges point from a lower to a
-    # higher index (tree preorder, no copies), so reverse index order
-    # is a valid reverse-topological sweep.
+    # higher index (tree preorder or a hyperblock's topological order,
+    # no copies), so reverse index order is a valid reverse-topological
+    # sweep.
     down = [1] * n
     for i in range(n - 1, -1, -1):
         longest = 1
@@ -192,10 +193,9 @@ def region_lower_bounds(
 ) -> RegionBounds:
     """Compute both lower bounds for ``region`` on ``machine``.
 
-    Runs the genuine preparation pipeline (the IR is never modified), so
-    the op population matches what the list scheduler will place.
-    Hyperblock regions go through a different pipeline (if-conversion,
-    DAG dependences) and are rejected.
+    Runs the scheduler's own first two stages (the IR is never
+    modified), so the op population and dependences are what the list
+    scheduler will place, hyperblocks included.
     """
     from repro.ir.analysis_cache import liveness_of
     from repro.schedule.scheduler import (

@@ -75,9 +75,6 @@ class CallGraph:
             order = order[:limit]
         return [self.sites[i] for i in order]
 
-    def sites_of(self, caller: str) -> List[CallSite]:
-        return [site for site in self.sites if site.caller == caller]
-
     def is_leaf(self, name: str) -> bool:
         """True when ``name`` calls nothing (an inliner's best target)."""
         return not self.callees.get(name)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.ir.function import Program
 
-#: Schemes the bound is defined for (tree-pipeline regions only).
+#: The schemes analyzed when none are given (any scheme is accepted).
 DEFAULT_SCHEMES = ("bb", "treegion")
 DEFAULT_MACHINES = ("4U", "8U")
 
@@ -64,11 +64,6 @@ def analyze_program(
 
     for scheme_spec in schemes:
         scheme = make_scheme(scheme_spec)
-        if scheme.name == "hyperblock":
-            raise ValueError(
-                "repro analyze bounds cover tree-pipeline schemes only; "
-                "hyperblock schedules through a different pipeline"
-            )
         _, functions = form_program(program, scheme)
         for machine_spec in machines:
             mach = resolve_machine(machine_spec)

@@ -1086,8 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", action="store_true",
                    help="analyze every built-in workload instead of FILE")
     p.add_argument("--schemes", default=None,
-                   help="comma-separated schemes (default: bb,treegion; "
-                        "hyperblock is not supported)")
+                   help="comma-separated schemes (default: bb,treegion)")
     p.add_argument("--machines", default=None,
                    help="comma-separated machines (default: 4U,8U)")
     p.add_argument("--heuristics", default=None,

@@ -41,8 +41,10 @@ back into a scheme anywhere, including inside a worker.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple,
@@ -522,19 +524,27 @@ def _evaluate_grid_serial(
     return results  # type: ignore[return-value]
 
 
+#: How many programs parsed from shipped IR text a process keeps.
+TEXT_CACHE_SIZE = 16
+
 #: Per-process cache of programs parsed from shipped IR text, keyed by
-#: benchmark name (the stored text detects a changed payload).
-_text_cache: Dict[str, Tuple[str, Program]] = {}
+#: the text's SHA-256 digest and least recently used first: one text
+#: parses to one program (so a kept group's program id stays valid)
+#: whatever benchmark name it travels under.
+_text_cache: "OrderedDict[bytes, Program]" = OrderedDict()
 
 
-def _program_from_text(bench: str, text: str) -> Program:
-    cached = _text_cache.get(bench)
-    if cached is not None and cached[0] == text:
-        return cached[1]
+def _program_from_text(text: str) -> Program:
+    key = hashlib.sha256(text.encode()).digest()
+    program = _text_cache.get(key)
+    if program is not None:
+        _text_cache.move_to_end(key)
+        return program
     from repro.ir.parser import parse_program
 
-    program = parse_program(text)
-    _text_cache[bench] = (text, program)
+    program = _text_cache[key] = parse_program(text)
+    if len(_text_cache) > TEXT_CACHE_SIZE:
+        _text_cache.popitem(last=False)
     return program
 
 
@@ -544,7 +554,7 @@ def _resolve_program(bench: str,
     if programs is not None and bench in programs:
         return programs[bench]
     if texts is not None and bench in texts:
-        return _program_from_text(bench, texts[bench])
+        return _program_from_text(texts[bench])
     from repro.workloads.specint import build_benchmark
 
     return build_benchmark(bench)
@@ -582,10 +592,10 @@ def _run_task(task: _Task, groups=None):
 
     The program is rebuilt from the benchmark name (or re-parsed from the
     shipped IR text) inside the worker; each worker process caches per
-    benchmark, so rebuilding is paid once per benchmark per worker, not
-    per task.  A traced task returns its tracer's per-name totals and
-    the task span's duration, for the parent to fold in under its
-    ``pool`` span.
+    benchmark and per text, so rebuilding is paid once per program per
+    worker, not per task.  A traced task returns its tracer's per-name
+    totals and the task span's duration, for the parent to fold in under
+    its ``pool`` span.
 
     ``groups`` keeps formed groups between tasks, keyed by (program id,
     scheme spec, ``lo``, ``hi``), through ``get``, ``put`` and ``drop``

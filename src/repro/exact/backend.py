@@ -28,8 +28,8 @@ and ``dot --schedule`` see a structurally identical object.
 
 Restrictions: ``dominator_parallelism`` rewires consumers mid-placement
 and ``schedule_copies`` appends ops whose edges break the low-to-high
-index invariant the bundle enumeration relies on; both raise.
-Hyperblocks schedule through a different pipeline entirely.
+index invariant the bundle enumeration relies on; both raise.  So do
+hyperblocks: the search's legality model is the tree's.
 """
 
 from __future__ import annotations

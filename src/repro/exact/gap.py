@@ -73,8 +73,9 @@ def gap_program(
         scheme = make_scheme(scheme_spec)
         if scheme.name == "hyperblock":
             raise ValueError(
-                "repro gap covers tree-pipeline schemes only; "
-                "hyperblock schedules through a different pipeline"
+                "repro gap covers tree-shaped regions only: the exact "
+                "search's legality model assumes a tree, not a "
+                "hyperblock's DAG"
             )
         _, functions = form_program(program, scheme)
         for machine_spec in machines:

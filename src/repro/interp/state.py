@@ -43,9 +43,6 @@ class MachineState:
     def write(self, register: Register, value) -> None:
         self.registers[register] = value
 
-    def is_defined(self, register: Register) -> bool:
-        return register in self.registers
-
     # ------------------------------------------------------------------
 
     def load(self, address: int):

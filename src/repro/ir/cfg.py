@@ -20,7 +20,6 @@ from repro.util.errors import IRValidationError
 from repro.util.ids import IdAllocator
 from repro.ir.types import EdgeKind, Opcode
 from repro.ir.operation import Operation
-from repro.ir.registers import Register
 
 
 class Edge:
@@ -139,10 +138,6 @@ class BasicBlock:
     @property
     def op_count(self) -> int:
         return len(self.ops)
-
-    def non_branch_ops(self) -> List[Operation]:
-        """The ops that do useful (non-control) work, for statistics."""
-        return [op for op in self.ops if not op.is_branch and op.opcode is not Opcode.RET]
 
     # ------------------------------------------------------------------
 
@@ -366,14 +361,6 @@ class CFG:
 
     # ------------------------------------------------------------------
     # Convenience op constructors (shared by builder, frontend, tests)
-
-    def make_branch_true(self, block: BasicBlock, pred: Register, target: BasicBlock,
-                         fallthrough: BasicBlock) -> Operation:
-        """Append ``BRCT pred -> target`` and both out-edges."""
-        op = self.append_op(block, Opcode.BRCT, srcs=[pred], target=target.bid)
-        self.add_edge(block, target, EdgeKind.TAKEN)
-        self.add_edge(block, fallthrough, EdgeKind.FALLTHROUGH)
-        return op
 
     def make_jump(self, block: BasicBlock, target: BasicBlock) -> Operation:
         """Append ``BRU -> target`` and its taken edge."""

@@ -105,10 +105,5 @@ class Program:
         self.globals[name] = var
         return var
 
-    @property
-    def global_words(self) -> int:
-        """Total words occupied by globals (the heap starts after this)."""
-        return self._next_address
-
     def __repr__(self) -> str:
         return f"<program entry={self.entry_name} functions={len(self)}>"

@@ -153,17 +153,21 @@ class Operation:
         """
         return not self.opcode.has_side_effects
 
-    def same_computation(self, other: "Operation") -> bool:
+    def same_computation(self, other: "Operation", srcs=None,
+                         other_srcs=None) -> bool:
         """True if both ops compute the same value from the same operands.
 
         Used by dominator parallelism: two tail-duplication clones may only
         be merged when, *after renaming*, they still read identical operands
         (otherwise the clones genuinely compute different values).
+        ``srcs``/``other_srcs`` stand in for the ops' own sources when the
+        scheduler has rewired them.
         """
         return (
             self.opcode is other.opcode
             and self.cond is other.cond
-            and self.srcs == other.srcs
+            and (self.srcs if srcs is None else srcs)
+            == (other.srcs if other_srcs is None else other_srcs)
             and self.target == other.target
             and self.callee == other.callee
         )

@@ -127,7 +127,3 @@ class RegisterFactory:
         for rclass, nxt in bounds.items():
             if nxt > self._next[rclass]:
                 self._next[rclass] = nxt
-
-    def next_index(self, rclass: RegClass) -> int:
-        """The index the next ``fresh`` call would use (for tests)."""
-        return self._next[rclass]

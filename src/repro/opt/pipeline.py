@@ -38,10 +38,6 @@ class OptStats:
         self.ops_before += other.ops_before
         self.ops_after += other.ops_after
 
-    @property
-    def shrink_factor(self) -> float:
-        return self.ops_after / self.ops_before if self.ops_before else 1.0
-
     def __str__(self) -> str:
         return (
             f"ops {self.ops_before} -> {self.ops_after} "

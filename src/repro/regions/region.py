@@ -246,13 +246,6 @@ class Region:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def distinct_origins(self) -> List[int]:
-        """Original block ids represented (duplicates counted once)."""
-        seen: Dict[int, None] = {}
-        for block in self.blocks:
-            seen.setdefault(block.origin, None)
-        return list(seen)
-
     def __repr__(self) -> str:
         ids = ", ".join(f"bb{b.bid}" for b in self.blocks[:8])
         more = "..." if len(self.blocks) > 8 else ""

@@ -1,8 +1,10 @@
 """Hyperblock scheduling: full if-conversion (predication, no speculation).
 
-The counterpart to the treegion pipeline for
-:class:`~repro.regions.hyperblock.Hyperblock` regions, implementing the
-comparison the paper plans in Section 6 ("the merits of predication versus
+The first two scheduler stages for
+:class:`~repro.regions.hyperblock.Hyperblock` regions
+(:func:`~repro.schedule.scheduler.prepare` and
+:func:`~repro.schedule.scheduler.dependences` dispatch here),
+implementing the comparison the paper plans in Section 6 ("the merits of predication versus
 speculation for scheduling"):
 
 * every op of a non-root block is **predicated** on its block guard and

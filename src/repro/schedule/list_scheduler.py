@@ -44,10 +44,13 @@ operands *and* the same DDG producers for every register source (per-path
 renaming makes operand equality meaningful).  The merged op consumes no
 slot; its consumers are rewired to read the survivor's destinations.  The
 merge candidates (placed, unguarded, speculable duplicates, by ``origin``)
-are collected only when dominator parallelism is on.  The merge step is
-the one place placement mutates the problem: it rewrites the consumers'
-operands, so a problem scheduled with dominator parallelism is
-single-use.
+are collected only when dominator parallelism is on.  Rewiring writes
+nothing either: each rewired consumer's operands go into a per-call
+table that later merge tests read in place of the op's own, and the
+record carries it for
+:meth:`~repro.schedule.schedule.RegionSchedule.materialize` to apply.
+So one prepared problem serves every list schedule over it, with or
+without dominator parallelism.
 """
 
 from __future__ import annotations
@@ -76,6 +79,10 @@ def list_schedule(
     """Place every op of ``order`` (the heuristic-sorted DDG node list)."""
     copies = list(copies) if copies else []
     merge_table: Dict[int, List[SchedOp]] = {}
+    #: Consumer index -> (srcs, guard) after rewiring (dominator
+    #: parallelism only).
+    rewired: Optional[Dict[int, Operands]] = (
+        {} if dominator_parallelism else None)
 
     sched_ops = problem.sched_ops
     n = len(sched_ops)
@@ -119,9 +126,9 @@ def list_schedule(
         survivor = None
         if dominator_parallelism:
             sop = sched_ops[index]
-            survivor = _find_merge_target(problem, ddg, merge_table, sop)
+            survivor = _find_merge_target(ddg, merge_table, rewired, sop)
         if survivor is not None:
-            _merge(problem, ddg, copies, sop, survivor)
+            _merge(problem, ddg, copies, rewired, sop, survivor)
             merges.append((index, survivor.index))
             cycle_of[index] = cycle_of[survivor.index]
         else:
@@ -172,16 +179,26 @@ def list_schedule(
     # Every placed cycle extended the tables, and only up to it: their
     # length is the schedule's.
     return ScheduleRecord(problem, cycle_of, placement, merges, len(used),
-                          copies)
+                          copies, rewired or None)
 
 
 # ----------------------------------------------------------------------
 # Dominator parallelism
 
+#: An op's (srcs, guard).
+Operands = Tuple[List, Optional[Register]]
+
+
+def _operands(rewired: Dict[int, Operands], sop: SchedOp) -> Operands:
+    """``sop``'s operands as rewired so far."""
+    operands = rewired.get(sop.index)
+    return operands if operands is not None else (sop.op.srcs, sop.op.guard)
+
+
 def _find_merge_target(
-    problem: ScheduleProblem,
     ddg: DDG,
     merge_table: Dict[int, List[SchedOp]],
+    rewired: Dict[int, Operands],
     sop: SchedOp,
 ) -> Optional[SchedOp]:
     """A scheduled duplicate that provably computes the same values."""
@@ -189,23 +206,25 @@ def _find_merge_target(
         return None
     if sop.op.guard is not None or not sop.op.can_speculate:
         return None
+    srcs = _operands(rewired, sop)[0]
     for candidate in merge_table.get(sop.source.origin, []):
         if candidate.home is sop.home:
             continue  # same block: that is CSE, not dominator parallelism
         if candidate.source is sop.source:
             continue
-        if not candidate.op.same_computation(sop.op):
+        if not candidate.op.same_computation(
+                sop.op, _operands(rewired, candidate)[0], srcs):
             continue
         if len(candidate.op.dests) != len(sop.op.dests):
             continue
-        if not _same_producers(ddg, candidate, sop):
+        if not _same_producers(ddg, candidate, sop, srcs):
             continue
         return candidate
     return None
 
 
-def _same_producers(ddg: DDG, a: SchedOp, b: SchedOp) -> bool:
-    for src in b.op.srcs:
+def _same_producers(ddg: DDG, a: SchedOp, b: SchedOp, b_srcs) -> bool:
+    for src in b_srcs:
         if isinstance(src, Register):
             if ddg.producers[a.index].get(src) != ddg.producers[b.index].get(src):
                 return False
@@ -220,20 +239,28 @@ def _merge(
     problem: ScheduleProblem,
     ddg: DDG,
     copies: List[ExitCopy],
+    rewired: Dict[int, Operands],
     sop: SchedOp,
     survivor: SchedOp,
 ) -> None:
     """Eliminate ``sop``: its consumers and exit copies read
     ``survivor``'s destinations instead."""
     replacements = dict(zip(sop.op.dests, survivor.op.dests))
-    # Rewrite every (necessarily unplaced) consumer reading sop's dests.
+    # Rewire every (necessarily unplaced) consumer reading sop's dests.
     index = sop.index
+    sched_ops = problem.sched_ops
     succ_ptr, succ_dst = ddg.succ_ptr, ddg.succ_dst
     for e in range(succ_ptr[index], succ_ptr[index + 1]):
-        consumer = problem.sched_ops[succ_dst[e]].op
+        consumer = succ_dst[e]
+        operands = srcs, guard = _operands(rewired, sched_ops[consumer])
         for old, new in replacements.items():
             if old != new:
-                consumer.replace_uses(old, new)
+                if old in srcs:
+                    srcs = [new if src == old else src for src in srcs]
+                if guard == old:
+                    guard = new
+        if (srcs, guard) != operands:
+            rewired[consumer] = (srcs, guard)
     for position, (exit, original, renamed) in enumerate(copies):
         if renamed in replacements:
             copies[position] = (exit, original, replacements[renamed])

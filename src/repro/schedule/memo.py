@@ -25,9 +25,9 @@ as the state lives beside the regions it was built over:
   (:mod:`repro.schedule.prep` reads nothing else from the model), so one
   prepared :class:`~repro.schedule.prep.ScheduleProblem` serves every
   machine of a row that agrees on it — both paper machines do.  The
-  list scheduler and the exact backend return a
-  :class:`~repro.schedule.schedule.ScheduleRecord` and write nothing to
-  the problem, so it is shared as it is;
+  list scheduler (dominator parallelism included) and the exact backend
+  return a :class:`~repro.schedule.schedule.ScheduleRecord` and write
+  nothing to the problem, so it is shared as it is;
 * the DDG and the four heuristics' priority keys read the machine only
   through its latency table
   (:func:`~repro.schedule.fingerprint.latency_fingerprint`), so they are
@@ -35,11 +35,11 @@ as the state lives beside the regions it was built over:
 * likewise each heuristic's priority order, kept as a tuple of op
   indices per (region, latency model, heuristic): 4U and 8U share one
   sort;
-* the list scheduler reads only the problem, the DDG, the machine and
-  the order, so a finished schedule's entry is kept per (region,
-  machine, order).  Heuristics often sort a small region the same way;
-  the second such probe reuses the first schedule instead of rerunning
-  it;
+* the list scheduler reads only the problem, the DDG, the machine,
+  the order and the dominator-parallelism flag, so a finished
+  schedule's entry is kept per (region, machine, flags, order).
+  Heuristics often sort a small region the same way; the second such
+  probe reuses the first schedule instead of rerunning it;
 * the region's content fingerprint and its exits' weights are read
   once per region, not once per (machine, heuristic) cell.
 
@@ -92,15 +92,15 @@ entries other processes wrote to the pack meanwhile.
   in the pack.
 
 **Bypasses** (served by :func:`~repro.schedule.scheduler.schedule_region`,
-never cached): hyperblocks
-(a different pipeline), ``options.certify`` or an active lint collector
-(caller wants diagnostics, not numbers), and non-default ``max_cycles``.
-Dominator parallelism bypasses tier 1 only — its merge step rewrites
-consumer operands destructively, so each miss runs the scheduler's
-stages fresh — but memoizes fine at tier 2 (``dp`` is in the key).
-The exact backend shares the prepared problem and DDG but never the
-order and schedule tables: it searches from the priority keys, and its
-results key separately.
+never cached): ``options.certify`` or an active lint collector (caller
+wants diagnostics, not numbers), and non-default ``max_cycles``.  Every
+region kind and every other option goes through both tiers:
+hyperblocks run the same stages, and dominator parallelism shares the
+prepared problem, DDG, priority keys and orders with the cells without
+it (its finished schedules key on the flag, as tier 2 does).  The exact
+backend shares the prepared problem and DDG but never the order and
+schedule tables: it searches from the priority keys, and its results
+key separately.
 
 Tier-2 keys assume the region's blocks/ops/weights do not change between
 fingerprinting and scheduling — true for the engine, which never mutates
@@ -118,7 +118,6 @@ from repro.ir.liveness import LivenessInfo
 from repro.lint.collect import current_collector
 from repro.machine.model import MachineModel
 from repro.obs.tracer import NULL_TRACER
-from repro.regions.hyperblock import Hyperblock
 from repro.regions.region import Region
 from repro.schedule.fingerprint import (
     latency_fingerprint,
@@ -246,7 +245,7 @@ class GroupState:
         #: (id(region), latency fp, sc, heuristic) -> priority order as
         #: a tuple of op indices.
         self.orders: Dict[Tuple, Tuple[int, ...]] = {}
-        #: (id(region), machine fp, sc, order) -> the entry of a
+        #: (id(region), machine fp, sc, dp, order) -> the entry of a
         #: finished schedule.
         self.schedules: Dict[Tuple, _Level2Entry] = {}
 
@@ -342,10 +341,9 @@ class RegionMemo:
             self.bytes -= evicted.size
 
     @staticmethod
-    def _bypass(region: Region, options: ScheduleOptions) -> bool:
+    def _bypass(options: ScheduleOptions) -> bool:
         return (
-            isinstance(region, Hyperblock)
-            or options.certify
+            options.certify
             or current_collector() is not None
             or options.max_cycles != _DEFAULT_MAX_CYCLES
         )
@@ -368,7 +366,7 @@ class RegionMemo:
         Both expose the accumulation attributes the engine reads.
         """
         check_options(region, options)
-        if self._bypass(region, options):
+        if self._bypass(options):
             self.bypasses += 1
             return schedule_region(region, machine, options, liveness,
                                    tracer=tracer)
@@ -499,19 +497,10 @@ class RegionMemo:
         sharing in front of them, and return the entry.
 
         When the group already scheduled this region for this machine
-        in the same priority order, that schedule's entry is returned,
+        with the same flags in the same priority order, that schedule's
+        entry is returned,
         counter record included: the list scheduler reads nothing else.
         """
-        if options.dominator_parallelism:
-            # The dp merge step rewrites consumer operands in place, so
-            # the prepared problem is single-use: run the stages fresh
-            # (tier 2 still caches the result).
-            problem, copies = prepare(region, machine, liveness,
-                                      options.schedule_copies, tracer)
-            ddg = dependences(problem, machine, liveness, copies, tracer)
-            return _Level2Entry.of(*schedule_prepared(
-                problem, ddg, copies, machine, options, tracer=tracer))
-
         sc = options.schedule_copies
         # Keyed by latency fingerprint, not full machine fingerprint:
         # DDG edges, priority keys and hence priority orders read the
@@ -533,7 +522,8 @@ class RegionMemo:
                         sop.index for sop in priority_order(
                             problem, ddg, options.heuristic,
                             keys=keys[options.heuristic]))
-            schedule_key = (id(region), machine_key, sc, order)
+            schedule_key = (id(region), machine_key, sc,
+                            options.dominator_parallelism, order)
             entry = self._schedules.get(schedule_key)
             if entry is not None:
                 return entry

@@ -115,22 +115,27 @@ class ScheduleRecord:
 
     ``cycle_of[i]`` is op ``i``'s effective issue cycle (a merged op's
     is its survivor's), ``order`` the placed ops' indices in placement
-    order (so slots follow it) and ``merges`` the ``(index, survivor
-    index)`` pairs dominator parallelism eliminated.  The exit cycles
+    order (so slots follow it), ``merges`` the ``(index, survivor
+    index)`` pairs dominator parallelism eliminated and ``rewired`` the
+    ``(srcs, guard)`` its merges gave each consumer they rewired, by
+    op index (None when there are none).  The exit cycles
     are read through ``problem.exit_ops`` in exit order, and a placed op
     is speculated when it issues no later than the op defining its home
     block's guard (``problem.speculation_pairs``).
     """
 
-    __slots__ = ("cycle_of", "order", "merges", "exit_cycles", "length",
-                 "copies", "speculated")
+    __slots__ = ("cycle_of", "order", "merges", "rewired", "exit_cycles",
+                 "length", "copies", "speculated")
 
     def __init__(self, problem, cycle_of: List[int], order: List[int],
                  merges: List[Tuple[int, int]], length: int,
-                 copies: List[Tuple[RegionExit, Register, Register]]):
+                 copies: List[Tuple[RegionExit, Register, Register]],
+                 rewired: Optional[Dict[int, Tuple[List, Optional[Register]]]]
+                 = None):
         self.cycle_of = cycle_of
         self.order = order
         self.merges = merges
+        self.rewired = rewired
         exit_ops = problem.exit_ops
         self.exit_cycles = tuple([cycle_of[exit_ops[id(exit)].index]
                                   for exit in problem.exits])
@@ -204,6 +209,9 @@ class RegionSchedule:
         the one the scheduler's resource table gave it.  Every op's
         ``cycle``/``slot``/``merged_into``/``speculative`` is set, so a
         problem that held an earlier placement is overwritten whole.
+        Dominator parallelism's rewired operands are written into their
+        ops, which no later record can undo: a problem materializes at
+        most one record that rewired (its callers prepare it fresh).
         """
         schedule = cls(problem.region)
         sched_ops = problem.sched_ops
@@ -213,6 +221,11 @@ class RegionSchedule:
         cycle_of = record.cycle_of
         for index in record.order:
             schedule.place(sched_ops[index], cycle_of[index])
+        if record.rewired:
+            for index, (srcs, guard) in record.rewired.items():
+                op = sched_ops[index].op
+                op.srcs[:] = srcs
+                op.guard = guard
         for index, survivor in record.merges:
             sop = sched_ops[index]
             sop.merged_into = sched_ops[survivor]

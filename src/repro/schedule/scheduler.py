@@ -15,7 +15,9 @@ exact backend), then builds the
 :class:`~repro.schedule.schedule.ScheduleRecord`.  It works for any
 tree-shaped region, so the same code schedules basic blocks, SLRs,
 superblocks, and treegions — only the region former differs between
-the paper's experiments.
+the paper's experiments.  Hyperblocks (Section 6's predication side)
+run the same stages; only the first two branch, to full if-conversion
+(:mod:`repro.schedule.hyperblock`) and its all-paths DDG.
 
 This module is the only one that knows the stage order.  The region
 memo (:mod:`repro.schedule.memo`) puts its caches in front of the same
@@ -44,6 +46,7 @@ from repro.obs.tracer import NULL_TRACER
 from repro.regions.hyperblock import Hyperblock
 from repro.regions.region import Region, RegionPartition
 from repro.schedule.ddg import DDG, build_ddg
+from repro.schedule.hyperblock import build_hyperblock_ddg, prepare_hyperblock
 from repro.schedule.list_scheduler import list_schedule
 from repro.schedule.prep import ScheduleProblem, prepare_region
 from repro.schedule.priorities import (
@@ -89,7 +92,7 @@ class ScheduleOptions:
             schedule height, seeded from the best heuristic schedule;
             see :mod:`repro.exact`).  The exact backend requires
             ``dominator_parallelism=False`` and ``schedule_copies=False``
-            and does not cover hyperblocks.
+            and covers tree-shaped regions only, not hyperblocks.
         exact_budget: Node budget for the exact backend's search (one
             bundle-extension step per node).  When exceeded the best
             heuristic schedule is returned unchanged and the result is
@@ -108,15 +111,15 @@ class ScheduleOptions:
 class RegionCounts(NamedTuple):
     """One region's pipeline counters as plain figures read off its stage
     outputs.  A stage's fields are None where the route did not run it:
-    the DDG's for hyperblocks, the schedule's for the bound analysis and
-    the gap route, the exact search's unless it ran (``exact_proven`` and
-    ``exact_improved`` are 0 or 1)."""
+    the schedule's for the bound analysis and the gap route, the exact
+    search's unless it ran (``exact_proven`` and ``exact_improved`` are
+    0 or 1)."""
 
     pand_merges: int = 0
     registers_minted: int = 0
-    ddg_nodes: Optional[int] = None
-    ddg_edges: Optional[int] = None
-    ddg_control_edges: Optional[int] = None
+    ddg_nodes: int = 0
+    ddg_edges: int = 0
+    ddg_control_edges: int = 0
     length: Optional[int] = None
     copy_count: Optional[int] = None
     merged_count: Optional[int] = None
@@ -127,17 +130,16 @@ class RegionCounts(NamedTuple):
     exact_improved: Optional[int] = None
 
 
-def region_counts(problem: ScheduleProblem, ddg: Optional[DDG] = None,
+def region_counts(problem: ScheduleProblem, ddg: DDG,
                   record: Optional[ScheduleRecord] = None,
                   info=None) -> RegionCounts:
-    """The record of a region's prepared problem and, where the route
-    built them, its DDG, its schedule's figures and the exact search's
+    """The record of a region's prepared problem and its DDG and, where
+    the route built them, its schedule's figures and the exact search's
     :class:`~repro.exact.backend.ExactInfo`."""
     absent = (None,) * 4
     return RegionCounts(
         problem.pand_merges, problem.registers_minted,
-        *((ddg.num_nodes, ddg.num_edges, ddg.num_control_edges)
-          if ddg is not None else absent[:3]),
+        ddg.num_nodes, ddg.num_edges, ddg.num_control_edges,
         *((record.length, record.copy_count, record.merged_count,
            record.speculated_count) if record is not None else absent),
         *((info.nodes, info.pruned, int(info.proven), int(info.improved))
@@ -156,10 +158,9 @@ def count_region(counts: RegionCounts) -> None:
         metrics.inc("prep.pand_merges", counts.pand_merges)
     if counts.registers_minted:
         metrics.inc("rename.registers_minted", counts.registers_minted)
-    if counts.ddg_nodes is not None:
-        metrics.inc("ddg.nodes", counts.ddg_nodes)
-        metrics.inc("ddg.edges", counts.ddg_edges)
-        metrics.inc("ddg.control_edges", counts.ddg_control_edges)
+    metrics.inc("ddg.nodes", counts.ddg_nodes)
+    metrics.inc("ddg.edges", counts.ddg_edges)
+    metrics.inc("ddg.control_edges", counts.ddg_control_edges)
     if counts.length is not None:
         metrics.inc("schedule.regions")
         metrics.inc("schedule.cycles", counts.length)
@@ -201,8 +202,9 @@ def check_options(region: Region, options: ScheduleOptions) -> None:
         )
     if isinstance(region, Hyperblock):
         raise ValueError(
-            "the exact backend covers tree-pipeline regions only; "
-            "hyperblocks schedule through a different pipeline"
+            "the exact backend covers tree-shaped regions only: its "
+            "search's legality model assumes a tree, not a hyperblock's "
+            "DAG"
         )
 
 
@@ -211,13 +213,12 @@ def prepare(region: Region, machine: MachineModel, liveness: LivenessInfo,
             tracer=NULL_TRACER) -> Tuple[ScheduleProblem, List[ExitCopy]]:
     """Stage 1: guard/predication prep, then renaming (plus the repair
     copies as real ops when ``schedule_copies``).  Returns the problem
-    and its exit repair copies.  Tree-shaped regions only."""
-    if isinstance(region, Hyperblock):
-        raise ValueError(
-            "the tree pipeline covers tree-shaped regions only; "
-            "hyperblocks schedule through a different pipeline"
-        )
+    and its exit repair copies.  A hyperblock is fully if-converted
+    instead: predication squashes conflicting definitions, so it needs
+    no renaming and has no copies."""
     with tracer.span("prep"):
+        if isinstance(region, Hyperblock):
+            return prepare_hyperblock(region, machine, liveness), []
         problem = prepare_region(region, machine, liveness)
     with tracer.span("renaming"):
         copies = rename_region(problem, liveness)
@@ -229,8 +230,11 @@ def prepare(region: Region, machine: MachineModel, liveness: LivenessInfo,
 def dependences(problem: ScheduleProblem, machine: MachineModel,
                 liveness: LivenessInfo, copies: List[ExitCopy],
                 tracer=NULL_TRACER) -> DDG:
-    """Stage 2: the region's DDG (Figure 3, "Form DDG")."""
+    """Stage 2: the region's DDG (Figure 3, "Form DDG"); a hyperblock's
+    has all-paths dependences over its DAG."""
     with tracer.span("ddg"):
+        if isinstance(problem.region, Hyperblock):
+            return build_hyperblock_ddg(problem, machine, liveness)
         return build_ddg(problem, machine, liveness=liveness, copies=copies)
 
 
@@ -245,10 +249,9 @@ def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
 
     Returns the schedule's :class:`~repro.schedule.schedule.ScheduleRecord`
     and the region's :class:`RegionCounts`, which the caller counts.
-    Neither backend writes to the problem, except dominator
-    parallelism's merge step (it rewrites consumer operands, so such a
-    problem is single-use); callers that read placements build the
-    :class:`RegionSchedule` with
+    Neither backend writes to the problem, with or without dominator
+    parallelism, so one problem serves every call; callers that read
+    placements build the :class:`RegionSchedule` with
     :meth:`~repro.schedule.schedule.RegionSchedule.materialize`.
     ``keys`` is an :func:`~repro.schedule.priorities.all_priority_keys`
     dict for this problem when the caller already has one; None computes
@@ -308,24 +311,6 @@ def schedule_region(
     check_options(region, options)
     if liveness is None:
         liveness = liveness_of(region.root.cfg)
-    # Hyperblocks go through the if-conversion pipeline: full predication,
-    # DAG dependences, no renaming, no speculation.
-    if isinstance(region, Hyperblock):
-        from repro.schedule.hyperblock import (
-            build_hyperblock_ddg,
-            prepare_hyperblock,
-        )
-
-        with tracer.span("list_schedule", region=region.root.bid,
-                         kind="hyperblock"):
-            problem = prepare_hyperblock(region, machine, liveness)
-            ddg = build_hyperblock_ddg(problem, machine, liveness)
-            order = priority_order(problem, ddg, options.heuristic)
-            record = list_schedule(problem, ddg, order, machine, copies=[],
-                                   max_cycles=options.max_cycles)
-        # The DAG dependences are not counted: only prep and schedule.
-        count_region(region_counts(problem, record=record))
-        return RegionSchedule.materialize(problem, record)
     with tracer.span("schedule_region", region=region.root.bid,
                      blocks=len(region.blocks),
                      machine=machine.name,

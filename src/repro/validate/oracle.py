@@ -519,7 +519,8 @@ ROUTES: Tuple[Route, ...] = (
 
 
 def _bounded_schemes(grid: Sequence[Cell]) -> List[str]:
-    """The grid's schemes the height bounds cover (not hyperblock)."""
+    """The grid's schemes the exact search covers (not hyperblock: its
+    legality model is tree-only)."""
     return [spec for spec in {cell.scheme: None for cell in grid}
             if api.make_scheme(spec).name != "hyperblock"]
 
@@ -532,7 +533,7 @@ def check_analysis_soundness(
     """The dataflow engine's schedule-height bounds must hold on ``grid``.
 
     Runs :func:`repro.analysis.driver.analyze_program` over the grid's
-    (non-hyperblock) schemes, machines, and heuristics: every region's
+    schemes, machines, and heuristics: every region's
     critical-path / resource lower bound must be <= every achieved
     height, and the flow-sensitive IR lint must find no errors (a
     must-uninitialized use in a generated program would mean the
@@ -540,11 +541,9 @@ def check_analysis_soundness(
     """
     from repro.analysis.driver import analyze_program
 
-    schemes = _bounded_schemes(grid)
-    if not schemes:
-        return []
     result = analyze_program(
-        program, name=name, schemes=schemes,
+        program, name=name, schemes=list({cell.scheme: None
+                                          for cell in grid}),
         machines=list({cell.machine: None for cell in grid}),
         heuristics=list({cell.heuristic: None for cell in grid}),
     )

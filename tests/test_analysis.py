@@ -640,12 +640,23 @@ class TestBounds:
         assert result["summary"]["tight"] == result["summary"]["regions"]
         assert result["summary"]["max_gap"] == 0
 
-    def test_rejects_unknown_heuristic_and_hyperblock(self):
+    def test_rejects_unknown_heuristic(self):
         program = program_with(diamond_function())
         with pytest.raises(ValueError):
             api.analyze_program(program, heuristics=("nope",))
-        with pytest.raises(ValueError):
-            api.analyze_program(program, schemes=("hyperblock",))
+
+    @pytest.mark.parametrize("workload", ["paper", "compress"])
+    def test_hyperblock_bounds_are_computed_and_sound(self, workload):
+        program = (build_paper_example() if workload == "paper"
+                   else build_benchmark("compress"))
+        result = api.analyze_program(program, schemes=("hyperblock",),
+                                     lint=False)
+        rows = result["regions"]
+        assert result["summary"]["unsound"] == 0
+        assert any(row["blocks"] > 1 for row in rows)  # DAG regions
+        for row in rows:
+            assert row["scheme"] == "hyperblock"
+            assert 0 < row["lower_bound"] <= row["best"]
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import TreegionLimits, form_treegions, form_treegions_td
+from repro.evaluation.schemes import SchemeSpec, form_program
 from repro.ir import CompareCond, Function, IRBuilder, Opcode
+from repro.ir.analysis_cache import liveness_of
 from repro.ir.clone import clone_function
 from repro.machine import SCALAR_1U, VLIW_4U, VLIW_8U, MachineModel
 from repro.regions import form_basic_block_regions
@@ -15,7 +17,14 @@ from repro.schedule.priorities import (
     HEURISTICS,
     WEIGHTED_COUNT,
 )
-from repro.schedule.scheduler import schedule_partition
+from repro.schedule.schedule import RegionSchedule
+from repro.schedule.scheduler import (
+    dependences,
+    prepare,
+    schedule_partition,
+    schedule_prepared,
+)
+from repro.workloads.specint import build_benchmark
 
 from tests.helpers import diamond_function, switch_function
 from tests.test_regions_formation import build_figure1_like
@@ -219,6 +228,32 @@ class TestDominatorParallelism:
                 ScheduleOptions(heuristic=heuristic, dominator_parallelism=False),
             )
             assert with_dp.weighted_time <= without.weighted_time
+
+    def test_merge_sees_earlier_rewiring(self):
+        """A merge rewires its consumers, and later merge tests read the
+        rewired operands: on this go region a duplicate whose prepared
+        sources differ from its sibling's merges once their producers
+        have merged.  The problem itself is untouched until the record
+        is materialized."""
+        formed = form_program(build_benchmark("go"),
+                              SchemeSpec.parse("treegion-td:2.0").build())[1]
+        go = next(f for f in formed if f.function.name == "go")
+        region = next(r for r in go.partition if r.root.bid == 23)
+        liveness = liveness_of(go.function.cfg)
+        problem, copies = prepare(region, VLIW_4U, liveness)
+        ddg = dependences(problem, VLIW_4U, liveness, copies)
+        ops = problem.sched_ops
+        prepared = [list(sop.op.srcs) for sop in ops]
+        record, _ = schedule_prepared(
+            problem, ddg, copies, VLIW_4U,
+            ScheduleOptions(heuristic=DEP_HEIGHT, dominator_parallelism=True))
+        chained = [(index, survivor) for index, survivor in record.merges
+                   if prepared[index] != prepared[survivor]]
+        assert chained
+        assert [list(sop.op.srcs) for sop in ops] == prepared
+        RegionSchedule.materialize(problem, record)
+        for index, survivor in chained:
+            assert ops[index].op.srcs == ops[survivor].op.srcs
 
     def test_merged_ops_consume_no_slots(self):
         region = self._tail_dup_region()

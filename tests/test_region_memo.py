@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import form_treegions
 from repro.evaluation.engine import GridCell, build_scheme, evaluate_grid
+from repro.evaluation.schemes import SchemeSpec, form_program
 from repro.ir.analysis_cache import liveness_of
 from repro.ir.clone import clone_function
 from repro.machine import VLIW_4U, VLIW_8U
@@ -159,6 +160,47 @@ class TestTierOneSharing:
         assert not any(tables())
         assert memo.stats()["entries"] > 0  # tier 2 is content-addressed
 
+    def test_hyperblock_and_dp_cells_match_memo_off(self, tmp_path):
+        """Hyperblock and dominator-parallelism cells go through both
+        tiers: cold, warm and store-revived passes equal the memo-off
+        results and counters, and none bypasses."""
+        cells = [GridCell("li", scheme, machine, heuristic, dp, sc)
+                 for scheme, dp, sc in (("hyperblock", False, False),
+                                        ("hyperblock", True, True),
+                                        ("treegion-td:2.0", True, False),
+                                        ("treegion-td:2.0", True, True))
+                 for machine in ("4U", "8U")
+                 for heuristic in HEURISTICS]
+
+        def run(region_memo, store=None):
+            metrics = MetricsRegistry()
+            misses = region_memo.stats()["misses"] if region_memo else 0
+            results = evaluate_grid(cells, jobs=1, metrics=metrics,
+                                    region_memo=region_memo,
+                                    region_store=store)
+            snapshot = metrics.deterministic_snapshot()
+            snapshot["counters"] = {
+                name: value for name, value in snapshot["counters"].items()
+                if not name.startswith("serve.store.")}
+            if region_memo:
+                misses = region_memo.stats()["misses"] - misses
+            return ([(r.time, r.code_expansion, r.schedule_lengths,
+                      r.total_copies, r.total_merged, r.total_speculated)
+                     for r in results], snapshot), misses
+
+        off, _ = run(False)
+        assert off[1]["counters"]["ddg.nodes"] > 0
+        assert sum(merged for *_, merged, _ in off[0]) > 0
+        memo = RegionMemo()
+        cold, cold_misses = run(memo, str(tmp_path))
+        warm, warm_misses = run(memo)
+        revived = RegionMemo()
+        served, revived_misses = run(revived, str(tmp_path))
+        assert cold == warm == served == off
+        assert cold_misses > 0
+        assert warm_misses == revived_misses == 0
+        assert memo.stats()["bypasses"] == revived.stats()["bypasses"] == 0
+
 
 def _distinct_orders(region, machine, liveness):
     """The set of priority orders the four heuristics give ``region``."""
@@ -248,11 +290,36 @@ class TestScheduleSharing:
                      for spec in ("bb", "treegion") for cfg in cfgs)
         assert len(calls) == formed
 
-    @pytest.mark.parametrize("options", [
-        ScheduleOptions(heuristic="dep_height", dominator_parallelism=True),
-        ScheduleOptions(heuristic="dep_height", backend="exact"),
-    ], ids=["dominator_parallelism", "exact"])
-    def test_dp_and_exact_never_reuse(self, options, monkeypatch):
+    def test_dp_shares_tier_one(self, monkeypatch):
+        """Cells with and without dominator parallelism share the
+        group's prepared problems: ``prepare`` runs once per region.
+        Their finished schedules key on the flag."""
+        formed = form_program(build_paper_example(),
+                              SchemeSpec.parse("treegion-td:2.0").build())[1]
+        regions = [region for f in formed for region in f.partition]
+        liveness = liveness_of(formed[0].function.cfg)
+        probes = [(region, machine, ScheduleOptions(
+            heuristic=heuristic, dominator_parallelism=dp))
+            for dp in (False, True)
+            for machine, heuristic in self.PROBES for region in regions]
+        direct = [_summary(schedule_region(region, machine, options,
+                                           liveness))
+                  for region, machine, options in probes]
+        prepared = []
+        original = memo_module.prepare
+        monkeypatch.setattr(
+            memo_module, "prepare",
+            lambda *a, **k: prepared.append(a[0]) or original(*a, **k))
+        memo = RegionMemo()
+        served = [_summary(memo.schedule(region, machine, options,
+                                         liveness))
+                  for region, machine, options in probes]
+        assert served == direct
+        assert sum(summary[3] for summary in served) > 0  # dp merged
+        assert sorted(map(id, prepared)) == sorted(map(id, regions))
+        assert {key[3] for key in memo._schedules} == {False, True}
+
+    def test_exact_never_reuses(self, monkeypatch):
         regions, liveness = _regions(build_paper_example().entry_function)
         memo = RegionMemo()
         for region in regions:
@@ -260,14 +327,14 @@ class TestScheduleSharing:
                           ScheduleOptions(heuristic="dep_height"), liveness)
         shared = dict(memo._schedules)
         runs = []
-        for name in ("schedule_region", "schedule_prepared"):
-            original = getattr(memo_module, name)
-            monkeypatch.setattr(
-                memo_module, name,
-                lambda *a, _f=original, **k: runs.append(a) or _f(*a, **k))
+        original = memo_module.schedule_prepared
+        monkeypatch.setattr(
+            memo_module, "schedule_prepared",
+            lambda *a, **k: runs.append(a) or original(*a, **k))
+        options = ScheduleOptions(heuristic="dep_height", backend="exact")
         for region in regions:
             summary = memo.schedule(region, VLIW_4U, options, liveness)
-            # A miss returns figures on every route, dp and exact too.
+            # A miss returns figures on every route, exact too.
             assert isinstance(summary, RegionSummary)
         assert len(runs) == len(regions)
         assert memo._schedules == shared

@@ -207,20 +207,33 @@ class TestRecordMatchesMaterialized:
             _assert_figures_match(problem, record)
 
     def test_list_schedule_writes_nothing(self):
-        fn = build_paper_example().entry_function
-        liveness = liveness_of(fn.cfg)
-        for region in form_treegions(fn.cfg):
-            problem, copies = prepare(region, VLIW_8U, liveness)
-            ddg = dependences(problem, VLIW_8U, liveness, copies)
-            before = [(sop.cycle, sop.slot, sop.merged_into,
-                       sop.op.speculative, list(sop.op.srcs))
-                      for sop in problem.sched_ops]
-            for heuristic in HEURISTICS:
-                schedule_prepared(problem, ddg, copies, VLIW_8U,
-                                  ScheduleOptions(heuristic=heuristic))
-            assert [(sop.cycle, sop.slot, sop.merged_into,
-                     sop.op.speculative, list(sop.op.srcs))
-                    for sop in problem.sched_ops] == before
+        """Under every heuristic, with and without dominator parallelism
+        (whose merges rewire consumers), no op's placement, flags,
+        sources or guard change."""
+        merges = 0
+        for spec in ("treegion", "treegion-td:2.0"):
+            formed = form_program(build_paper_example(),
+                                  SchemeSpec.parse(spec).build())[1]
+            liveness = liveness_of(formed[0].function.cfg)
+            for region in formed[0].partition:
+                problem, copies = prepare(region, VLIW_8U, liveness)
+                ddg = dependences(problem, VLIW_8U, liveness, copies)
+
+                def state():
+                    return [(sop.cycle, sop.slot, sop.merged_into,
+                             sop.op.speculative, list(sop.op.srcs),
+                             sop.op.guard) for sop in problem.sched_ops]
+
+                before = state()
+                for dp in (False, True):
+                    for heuristic in HEURISTICS:
+                        record, _ = schedule_prepared(
+                            problem, ddg, copies, VLIW_8U, ScheduleOptions(
+                                heuristic=heuristic,
+                                dominator_parallelism=dp))
+                        merges += record.merged_count
+                assert state() == before
+        assert merges > 0
 
 
 # ----------------------------------------------------------------------

@@ -161,6 +161,21 @@ class TestTaskCounters:
             _run_task(_task(bad), groups)
         assert len(groups) == 0 and groups.ops == 0
 
+    def test_alternating_texts_under_one_name_reuse_their_groups(self):
+        """The parsed-text cache keys by the text, not the name: each
+        text keeps its one program, so its kept group is found again."""
+        groups = KeptGroups()
+        formed = reused = 0
+        for name in ("compress", "li") * 3:
+            cell = GridCell("p", "treegion", "4U", "global_weight")
+            task = (cell.benchmark, cell.scheme, ((0, cell),), 0, None,
+                    TEXTS[name], (None, 0.0), None)
+            counters = _run_task(task, groups)[3]["counters"]
+            formed += counters.get("serve.groups.formed", 0)
+            reused += counters.get("serve.groups.reused", 0)
+        assert (formed, reused) == (2, 4)
+        assert len(groups) == 2
+
     def test_grid_route_forms_every_task(self, monkeypatch):
         calls = []
         original = engine.form_program
