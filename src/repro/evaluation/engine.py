@@ -432,11 +432,7 @@ def evaluate_program(
 
 
 def _open_region_store(spec):
-    """An artifact store from an instance, a directory, or (dir, max_mb)."""
-    if spec is None:
-        return None
-    if hasattr(spec, "get_payload"):
-        return spec
+    """An artifact store opened from a directory or (dir, max_mb)."""
     from repro.serve.store import ArtifactStore
 
     if isinstance(spec, str):
@@ -461,8 +457,8 @@ def _resolve_memo(region_memo):
     return region_memo
 
 
-#: Per-worker-process region store handles, keyed by directory (opening
-#: a store re-reads the index; once per process is enough).
+#: Per-worker-process region store handles, keyed by directory (a handle
+#: indexes the segment once, then only what is appended; it stays open).
 _worker_stores: Dict[str, object] = {}
 
 
@@ -573,11 +569,11 @@ def _resolve_program(bench: str,
 #: as text (the printer/parser round-trip is structure-identical).  The
 #: sixth element is the region-memo directive: None = memo off, else
 #: ``(store_directory_or_None, store_max_mb)`` — the worker uses its own
-#: process-global memo and opens its own store handle (object writes are
-#: atomic, and a region pack is merged with the pack on disk as it is
-#: written, so concurrent workers keep each other's entries; two syncs
-#: of one pack that interleave can drop some, which costs a recompute,
-#: never a wrong result).  The last element is the
+#: process-global memo and opens its own store handle (each sync
+#: appends one checksummed batch to the shared segment, so concurrent
+#: workers keep each other's entries; a record lost to a racing
+#: compaction costs a recompute, never a wrong result).  The last
+#: element is the
 #: trace directive: None = untraced, else ``(span file template or None,
 #: trace id, parent span id)`` — the worker records its task under the
 #: parent's ``pool`` span and streams spans to its own per-pid file when
@@ -813,7 +809,8 @@ def evaluate_grid(
         region_store: Optional persistent backing for the region memo —
             an :class:`~repro.serve.store.ArtifactStore`, a directory,
             or ``(directory, max_mb)`` — attached for the duration of
-            this call (workers open their own handles).
+            this call (workers open their own handles).  A store opened
+            from a directory is closed on return.
 
     Every path returns results bit-identical to calling
     :func:`evaluate_cell` per cell.  The call, and each pool task, runs
@@ -825,8 +822,12 @@ def evaluate_grid(
         jobs = os.cpu_count() or 1
     memo = _resolve_memo(region_memo)
     previous_store = memo.store if memo is not None else None
+    # A store this call opens from a directory, it also closes.
+    opened = None
     if memo is not None and region_store is not None:
-        memo.attach_store(_open_region_store(region_store))
+        if not hasattr(region_store, "get_payload"):
+            region_store = opened = _open_region_store(region_store)
+        memo.attach_store(region_store)
     stats = {"hits": 0, "misses": 0, "store_hits": 0, "bytes": 0}
     before = memo.stats() if memo is not None else None
     try:
@@ -867,7 +868,9 @@ def evaluate_grid(
             stats["misses"] += after["misses"] - before["misses"]
             stats["store_hits"] += after["store_hits"] - before["store_hits"]
             stats["bytes"] = max(stats["bytes"], after["bytes"])
-            if memo.store is not None:
+            if opened is not None:
+                opened.close()
+            elif memo.store is not None:
                 memo.store.sync()
             memo.attach_store(previous_store)
             if metrics is not NULL_METRICS:

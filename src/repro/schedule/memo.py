@@ -57,18 +57,15 @@ miss, returns a :class:`RegionSummary` carrying exactly what the engine
 consumes (weighted time, length, copy/merge/speculation counts): no
 :class:`~repro.schedule.schedule.RegionSchedule` is built.  With an
 artifact store attached (:meth:`RegionMemo.attach_store`), entries
-persist across processes in one store object per region content and
-flags, its *pack*, keyed by
-:func:`repro.serve.store.region_key`: every (machine, heuristic) entry
-of the region, each under its :func:`~repro.serve.store.region_entry_id`.
-After an in-memory miss the memo reads the pack once per group (a
-table keyed by content, cleared by :meth:`~RegionMemo.begin_group` and
-:meth:`~RegionMemo.attach_store`, so a pack another process wrote since
-the last task is read again), and each probe decodes its own entry.
-A miss adds its entry to the pack and puts the pack back; the store
-holds it in memory and writes it once, on the caller's
-:meth:`~repro.serve.store.ArtifactStore.sync`, merged with whatever
-entries other processes wrote to the pack meanwhile.
+persist across processes in one *pack* per region content and flags
+(:func:`repro.serve.store.region_key`), each (machine, heuristic)
+under its :func:`~repro.serve.store.region_entry_id`.  After an
+in-memory miss the memo reads the pack once per group (a table cleared
+by :meth:`~RegionMemo.begin_group` and
+:meth:`~RegionMemo.attach_store`), and each probe decodes its own
+entry.  A miss puts its one entry, which the store appends with the
+pack's other new entries on the caller's
+:meth:`~repro.serve.store.ArtifactStore.sync`.
 
 **Bit-identity.**  Summaries reproduce the direct path exactly:
 
@@ -95,7 +92,9 @@ entries other processes wrote to the pack meanwhile.
 never cached): ``options.certify`` or an active lint collector (caller
 wants diagnostics, not numbers), and non-default ``max_cycles``.  Every
 region kind and every other option goes through both tiers:
-hyperblocks run the same stages, and dominator parallelism shares the
+hyperblocks run the same stages (a hyperblock has no copies, so its
+``schedule_copies`` flag is read as off in every key), and dominator
+parallelism shares the
 prepared problem, DDG, priority keys and orders with the cells without
 it (its finished schedules key on the flag, as tier 2 does).  The exact
 backend shares the prepared problem and DDG but never the order and
@@ -111,6 +110,7 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
+from dataclasses import replace
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -118,6 +118,7 @@ from repro.ir.liveness import LivenessInfo
 from repro.lint.collect import current_collector
 from repro.machine.model import MachineModel
 from repro.obs.tracer import NULL_TRACER
+from repro.regions.hyperblock import Hyperblock
 from repro.regions.region import Region
 from repro.schedule.fingerprint import (
     latency_fingerprint,
@@ -366,6 +367,8 @@ class RegionMemo:
         Both expose the accumulation attributes the engine reads.
         """
         check_options(region, options)
+        if options.schedule_copies and isinstance(region, Hyperblock):
+            options = replace(options, schedule_copies=False)
         if self._bypass(options):
             self.bypasses += 1
             return schedule_region(region, machine, options, liveness,
@@ -410,7 +413,7 @@ class RegionMemo:
             self._remember(key, entry)
             if self.store is not None:
                 pack[entry_id] = entry.payload()
-                self._put_pack(store_key, pack)
+                self._put_entry(store_key, entry_id, pack[entry_id])
         count_region(entry.counts)
         # Weighted time is recomputed from the *live* exit weights in
         # exit order — the fingerprint's %g quantization never leaks
@@ -421,8 +424,8 @@ class RegionMemo:
         return RegionSummary(weighted_time, counts.length, counts.copy_count,
                              counts.merged_count, counts.speculated_count)
 
-    # The store module imports the engine, which imports this module:
-    # the three helpers below import from it on first use.
+    # Importing the store module loads the whole serve package, which a
+    # memo without a store never needs: the helpers import it on use.
 
     def _pack(self, key: Tuple) -> Tuple[str, Dict[str, object]]:
         """The store key and entries of the region pack a tier-2 key
@@ -438,12 +441,13 @@ class RegionMemo:
                 pack_entries(self.store.get_payload(store_key))))
         return cached
 
-    def _put_pack(self, store_key: str, pack: Dict[str, object]) -> None:
-        """Put a region pack back (the store holds a copy and writes it
-        on its next sync)."""
+    def _put_entry(self, store_key: str, entry_id: str,
+                   payload: Dict[str, object]) -> None:
+        """Put one pack entry; the store appends it with the pack's other
+        new entries on its next sync."""
         from repro.serve.store import region_pack
 
-        self.store.put_payload(store_key, region_pack(dict(pack)))
+        self.store.put_payload(store_key, region_pack({entry_id: payload}))
 
     def _entry_id(self, machine_fp: str, heuristic: str) -> str:
         """The pack entry id of one (machine, heuristic), computed once

@@ -4,8 +4,9 @@ The layers, bottom up (see DESIGN.md §10–§12):
 
 * :mod:`repro.serve.store` — a content-addressed, disk-backed cache of
   grid-cell schedule results, keyed by SHA-256 of (canonical IR text,
-  scheme spec, machine fingerprint, heuristic, schema version), with
-  atomic writes, LRU size-bounded eviction, and corruption tolerance;
+  scheme spec, machine fingerprint, heuristic, schema version), kept
+  as checksummed records appended to one segment file, compacted to a
+  size bound, and tolerant of corruption;
 * :mod:`repro.serve.service` (+ :mod:`repro.serve.jobs`) — one shard's
   :class:`~repro.serve.service.WorkerPool`: a bounded intake queue
   (backpressure), a dispatcher that batches jobs by (program, scheme)

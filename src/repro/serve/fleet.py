@@ -646,7 +646,7 @@ class CompileFleet:
         for shard in self._shards:
             shard.pool.close(drain=drain, timeout=timeout)
             if shard.store is not None:
-                shard.store.sync()
+                shard.store.close()
         self.tracer.event("fleet.close", drained=drain)
         self.tracer.close()
 

@@ -18,7 +18,8 @@ only what is specific to running work on processes:
   with their region-memo tier-1 state (prepared problems, DDGs,
   priority orders, finished schedules), in a :class:`KeptGroups` LRU
   bounded by op count, so a later request for another cell of the same
-  (program, scheme) skips formation and the stages the first one ran;
+  (program, scheme) skips formation and the stages the first one ran,
+  and the collector never walks them again (:meth:`KeptGroups.freeze`);
 * **one attempt per dispatch** — a dispatch that times out or loses its
   worker process (``BrokenProcessPool``) recycles the executor, so one
   poisoned worker cannot wedge the pool, and fails every job of the
@@ -33,6 +34,7 @@ only what is specific to running work on processes:
 
 from __future__ import annotations
 
+import gc
 import queue
 import threading
 from collections import OrderedDict
@@ -73,6 +75,7 @@ class KeptGroups:
     def __init__(self, max_ops: int = MAX_KEPT_OPS) -> None:
         self.max_ops = max_ops
         self.ops = 0
+        self.formed = 0  # groups put so far
         self._groups: "OrderedDict[Tuple, object]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -87,16 +90,27 @@ class KeptGroups:
 
     def put(self, key: Tuple, group) -> None:
         current_metrics().inc("serve.groups.formed")
+        self.formed += 1
         self._groups[key] = group
         self.ops += group.ops
         while self.ops > self.max_ops:
             _, evicted = self._groups.popitem(last=False)
             self.ops -= evicted.ops
+            gc.unfreeze()
 
     def drop(self, key: Tuple) -> None:
         group = self._groups.pop(key, None)
         if group is not None:
             self.ops -= group.ops
+            gc.unfreeze()
+
+    @staticmethod
+    def freeze() -> None:
+        """Collect, then move every live object to the permanent
+        generation, so later collections skip the kept tier-1 state.  A
+        group that leaves unfreezes everything, so it can be freed."""
+        gc.collect()
+        gc.freeze()
 
 
 #: The kept groups of this process (only pool workers fill it).
@@ -106,7 +120,14 @@ _kept_groups = KeptGroups()
 def _service_worker(task):
     """Default pool worker: the engine's group-task worker, keeping
     formed groups in this process across tasks."""
-    return _run_task(task, _kept_groups)
+    formed = _kept_groups.formed
+    if not formed:
+        gc.freeze()  # what this process inherited at fork
+    try:
+        return _run_task(task, _kept_groups)
+    finally:
+        if _kept_groups.formed != formed:
+            _kept_groups.freeze()
 
 
 #: Per-process cache of worker-side tracers, keyed by (span file

@@ -1,64 +1,46 @@
 """Content-addressed, disk-backed artifact store for schedule results.
 
-Every ``repro run/bench/report`` invocation recompiles, re-forms, and
-re-schedules from scratch; the PR-1 analysis cache is in-memory and dies
-with the process.  This store makes the expensive half of a grid cell —
-formation plus scheduling plus estimation — durable across processes:
-the profile-weighted schedule estimate is a pure function of (IR,
-scheme, machine, heuristic), so its result can be memoized under a
-content hash of exactly those inputs.
+A grid cell's profile-weighted estimate is a pure function of (IR,
+scheme, machine, heuristic), so this store keeps it, across processes,
+under a content hash of exactly those inputs (DESIGN.md §10).
+:func:`cell_key` digests the store schema (repro version and format
+revision), the canonical IR text (profile weights included), the
+canonical scheme spec, the machine fingerprint, the heuristic and the
+cell's flags.  The region memo keeps one *pack* per region content and
+flags under :func:`region_key`, each (machine, heuristic) result inside
+it under its :func:`region_entry_id`.
 
-**Key derivation.**  A cell result is keyed by :func:`cell_key`: the
-SHA-256 digest of
+**Layout.**  The directory holds one append-only segment,
+``records.seg``.  A record is a header (a marker, the CRC-32 of the data
+and its length) and the data: the key, a newline and the payload's
+JSON, which restates the key and the schema.  A cell result is one
+record.  A region pack is the union of its records, later records
+winning per entry; any other record replaces what came before it.
 
-* the store schema string (:func:`store_schema` — repro version plus a
-  payload-format revision, so an upgraded tool never reads stale
-  payload shapes);
-* the canonical textual IR of the program
-  (:func:`repro.ir.printer.format_program` — block and edge profile
-  weights are part of the text, so re-profiled programs key
-  differently);
-* the canonical scheme spec (``str(SchemeSpec.parse(...))``, so
-  aliases of one spec share an entry);
-* the machine fingerprint (:func:`machine_fingerprint` — name, issue
-  width, the full latency table, and the structural knobs);
-* the heuristic name and the two :class:`ScheduleOptions` flags a
-  :class:`~repro.evaluation.engine.GridCell` carries.
+**Writes** are write-back: :meth:`ArtifactStore.put_payload` holds a
+payload in memory and serves it to the store's own reads, and
+:meth:`~ArtifactStore.sync` (or ``close``) appends every pending
+record as one batch, with one ``write`` on an ``O_APPEND`` descriptor:
+one record per pack, holding only the entries put since the last sync.
+:meth:`~ArtifactStore.put` syncs at once.  Processes sharing a store
+append to one segment and so keep each other's entries.
 
-The region memo's *pack* of one region is keyed by :func:`region_key`:
-the schema, a ``region-pack`` tag, the region's content fingerprint,
-the two flags and, for a non-default backend, the backend and its
-budget.  Inside the pack, each (machine, heuristic) result sits under
-its :func:`region_entry_id`, a short digest of the machine fingerprint
-and the heuristic.
+**Reads** go through an in-memory index, key to record spans, built by
+scanning the segment at open; a read of a key it lacks first indexes
+what other handles appended since.  A read is one ``pread`` per
+record.  A record whose marker, length, checksum, key or schema does
+not check out is skipped and counted (``serve.store.corrupt``), never
+served, and the scan resumes at the next marker.
 
-**Layout**: ``<dir>/objects/<key[:2]>/<key>.json`` holds one JSON
-payload per key (the key is restated inside the payload and checked
-on read): one cell result, or one region's pack of every (machine,
-heuristic) entry.  ``<dir>/index.json`` records sizes and LRU clocks,
-and is rewritten only when an entry was added, dropped or touched.
-Puts are write-back: the store holds a payload in memory, serves it
-to its own reads, and writes it once, on :meth:`ArtifactStore.sync` or
-:meth:`ArtifactStore.close` (:meth:`ArtifactStore.put` syncs at once;
-the region memo's packs wait for the caller's sync).  Writes go through
-a temp file in the same directory followed by ``os.replace``, so a
-reader never observes a torn file.  Concurrent writers of one cell
-result race atomically — last write wins.  A pending pack is merged
-with the pack on disk as it is written, so processes sharing a store
-keep each other's entries; only two syncs of one pack that interleave
-between that read and the rename can still drop entries, which costs a
-later recompute, never a wrong answer.
+**Eviction is compaction**: past the size bound (``max_mb``), a sync
+copies the records of the most recently used keys, up to half the bound
+and at least the newest key, into a new file renamed over the segment;
+each key left out counts in ``serve.store.evictions``.  An append that
+races a compaction can be lost with the old file, which costs a
+recompute, never a wrong answer.
 
-**Eviction**: the store is LRU size-bounded (``max_mb``); exceeding the
-bound evicts least-recently-used entries until it fits and counts them
-(``serve.store.evictions``).  A missing, unparsable or malformed index
-is rebuilt by scanning the object tree; an unreadable, unparsable,
-non-object or wrong-key object file is deleted and served as a miss
-(``serve.store.corrupt``) — corruption can cost time, never wrong
-answers.
-
-Hit/miss/evict/corrupt totals flow into the active
-:mod:`repro.obs` metrics registry and are also kept on the instance
+Hit/miss/evict/corrupt totals flow into the active :mod:`repro.obs`
+metrics registry and are kept on the instance
 (:meth:`ArtifactStore.stats`).
 """
 
@@ -68,8 +50,12 @@ import functools
 import hashlib
 import json
 import os
+import struct
 import tempfile
-from typing import Dict, Iterable, Optional, Tuple
+import threading
+import zlib
+from collections import OrderedDict
+from typing import Dict, List, Optional, Tuple
 
 from repro.evaluation.engine import CellResult, GridCell, machine_by_name
 from repro.evaluation.schemes import SchemeSpec
@@ -79,16 +65,31 @@ from repro.obs.metrics import current_metrics
 # means.
 from repro.schedule.fingerprint import machine_fingerprint  # noqa: F401
 
-#: Revision of the on-disk payload shape.  Bump when the JSON layout of
-#: an entry changes; old entries then key differently and age out.
-STORE_FORMAT = 2
+#: Revision of the on-disk format.  Bump when the record layout or the
+#: JSON shape of an entry changes; old entries then key differently and
+#: age out.
+STORE_FORMAT = 3
 
 #: Default size bound (in MiB) when a caller does not pass one.
 DEFAULT_MAX_MB = 256
 
-#: The ``kind`` of a region pack: one object holding a region's result
+#: The ``kind`` of a region pack: the records holding a region's result
 #: for every (machine, heuristic).
 REGION_PACK_KIND = "region-pack"
+
+#: The segment file inside a store directory.
+SEGMENT_NAME = "records.seg"
+
+#: A record header: marker, CRC-32 of the data, length of the data.  The
+#: marker's first byte is not ASCII, and keys and JSON bodies are, so a
+#: scan past a damaged record finds the next record by its marker.
+_HEADER = struct.Struct("<4sII")
+_MAGIC = b"\x8fRS\x03"
+
+#: How many bytes a scan reads at a time, and the most a record may
+#: claim (a damaged length must not make the scan read gigabytes).
+_CHUNK = 1 << 20
+_MAX_RECORD = 1 << 26
 
 
 @functools.cache
@@ -134,18 +135,12 @@ def region_key(
 ) -> str:
     """SHA-256 key of one region's result pack.
 
-    The region-granular analogue of :func:`cell_key`: the program text is
-    replaced by :func:`repro.schedule.fingerprint.region_fingerprint` and
-    the scheme disappears entirely (whatever former produced the region,
-    equal content schedules identically).  The machine and heuristic are
-    not in the key: one object holds the region's result for every
-    (machine, heuristic), each under its :func:`region_entry_id`.  A
-    ``region-pack`` tag keeps the keyspace disjoint from cell keys even
-    under hash-input coincidence.
-
-    Non-default backends key separately: an exact result depends on the
-    node budget (a larger budget may prove a shorter schedule), so the
-    budget is part of the key.
+    The region-granular :func:`cell_key`: the region fingerprint replaces
+    the program text, and the scheme, machine and heuristic drop out
+    (equal content schedules identically; the pack holds every
+    (machine, heuristic)).  A ``region-pack`` tag keeps the keyspace
+    apart from cell keys.  A non-default backend keys with its node
+    budget, on which an exact result depends.
     """
     parts = [
         store_schema(),
@@ -187,19 +182,10 @@ def result_to_payload(key: str, result: CellResult) -> Dict[str, object]:
     Floats serialize via ``repr`` (shortest round-trip), so a stored
     result deserializes bit-identical to the one computed fresh.
     """
-    cell = result.cell
     return {
         "schema": store_schema(),
         "key": key,
-        "cell": {
-            "benchmark": cell.benchmark,
-            "scheme": cell.scheme,
-            "machine": cell.machine,
-            "heuristic": cell.heuristic,
-            "dominator_parallelism": cell.dominator_parallelism,
-            "schedule_copies": cell.schedule_copies,
-            "backend": getattr(cell, "backend", "heuristic"),
-        },
+        "cell": dict(vars(result.cell)),
         "time": result.time,
         "code_expansion": result.code_expansion,
         "schedule_lengths": list(result.schedule_lengths),
@@ -210,17 +196,8 @@ def result_to_payload(key: str, result: CellResult) -> Dict[str, object]:
 
 
 def result_from_payload(payload: Dict[str, object]) -> CellResult:
-    cell = payload["cell"]
     return CellResult(
-        cell=GridCell(
-            benchmark=cell["benchmark"],
-            scheme=cell["scheme"],
-            machine=cell["machine"],
-            heuristic=cell["heuristic"],
-            dominator_parallelism=cell["dominator_parallelism"],
-            schedule_copies=cell["schedule_copies"],
-            backend=cell.get("backend", "heuristic"),
-        ),
+        cell=GridCell(**payload["cell"]),
         time=payload["time"],
         code_expansion=payload["code_expansion"],
         schedule_lengths=tuple(payload["schedule_lengths"]),
@@ -230,180 +207,192 @@ def result_from_payload(payload: Dict[str, object]) -> CellResult:
     )
 
 
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
+def _frame(key: str, body: bytes) -> bytes:
+    """One record: header, then key, newline and ``body``."""
+    data = key.encode("ascii") + b"\n" + body
+    return _HEADER.pack(_MAGIC, zlib.crc32(data), len(data)) + data
 
 
-def _parse_index(raw) -> Optional[Tuple[int, Dict[str, Tuple[int, int]]]]:
-    """The (clock, entries) of a well-formed ``index.json`` document, or
-    None: each key alphanumeric (a file name inside the object tree) and
-    mapped to a [size, clock] pair of non-negative ints."""
-    if not (isinstance(raw, dict) and _is_count(raw.get("clock"))
-            and isinstance(raw.get("entries"), dict)):
-        return None
-    entries = raw["entries"]
-    if not all(key.isascii() and key.isalnum() and isinstance(entry, list)
-               and len(entry) == 2 and all(map(_is_count, entry))
-               for key, entry in entries.items()):
-        return None
-    return raw["clock"], {key: tuple(entry) for key, entry in entries.items()}
+def _merged(older: Optional[Dict[str, object]],
+            newer: Dict[str, object]) -> Dict[str, object]:
+    """``newer`` over ``older``: two packs union their entries, newer
+    winning per entry; anything else replaces what came before."""
+    if older is None or newer.get("kind") != REGION_PACK_KIND or \
+            older.get("kind") != REGION_PACK_KIND:
+        return newer
+    return dict(newer, entries={**pack_entries(older),
+                                **pack_entries(newer)})
 
 
 class ArtifactStore:
     """A content-addressed result cache rooted at ``directory``.
 
-    Safe to open from several processes at once: object writes are
-    atomic renames, reads validate the restated key, and the index is
-    advisory (a stale index only costs recency fidelity, never
-    correctness — a missing object is a miss, an unindexed object is
-    re-adopted on the next :meth:`put` scan).  A :meth:`put_payload` is
-    held in memory, served to this instance's reads, and written by the
-    next :meth:`sync`; a pending region pack is merged with the pack on
-    disk then, so concurrent writers keep each other's entries.
+    Safe to share between processes and threads: records are
+    checksummed, reads validate the restated key and schema, and a stale
+    index only costs a miss.  The store holds the segment open until
+    :meth:`close`.
     """
 
     def __init__(self, directory: str,
                  max_mb: float = DEFAULT_MAX_MB) -> None:
         self.directory = directory
         self.max_bytes = int(max_mb * 1024 * 1024)
-        self.objects_dir = os.path.join(directory, "objects")
-        self.index_path = os.path.join(directory, "index.json")
-        os.makedirs(self.objects_dir, exist_ok=True)
+        self.segment_path = os.path.join(directory, SEGMENT_NAME)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.corrupt = 0
-        #: key -> (size_bytes, last_used_clock)
-        self._index: Dict[str, Tuple[int, int]] = {}
-        self._clock = 0
-        #: key -> stamped payload not yet written (write-back).
+        #: key -> (offset, size) of its records in segment order; least
+        #: recently used key first.
+        self._index: "OrderedDict[str, List[Tuple[int, int]]]" = \
+            OrderedDict()
+        #: key -> stamped payload not yet appended.
         self._pending: Dict[str, Dict[str, object]] = {}
-        #: Whether the index changed since it was last loaded or saved.
-        self._dirty = False
-        self._load_index()
+        self._lock = threading.RLock()
+        self._file = None
+        self._open()
 
-    # -- index persistence ---------------------------------------------
+    # -- the segment ----------------------------------------------------
 
-    def _load_index(self) -> None:
+    def _open(self) -> None:
+        """(Re)open the segment and index it from the start."""
+        if self._file is not None:
+            self._file.close()
+        os.makedirs(self.directory, exist_ok=True)
+        self._file = open(self.segment_path, "a+b", buffering=0)
+        self._inode = os.fstat(self._file.fileno()).st_ino
+        self._index.clear()
+        #: Offset up to which the segment is indexed.
+        self._end = 0
+        self._scan()
+
+    def _refresh(self) -> None:
+        """Index a segment another handle compacted from its start, else
+        what was appended since the last scan."""
         try:
-            with open(self.index_path) as handle:
-                raw = json.load(handle)
-        except (OSError, ValueError, RecursionError):
-            raw = None
-        loaded = _parse_index(raw)
-        if loaded is None:
-            self._rebuild_index()
-        else:
-            self._clock, self._index = loaded
-
-    def _rebuild_index(self) -> None:
-        """Re-adopt whatever object files exist (index lost/corrupt)."""
-        self._index = {}
-        self._clock = 0
-        for key, path in sorted(self._iter_objects()):
-            try:
-                size = os.stat(path).st_size
-            except OSError:
-                continue
-            self._clock += 1
-            self._index[key] = (size, self._clock)
-        self._save_index()
-
-    def _iter_objects(self) -> Iterable[Tuple[str, str]]:
-        for shard in sorted(os.listdir(self.objects_dir)):
-            shard_dir = os.path.join(self.objects_dir, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json"):
-                    yield name[:-5], os.path.join(shard_dir, name)
-
-    def _save_index(self) -> None:
-        payload = {
-            "schema": store_schema(),
-            "clock": self._clock,
-            "entries": {key: list(entry)
-                        for key, entry in self._index.items()},
-        }
-        self._atomic_write(self.index_path,
-                           json.dumps(payload, sort_keys=True))
-        self._dirty = False
-
-    def _atomic_write(self, path: str, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                                   prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    # -- object paths ---------------------------------------------------
-
-    def _object_path(self, key: str) -> str:
-        return os.path.join(self.objects_dir, key[:2], f"{key}.json")
-
-    def _drop(self, key: str, counter: Optional[str] = None) -> None:
-        self._index.pop(key, None)
-        self._pending.pop(key, None)
-        self._dirty = True
-        try:
-            os.unlink(self._object_path(key))
+            replaced = os.stat(self.segment_path).st_ino != self._inode
         except OSError:
-            pass
-        if counter is not None:
-            setattr(self, counter, getattr(self, counter) + 1)
-            current_metrics().inc(f"serve.store.{counter}")
+            replaced = True
+        if replaced:
+            self._open()
+        else:
+            self._scan()
+
+    def _count(self, counter: str, value: int = 1) -> None:
+        setattr(self, counter, getattr(self, counter) + value)
+        current_metrics().inc(f"serve.store.{counter}", value)
+
+    def _add(self, key: str, offset: int, size: int) -> None:
+        self._index.setdefault(key, []).append((offset, size))
+        self._index.move_to_end(key)
+
+    def _scan(self) -> None:
+        """Index the records from the last scanned offset to the end,
+        reading a chunk at a time.
+
+        A bad record is counted corrupt once per damaged stretch, which
+        ends at the next marker.  A record that runs past the end with
+        no marker after it is a torn tail or an append in flight, which
+        look the same: it waits for the next scan, and is counted once
+        a record follows it.
+        """
+        fd = self._file.fileno()
+        size = os.fstat(fd).st_size
+        pos = self._end
+        window, base = b"", pos
+        damaged = False
+        while pos + _HEADER.size <= size:
+            if pos + _HEADER.size > base + len(window):
+                window, base = os.pread(fd, _CHUNK, pos), pos
+            magic, crc, length = _HEADER.unpack_from(window, pos - base)
+            end = pos + _HEADER.size + length
+            if magic == _MAGIC and end <= size and length <= _MAX_RECORD:
+                if end > base + len(window):
+                    window, base = os.pread(fd, max(_CHUNK, end - pos),
+                                            pos), pos
+                data = window[pos - base + _HEADER.size:end - base]
+                newline = data.find(b"\n")
+                if zlib.crc32(data) == crc and newline > 0 and \
+                        data[:newline].isascii():
+                    self._add(data[:newline].decode("ascii"), pos,
+                              end - pos)
+                    pos, damaged = end, False
+                    continue
+            following = self._next_marker(pos + 1, size)
+            if following is None and magic == _MAGIC and end > size:
+                break
+            if not damaged:
+                self._count("corrupt")
+            damaged = True
+            pos = size if following is None else following
+        self._end = pos
+
+    def _next_marker(self, pos: int, size: int) -> Optional[int]:
+        """The offset of the first record marker in ``[pos, size)``."""
+        while pos < size:
+            chunk = os.pread(self._file.fileno(), min(_CHUNK, size - pos),
+                             pos)
+            found = chunk.find(_MAGIC)
+            if found >= 0:
+                return pos + found
+            pos += max(len(chunk) - len(_MAGIC) + 1, 1)
+        return None
+
+    def _record(self, key: str, span: Tuple[int, int]
+                ) -> Optional[Dict[str, object]]:
+        """The payload one record of ``key`` holds, or None: a record
+        whose bytes, key or schema do not check out is dropped from the
+        index and counted corrupt."""
+        data = os.pread(self._file.fileno(), span[1], span[0])
+        prefix = key.encode("ascii") + b"\n"
+        try:
+            magic, crc, length = _HEADER.unpack_from(data)
+            body = data[_HEADER.size:]
+            if magic != _MAGIC or length != len(body) or \
+                    zlib.crc32(body) != crc or not body.startswith(prefix):
+                raise ValueError("damaged record")
+            payload = json.loads(body[len(prefix):].decode("utf-8"))
+            if not isinstance(payload, dict) or payload.get("key") != key \
+                    or payload.get("schema") != store_schema():
+                raise ValueError("payload/key mismatch")
+        except (ValueError, struct.error, RecursionError):
+            self._index[key].remove(span)
+            if not self._index[key]:
+                del self._index[key]
+            self._count("corrupt")
+            return None
+        return payload
 
     # -- the cache interface --------------------------------------------
 
-    def _load(self, key: str) -> Tuple[Dict[str, object], int]:
-        """The payload on disk under ``key`` and its size in bytes.
-        Raises OSError (no file) or ValueError (not a JSON object
-        restating ``key`` and the schema)."""
-        with open(self._object_path(key), "rb", buffering=0) as handle:
-            data = handle.read()
-        # Objects are written as ASCII JSON: decode as UTF-8 (a bad byte
-        # is a ValueError) and skip json's encoding detection.
-        payload = json.loads(data.decode("utf-8"))
-        if not isinstance(payload, dict) or payload.get("key") != key or \
-                payload.get("schema") != store_schema():
-            raise ValueError("payload/key mismatch")
-        return payload, len(data)
-
     def _read(self, key: str, decode):
-        """``decode(payload)`` for the payload under ``key``, or None (a
-        miss).  A payload :meth:`_load` rejects, or that ``decode``
-        rejects, is corrupt.  A pending payload is served as it was put,
-        without touching the disk."""
-        payload = self._pending.get(key)
-        size = 0
-        try:
-            if payload is None:
-                payload, size = self._load(key)
-            value = decode(payload)
-        except OSError:
-            # No file: a plain miss (drop any stale index entry).
-            if self._index.pop(key, None) is not None:
-                self._dirty = True
-        except (ValueError, KeyError, TypeError, RecursionError):
-            self._drop(key, "corrupt")
-        else:
-            self._clock += 1
-            size = self._index.get(key, (0, 0))[0] or size
-            self._index[key] = (size, self._clock)
-            self._dirty = True
-            self.hits += 1
-            current_metrics().inc("serve.store.hits")
+        """``decode(payload)`` for the payload under ``key`` (its records
+        merged in segment order, the pending payload over them), or None
+        (a miss).  A payload ``decode`` rejects is corrupt."""
+        with self._lock:
+            if key not in self._index:
+                self._refresh()
+            payload = None
+            for span in tuple(self._index.get(key, ())):
+                record = self._record(key, span)
+                if record is not None:
+                    payload = _merged(payload, record)
+            if key in self._pending:
+                payload = _merged(payload, self._pending[key])
+            try:
+                value = None if payload is None else decode(payload)
+            except (ValueError, KeyError, TypeError, RecursionError):
+                self._index.pop(key, None)
+                self._pending.pop(key, None)
+                self._count("corrupt")
+                value = None
+            if value is None:
+                self._count("misses")
+                return None
+            if key in self._index:
+                self._index.move_to_end(key)
+            self._count("hits")
             return value
-        self.misses += 1
-        current_metrics().inc("serve.store.misses")
-        return None
 
     def get(self, key: str) -> Optional[CellResult]:
         """The stored result under ``key``, or None (miss)."""
@@ -412,89 +401,96 @@ class ArtifactStore:
     def get_payload(self, key: str) -> Optional[Dict[str, object]]:
         """The raw JSON payload under ``key``, or None (miss).
 
-        The schema and restated key are validated like :meth:`get`;
-        interpreting the rest of the payload is the caller's business
-        (the region memo stores its packs through this, cell results
-        keep using :meth:`get`/:meth:`put`).  A pending payload is served
-        as held, not copied: callers must not mutate it.
+        Validated like :meth:`get`; a region pack comes back as the
+        union of its records.  Interpreting the rest is the caller's
+        business (the region memo reads its packs through this).  A
+        pending payload may be served as held: callers must not mutate
+        it.
         """
         return self._read(key, lambda payload: payload)
 
     def put(self, key: str, result: CellResult) -> None:
-        """Store ``result`` under ``key`` and write it now (atomic; last
-        writer wins)."""
+        """Store ``result`` under ``key`` and append it now."""
         self.put_payload(key, result_to_payload(key, result))
         self.sync()
 
     def put_payload(self, key: str, payload: Dict[str, object]) -> None:
         """Store a JSON payload under ``key``, write-back.
 
-        The schema string and the key are stamped into a copy of the
-        payload so reads can validate them.  The copy is held in memory
-        and served to this store's reads; the object write, eviction
-        sweep and index write wait for the next :meth:`sync` — the
-        region memo rewrites a region's pack once per result, far too
-        often for one disk write each.
+        A copy with the schema string and the key stamped in is held
+        until the next :meth:`sync`.  A region pack put under a key with
+        one pending merges into it, so the memo puts one entry at a time
+        and a sync still appends one record per pack.
         """
-        stamped = dict(payload)
-        stamped["schema"] = store_schema()
-        stamped["key"] = key
-        self._clock += 1
-        self._index[key] = (self._index.get(key, (0, 0))[0], self._clock)
-        self._pending[key] = stamped
-        self._dirty = True
+        stamped = dict(payload, schema=store_schema(), key=key)
+        with self._lock:
+            self._pending[key] = _merged(self._pending.get(key), stamped)
         current_metrics().inc("serve.store.puts")
-
-    def _write(self, key: str, payload: Dict[str, object]) -> int:
-        """Write one object file; returns its size."""
-        path = self._object_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        text = json.dumps(payload, sort_keys=True)
-        self._atomic_write(path, text)
-        return len(text)
-
-    def _evict_to_fit(self) -> None:
-        """Drop least-recently-used entries (lowest clock first; equal
-        clocks in index order) until the total fits, keeping at least
-        one."""
-        index = self._index
-        total = self.total_bytes()
-        if total <= self.max_bytes:
-            return
-        for victim in sorted(index, key=lambda k: index[k][1]):
-            if total <= self.max_bytes or len(index) <= 1:
-                break
-            total -= index[victim][0]
-            self._drop(victim, "evictions")
 
     # -- maintenance ----------------------------------------------------
 
     def sync(self) -> None:
-        """Write every pending payload, evict to fit, and persist the
-        index if it changed since it was last written.
+        """Append every pending payload as one batch, then compact if the
+        segment has outgrown the bound."""
+        with self._lock:
+            if self._pending:
+                self._append()
+            if self._end > self.max_bytes:
+                self._compact()
 
-        A pending region pack is first merged with the pack on disk:
-        entries another process wrote since this one read the pack are
-        kept, and this store's entries win where both hold one."""
+    def _append(self) -> None:
+        batch, spans = bytearray(), []
         for key, payload in self._pending.items():
-            if payload.get("kind") == REGION_PACK_KIND:
-                try:
-                    on_disk = self._load(key)[0]
-                except (OSError, ValueError, RecursionError):
-                    on_disk = None
-                entries = pack_entries(on_disk)
-                if entries:
-                    entries = {**entries, **pack_entries(payload)}
-                    payload = {**payload, "entries": entries}
-            self._index[key] = (self._write(key, payload),
-                                self._index[key][1])
+            record = _frame(key, json.dumps(payload).encode())
+            spans.append((key, len(batch), len(record)))
+            batch += record
         self._pending.clear()
-        self._evict_to_fit()
-        if self._dirty:
-            self._save_index()
+        self._refresh()
+        fd = self._file.fileno()
+        start = self._end
+        os.write(fd, batch)
+        if os.fstat(fd).st_size != start + len(batch):
+            self._scan()  # another handle appended too
+            return
+        for key, offset, size in spans:
+            self._add(key, start + offset, size)
+        self._end = start + len(batch)
+
+    def _compact(self) -> None:
+        """Keep the records of the most recently used keys, up to half
+        the bound and at least one key, in a new file renamed over the
+        segment."""
+        self._refresh()
+        kept: List[str] = []
+        total = 0
+        for key in reversed(self._index):
+            size = sum(length for _, length in self._index[key])
+            if kept and total + size > self.max_bytes // 2:
+                break
+            kept.append(key)
+            total += size
+        evicted = len(self._index) - len(kept)
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                for key in reversed(kept):
+                    for offset, size in self._index[key]:
+                        handle.write(os.pread(self._file.fileno(), size,
+                                              offset))
+            os.replace(tmp, self.segment_path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        self._open()
+        if evicted:
+            self._count("evictions", evicted)
 
     def close(self) -> None:
-        self.sync()
+        """Append what is pending and release the segment."""
+        with self._lock:
+            if not self._file.closed:
+                self.sync()
+                self._file.close()
 
     def __enter__(self) -> "ArtifactStore":
         return self
@@ -503,22 +499,22 @@ class ArtifactStore:
         self.close()
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._index.keys() | self._pending.keys())
 
     def __contains__(self, key: str) -> bool:
-        return key in self._pending or \
-            os.path.exists(self._object_path(key))
+        with self._lock:
+            if key not in self._pending and key not in self._index:
+                self._refresh()
+            return key in self._pending or key in self._index
 
     def keys(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._index))
-
-    def total_bytes(self) -> int:
-        return sum(size for size, _ in self._index.values())
+        with self._lock:
+            return tuple(sorted(self._index.keys() | self._pending.keys()))
 
     def stats(self) -> Dict[str, int]:
         return {
-            "entries": len(self._index),
-            "bytes": self.total_bytes(),
+            "entries": len(self),
+            "bytes": self._end,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,

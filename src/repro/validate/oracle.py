@@ -715,7 +715,8 @@ def check_routes(
     if rows or only == REFERENCE:
         with tempfile.TemporaryDirectory(prefix="repro-routes-") as scratch:
             context = RouteContext(program, name, grid, jobs, scratch)
-            mismatches.extend(_run_routes(context, grid, rows))
+            with context.store:
+                mismatches.extend(_run_routes(context, grid, rows))
     for check, certify in certifications:
         try:
             mismatches.extend(certify(program, name, grid))

@@ -370,10 +370,10 @@ class TestExactMemoAndEngine:
         assert memo.stats()["hits"] > 0
 
         # Content-addressed store replay across fresh memo instances.
-        store = ArtifactStore(str(tmp_path))
-        run(RegionMemo(store=store))
-        fresh = RegionMemo(store=store)
-        replayed = run(fresh)
+        with ArtifactStore(str(tmp_path)) as store:
+            run(RegionMemo(store=store))
+            fresh = RegionMemo(store=store)
+            replayed = run(fresh)
         assert fresh.stats()["store_hits"] > 0
         for results, snapshot in (first, warm, replayed):
             assert snapshot == direct

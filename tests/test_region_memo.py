@@ -34,7 +34,7 @@ from repro.schedule.memo import (
 )
 from repro.schedule.priorities import HEURISTICS, priority_order
 from repro.schedule.scheduler import RegionCounts, dependences, prepare
-from repro.serve.store import ArtifactStore
+from repro.serve.store import ArtifactStore, region_pack
 from repro.workloads.paper_example import build_paper_example
 from repro.workloads.specint import build_benchmark
 
@@ -114,10 +114,11 @@ class TestIdentity:
         memo = RegionMemo(store=ArtifactStore(str(tmp_path)))
         assert counters(memo) == direct  # cold, filling the store
         assert counters(memo) == direct  # warm
-        memo.store.sync()
+        memo.store.close()
         revived = RegionMemo(store=ArtifactStore(str(tmp_path)))
         assert counters(revived) == direct  # every figure from disk
         assert revived.stats()["store_hits"] == len(regions)
+        revived.store.close()
 
 
 class TestTierOneSharing:
@@ -200,6 +201,38 @@ class TestTierOneSharing:
         assert cold_misses > 0
         assert warm_misses == revived_misses == 0
         assert memo.stats()["bypasses"] == revived.stats()["bypasses"] == 0
+
+    def test_hyperblock_keys_ignore_schedule_copies(self, monkeypatch):
+        """A hyperblock has no copies, so its problem, DDG, entry and
+        pack key ignore ``schedule_copies``: li's hyperblocks scheduled
+        with the flag off and then on are prepared once each, and both
+        passes equal the memo-off route."""
+        scheme = build_scheme("hyperblock")
+        regions = []
+        for fn in build_benchmark("li").functions():
+            cfg = clone_function(fn).cfg
+            regions.extend((region, liveness_of(cfg))
+                           for region in scheme.form(cfg))
+        prepared = []
+        real_prepare = memo_module.prepare
+
+        def prepare_spy(*args, **kwargs):
+            prepared.append(args[0])
+            return real_prepare(*args, **kwargs)
+        monkeypatch.setattr(memo_module, "prepare", prepare_spy)
+        memo = RegionMemo()
+        for copies in (False, True):
+            options = ScheduleOptions(schedule_copies=copies)
+            served = [_summary(memo.schedule(region, VLIW_4U, options,
+                                             liveness))
+                      for region, liveness in regions]
+            direct = [_summary(schedule_region(region, VLIW_4U, options,
+                                               liveness))
+                      for region, liveness in regions]
+            assert served == direct
+        assert len(regions) == 12
+        assert len(prepared) == len(regions)
+        assert memo.stats()["misses"] == len(regions)
 
 
 def _distinct_orders(region, machine, liveness):
@@ -353,7 +386,7 @@ class TestStorePersistence:
             seeding = RegionMemo(store=ArtifactStore(tmp))
             for region in regions:
                 seeding.schedule(region, VLIW_4U, options, liveness)
-            seeding.store.sync()  # region writes defer index maintenance
+            seeding.store.close()  # region writes wait for the sync
 
             revived = RegionMemo(store=ArtifactStore(tmp))
             served = [
@@ -361,6 +394,7 @@ class TestStorePersistence:
                                           liveness))
                 for region in regions
             ]
+            revived.store.close()
         assert served == reference
         stats = revived.stats()
         assert stats["store_hits"] == len(regions)
@@ -384,15 +418,13 @@ class TestStorePersistence:
         store.sync()
         damaged = {}
         for key in store.keys():
-            path = store._object_path(key)
-            with open(path) as handle:
-                payload = json.load(handle)
-            (entry_id, entry), = payload["entries"].items()
+            (entry_id, entry), = store.get_payload(key)["entries"].items()
             if len(entry["exit_cycles"]) > 1:
                 damaged[key, entry_id] = entry["exit_cycles"]
-                entry["exit_cycles"] = entry["exit_cycles"][:-1]
-                with open(path, "w") as handle:
-                    json.dump(payload, handle)
+                # A later record wins per entry: append a truncated one.
+                store.put_payload(key, region_pack({entry_id: dict(
+                    entry, exit_cycles=entry["exit_cycles"][:-1])}))
+        store.close()
         assert damaged
 
         revived = RegionMemo(store=ArtifactStore(str(tmp_path)))
@@ -403,9 +435,10 @@ class TestStorePersistence:
         assert served == reference
         assert revived.stats()["misses"] == len(damaged)
         revived.store.close()
-        for (key, entry_id), cycles in damaged.items():
-            entries = store.get_payload(key)["entries"]
-            assert entries[entry_id]["exit_cycles"] == cycles
+        with ArtifactStore(str(tmp_path)) as reopened:
+            for (key, entry_id), cycles in damaged.items():
+                entries = reopened.get_payload(key)["entries"]
+                assert entries[entry_id]["exit_cycles"] == cycles
 
     def test_store_revived_grid_reads_once_per_probe(self, tmp_path,
                                                     monkeypatch):

@@ -48,6 +48,7 @@ from repro.serve.client import Client, ClientError
 from repro.serve.fleet import CompileFleet
 from repro.serve.frontend import FrontendServer
 from repro.serve.service import _service_worker
+from repro.serve.store import SEGMENT_NAME, _frame
 from repro.serve.wire import ErrorCode, send_frame
 from repro.workloads.specint import build_benchmark
 
@@ -254,10 +255,12 @@ class TestFaults:
     def test_poisoned_cache_entry_recomputes_correctly(self, tmp_path):
         cell = _grid()[0]
         key = cell_key(resolve_program_text(JobRequest(cell=cell)), cell)
-        poison = ArtifactStore(_shard_store(tmp_path))._object_path(key)
-        os.makedirs(os.path.dirname(poison), exist_ok=True)
-        with open(poison, "w") as handle:
-            handle.write('{"schema": "evil", "time": -1}')
+        # A well-framed record of another schema: corrupt, never served.
+        os.makedirs(_shard_store(tmp_path))
+        with open(os.path.join(_shard_store(tmp_path), SEGMENT_NAME),
+                  "wb") as handle:
+            handle.write(_frame(key, json.dumps(
+                {"schema": "evil", "key": key, "time": -1}).encode()))
         with _fleet(str(tmp_path)) as fleet:
             handle = fleet.submit(JobRequest(cell=cell))
             result = handle.result(60.0)
@@ -266,7 +269,8 @@ class TestFaults:
         assert result == evaluate_cell(cell)
         assert corrupt == 1
         # The recompute healed the entry on disk.
-        assert ArtifactStore(_shard_store(tmp_path)).get(key) == result
+        with ArtifactStore(_shard_store(tmp_path)) as healed:
+            assert healed.get(key) == result
 
     def test_full_queue_applies_backpressure_then_drains(self, tmp_path):
         gate = str(tmp_path / "gate")

@@ -12,6 +12,9 @@ every task.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.evaluation import engine
@@ -211,6 +214,30 @@ class TestKeptGroups:
         groups.put("a", _Sized(4))
         groups.put("big", _Sized(11))
         assert len(groups) == 0 and groups.ops == 0
+
+    @pytest.mark.parametrize("leave", ["evicted", "dropped"])
+    def test_a_frozen_group_that_leaves_is_freed(self, leave):
+        """Freezing keeps the collector off kept groups, yet a group
+        in a reference cycle is still freed once it leaves."""
+        groups = KeptGroups(max_ops=10)
+        group = _Sized(8)
+        group.cycle = group
+        freed = weakref.ref(group)
+        groups.put("a", group)
+        del group
+        try:
+            groups.freeze()
+            assert gc.get_freeze_count() > 0
+            gc.collect()
+            assert freed() is not None
+            if leave == "evicted":
+                groups.put("b", _Sized(8))
+            else:
+                groups.drop("a")
+            groups.freeze()
+            assert freed() is None
+        finally:
+            gc.unfreeze()
 
 
 class TestGroupState:
