@@ -140,8 +140,9 @@ def cached_evaluate(
     :class:`~repro.serve.store.ArtifactStore`, or one opened at
     ``cache_dir``); only the misses are evaluated — in one engine run,
     so the PR-1 work sharing still applies — and their results are
-    written back.  Results are bit-identical to :func:`evaluate_grid`
-    on every path (the store round-trips results losslessly).
+    appended to the store as one batch.  Results are bit-identical to
+    :func:`evaluate_grid` on every path (the store round-trips results
+    losslessly).
 
     The region memo persists alongside the cell results: misses are
     evaluated with a region store rooted at ``<store dir>/regions``, so
@@ -154,7 +155,7 @@ def cached_evaluate(
     import os
     from repro.ir.printer import format_program
     from repro.serve.router import resolve_program_text
-    from repro.serve.store import ArtifactStore, cell_key
+    from repro.serve.store import ArtifactStore, cell_key, result_to_payload
     from repro.serve.jobs import JobRequest
 
     if store is not None and cache_dir is not None:
@@ -204,8 +205,11 @@ def cached_evaluate(
                 )
                 with metrics_scope(metrics):
                     for index, result in zip(miss_indices, fresh):
-                        store.put(keys[index], result)
+                        store.put_payload(keys[index], result_to_payload(
+                            keys[index], result))
                         found[index] = result
+                    # One appended batch for every miss.
+                    store.sync()
             return [found[i] for i in range(len(cells))]
     finally:
         if opened:

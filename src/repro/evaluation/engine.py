@@ -15,15 +15,13 @@ provides :func:`evaluate_grid`, which exploits that structure:
   priority orders and finished list schedules across the group's
   machines and heuristics;
 
-* **parallel path** (``jobs>1``, or ``jobs=0`` for the CPU count): work
-  fans out over a ``multiprocessing`` pool at *cell* granularity, and
-  large programs additionally split *by function* (formation and
-  estimation are per-function independent, so a contiguous slice of
-  functions is a self-contained work item).  Workers rebuild benchmark
-  programs from their names — schemes hold closures and programs are
-  heavy, so neither crosses the process boundary — and the parent merges
-  partial results **in function order**, reproducing the serial float
-  accumulation exactly.
+* **parallel path** (``jobs>1``, or ``jobs=0`` for the CPU count): each
+  (benchmark, scheme) group is one task on a ``multiprocessing`` pool,
+  run by the same group loop.  Workers rebuild benchmark programs from
+  their names — schemes hold closures and programs are heavy, so neither
+  crosses the process boundary — and return each cell's per-function
+  partials, which the parent merges **in function order**, reproducing
+  the serial float accumulation exactly.
 
 Every route runs one core: ``form_program``, ``_schedule_function_partition``
 per function, ``_merge_partials`` in function order.  The direct route
@@ -73,10 +71,6 @@ if TYPE_CHECKING:
 
 #: Machines addressable by name from a grid cell.
 MACHINES: Dict[str, MachineModel] = {"1U": SCALAR_1U, **PAPER_MACHINES}
-
-#: Functions-per-task threshold above which a cell splits across workers.
-SPLIT_THRESHOLD = 8
-
 
 def build_scheme(spec: str) -> Scheme:
     """Turn a scheme spec string into a :class:`Scheme`.
@@ -276,8 +270,8 @@ def _groups(cells: Sequence[GridCell]
 
 @dataclass
 class _Group:
-    """The functions ``[lo, hi)`` of one program formed under one
-    scheme: what every cell of a (benchmark, scheme) group schedules.
+    """One program formed under one scheme: what every cell of a
+    (benchmark, scheme) group schedules.
 
     Formation is machine- and heuristic-independent, and scheduling
     never mutates the IR, so a group serves any number of cells, in one
@@ -301,13 +295,13 @@ class _Group:
         return sum(formed.final_ops for formed in self.functions)
 
 
-def _form_group(program: Program, scheme: Scheme, lo: int = 0,
-                hi: Optional[int] = None, tracer=NULL_TRACER) -> _Group:
-    """Form the functions ``[lo, hi)`` of ``program`` once, recording
-    formation's counters in the group instead of counting them."""
+def _form_group(program: Program, scheme: Scheme,
+                tracer=NULL_TRACER) -> _Group:
+    """Form ``program`` once, recording formation's counters in the
+    group instead of counting them."""
     formation = MetricsRegistry()
     with metrics_scope(formation):
-        _, functions = form_program(program, scheme, lo, hi, tracer)
+        _, functions = form_program(program, scheme, tracer)
     return _Group(program, functions, formation.snapshot())
 
 
@@ -494,20 +488,23 @@ def evaluate_cell(
 
 
 # ----------------------------------------------------------------------
-# Serial grid path: shared clone/formation per (benchmark, scheme)
+# Grid groups in this process: one clone/formation per (benchmark, scheme)
 
 
-def _evaluate_grid_serial(
+def _evaluate_groups_local(
     cells: Sequence[GridCell],
+    groups: Sequence[Tuple[Tuple[str, str], List[Tuple[int, GridCell]]]],
+    results: List[Optional[CellResult]],
     programs: Optional[Dict[str, Program]],
     texts: Optional[Dict[str, str]] = None,
     metrics=NULL_METRICS,
     tracer=NULL_TRACER,
     memo=None,
-) -> List[CellResult]:
-    results: List[Optional[CellResult]] = [None] * len(cells)
+) -> None:
+    """Evaluate ``groups`` in this process, writing each cell's result
+    into ``results`` at the cell's index."""
     with metrics_scope(metrics):
-        for (bench, scheme_spec), indexed in _groups(cells).items():
+        for (bench, scheme_spec), indexed in groups:
             with tracer.span("group", benchmark=bench, scheme=scheme_spec,
                              cells=len(indexed)):
                 program = _resolve_program(bench, programs, texts)
@@ -517,7 +514,6 @@ def _evaluate_grid_serial(
                 for index, partials in _evaluate_group(group, indexed,
                                                        tracer, memo):
                     results[index] = _merge_partials(cells[index], partials)
-    return results  # type: ignore[return-value]
 
 
 #: How many programs parsed from shipped IR text a process keeps.
@@ -557,55 +553,53 @@ def _resolve_program(bench: str,
 
 
 # ----------------------------------------------------------------------
-# Parallel grid path
+# Grid groups on a process pool: one task per (benchmark, scheme)
 
 
-#: A picklable work item: every cell of one (benchmark, scheme) group,
-#: restricted to a half-open slice of the program's functions.  Grouping
-#: keeps the serial path's work sharing inside the worker: the slice is
-#: cloned and formed once, then scheduled for each (machine, heuristic)
-#: cell of the group.  The fifth element is an optional textual IR dump:
-#: programs that are not built-in benchmarks cross the process boundary
-#: as text (the printer/parser round-trip is structure-identical).  The
-#: sixth element is the region-memo directive: None = memo off, else
-#: ``(store_directory_or_None, store_max_mb)`` — the worker uses its own
-#: process-global memo and opens its own store handle (each sync
-#: appends one checksummed batch to the shared segment, so concurrent
-#: workers keep each other's entries; a record lost to a racing
-#: compaction costs a recompute, never a wrong result).  The last
-#: element is the
-#: trace directive: None = untraced, else ``(span file template or None,
-#: trace id, parent span id)`` — the worker records its task under the
-#: parent's ``pool`` span and streams spans to its own per-pid file when
-#: the parent exports.
-_Task = Tuple[str, str, Tuple[Tuple[int, GridCell], ...], int, int,
-              Optional[str], Optional[Tuple[Optional[str], float]],
+#: A picklable work item: every cell of one (benchmark, scheme) group.
+#: Grouping keeps the serial path's work sharing inside the worker: the
+#: program is formed once, then scheduled for each (machine, heuristic)
+#: cell of the group.  The fourth element is an optional textual IR
+#: dump: programs that are not built-in benchmarks cross the process
+#: boundary as text (the printer/parser round-trip is
+#: structure-identical).  The fifth element is the region-memo
+#: directive: None = memo off, else ``(store_directory_or_None,
+#: store_max_mb)`` — the worker uses its own process-global memo and
+#: opens its own store handle (each sync appends one checksummed batch
+#: to the shared segment, so concurrent workers keep each other's
+#: entries; a record lost to a racing compaction costs a recompute,
+#: never a wrong result).  The last element is the trace directive:
+#: None = untraced, else ``(span file template or None, trace id,
+#: parent span id)`` — the worker records its task under the parent's
+#: ``pool`` span and streams spans to its own per-pid file when the
+#: parent exports.
+_Task = Tuple[str, str, Tuple[Tuple[int, GridCell], ...], Optional[str],
+              Optional[Tuple[Optional[str], float]],
               Optional[Tuple[Optional[str], Optional[str], str]]]
 
 
 def _run_task(task: _Task, groups=None):
-    """Pool worker: evaluate one group's cells over a function slice.
+    """Pool worker: evaluate every cell of one (program, scheme) group.
 
     The program is rebuilt from the benchmark name (or re-parsed from the
     shipped IR text) inside the worker; each worker process caches per
     benchmark and per text, so rebuilding is paid once per program per
-    worker, not per task.  A traced task returns its tracer's per-name
-    totals and the task span's duration, for the parent to fold in under
-    its ``pool`` span.
+    worker, not per task.  Returns each cell's ``(index, partials)``, the
+    tracer totals, the task's metrics snapshot and its memo figures.  A
+    traced task's totals are its tracer's per-name totals and the task
+    span's duration, for the parent to fold in under its ``pool`` span.
 
     ``groups`` keeps formed groups between tasks, keyed by (program id,
-    scheme spec, ``lo``, ``hi``), through ``get``, ``put`` and ``drop``
-    (a serve worker passes its
-    :class:`~repro.serve.service.KeptGroups`).  A task whose group is
-    kept skips formation and starts from the group's tier-1 memo state;
-    a task that raises drops its group.  The grid's pool passes none:
-    it forms each group exactly once.
+    scheme spec), through ``get``, ``put`` and ``drop`` (a serve worker
+    passes its :class:`~repro.serve.service.KeptGroups`).  A task whose
+    group is kept skips formation and starts from the group's tier-1
+    memo state; a task that raises drops its group.  The grid's pool
+    passes none: it forms each group exactly once.
     """
-    bench, scheme_spec, indexed_cells, lo, hi, text, memo_spec, trace = \
-        task
+    bench, scheme_spec, indexed_cells, text, memo_spec, trace = task
     program = _resolve_program(
         bench, None, {bench: text} if text is not None else None)
-    key = (id(program), scheme_spec, lo, hi)
+    key = (id(program), scheme_spec)
     tracer, parent, trace_id = NULL_TRACER, None, None
     if trace is not None:
         path, trace_id, parent = trace
@@ -625,12 +619,11 @@ def _run_task(task: _Task, groups=None):
     try:
         with evaluation_gc(), metrics_scope(metrics), \
                 tracer.span("task", parent=parent, trace_id=trace_id,
-                            benchmark=bench, scheme=scheme_spec,
-                            functions=f"{lo}:{hi}") as span:
+                            benchmark=bench, scheme=scheme_spec) as span:
             group = groups.get(key) if groups is not None else None
             if group is None:
-                group = _form_group(program, build_scheme(scheme_spec), lo,
-                                    hi, tracer)
+                group = _form_group(program, build_scheme(scheme_spec),
+                                    tracer)
                 if groups is not None:
                     groups.put(key, group)
             out = _evaluate_group(group, indexed_cells, tracer, memo)
@@ -662,52 +655,22 @@ def _run_task(task: _Task, groups=None):
     if trace is not None:
         tracer.close()
         totals = (tracer.self_times(), span.duration)
-    return out, lo, totals, metrics.snapshot(), memo_stats
+    return out, totals, metrics.snapshot(), memo_stats
 
 
-def _split_cells(cells: Sequence[GridCell], jobs: int,
-                 texts: Optional[Dict[str, str]] = None,
-                 memo_spec: Optional[Tuple[Optional[str], float]] = None,
-                 ) -> List[tuple]:
-    """Cut the grid into group×slice tasks (without the trace
-    directive, which the pool appends).
-
-    Groups with few functions stay whole; larger programs split into up
-    to ``jobs`` contiguous slices so one heavy benchmark cannot starve
-    the pool.
-    """
-    tasks: List[tuple] = []
-    function_counts: Dict[str, int] = {}
-    for (bench, scheme_spec), indexed in _groups(cells).items():
-        text = texts.get(bench) if texts is not None else None
-        count = function_counts.get(bench)
-        if count is None:
-            count = len(list(
-                _resolve_program(bench, None, texts).functions()
-            ))
-            function_counts[bench] = count
-        if count <= SPLIT_THRESHOLD:
-            tasks.append((bench, scheme_spec, tuple(indexed), 0, count,
-                          text, memo_spec))
-            continue
-        chunk = max(SPLIT_THRESHOLD, -(-count // jobs))
-        for lo in range(0, count, chunk):
-            tasks.append(
-                (bench, scheme_spec, tuple(indexed), lo,
-                 min(lo + chunk, count), text, memo_spec)
-            )
-    return tasks
-
-
-def _evaluate_grid_parallel(
+def _evaluate_groups_pooled(
     cells: Sequence[GridCell],
+    groups: Sequence[Tuple[Tuple[str, str], List[Tuple[int, GridCell]]]],
+    results: List[Optional[CellResult]],
     jobs: int,
     texts: Optional[Dict[str, str]] = None,
     metrics=NULL_METRICS,
     tracer=NULL_TRACER,
     memo=None,
     region_stats: Optional[Dict[str, int]] = None,
-) -> List[CellResult]:
+) -> None:
+    """Evaluate ``groups`` on a pool of ``jobs`` processes, one task per
+    group, writing each cell's result into ``results`` at its index."""
     memo_spec: Optional[Tuple[Optional[str], float]] = None
     if memo is not None:
         if memo.store is not None:
@@ -715,20 +678,22 @@ def _evaluate_grid_parallel(
                          memo.store.max_bytes / (1024 * 1024))
         else:
             memo_spec = (None, 0.0)
-    tasks = _split_cells(cells, jobs, texts, memo_spec)
     traced = isinstance(tracer, Tracer)
-    # Per-cell partial lists keyed by slice start, merged in function
-    # order below so the float accumulation matches the serial path.
-    by_cell: Dict[int, Dict[int, List[_FunctionPartial]]] = {}
-    with tracer.span("pool", jobs=jobs, tasks=len(tasks)) as span:
+    with tracer.span("pool", jobs=jobs, tasks=len(groups)) as span:
         trace = (tracer.span_path, span.trace_id, span.span_id) \
             if traced else None
+        tasks = [
+            (bench, scheme_spec, tuple(indexed),
+             texts.get(bench) if texts is not None else None, memo_spec,
+             trace)
+            for (bench, scheme_spec), indexed in groups
+        ]
         with multiprocessing.Pool(processes=jobs) as pool:
-            for out, lo, totals, snapshot, memo_stats in \
-                    pool.imap_unordered(_run_task, [
-                        task + (trace,) for task in tasks]):
+            for out, totals, snapshot, memo_stats in \
+                    pool.imap_unordered(_run_task, tasks):
                 for index, partials in out:
-                    by_cell.setdefault(index, {})[lo] = partials
+                    results[index] = _merge_partials(cells[index], partials)
+                metrics.inc("engine.cells", len(out))
                 if totals is not None:
                     stages, seconds = totals
                     tracer.merge(stages, parent=span, seconds=seconds)
@@ -739,20 +704,7 @@ def _evaluate_grid_parallel(
                     region_stats["store_hits"] += memo_stats["store_hits"]
                     region_stats["bytes"] = max(region_stats["bytes"],
                                                 memo_stats["bytes"])
-                tracer.event("task_done", slice_start=lo,
-                             cells=len(out))
-    # The per-cell counter lives in the parent: a group split into
-    # several function slices revisits each cell once per slice in the
-    # workers, so counting there would overcount.
-    metrics.inc("engine.cells", len(cells))
-    results: List[CellResult] = []
-    for index, cell in enumerate(cells):
-        slices = by_cell[index]
-        ordered: List[_FunctionPartial] = []
-        for lo in sorted(slices):
-            ordered.extend(slices[lo])
-        results.append(_merge_partials(cell, ordered))
-    return results
+                tracer.event("task_done", cells=len(out))
 
 
 # ----------------------------------------------------------------------
@@ -833,34 +785,22 @@ def evaluate_grid(
     try:
         with evaluation_gc(), \
                 tracer.span("evaluate_grid", cells=len(cells), jobs=jobs):
-            if jobs <= 1 or not cells:
-                return _evaluate_grid_serial(cells, programs,
-                                             program_texts, metrics, tracer,
-                                             memo=memo)
-
-            custom = set(programs) if programs is not None else set()
-            pooled = [c for c in cells if c.benchmark not in custom]
-            local = [c for c in cells if c.benchmark in custom]
-            merged: Dict[int, CellResult] = {}
+            results: List[Optional[CellResult]] = [None] * len(cells)
+            # Custom program objects cannot cross the process boundary,
+            # so their groups run here; with one job, every group does.
+            pooled, local = [], []
+            for group in _groups(cells).items():
+                here = jobs <= 1 or (programs is not None
+                                     and group[0][0] in programs)
+                (local if here else pooled).append(group)
             if pooled:
-                pooled_indices = [i for i, c in enumerate(cells)
-                                  if c.benchmark not in custom]
-                for position, result in enumerate(
-                    _evaluate_grid_parallel(pooled, jobs,
-                                            program_texts, metrics, tracer,
-                                            memo=memo, region_stats=stats)
-                ):
-                    merged[pooled_indices[position]] = result
-            if local:
-                local_indices = [i for i, c in enumerate(cells)
-                                 if c.benchmark in custom]
-                for position, result in enumerate(
-                    _evaluate_grid_serial(local, programs,
-                                          program_texts, metrics, tracer,
-                                          memo=memo)
-                ):
-                    merged[local_indices[position]] = result
-            return [merged[i] for i in range(len(cells))]
+                _evaluate_groups_pooled(cells, pooled, results, jobs,
+                                        program_texts, metrics, tracer,
+                                        memo=memo, region_stats=stats)
+            _evaluate_groups_local(cells, local, results, programs,
+                                   program_texts, metrics, tracer,
+                                   memo=memo)
+            return results  # type: ignore[return-value]
     finally:
         if memo is not None:
             after = memo.stats()

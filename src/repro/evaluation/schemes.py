@@ -64,18 +64,16 @@ class FormedFunction(NamedTuple):
 def form_program(
     program: Program,
     scheme: Scheme,
-    lo: int = 0,
-    hi: Optional[int] = None,
     tracer=NULL_TRACER,
 ) -> Tuple[Program, List[FormedFunction]]:
-    """Form the functions ``[lo, hi)`` of ``program``; returns the
-    program they belong to and one :class:`FormedFunction` each.
+    """Form every function of ``program``; returns the program they
+    belong to and one :class:`FormedFunction` each.
 
-    A mutating scheme forms clones of the slice's functions, in a new
-    program with the input's entry and globals; any other scheme forms
-    the input's own.  Either way the input is left as it was.
+    A mutating scheme forms clones of the functions, in a new program
+    with the input's entry and globals; any other scheme forms the
+    input's own.  Either way the input is left as it was.
     """
-    functions = program.functions()[lo:hi]
+    functions = program.functions()
     with tracer.span("clone"):
         if scheme.mutates:
             worked = clone_globals(program)

@@ -132,8 +132,7 @@ def exact_schedule_problem(
         order = priority_order(problem, ddg, heuristic,
                                keys=keys.get(heuristic))
         records[heuristic] = list_schedule(
-            problem, ddg, order, machine, copies=copies,
-            max_cycles=options.max_cycles)
+            problem, ddg, order, machine, copies=copies)
     heights = {heuristic: record.length
                for heuristic, record in records.items()}
     # Ties break in HEURISTICS order.

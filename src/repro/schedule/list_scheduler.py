@@ -66,6 +66,10 @@ from repro.schedule.prep import ScheduleProblem
 from repro.schedule.renaming import ExitCopy
 from repro.schedule.schedule import SchedOp, ScheduleRecord
 
+#: Safety bound on schedule length: placing an op past this cycle means
+#: the resource model can never fit it, and scheduling fails.
+MAX_CYCLES = 1_000_000
+
 
 def list_schedule(
     problem: ScheduleProblem,
@@ -74,7 +78,6 @@ def list_schedule(
     machine: MachineModel,
     dominator_parallelism: bool = False,
     copies: Optional[List[ExitCopy]] = None,
-    max_cycles: int = 1_000_000,
 ) -> ScheduleRecord:
     """Place every op of ``order`` (the heuristic-sorted DDG node list)."""
     copies = list(copies) if copies else []
@@ -148,9 +151,9 @@ def list_schedule(
                 ):
                     break
                 cycle += 1
-                if cycle > max_cycles:
+                if cycle > MAX_CYCLES:
                     raise SchedulingError(
-                        f"schedule exceeded {max_cycles} cycles placing "
+                        f"schedule exceeded {MAX_CYCLES} cycles placing "
                         f"{sched_ops[index]!r}"
                     )
             used[slot] += 1

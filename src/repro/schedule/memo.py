@@ -15,7 +15,7 @@ bad option raises here exactly as on the direct route.
 
 **Tier 1 — in-process structural sharing** (``id(region)``-keyed, held
 in a :class:`GroupState`).  A group state belongs to one formed group, a
-(program, scheme, function slice): :meth:`RegionMemo.begin_group`
+(program, scheme): :meth:`RegionMemo.begin_group`
 installs a fresh one for a new formation, or puts a kept one back for a
 group whose formed regions outlived an earlier task (a serve worker
 keeps them, :mod:`repro.serve.service`).  Its keys stay valid as long
@@ -90,13 +90,12 @@ pack's other new entries on the caller's
 
 **Bypasses** (served by :func:`~repro.schedule.scheduler.schedule_region`,
 never cached): ``options.certify`` or an active lint collector (caller
-wants diagnostics, not numbers), and non-default ``max_cycles``.  Every
-region kind and every other option goes through both tiers:
-hyperblocks run the same stages (a hyperblock has no copies, so its
-``schedule_copies`` flag is read as off in every key), and dominator
-parallelism shares the
-prepared problem, DDG, priority keys and orders with the cells without
-it (its finished schedules key on the flag, as tier 2 does).  The exact
+wants diagnostics, not numbers).  Every region kind and every other
+option goes through both tiers: hyperblocks run the same stages (a
+hyperblock has no copies, so its ``schedule_copies`` flag is read as off
+in every key), and dominator parallelism shares the prepared problem,
+DDG, priority keys and orders with the cells without it (its finished
+schedules key on the flag, as tier 2 does).  The exact
 backend shares the prepared problem and DDG but never the order and
 schedule tables: it searches from the priority keys, and its results
 key separately.
@@ -140,8 +139,6 @@ from repro.schedule.scheduler import (
 #: Tier-2 entry bound; one entry is a few hundred bytes, so the default
 #: caps the in-memory memo around a few tens of MiB worst case.
 DEFAULT_MAX_ENTRIES = 1 << 16
-
-_DEFAULT_MAX_CYCLES = ScheduleOptions().max_cycles
 
 #: The record fields every entry holds (exact-backend entries: all).
 _FIELDS = tuple(name for name in RegionCounts._fields
@@ -343,11 +340,7 @@ class RegionMemo:
 
     @staticmethod
     def _bypass(options: ScheduleOptions) -> bool:
-        return (
-            options.certify
-            or current_collector() is not None
-            or options.max_cycles != _DEFAULT_MAX_CYCLES
-        )
+        return options.certify or current_collector() is not None
 
     # ------------------------------------------------------------------
 

@@ -81,7 +81,6 @@ class ScheduleOptions:
             leaves them out ("Copy Ops added due to renaming were not
             used in computing speedup"); turning this on quantifies that
             choice.
-        max_cycles: Safety bound on schedule length.
         certify: Run the static legality certifier (``repro.lint``
             schedule rules) on every tree-region schedule and raise
             :class:`~repro.util.errors.ScheduleCertificationError` on any
@@ -102,7 +101,6 @@ class ScheduleOptions:
     heuristic: Heuristic = GLOBAL_WEIGHT
     dominator_parallelism: bool = False
     schedule_copies: bool = False
-    max_cycles: int = 1_000_000
     certify: bool = False
     backend: str = "heuristic"
     exact_budget: int = 50_000
@@ -283,7 +281,6 @@ def schedule_prepared(problem: ScheduleProblem, ddg: DDG,
                 machine,
                 dominator_parallelism=options.dominator_parallelism,
                 copies=copies,
-                max_cycles=options.max_cycles,
             )
     return record, region_counts(problem, ddg, record, info)
 

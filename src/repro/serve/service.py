@@ -64,7 +64,7 @@ class KeptGroups:
     """A worker process's formed groups, kept between tasks.
 
     Keys are :func:`~repro.evaluation.engine._run_task`'s (program id,
-    scheme spec, ``lo``, ``hi``); the kept group pins its program, so
+    scheme spec); the kept group pins its program, so
     the id cannot name another program while the entry lives, and two
     texts under one benchmark name parse to two programs.  The least
     recently used groups go first once the kept groups' total op count
@@ -316,11 +316,7 @@ class WorkerPool:
             (index, handle.request.cell)
             for index, handle in enumerate(handles)
         )
-        # The engine group-task over the whole function range; passing
-        # None as the slice end means "all functions" without knowing
-        # the count parent-side.
-        task = (bench, scheme, indexed, 0, None, text, self.memo_spec,
-                None)
+        task = (bench, scheme, indexed, text, self.memo_spec, None)
         specs = [
             (handle.request.trace_id, handle.request.parent_span_id)
             for handle in handles if handle.request.trace_id
@@ -334,7 +330,7 @@ class WorkerPool:
                 )
             else:
                 future = self._ensure_executor().submit(self._worker, task)
-            out, _, _, snapshot, _memo_stats = future.result(
+            out, _, snapshot, _memo_stats = future.result(
                 timeout=self.job_timeout
             )
         except (_FutureTimeout, BrokenProcessPool) as error:

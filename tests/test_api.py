@@ -160,6 +160,33 @@ class TestFacade:
         assert global_memo().stats() == before
         assert row == api.evaluate_cell(cell)
 
+    def test_cached_evaluate_appends_misses_as_one_batch(
+            self, tmp_path, monkeypatch):
+        import os
+
+        from repro.evaluation.engine import default_grid
+        from repro.obs import MetricsRegistry
+
+        cells = default_grid(["compress"], schemes=("treegion",))
+        writes = []
+        real_write = os.write
+
+        def counted(fd, data):
+            stat = os.fstat(fd)
+            writes.append((stat.st_dev, stat.st_ino))
+            return real_write(fd, data)
+        monkeypatch.setattr(os, "write", counted)
+        cache = str(tmp_path / "cache")
+        first = api.cached_evaluate(cells, cache_dir=cache)
+        segment = os.stat(os.path.join(cache, "records.seg"))
+        assert writes.count((segment.st_dev, segment.st_ino)) == 1
+        assert first == api.evaluate_grid(cells)
+        metrics = MetricsRegistry()
+        again = api.cached_evaluate(cells, cache_dir=cache, metrics=metrics)
+        assert again == first
+        assert metrics.counters["serve.store.hits"] == len(cells)
+        assert "serve.store.misses" not in metrics.counters
+
     def test_validate_small_campaign(self):
         summary = api.validate(
             2, grid="schemes=bb;machines=4U", engine_every=0,

@@ -21,6 +21,9 @@ from repro.evaluation.engine import (
     evaluate_grid,
     machine_by_name,
 )
+from repro.api import compile_source
+from repro.interp import profile_program
+from repro.ir import format_program, parse_program
 from repro.schedule.priorities import HEURISTICS
 from repro.schedule.scheduler import ScheduleOptions
 from repro.obs import Span, SpanWriter, Tracer, merge_traces, trace_file
@@ -122,6 +125,58 @@ class TestEquivalence:
         for cell, result, ref in zip(GRID, results, reference):
             assert _signature(result) == ref, cell
 
+    def test_mixed_grid_interleaved(self):
+        """A program object's groups run in the parent and built-ins in
+        the pool; both land at their cells' positions."""
+        programs = {"mine": build_benchmark("go")}
+        cells = [GridCell(bench, scheme, machine, "global_weight")
+                 for scheme in ("bb", "treegion")
+                 for machine in ("4U", "8U")
+                 for bench in ("compress", "mine", "li")]
+        pooled = evaluate_grid(cells, programs=programs, jobs=2)
+        serial = evaluate_grid(cells, programs=programs, jobs=1)
+        assert [_signature(r) for r in pooled] == \
+            [_signature(r) for r in serial]
+        assert [r.cell for r in pooled] == cells
+
+
+def _many_functions_source(count):
+    """minic with ``count`` branchy helpers, all called from ``main``."""
+    helpers = "".join(f"""
+func f{k}(n) {{
+    var s = 0;
+    for (var i = 0; i < n; i = i + 1) {{
+        if ((i + {k}) % 3 == 0) {{ s = s + i * {k + 1}; }}
+        else {{ s = s - {k}; }}
+    }}
+    return s;
+}}""" for k in range(count))
+    calls = " + ".join(f"f{k}(n)" for k in range(count))
+    return helpers + f"\nfunc main(n) {{ return {calls}; }}\n"
+
+
+class TestPoolTasks:
+    def test_many_function_program_is_one_task_per_group(self):
+        program = compile_source(_many_functions_source(10))
+        profile_program(program, inputs=[[7]])
+        assert len(program.functions()) == 11
+        text = format_program(program)
+        cells = [GridCell("many", scheme, machine, heuristic)
+                 for scheme in ("bb", "treegion-td:2.0")
+                 for machine in ("4U", "8U")
+                 for heuristic in ("dep_height", "global_weight")]
+        tracer = Tracer()
+        pooled = evaluate_grid(cells, program_texts={"many": text}, jobs=2,
+                               tracer=tracer)
+        tracer.close()
+        assert tracer.self_times()["task"]["count"] == 2
+        serial = evaluate_grid(cells, program_texts={"many": text}, jobs=1)
+        parsed = parse_program(text)
+        direct = [evaluate_cell(cell, parsed) for cell in cells]
+        assert [_signature(r) for r in pooled] == \
+            [_signature(r) for r in serial] == \
+            [_signature(r) for r in direct]
+
 
 class TestDominatorParallelismCells:
     def test_dp_cells_match_runner(self):
@@ -197,7 +252,10 @@ class TestGridHelpers:
         assert [span.name for span in roots] == ["evaluate_grid"]
         (pool,) = merged.find(name="pool")
         tasks = merged.find(name="task")
-        assert tasks and all(s.parent_id == pool.span_id for s in tasks)
+        # One task per (benchmark, scheme) group.
+        assert len(tasks) == len({(cell.benchmark, cell.scheme)
+                                  for cell in TRACED_CELLS})
+        assert all(s.parent_id == pool.span_id for s in tasks)
         assert len(merged.find(name="task_done")) == len(tasks)
         # Each task streams from the worker process that ran it, so it
         # sits on that worker's own track.

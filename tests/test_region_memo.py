@@ -541,14 +541,6 @@ class TestBypasses:
         assert memo.stats()["misses"] == 0
         assert hasattr(schedule, "cycles")  # the full schedule object
 
-    def test_nondefault_max_cycles_bypasses(self):
-        fn = diamond_function()
-        regions, liveness = _regions(fn)
-        memo = RegionMemo()
-        memo.schedule(regions[0], VLIW_4U,
-                      ScheduleOptions(max_cycles=123456), liveness)
-        assert memo.stats()["bypasses"] == 1
-
 
 class TestEngineWiring:
     GRID = [

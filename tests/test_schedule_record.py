@@ -352,8 +352,8 @@ class TestEvaluationGC:
 
     def test_run_task_restores(self, monkeypatch):
         seen = self._spy_group(monkeypatch)
-        task = ("compress", "treegion", ((0, self.CELLS[0]),), 0, None,
-                None, None, None)
+        task = ("compress", "treegion", ((0, self.CELLS[0]),), None, None,
+                None)
         out, *_ = engine._run_task(task)
         assert [index for index, _ in out] == [0]
         assert seen == [self.INSIDE]
@@ -365,8 +365,8 @@ class TestEvaluationGC:
             evaluate_grid([bad], jobs=1, region_memo=RegionMemo())
         assert gc.get_threshold() == self.CALLER
         with pytest.raises(ValueError, match="unknown heuristic"):
-            engine._run_task(("compress", "treegion", ((0, bad),), 0, None,
-                              None, None, None))
+            engine._run_task(("compress", "treegion", ((0, bad),), None,
+                              None, None))
         assert gc.get_threshold() == self.CALLER
 
     def test_nested_use_restores_at_the_outermost_exit(self):

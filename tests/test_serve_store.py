@@ -962,7 +962,7 @@ class TestPackWriters:
         monkeypatch.setattr(engine, "_worker_stores", stores)
         monkeypatch.setattr(memo_module, "global_memo", RegionMemo)
         cell = GridCell("compress", "treegion", "4U", "global_weight")
-        task = ("compress", "treegion", ((0, cell),), 0, 1, None,
+        task = ("compress", "treegion", ((0, cell),), None,
                 (str(tmp_path), 16.0), None)
         with pytest.raises(RuntimeError):
             engine._run_task(task)

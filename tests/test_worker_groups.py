@@ -1,9 +1,9 @@
 """A serve worker keeps its formed groups across requests.
 
-:func:`repro.evaluation.engine._run_task` forms a (program, scheme,
-function slice) once and, given a :class:`~repro.serve.service.KeptGroups`,
-keeps the formed functions and their region-memo tier-1 state for the
-next request of the same group.  Reuse must be invisible: results stay
+:func:`repro.evaluation.engine._run_task` forms a (program, scheme)
+group once and, given a :class:`~repro.serve.service.KeptGroups`, keeps
+the formed functions and their region-memo tier-1 state for the next
+request of the same group.  Reuse must be invisible: results stay
 byte-identical to in-process :func:`evaluate_grid`, deterministic
 counters do not depend on whether a group was formed or kept, a task
 that raises leaves nothing behind, and the grid's own pool still forms
@@ -117,8 +117,8 @@ class TestServedGroups:
 
 
 def _task(cell, memo_spec=(None, 0.0)):
-    return (cell.benchmark, cell.scheme, ((0, cell),), 0, None, None,
-            memo_spec, None)
+    return (cell.benchmark, cell.scheme, ((0, cell),), None, memo_spec,
+            None)
 
 
 def _pipeline_counters(snapshot):
@@ -145,10 +145,10 @@ class TestTaskCounters:
         _run_task(_task(first), groups)
         kept = _run_task(_task(second), groups)
         assert kept[0] == formed[0]
-        assert _pipeline_counters(kept[3]) == _pipeline_counters(formed[3])
-        assert _pipeline_counters(kept[3])["counters"]["formation.regions"]
-        assert formed[3]["counters"]["serve.groups.formed"] == 1
-        assert kept[3]["counters"]["serve.groups.reused"] == 1
+        assert _pipeline_counters(kept[2]) == _pipeline_counters(formed[2])
+        assert _pipeline_counters(kept[2])["counters"]["formation.regions"]
+        assert formed[2]["counters"]["serve.groups.formed"] == 1
+        assert kept[2]["counters"]["serve.groups.reused"] == 1
 
     def test_raising_task_leaves_no_entry(self):
         good = GridCell("compress", "treegion", "4U", "global_weight")
@@ -171,9 +171,9 @@ class TestTaskCounters:
         formed = reused = 0
         for name in ("compress", "li") * 3:
             cell = GridCell("p", "treegion", "4U", "global_weight")
-            task = (cell.benchmark, cell.scheme, ((0, cell),), 0, None,
-                    TEXTS[name], (None, 0.0), None)
-            counters = _run_task(task, groups)[3]["counters"]
+            task = (cell.benchmark, cell.scheme, ((0, cell),), TEXTS[name],
+                    (None, 0.0), None)
+            counters = _run_task(task, groups)[2]["counters"]
             formed += counters.get("serve.groups.formed", 0)
             reused += counters.get("serve.groups.reused", 0)
         assert (formed, reused) == (2, 4)
